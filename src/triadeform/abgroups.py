@@ -306,7 +306,8 @@ def _preimage_subgroup_generators(hom: AbHom, n: int) -> list[tuple[int, ...]]:
     if not system:
         return list(a_grp.generators())
     basis = snf.kernel_basis(system)
-    assert all(len(v) == width for v in basis)
+    if any(len(v) != width for v in basis):
+        raise RuntimeError(f"kernel basis vectors must have {width} coordinates")
     return [a_grp.reduce(v[: a_grp.n]) for v in basis]
 
 

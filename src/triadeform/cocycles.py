@@ -157,7 +157,8 @@ class SplitSectionPsi(PsiMap):
         for fkey, e in free.items():
             gen = (self.domain.free_generator(fkey), self.codomain.identity)
             acc = ext_mul(self.cocycle, acc, ext_pow(self.cocycle, gen, e))
-        assert acc[0] == b, "section failed to reconstruct its argument"
+        if acc[0] != b:
+            raise InvalidParameter(f"section failed to reconstruct its argument {b!r}")
         self._cache[b] = acc[1]
         return acc[1]
 

@@ -235,6 +235,8 @@ class RationalField(Ring):
         return Fraction(n)
 
     def ensure(self, x):
+        if type(x) is Fraction:
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise InvalidParameter(f"{x!r} is not a rational element")
@@ -739,7 +741,8 @@ class UnitGroupStruct:
 
     def _decompose_real_quadratic(self, x):
         ring = self.ring
-        assert isinstance(ring, QuadraticOrder)
+        if not (isinstance(ring, QuadraticOrder) and ring.d > 0):
+            raise InvalidParameter(f"{ring.spec} is not a real quadratic order")
         eps = self.free_basis[0]
         eps_inv = ring.inv(eps)
         t = 0

@@ -11,6 +11,14 @@ realise the isomorphism explicitly.
 
 Index convention: generators and entry keys are 1-based, matching t_ij and
 d_k notation; i < j always for strict upper entries.
+
+Validation happens at the API boundary: DeformedGroup.element and
+elem_from_json check coordinates and units, and upper_normalise checks entry
+indices and coerces values.  The internal products (op, inverse and the
+upper_* helpers) trust their normalised operands and only drop zeros.
+DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
+the constructor checks this on every unit when R^x is finite and verify is
+set.
 """
 
 from __future__ import annotations
@@ -51,25 +59,47 @@ def upper_normalise(ring: Ring, n: int, entries) -> tuple:
     return tuple(sorted(table.items()))
 
 
-def upper_product(ring: Ring, n: int, u1: tuple, u2: tuple) -> tuple:
-    """Pure matrix product U1 U2 of two strict parts."""
-    out: dict = {}
+def _entries(ring: Ring, table: dict) -> tuple:
+    """Normal form of an accumulated entry map: zeros dropped, sorted by key.
+
+    Keys come from normalised operands, so no index check is needed here.
+    """
+    zero = ring.zero
+    return tuple(sorted(item for item in table.items() if item[1] != zero))
+
+
+def _add_product(ring: Ring, out: dict, u1: tuple, u2: tuple) -> None:
+    """Add the entries of U1 U2 into the entry map out."""
+    rows: dict = {}
+    for (k, j), b in u2:
+        rows.setdefault(k, []).append((j, b))
+    add, mul = ring.add, ring.mul
     for (i, k), a in u1:
-        for (k2, j), b in u2:
-            if k == k2:
-                prod = ring.mul(a, b)
-                out[(i, j)] = ring.add(out[(i, j)], prod) if (i, j) in out else prod
-    return upper_normalise(ring, n, out)
+        for j, b in rows.get(k, ()):
+            prod = mul(a, b)
+            key = (i, j)
+            out[key] = add(out[key], prod) if key in out else prod
+
+
+def upper_product(ring: Ring, n: int, u1: tuple, u2: tuple) -> tuple:
+    """Pure matrix product U1 U2 of two normalised strict parts."""
+    out: dict = {}
+    _add_product(ring, out, u1, u2)
+    return _entries(ring, out)
 
 
 def upper_mul(ring: Ring, n: int, u1: tuple, u2: tuple) -> tuple:
-    """Strict part of (I + U1)(I + U2) = I + U1 + U2 + U1 U2."""
+    """Strict part of (I + U1)(I + U2) = I + U1 + U2 + U1 U2, for normalised U1, U2."""
+    if not u1:
+        return u2
+    if not u2:
+        return u1
+    add = ring.add
     out = dict(u1)
     for key, v in u2:
-        out[key] = ring.add(out[key], v) if key in out else v
-    for key, v in upper_product(ring, n, u1, u2):
-        out[key] = ring.add(out[key], v) if key in out else v
-    return upper_normalise(ring, n, out)
+        out[key] = add(out[key], v) if key in out else v
+    _add_product(ring, out, u1, u2)
+    return _entries(ring, out)
 
 
 def upper_inv(ring: Ring, n: int, u: tuple) -> tuple:
@@ -83,19 +113,27 @@ def upper_inv(ring: Ring, n: int, u: tuple) -> tuple:
             acc[key] = ring.add(acc[key], term) if key in acc else term
         power = upper_product(ring, n, power, u)
         sign = -sign
-    return upper_normalise(ring, n, acc)
+    return _entries(ring, acc)
 
 
 def upper_conjugate(ring: Ring, n: int, u: tuple, xbar: tuple) -> tuple:
-    """Entrywise scaling x_i^-1 u_ij x_j with x_n = 1."""
+    """Entrywise scaling x_i^-1 u_ij x_j with x_n = 1, for a normalised U.
 
-    def coord(m: int):
-        return xbar[m - 1] if m < n else ring.one
-
-    scaled = []
+    Units keep nonzero entries nonzero, so the result needs no normalising.
+    """
+    one, mul = ring.one, ring.mul
+    inverses: dict = {}
+    out = []
     for (i, j), v in u:
-        scaled.append(((i, j), ring.mul(ring.mul(ring.inv(coord(i)), v), coord(j))))
-    return upper_normalise(ring, n, scaled)
+        x = xbar[i - 1]
+        if x != one:
+            if i not in inverses:
+                inverses[i] = ring.inv(x)
+            v = mul(inverses[i], v)
+        if j < n and xbar[j - 1] != one:
+            v = mul(v, xbar[j - 1])
+        out.append(((i, j), v))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +370,6 @@ class DeformedElem:
     z: Any
     upper: tuple
 
-    def upper_entry(self, ring: Ring, i: int, j: int):
-        for key, v in self.upper:
-            if key == (i, j):
-                return v
-        return ring.zero
-
     def __repr__(self):
         return f"DeformedElem(xbar={self.xbar!r}, z={self.z!r}, upper={self.upper!r})"
 
@@ -372,6 +404,9 @@ class DeformedGroup:
             raise InvalidParameter("deformations are defined for n >= 3")
         self.ring = ring
         self.n = n
+        self._ones = (ring.one,) * (n - 1)
+        self._identity = DeformedElem(self._ones, ring.one, ())
+        self._factors: tuple = ()
         if cocycles is None:
             self.cocycles = None
         else:
@@ -390,23 +425,36 @@ class DeformedGroup:
                         raise InvalidParameter(
                             f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}"
                         )
+                    if units.is_finite:
+                        _check_normalised(f, units)
             self.cocycles = cocycles
+            self._factors = tuple(
+                (i, f)
+                for i, f in enumerate(cocycles)
+                if not (isinstance(f, CarryCocycle) and not f.targets)
+            )
 
     # -- cocycle plumbing ---------------------------------------------------
 
     @property
     def is_untwisted(self) -> bool:
-        if self.cocycles is None:
-            return True
-        return all(isinstance(f, CarryCocycle) and not f.targets for f in self.cocycles)
+        return not self._factors
 
     def twist(self, x1: tuple, x2: tuple):
-        """prod_i f_i(x1[i], x2[i]), the central correction in torus products."""
-        out = self.ring.one
-        if self.cocycles is None:
-            return out
-        for i, f in enumerate(self.cocycles):
-            out = self.ring.mul(out, f(x1[i], x2[i]))
+        """prod_i f_i(x1[i], x2[i]), the central correction in torus products.
+
+        Trivial factors were dropped in __init__, and a factor with an
+        identity coordinate is skipped: cocycles are normalised, so
+        f(1, x) = f(x, 1) = 1.
+        """
+        r = self.ring
+        one = r.one
+        out = one
+        for i, f in self._factors:
+            a, b = x1[i], x2[i]
+            if a != one and b != one:
+                c = f(a, b)
+                out = c if out == one else r.mul(out, c)
         return out
 
     def big_f(self, alpha, beta):
@@ -418,7 +466,7 @@ class DeformedGroup:
 
     @property
     def identity(self) -> DeformedElem:
-        return DeformedElem((self.ring.one,) * (self.n - 1), self.ring.one, ())
+        return self._identity
 
     def element(self, xbar, z, upper) -> DeformedElem:
         xbar = tuple(self.ring.ensure(v) for v in xbar)
@@ -435,7 +483,9 @@ class DeformedGroup:
     def transvection(self, i: int, j: int, beta) -> DeformedElem:
         if not (1 <= i < j <= self.n):
             raise InvalidParameter(f"transvection needs 1 <= i < j <= n, got ({i}, {j})")
-        return self.element((self.ring.one,) * (self.n - 1), self.ring.one, {(i, j): beta})
+        beta = self.ring.ensure(beta)
+        upper = () if beta == self.ring.zero else (((i, j), beta),)
+        return DeformedElem(self._ones, self.ring.one, upper)
 
     def diagonal_gen(self, k: int, alpha) -> DeformedElem:
         """d_k(a).  For k = n the central part carries the cocycle correction
@@ -464,27 +514,50 @@ class DeformedGroup:
 
     def op(self, g1: DeformedElem, g2: DeformedElem) -> DeformedElem:
         r = self.ring
-        xbar = tuple(r.mul(a, b) for a, b in zip(g1.xbar, g2.xbar))
-        z = r.mul(r.mul(g1.z, g2.z), self.twist(g1.xbar, g2.xbar))
-        upper = upper_mul(r, self.n, upper_conjugate(r, self.n, g1.upper, g2.xbar), g2.upper)
-        return DeformedElem(xbar, z, upper)
+        one = r.one
+        x1, x2 = g1.xbar, g2.xbar
+        z = g2.z if g1.z == one else g1.z if g2.z == one else r.mul(g1.z, g2.z)
+        u1 = g1.upper
+        if x2 == self._ones:
+            # no twist (normalised cocycles) and no conjugation
+            xbar = x1
+        else:
+            xbar = x2 if x1 == self._ones else tuple(r.mul(a, b) for a, b in zip(x1, x2))
+            t = self.twist(x1, x2)
+            if t != one:
+                z = r.mul(z, t)
+            u1 = upper_conjugate(r, self.n, u1, x2)
+        return DeformedElem(xbar, z, upper_mul(r, self.n, u1, g2.upper))
 
     def inverse(self, g: DeformedElem) -> DeformedElem:
         r = self.ring
-        xbar_inv = tuple(r.inv(v) for v in g.xbar)
-        z = r.mul(r.inv(g.z), r.inv(self.twist(g.xbar, xbar_inv)))
-        upper = upper_conjugate(r, self.n, upper_inv(r, self.n, g.upper), xbar_inv)
+        one = r.one
+        z, xbar_inv = g.z, g.xbar
+        upper = upper_inv(r, self.n, g.upper)
+        if g.xbar != self._ones:
+            xbar_inv = tuple(v if v == one else r.inv(v) for v in g.xbar)
+            t = self.twist(g.xbar, xbar_inv)
+            if t != one:
+                z = r.mul(z, t)
+            upper = upper_conjugate(r, self.n, upper, xbar_inv)
+        if z != one:
+            z = r.inv(z)
         return DeformedElem(xbar_inv, z, upper)
 
     def commutator(self, a: DeformedElem, b: DeformedElem) -> DeformedElem:
         return self.op(self.op(self.inverse(a), self.inverse(b)), self.op(a, b))
 
     def power(self, g: DeformedElem, k: int) -> DeformedElem:
+        """g^k by square-and-multiply."""
         if k < 0:
-            return self.power(self.inverse(g), -k)
+            g, k = self.inverse(g), -k
         acc = self.identity
-        for _ in range(k):
-            acc = self.op(acc, g)
+        while k:
+            if k & 1:
+                acc = self.op(acc, g)
+            k >>= 1
+            if k:
+                g = self.op(g, g)
         return acc
 
     def conjugate(self, g: DeformedElem, by: DeformedElem) -> DeformedElem:
@@ -576,6 +649,14 @@ class DeformedGroup:
     def __repr__(self):
         kind = "untwisted" if self.is_untwisted else "twisted"
         return f"DeformedGroup({self.ring.spec!r}, n={self.n}, {kind})"
+
+
+def _check_normalised(f: SymCocycle2, units) -> None:
+    """f(1, x) = f(x, 1) = 1 on every x of the finite unit group."""
+    one = units.identity
+    for x in units.elements():
+        if f(one, x) != one or f(x, one) != one:
+            raise InvalidParameter(f"cocycle is not normalised at {x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ from hypothesis import strategies as st
 from triadeform import AbHom, FgAbelian, InvalidParameter, ext_group, is_pure_subgroup
 
 
+def test_kernel_basis_width_is_checked(monkeypatch):
+    from triadeform import snf
+
+    monkeypatch.setattr(snf, "kernel_basis", lambda system: [[1]])
+    with pytest.raises(RuntimeError, match="coordinates"):
+        AbHom.identity(FgAbelian((2,))).kernel_is_trivial()
+
+
 def test_invariant_chain_enforced():
     FgAbelian((2, 4), 1)
     with pytest.raises(InvalidParameter):

@@ -1,12 +1,15 @@
 """CLI surface: exit codes, report schema conformance, seeded reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import triadeform
 from triadeform import DeformedGroup, parse_ring
 from triadeform.cli import main
 from triadeform.report import REPORT_SCHEMA
@@ -510,10 +513,15 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_console_script_runs():
+    # the child imports the package this process imported, installed or not
+    package_root = str(Path(triadeform.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "triadeform.cli", "ring", "info", "Z/3", "--output", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -141,6 +141,14 @@ def test_is_coboundary_witness_is_exact():
                         assert coboundary_defect(f, psi, x, y) == a.identity
 
 
+def test_section_witness_rejects_a_non_canonical_argument():
+    b = FgAbelian((4,))
+    psi = is_coboundary(trivial_cocycle(b, b))
+    assert psi((3,)) == (0,)
+    with pytest.raises(InvalidParameter, match="reconstruct"):
+        psi((7,))
+
+
 def test_is_coboundary_on_shifted_tables(rng):
     # coboundary * carry tables: verdict must track the carry part
     b = FgAbelian((4,))

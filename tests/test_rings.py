@@ -304,3 +304,8 @@ def test_psi_needs_real_quadratic_order():
         eval_psi(parse_ring("Z"), 1, 2, 3, 5, 7, 1)
     with pytest.raises(InvalidParameter):
         eval_psi(parse_ring("Z[i]"), 1, (0, 1), (1, 0), (1, 0), (1, 0), (1, 0))
+
+
+def test_real_quadratic_decomposition_refuses_other_rings():
+    with pytest.raises(InvalidParameter, match="real quadratic"):
+        unit_group(parse_ring("Z/5"))._decompose_real_quadratic(2)

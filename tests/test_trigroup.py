@@ -2,6 +2,8 @@
 
 import json
 import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from triadeform import (
     CoboundaryOf,
     DeformedGroup,
     DomainMismatch,
+    FunctionTable,
     InvalidParameter,
     MonomialPsi,
     NotAUnit,
@@ -28,7 +31,9 @@ from triadeform import (
     split_isomorphism,
     trivial_cocycle,
     unit_group,
+    verify_cocycle,
 )
+from triadeform.cocycles import DictPsi
 from triadeform.errors import TooLarge
 from triadeform.trigroup import upper_conjugate, upper_inv, upper_mul, upper_normalise
 
@@ -137,6 +142,24 @@ def test_op_table_associativity_vectorized(t3_z3_fg):
 
 # ---------------------------------------------------------------------------
 # deformed group laws
+
+
+def test_constructor_checks_normalisation_on_every_finite_unit():
+    # |(Z/41)^x| = 40 lies above verify_cocycle's exhaustive limit, so its
+    # sampled trials can miss a single bad entry; the constructor must not
+    r = parse_ring("Z/41")
+    u = unit_group(r)
+    units = u.elements()
+    for bad in units[1:]:
+        table = {(x, y): 1 for x in units for y in units}
+        table[(1, bad)] = table[(bad, 1)] = 2
+        f = FunctionTable(u, u, table)
+        if verify_cocycle(f, trials=32, exhaustive_limit=16).ok:
+            break
+    else:
+        pytest.fail("every placement of the bad entry was caught by sampling")
+    with pytest.raises(InvalidParameter, match="normalised"):
+        DeformedGroup(r, 3, (f, trivial_cocycle(u, u)))
 
 
 def test_constructor_guards():
@@ -309,3 +332,159 @@ def test_twisted_group_order_and_enumeration():
     assert len(elems) == 8000 == g.order()
     fg = from_group(_twisted_f5(n=3, target=1))
     assert fg.order == 8000
+
+
+# ---------------------------------------------------------------------------
+# normal-form products against a restated oracle
+
+
+class _Arith:
+    """Ring arithmetic restated on plain payloads: ints mod 5, Fractions,
+    and (a, b) pairs for a + b*sqrt(2)."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.zero = (0, 0) if spec == "Z[sqrt(2)]" else Fraction(0) if spec == "Q" else 0
+        self.one = (1, 0) if spec == "Z[sqrt(2)]" else Fraction(1) if spec == "Q" else 1
+
+    def add(self, a, b):
+        if self.spec == "Z/5":
+            return (a + b) % 5
+        if self.spec == "Q":
+            return a + b
+        return (a[0] + b[0], a[1] + b[1])
+
+    def mul(self, a, b):
+        if self.spec == "Z/5":
+            return a * b % 5
+        if self.spec == "Q":
+            return a * b
+        return (a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    def inv(self, a):
+        if self.spec == "Z/5":
+            return pow(a, -1, 5)
+        if self.spec == "Q":
+            return 1 / a
+        norm = a[0] * a[0] - 2 * a[1] * a[1]  # +-1 for a unit
+        return (a[0] * norm, -a[1] * norm)
+
+
+def _oracle_op(ar, n, cocycles, g1, g2):
+    """(xbar1 xbar2, z1 z2 prod_i f_i(x1_i, x2_i), U) with I + U the matrix
+    product D^-1 (I + U1) D (I + U2), D = diag(xbar2, 1)."""
+    xbar = tuple(ar.mul(a, b) for a, b in zip(g1.xbar, g2.xbar))
+    z = ar.mul(g1.z, g2.z)
+    for i, f in enumerate(cocycles or ()):
+        z = ar.mul(z, f(g1.xbar[i], g2.xbar[i]))
+    d = list(g2.xbar) + [ar.one]
+
+    def unitri(upper, scale):
+        m = [[ar.one if i == j else ar.zero for j in range(n)] for i in range(n)]
+        for (i, j), v in upper:
+            m[i - 1][j - 1] = ar.mul(ar.mul(ar.inv(d[i - 1]), v), d[j - 1]) if scale else v
+        return m
+
+    m1, m2 = unitri(g1.upper, True), unitri(g2.upper, False)
+    upper = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = ar.zero
+            for k in range(n):
+                acc = ar.add(acc, ar.mul(m1[i][k], m2[k][j]))
+            if acc != ar.zero:
+                upper.append(((i + 1, j + 1), acc))
+    return xbar, z, tuple(upper)
+
+
+_TWISTS = {
+    "Z/5": {"carry": 2, "coboundary": {1: 1, 2: 2, 3: 4, 4: 3}},
+    "Q": {"carry": Fraction(4), "coboundary": Fraction(1, 2)},
+    "Z[sqrt(2)]": {"carry": (3, 2), "coboundary": (1, 1)},
+}
+
+
+def _oracle_group(spec, n, kind):
+    r = parse_ring(spec)
+    if kind == "untwisted":
+        return DeformedGroup(r, n)
+    u = unit_group(r)
+    data = _TWISTS[spec][kind]
+    if kind == "carry":
+        f = CarryCocycle(u, u, {0: data})
+    elif isinstance(data, dict):
+        f = CoboundaryOf(u, u, DictPsi(u, u, data))
+    else:
+        f = CoboundaryOf(u, u, MonomialPsi(u, u, {0: data}, {}))
+    # n = 4 twists the first and last factors around a trivial one
+    fs = (f, trivial_cocycle(u, u)) if n == 3 else (f, trivial_cocycle(u, u), f)
+    return DeformedGroup(r, n, fs)
+
+
+def _shortcut_pool(g, rng):
+    """Elements with all-ones xbar, z = 1, empty U, each alone and combined,
+    plus generic samples."""
+    r = g.ring
+    units = [v for v in (g.sample(rng).z for _ in range(20)) if v != r.one][:2]
+    pool = [g.identity, g.transvection(1, g.n, r.random_elem(rng)), g.central(units[0])]
+    pool += [g.diagonal_gen(1, units[0]), g.diagonal_gen(g.n, units[1])]
+    generic = [g.sample(rng) for _ in range(6)]
+    ones = (r.one,) * (g.n - 1)
+    pool.append(g.element(ones, generic[0].z, dict(generic[0].upper)))  # xbar ones only
+    pool.append(g.element(generic[1].xbar, r.one, dict(generic[1].upper)))  # z = 1 only
+    pool.append(g.element(generic[2].xbar, generic[2].z, {}))  # U empty only
+    return pool + generic[3:]
+
+
+@pytest.mark.parametrize("kind", ["untwisted", "carry", "coboundary"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("spec", ["Z/5", "Q", "Z[sqrt(2)]"])
+def test_op_and_inverse_match_oracle(spec, n, kind, rng):
+    g = _oracle_group(spec, n, kind)
+    ar = _Arith(spec)
+    pool = _shortcut_pool(g, rng)
+    ones = (g.ring.one,) * (n - 1)
+    assert any(e.xbar == ones and e.upper for e in pool)
+    assert any(e.z == g.ring.one and e.xbar != ones for e in pool)
+    assert any(not e.upper and e.xbar != ones for e in pool)
+    assert any(e.xbar != ones and e.z != g.ring.one and e.upper for e in pool)
+    for a in pool:
+        for b in pool:
+            c = g.op(a, b)
+            assert (c.xbar, c.z, c.upper) == _oracle_op(ar, n, g.cocycles, a, b), (a, b)
+        a_inv = g.inverse(a)
+        identity = (ones, ar.one, ())
+        assert _oracle_op(ar, n, g.cocycles, a, a_inv) == identity, a
+        assert _oracle_op(ar, n, g.cocycles, a_inv, a) == identity, a
+
+
+# ---------------------------------------------------------------------------
+# powers
+
+
+@pytest.mark.parametrize("factory", [lambda: _twisted_f5(n=4), _coboundary_q])
+def test_power_matches_repeated_op(factory, rng):
+    g = factory()
+    for x in (g.sample(rng) for _ in range(3)):
+        acc = g.identity
+        x_inv = g.inverse(x)
+        acc_inv = g.identity
+        assert g.power(x, 0) == g.identity
+        for k in range(1, 21):
+            acc = g.op(acc, x)
+            acc_inv = g.op(acc_inv, x_inv)
+            assert g.power(x, k) == acc
+            assert g.power(x, -k) == acc_inv
+
+
+def test_power_large_exponent_is_fast(rng):
+    g = _twisted_f5(n=4)
+    x = g.sample(rng)
+    q = DeformedGroup(parse_ring("Q"), 3)
+    t = q.transvection(1, 3, Fraction(3, 2))
+    start = time.perf_counter()
+    big = g.power(x, 10**6)
+    big_t = q.power(t, -(10**6))
+    assert time.perf_counter() - start < 1.0
+    assert big == g.power(x, 10**6 % g.element_order(x))
+    assert big_t == q.transvection(1, 3, Fraction(-3 * 10**6, 2))

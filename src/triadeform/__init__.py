@@ -5,7 +5,7 @@ distinguished subgroups, and a small first-order evaluator over finite
 models.
 """
 
-from .abgroups import AbHom, FgAbelian, ext_group, is_pure_subgroup, unit_group_as_fg
+from .abgroups import AbHom, FgAbelian, ext_group, is_pure_subgroup
 from .cocycles import (
     CarryCocycle,
     CoboundaryOf,

@@ -18,7 +18,6 @@ from typing import Iterator
 
 from .errors import InvalidParameter, NotBijective
 from . import snf
-from .rings import COMPLETE, UnitGroupStruct
 
 
 class FgAbelian:
@@ -339,29 +338,3 @@ def is_pure_subgroup(embedding: AbHom, bound: int) -> bool:
             if not _in_n_multiples(embedding.domain, gen, n):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# bridge from unit groups
-
-
-def unit_group_as_fg(units: UnitGroupStruct):
-    """Present a finitely generated unit group as an FgAbelian.
-
-    Returns (group, to_exponents, from_exponents).  Lazy prime-basis groups
-    (Q^x) are not finitely generated and are rejected.
-    """
-    if units.basis_mode != COMPLETE:
-        raise InvalidParameter(f"{units.ring.spec}^x is not finitely generated")
-    torsion = (units.torsion_order,) if units.torsion_order > 1 else ()
-    group = FgAbelian(torsion, len(units.free_basis))
-
-    def to_exponents(x):
-        t, free = units.decompose(x)
-        return group.compose(t, free)
-
-    def from_exponents(vec):
-        t, free = group.decompose(vec)
-        return units.compose(t, free)
-
-    return group, to_exponents, from_exponents

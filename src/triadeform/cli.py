@@ -89,11 +89,6 @@ def _witness_text(psi: cocycles.SplitSectionPsi) -> str:
     return "; ".join(parts) if parts else "1"
 
 
-def _finite_model(group, fg=None):
-    fg = fg if fg is not None else from_group(group)
-    return fg
-
-
 # ---------------------------------------------------------------------------
 # ring commands
 
@@ -326,7 +321,7 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
         if not args.brute_force:
             data = {"kind": desc.kind, "generator_family": desc.generator_family}
             return CheckReport("structure fitting", "Fitt-desc", True, data)
-        fg = _finite_model(group)
+        fg = from_group(group)
         rep = structure.brute_force_fitting(fg, class_bound=args.class_bound)
         described = desc.elements_in(fg)
         agrees = described == rep.indices
@@ -336,7 +331,7 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
         witness = None if ok else "brute-force Fitting subgroup disagrees with the description"
         return CheckReport("structure fitting", "Fitt-desc", ok, data, witness)
     if args.structure_cmd == "width":
-        fg = _finite_model(group)
+        fg = from_group(group)
         rep = structure.commutator_width_check(fg, bound=args.bound)
         witness = None if rep.within_bound else f"width {rep.width_needed} exceeds bound {rep.bound}"
         return CheckReport("structure width", "verbal-width", rep.within_bound, rep.to_json(), witness)
@@ -359,7 +354,7 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
 
 
 def _description_report(group, desc, name: str, lemma: str, brute) -> CheckReport:
-    fg = _finite_model(group)
+    fg = from_group(group)
     described = desc.elements_in(fg)
     computed = brute(fg)
     agrees = described == computed

@@ -36,10 +36,6 @@ class NotInSubgroupB(TriadeformError):
     """Element lies outside the designated torsion-free unit subgroup."""
 
 
-class NoFreePart(TriadeformError):
-    """Unit group has trivial free rank."""
-
-
 class DomainMismatch(TriadeformError):
     """Two objects defined over incompatible groups or rings."""
 
@@ -54,10 +50,6 @@ class NotBijective(TriadeformError):
 
 class MissingWitness(TriadeformError):
     """A splitting map was requested but no coboundary witness exists."""
-
-
-class SpecMismatch(TriadeformError):
-    """Element does not belong to the group spec it was used with."""
 
 
 class TooLarge(TriadeformError):

@@ -5,6 +5,12 @@ behind integer indices so closure, conjugacy and series computations run on
 ints.  Small groups get a full multiplication table; larger ones fall back
 to a memoised product map, which keeps groups of a few thousand elements
 workable without a quadratic table build.
+
+A subgroup is a set of indices of its parent, never a group of its own:
+the lower central series and nilpotency of a subgroup, and normal closures
+inside it, run on the parent's table or memo, so they multiply no elements
+once the table is built.  The commutator set and the products of at most m
+commutators (commutator width) live here too, memoised per group.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ SIZE_LIMIT = 20_000
 
 
 class FiniteGroup:
-    def __init__(self, elements, op, identity, inverse=None, generators=None, table_limit: int = TABLE_LIMIT):
+    def __init__(self, elements, op, identity, inverse=None, generators=None):
         self._elems = list(elements)
         if len(self._elems) > SIZE_LIMIT:
             raise TooLarge(f"group of order {len(self._elems)} exceeds {SIZE_LIMIT}")
@@ -35,8 +41,10 @@ class FiniteGroup:
         self._memo: dict[tuple[int, int], int] = {}
         self._inv_memo: dict[int, int] = {}
         self._class_memo: dict[int, frozenset[int]] = {}
+        self._comms: frozenset[int] | None = None
+        self._width_memo: dict[int, frozenset[int]] = {}
         self._gens = None if generators is None else [self.index(g) for g in generators]
-        if self.order <= table_limit:
+        if self.order <= TABLE_LIMIT:
             self._table = [
                 [self._index[op(a, b)] for b in self._elems] for a in self._elems
             ]
@@ -92,36 +100,27 @@ class FiniteGroup:
     def comm_idx(self, a: int, b: int) -> int:
         return self.op_idx(self.op_idx(self.inv_idx(a), self.inv_idx(b)), self.op_idx(a, b))
 
-    def power_idx(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power_idx(self.inv_idx(i), -k)
-        acc = self.identity_index
-        for _ in range(k):
-            acc = self.op_idx(acc, i)
-        return acc
-
-    def element_order_idx(self, i: int) -> int:
-        acc, k = i, 1
-        while acc != self.identity_index:
-            acc = self.op_idx(acc, i)
-            k += 1
-        return k
-
     # -- generators -------------------------------------------------------------
 
     @property
     def generator_indices(self) -> list[int]:
+        """The generators supplied at construction, else greedy ones."""
         if self._gens is None:
-            gens: list[int] = []
-            known = frozenset({self.identity_index})
-            for i in self.all_indices:
-                if i not in known:
-                    gens.append(i)
-                    known = self.subgroup_closure(gens)
-                    if len(known) == self.order:
-                        break
-            self._gens = gens
+            self._gens = self.subgroup_generators(self.all_indices)
         return self._gens
+
+    def subgroup_generators(self, subset) -> list[int]:
+        """Generators of the subgroup `subset`: scan it in index order and
+        keep each element that the ones kept so far do not generate."""
+        gens: list[int] = []
+        known = frozenset({self.identity_index})
+        for i in sorted(subset):
+            if i not in known:
+                gens.append(i)
+                known = self.subgroup_closure(gens)
+                if len(known) == len(subset):
+                    break
+        return gens
 
     # -- subgroup machinery -------------------------------------------------------
 
@@ -147,12 +146,6 @@ class FiniteGroup:
                     frontier.append(y)
         return frozenset(closed)
 
-    def is_subgroup(self, subset) -> bool:
-        subset = frozenset(subset)
-        if self.identity_index not in subset:
-            return False
-        return all(self.op_idx(a, b) in subset for a in subset for b in subset)
-
     def is_normal(self, subset) -> bool:
         subset = frozenset(subset)
         return all(
@@ -161,14 +154,16 @@ class FiniteGroup:
             for g in self.generator_indices
         )
 
-    def normal_closure(self, seed) -> frozenset[int]:
-        """Smallest normal subgroup containing the seed indices."""
+    def normal_closure(self, seed, by=None) -> frozenset[int]:
+        """Smallest subgroup containing the seed indices and normalised by
+        the indices `by` (default: the group's generators)."""
+        by = self.generator_indices if by is None else by
         working = list(dict.fromkeys(seed))
         while True:
             current = self.subgroup_closure(working)
             extra = []
             for w in working:
-                for g in self.generator_indices:
+                for g in by:
                     c = self.conj_idx(w, g)
                     if c not in current:
                         extra.append(c)
@@ -190,49 +185,58 @@ class FiniteGroup:
         ]
         return self.normal_closure(seeds)
 
-    def lower_central_series(self, max_steps: int | None = None) -> list[frozenset[int]]:
-        """gamma_1 = G, gamma_{m+1} = <[gamma_m, G]>; stops when stable."""
-        series = [frozenset(self.all_indices)]
-        gens_of_term = list(self.generator_indices)
-        step = 0
+    def lower_central_series(self, subgroup=None) -> list[frozenset[int]]:
+        """gamma_1 = H, gamma_{m+1} = <[gamma_m, H]>; stops when stable.
+
+        H is the subgroup with the given indices, or the whole group."""
+        if subgroup is None:
+            series = [frozenset(self.all_indices)]
+            gens = self.generator_indices
+        else:
+            series = [frozenset(subgroup)]
+            gens = self.subgroup_generators(subgroup)
+        trivial = frozenset({self.identity_index})
+        gens_of_term = gens
         while True:
-            step += 1
-            seeds = [
-                self.comm_idx(x, g)
-                for x in gens_of_term
-                for g in self.generator_indices
-            ]
-            nxt = self.normal_closure(seeds) if seeds else frozenset({self.identity_index})
+            seeds = [self.comm_idx(x, g) for x in gens_of_term for g in gens]
+            nxt = self.normal_closure(seeds, by=gens) if seeds else trivial
             if nxt == series[-1]:
                 return series
             series.append(nxt)
-            if nxt == frozenset({self.identity_index}):
+            if nxt == trivial:
                 return series
-            gens_of_term = self._reduce_subgroup_generators(nxt)
-            if max_steps is not None and step >= max_steps:
-                return series
+            gens_of_term = self.subgroup_generators(nxt)
 
-    def _reduce_subgroup_generators(self, subset) -> list[int]:
-        gens: list[int] = []
-        known = frozenset({self.identity_index})
-        for i in sorted(subset):
-            if i not in known:
-                gens.append(i)
-                known = self.subgroup_closure(gens)
-                if len(known) == len(subset):
-                    break
-        return gens
-
-    def is_nilpotent(self) -> tuple[bool, int | None]:
-        """(True, class) when the series hits 1, else (False, None)."""
-        series = self.lower_central_series()
+    def is_nilpotent(self, subgroup=None) -> tuple[bool, int | None]:
+        """(True, class) when the series of the subgroup (default: the whole
+        group) hits 1, else (False, None)."""
+        series = self.lower_central_series(subgroup)
         if series[-1] == frozenset({self.identity_index}):
             return True, len(series) - 1
         return False, None
 
-    def is_abelian(self) -> bool:
-        gens = self.generator_indices
-        return all(self.op_idx(a, b) == self.op_idx(b, a) for a in gens for b in gens)
+    # -- commutator width ------------------------------------------------------
+
+    def commutator_set(self) -> frozenset[int]:
+        """All commutators [a, b]."""
+        if self._comms is None:
+            self._comms = frozenset(
+                self.comm_idx(a, b) for a in self.all_indices for b in self.all_indices
+            )
+        return self._comms
+
+    def width_products(self, m: int) -> frozenset[int]:
+        """Products of at most m commutators."""
+        out = self._width_memo.get(m)
+        if out is None:
+            if m == 0:
+                out = frozenset({self.identity_index})
+            else:
+                prev = self.width_products(m - 1)
+                comms = self.commutator_set()
+                out = prev | {self.op_idx(r, c) for r in prev for c in comms}
+            self._width_memo[m] = out
+        return out
 
     # -- conjugacy ---------------------------------------------------------------
 
@@ -254,30 +258,8 @@ class FiniteGroup:
             self._class_memo[x] = out
         return out
 
-    def conjugacy_classes(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        classes = []
-        for i in self.all_indices:
-            if i not in seen:
-                cls = self.conjugacy_class(i)
-                classes.append(cls)
-                seen.update(cls)
-        return classes
 
-    # -- restricted views ----------------------------------------------------------
-
-    def subgroup_view(self, subset) -> "FiniteGroup":
-        subset = sorted(frozenset(subset))
-        elems = [self._elems[i] for i in subset]
-        return FiniteGroup(
-            elems,
-            self._op,
-            self._elems[self.identity_index],
-            inverse=self._inv,
-        )
-
-
-def from_group(group, generators=None, table_limit: int = TABLE_LIMIT) -> FiniteGroup:
+def from_group(group, generators=None) -> FiniteGroup:
     """Index any object with elements()/op/inverse/identity as a FiniteGroup."""
     if generators is None and hasattr(group, "generating_set"):
         generators = group.generating_set()
@@ -287,5 +269,4 @@ def from_group(group, generators=None, table_limit: int = TABLE_LIMIT) -> Finite
         group.identity,
         inverse=group.inverse,
         generators=generators,
-        table_limit=table_limit,
     )

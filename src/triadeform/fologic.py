@@ -436,8 +436,6 @@ class Model:
         for name, members in (definable_sets or {}).items():
             self.register_set(name, members)
         self._ncl_class_cache: dict[frozenset[int], int | None] = {}
-        self._width_cache: dict[int, frozenset[int]] = {}
-        self._comm_set_cache: frozenset[int] | None = None
 
     def register_constant(self, name: str, el):
         self.constants[name] = el if isinstance(el, int) else self.fg.index(el)
@@ -447,9 +445,6 @@ class Model:
             m if isinstance(m, int) else self.fg.index(m) for m in members
         )
 
-    def elements_of(self, indices: Iterable[int]) -> list:
-        return [self.fg.elem(i) for i in sorted(indices)]
-
     # -- oracles -------------------------------------------------------------
 
     def ncl_nilpotency_class(self, seed: frozenset[int]) -> int | None:
@@ -457,35 +452,9 @@ class Model:
         cached = self._ncl_class_cache.get(seed)
         if cached is not None or seed in self._ncl_class_cache:
             return cached
-        closure = self.fg.normal_closure(sorted(seed))
-        nilp, cls = self.fg.subgroup_view(closure).is_nilpotent()
+        nilp, cls = self.fg.is_nilpotent(self.fg.normal_closure(sorted(seed)))
         out = cls if nilp else None
         self._ncl_class_cache[seed] = out
-        return out
-
-    def commutator_set(self) -> frozenset[int]:
-        if self._comm_set_cache is None:
-            fg = self.fg
-            self._comm_set_cache = frozenset(
-                fg.comm_idx(a, b) for a in fg.all_indices for b in fg.all_indices
-            )
-        return self._comm_set_cache
-
-    def width_products(self, m: int) -> frozenset[int]:
-        """Products of at most m commutators."""
-        cached = self._width_cache.get(m)
-        if cached is not None:
-            return cached
-        if m == 0:
-            out = frozenset({self.fg.identity_index})
-        else:
-            prev = self.width_products(m - 1)
-            out = set(prev)
-            for r in prev:
-                for c in self.commutator_set():
-                    out.add(self.fg.op_idx(r, c))
-            out = frozenset(out)
-        self._width_cache[m] = out
         return out
 
 
@@ -855,7 +824,7 @@ def _try_width_oracle(model: Model, phi: Formula, env: dict[str, int]):
     if pmap is None:
         return None
     idx = _resolve(model, pmap["x"], env)
-    return idx in model.width_products(m)
+    return idx in model.fg.width_products(m)
 
 
 def semantic_eval(model: Model, phi: Formula, assignment: dict | None = None) -> bool:

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
 
 from .errors import (
     DivisionByZeroDivisor,
     InvalidParameter,
-    NoFreePart,
     NotAUnit,
     NotInSubgroupB,
     ParseError,
@@ -626,14 +624,6 @@ def fundamental_unit(d: int) -> tuple[int, int]:
 # unit groups as torsion-by-free abelian groups
 
 
-@dataclass
-class TorsionFreePower:
-    """The subgroup (R^x)^k, torsion-free when k kills the torsion."""
-
-    exponent: int
-    basis: tuple
-
-
 class UnitGroupStruct:
     """R^x presented as <g> x Z^r with a single cyclic torsion factor <g>.
 
@@ -808,15 +798,6 @@ def divides(ring: Ring, a, b) -> bool:
     return ring.divides(a, b)
 
 
-def associates(ring: Ring, a, b) -> bool:
-    """Whether a and b differ by a unit factor; zero is associate to zero only."""
-    a_zero = a == ring.zero
-    b_zero = b == ring.zero
-    if a_zero or b_zero:
-        return a_zero and b_zero
-    return ring.divides(a, b) and ring.divides(b, a)
-
-
 def unit_group(ring: Ring) -> UnitGroupStruct:
     return ring.unit_group()
 
@@ -829,15 +810,6 @@ def unit_decompose(units: UnitGroupStruct, x) -> tuple[int, dict]:
 
 def is_square_unit(units: UnitGroupStruct, x) -> bool:
     return units.nth_root(x, 2) is not None
-
-
-def torsion_free_power_subgroup(units: UnitGroupStruct) -> TorsionFreePower:
-    """(R^x)^k for k the torsion order; requires positive free rank."""
-    if units.basis_mode == COMPLETE and not units.free_basis:
-        raise NoFreePart(f"{units.ring.spec} has a finite unit group")
-    k = units.torsion_order
-    basis = tuple(units.power(b, k) for b in units.free_basis)
-    return TorsionFreePower(k, basis)
 
 
 def _divides_or_zero(ring: Ring, a, b) -> bool:

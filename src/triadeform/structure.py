@@ -3,9 +3,11 @@ brute-force counterparts on finite instances.
 
 The symbolic side describes center, derived subgroup, Fitting subgroup,
 signed unipotent subgroup and the coordinate tori as membership predicates
-on normal-form coordinates.  The brute-force side works on a FiniteGroup
-index table: commutator closures, normal closures, lower central series and
-a from-scratch Fitting computation.  Tests cross-validate the two.
+on normal-form coordinates.  The brute-force side drives the FiniteGroup
+engine: normal closures, lower central series, the commutator-width check
+(on FiniteGroup.width_products) and a from-scratch Fitting computation,
+whose subgroups are index sets of the one parent group.  Tests
+cross-validate the two.
 
 Derived-subgroup membership depends on the ideal generated by {1 - u : u a
 unit}; for Z that is 2Z, for a field with a unit other than 1 it is
@@ -380,22 +382,16 @@ class WidthReport:
 
 def commutator_width_check(fg: FiniteGroup, bound: int) -> WidthReport:
     """Every derived-subgroup element as a product of at most `bound` commutators."""
-    comms = {fg.comm_idx(a, b) for a in fg.all_indices for b in fg.all_indices}
-    derived = fg.subgroup_closure(comms)
-    reach = {fg.identity_index}
+    derived = fg.subgroup_closure(fg.commutator_set())
     width_needed = 0
     for step in range(1, bound + 1):
-        nxt = set(reach)
-        for r in reach:
-            for c in comms:
-                nxt.add(fg.op_idx(r, c))
-        if nxt == reach:
+        reach = fg.width_products(step)
+        if reach == fg.width_products(step - 1):
             break
-        reach = nxt
         width_needed = step
         if reach >= derived:
             break
-    return WidthReport(derived <= reach, bound, width_needed, len(derived))
+    return WidthReport(derived <= fg.width_products(width_needed), bound, width_needed, len(derived))
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +478,15 @@ def brute_force_fitting(fg: FiniteGroup, class_bound: int, fast_reject: bool | N
             verdict = False
             fast_rejections += 1
         else:
-            closure = fg.normal_closure([g])
-            view = fg.subgroup_view(closure)
-            nilp, c = view.is_nilpotent()
+            nilp, c = fg.is_nilpotent(fg.normal_closure([g]))
             verdict = nilp and c <= class_bound
         for member in cls_members:
             verdicts[member] = verdict
     candidates = [g for g, v in verdicts.items() if v]
     fitting = fg.subgroup_closure(candidates)
-    view = fg.subgroup_view(fitting)
-    nilp, cls = view.is_nilpotent()
+    nilp, cls = fg.is_nilpotent(fitting)
     normal = fg.is_normal(fitting)
-    base_gens = fg._reduce_subgroup_generators(fitting)
+    base_gens = fg.subgroup_generators(fitting)
     maximal = True
     failure = None
     checked_classes: set[int] = set()
@@ -504,7 +497,7 @@ def brute_force_fitting(fg: FiniteGroup, class_bound: int, fast_reject: bool | N
         if _certificate_join_nonnilpotent(fg, base_gens, g):
             continue
         join = fg.subgroup_closure(base_gens + [g])
-        join_nilp, _ = fg.subgroup_view(join).is_nilpotent()
+        join_nilp, _ = fg.is_nilpotent(join)
         if join_nilp:
             maximal = False
             failure = fg.elem(g)

@@ -787,14 +787,23 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
             break
     reports.append(RelationReport("overlap-commutation", checked, witness is None, witness))
 
+    # d_k(a) is built once per (k, a) and shared by the diagonal families
+    diag: dict = {}
+
+    def d(k, a):
+        out = diag.get((k, a))
+        if out is None:
+            out = diag[(k, a)] = group.diagonal_gen(k, a)
+        return out
+
     checked = 0
     witness = None
     deformed = isinstance(group, DeformedGroup)
     for k in range(1, n + 1):
         for a1, a2 in itertools.product(units, repeat=2):
             checked += 1
-            lhs = group.op(group.diagonal_gen(k, a1), group.diagonal_gen(k, a2))
-            rhs = group.diagonal_gen(k, ring.mul(a1, a2))
+            lhs = group.op(d(k, a1), d(k, a2))
+            rhs = d(k, ring.mul(a1, a2))
             if deformed and group.cocycles is not None:
                 # d_k(a)d_k(b) = d_k(ab) diag(f_k(a,b)); the k = n twist is
                 # the product correction F(a,b)^-1 instead
@@ -812,8 +821,8 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
         for k, l in itertools.combinations(range(1, n + 1), 2):
             for a1, a2 in itertools.product(units[:4], repeat=2):
                 checked += 1
-                lhs = group.op(group.diagonal_gen(k, a1), group.diagonal_gen(l, a2))
-                rhs = group.op(group.diagonal_gen(l, a2), group.diagonal_gen(k, a1))
+                lhs = group.op(d(k, a1), d(l, a2))
+                rhs = group.op(d(l, a2), d(k, a1))
                 if lhs != rhs:
                     witness = ("commutation", k, l, a1, a2)
                     break
@@ -825,11 +834,11 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     witness = None
     for k in range(1, n + 1):
         for alpha in units:
-            d = group.diagonal_gen(k, alpha)
-            d_inv = group.inverse(d)
+            dk = d(k, alpha)
+            dk_inv = group.inverse(dk)
             for (i, j), beta in itertools.product(pairs, scalars[:4]):
                 checked += 1
-                lhs = group.op(group.op(d_inv, group.transvection(i, j, beta)), d)
+                lhs = group.op(group.op(dk_inv, group.transvection(i, j, beta)), dk)
                 scaled = beta
                 if i == k:
                     scaled = ring.mul(ring.inv(alpha), scaled)

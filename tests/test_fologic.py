@@ -391,5 +391,5 @@ def test_defining_set_respects_budget(m3):
 
 
 def test_width_cache_base_case(m2):
-    assert m2.width_products(0) == frozenset({m2.fg.identity_index})
-    assert m2.commutator_set() <= m2.width_products(1)
+    assert m2.fg.width_products(0) == frozenset({m2.fg.identity_index})
+    assert m2.fg.commutator_set() <= m2.fg.width_products(1)

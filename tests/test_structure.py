@@ -1,5 +1,6 @@
 """Subgroup descriptions, tori, decompositions, and brute-force verifiers."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,20 @@ import pytest
 from triadeform import (
     CarryCocycle,
     DeformedGroup,
+    FiniteGroup,
     InvalidParameter,
+    Model,
     NotDiagonal,
     TriMatrixGroup,
     brute_force_fitting,
     center_description,
     central_involution,
     commutator_width_check,
+    defining_set,
     delta_square_decomposition,
     derived_description,
     fitting_description,
+    formula_ncl,
     from_group,
     left_normed_gamma,
     lower_central_series,
@@ -333,3 +338,78 @@ def test_commutator_width_zero_bound_fails(t3_z3_fg):
     report = commutator_width_check(t3_z3_fg, bound=0)
     assert not report.within_bound
     assert report.width_needed == 0
+
+
+def _small_groups():
+    return {
+        "T3(Z/2)": TriMatrixGroup(parse_ring("Z/2"), 3),
+        "T2(Z/3)": TriMatrixGroup(parse_ring("Z/3"), 2),
+        "T2(Z/5)": TriMatrixGroup(parse_ring("Z/5"), 2),
+        "T3(Z/3) deformed": DeformedGroup(parse_ring("Z/3"), 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_small_groups()))
+def test_subgroup_nilpotency_matches_standalone_subgroup(name):
+    """Series and nilpotency of a subgroup given as parent indices agree
+    with the same subgroup built as a FiniteGroup of its own elements."""
+    group = _small_groups()[name]
+    fg = from_group(group)
+    subgroups = []
+    seen: set[int] = set()
+    for g in fg.all_indices:
+        if g not in seen:
+            seen |= fg.conjugacy_class(g)
+            subgroups.append(fg.normal_closure([g]))
+    subgroups.append(brute_force_fitting(fg, class_bound=2).indices)
+    for sub in dict.fromkeys(subgroups):
+        alone = FiniteGroup([fg.elem(i) for i in sorted(sub)], group.op, group.identity, inverse=group.inverse)
+        assert fg.is_nilpotent(sub) == alone.is_nilpotent()
+        series = fg.lower_central_series(subgroup=sub)
+        alone_series = alone.lower_central_series()
+        assert len(series) == len(alone_series)
+        assert [{fg.elem(i) for i in term} for term in series] == [
+            {alone.elem(i) for i in term} for term in alone_series
+        ]
+
+
+def test_no_element_products_after_the_table_is_built():
+    group = DeformedGroup(parse_ring("Z/3"), 3)
+    calls = [0]
+
+    def op(a, b):
+        calls[0] += 1
+        return group.op(a, b)
+
+    fg = FiniteGroup(group.elements(), op, group.identity, inverse=group.inverse, generators=group.generating_set())
+    assert fg.order == 216
+    built = calls[0]
+    assert built == 216 * 216
+    assert brute_force_fitting(fg, 2).order == 54
+    assert calls[0] == built
+    assert len(defining_set(Model(fg), formula_ncl(2), "x", semantic=True)) == 54
+    assert calls[0] == built
+    assert commutator_width_check(fg, 3).width_needed == 1
+    assert calls[0] == built
+
+
+@pytest.mark.parametrize("name", ["T3(Z/2)", "T2(Z/3)", "T2(Z/5)"])
+def test_width_products_match_enumeration(name):
+    group = _small_groups()[name]
+    fg = from_group(group)
+    elems = list(group.elements())
+    comms = {
+        group.op(group.op(group.inverse(a), group.inverse(b)), group.op(a, b))
+        for a in elems
+        for b in elems
+    }
+    assert fg.commutator_set() == frozenset(fg.index(c) for c in comms)
+    for m in range(4):
+        products = {group.identity}
+        for k in range(1, m + 1):
+            for word in itertools.product(comms, repeat=k):
+                acc = group.identity
+                for c in word:
+                    acc = group.op(acc, c)
+                products.add(acc)
+        assert fg.width_products(m) == frozenset(fg.index(x) for x in products)

@@ -56,11 +56,16 @@ class FgAbelian:
     def reduce(self, vec) -> tuple[int, ...]:
         if len(vec) != self.n:
             raise InvalidParameter(f"expected {self.n} coordinates, got {len(vec)}")
-        return tuple(
-            v % self.invariant_factors[i] if i < self.k else int(v) for i, v in enumerate(vec)
-        )
+        torsion = [v % d for v, d in zip(vec, self.invariant_factors)]
+        if not self.free_rank:
+            return tuple(torsion)
+        return tuple(torsion + [int(v) for v in vec[self.k :]])
 
     def op(self, x, y) -> tuple[int, ...]:
+        if len(x) != self.n or len(y) != self.n:
+            raise InvalidParameter(f"expected {self.n} coordinates, got {len(x)} and {len(y)}")
+        if not self.free_rank:
+            return tuple([(a + b) % d for a, b, d in zip(x, y, self.invariant_factors)])
         return self.reduce([a + b for a, b in zip(x, y)])
 
     def inverse(self, x) -> tuple[int, ...]:
@@ -93,7 +98,9 @@ class FgAbelian:
 
     def decompose(self, x) -> tuple[tuple[int, ...], dict]:
         x = self.reduce(x)
-        return (x[: self.k], {i: x[self.k + i] for i in range(self.free_rank) if x[self.k + i]})
+        if not self.free_rank:
+            return (x, {})
+        return (x[: self.k], {i: e for i, e in enumerate(x[self.k :]) if e})
 
     def compose(self, torsion_exps, free_exps) -> tuple[int, ...]:
         vec = list(torsion_exps) + [0] * (self.k - len(torsion_exps)) + [0] * self.free_rank

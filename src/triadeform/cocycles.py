@@ -45,11 +45,21 @@ def ext_inv(f: "SymCocycle2", x):
 
 
 def ext_pow(f: "SymCocycle2", x, k: int):
+    """x^k in E(f), by square-and-multiply.
+
+    Regrouping the product into squares relies on E(f) being associative,
+    which holds exactly when f satisfies the cocycle identity: f must be a
+    cocycle (build_extension verifies this).
+    """
     if k < 0:
         x, k = ext_inv(f, x), -k
     acc = ext_identity(f)
-    for _ in range(k):
-        acc = ext_mul(f, acc, x)
+    while k:
+        if k & 1:
+            acc = ext_mul(f, acc, x)
+        k >>= 1
+        if k:
+            x = ext_mul(f, x, x)
     return acc
 
 
@@ -494,6 +504,20 @@ def _psi_from_json(domain, codomain, data) -> PsiMap:
 # verification
 
 
+def _memoised(fn: Callable) -> Callable:
+    """fn(x, y), evaluated at most once per pair, when first asked for."""
+    memo: dict = {}
+
+    def call(x, y):
+        key = (x, y)
+        if key in memo:
+            return memo[key]
+        value = memo[key] = fn(x, y)
+        return value
+
+    return call
+
+
 @dataclass
 class CocycleReport:
     ok: bool
@@ -518,19 +542,23 @@ def verify_cocycle(f: SymCocycle2, trials: int = 200, rng=None, exhaustive_limit
     """
     b_grp, a_grp = f.domain, f.codomain
     checked = 0
+    ev, b_op = f, b_grp.op
 
     def norm_ok(x):
-        return f(b_grp.identity, x) == a_grp.identity and f(x, b_grp.identity) == a_grp.identity
+        return ev(b_grp.identity, x) == a_grp.identity and ev(x, b_grp.identity) == a_grp.identity
 
     def sym_ok(x, y):
-        return f(x, y) == f(y, x)
+        return ev(x, y) == ev(y, x)
 
     def cocycle_ok(x, y, z):
-        lhs = a_grp.op(f(b_grp.op(x, y), z), f(x, y))
-        rhs = a_grp.op(f(x, b_grp.op(y, z)), f(y, z))
+        lhs = a_grp.op(ev(b_op(x, y), z), ev(x, y))
+        rhs = a_grp.op(ev(x, b_op(y, z)), ev(y, z))
         return lhs == rhs
 
     if b_grp.is_finite and b_grp.order() <= exhaustive_limit:
+        # |B|^3 triples meet only |B|^2 pairs: evaluate f and B.op once per
+        # pair, on first use, so every check still runs in the same order
+        ev, b_op = _memoised(f), _memoised(b_grp.op)
         elems = list(b_grp.elements())
         for x in elems:
             checked += 1

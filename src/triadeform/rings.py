@@ -730,23 +730,39 @@ class UnitGroupStruct:
         raise NotAUnit(f"{x!r} is not a unit in {ring.spec}")
 
     def _decompose_real_quadratic(self, x):
+        """(t, e) with x = (-1)^t eps^e, by binary descent on e: O(log |e|)
+        products and exact comparisons with 1 in the ring, no floats."""
         ring = self.ring
         if not (isinstance(ring, QuadraticOrder) and ring.d > 0):
             raise InvalidParameter(f"{ring.spec} is not a real quadratic order")
-        eps = self.free_basis[0]
-        eps_inv = ring.inv(eps)
+        one = ring.one
+
+        def at_least_one(q):
+            return q == one or ring._greater_than_one(q)
+
         t = 0
         if ring.sign_real(x) < 0:
             x = ring.neg(x)
             t = 1
+        # x = eps^e with eps > 1; for e < 0 descend on x^-1 = eps^-e instead
+        sign = 1
+        if not at_least_one(x):
+            x, sign = ring.inv(x), -1
+        # eps^(-2^j) for every j with x * eps^(-2^j) >= 1
+        inv_powers = []
+        p_inv = ring.inv(self.free_basis[0])
+        while at_least_one(ring.mul(x, p_inv)):
+            inv_powers.append(p_inv)
+            p_inv = ring.mul(p_inv, p_inv)
+        # peel the binary digits of e off from the top down
         e = 0
-        while x != ring.one:
-            if ring._greater_than_one(x):
-                x = ring.mul(x, eps_inv)
-                e += 1
-            else:
-                x = ring.mul(x, eps)
-                e -= 1
+        for j in range(len(inv_powers) - 1, -1, -1):
+            q = ring.mul(x, inv_powers[j])
+            if at_least_one(q):
+                x, e = q, e + (1 << j)
+        if x != one:
+            raise RuntimeError(f"{ring.spec}: unit not a power of the fundamental unit, residue {x!r}")
+        e *= sign
         return ((t,), {0: e} if e else {})
 
     def compose(self, torsion_exps, free_exps) -> Elem:

@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import sympy
-
 from .cocycles import is_cot
 from .errors import InvalidParameter, NotDiagonal, TooLarge
 from .finitegroup import FiniteGroup
@@ -100,7 +98,9 @@ def _is_integral_domain(ring: Ring) -> bool:
     if isinstance(ring, (IntegerRing, RationalField, QuadraticOrder, GaussianIntegers)):
         return True
     if isinstance(ring, IntegersMod):
-        return sympy.isprime(ring.m)
+        from sympy import isprime
+
+        return isprime(ring.m)
     return False
 
 

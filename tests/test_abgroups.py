@@ -57,6 +57,38 @@ def test_nth_root_examples():
     assert z.nth_root((5,), 3) is None
 
 
+@pytest.mark.parametrize("x, y", [((1, 3, 99), (1, 1)), ((1, 1), (1, 3, 99)), ((1,), (1, 1)), ((1, 1), ())])
+def test_op_refuses_operands_of_the_wrong_length(x, y):
+    # zip would stop at the shorter operand and hide the extra coordinate
+    with pytest.raises(InvalidParameter, match="coordinates"):
+        FgAbelian((2, 4)).op(x, y)
+    with pytest.raises(InvalidParameter, match="coordinates"):
+        FgAbelian((2,), 1).op(x, y)
+
+
+def _slow_reduce(factors, rank, vec):
+    # one coordinate at a time: torsion coordinates mod d_i, free ones as is
+    assert len(vec) == len(factors) + rank
+    return tuple(vec[i] % factors[i] if i < len(factors) else vec[i] for i in range(len(vec)))
+
+
+@pytest.mark.parametrize("factors, rank", [((), 0), ((6,), 0), ((2, 4), 0), ((2, 2, 6), 0), ((3,), 1), ((2, 4), 2), ((), 2)])
+def test_coordinate_arithmetic_matches_slow_reduction(factors, rank, rng):
+    g = FgAbelian(factors, rank)
+    k = len(factors)
+    for _ in range(200):
+        x = tuple(rng.randint(-50, 50) for _ in range(g.n))
+        y = tuple(rng.randint(-50, 50) for _ in range(g.n))
+        e = rng.randint(-7, 7)
+        assert g.reduce(x) == _slow_reduce(factors, rank, x)
+        assert g.op(x, y) == _slow_reduce(factors, rank, [a + b for a, b in zip(x, y)])
+        assert g.inverse(x) == _slow_reduce(factors, rank, [-a for a in x])
+        assert g.power(x, e) == _slow_reduce(factors, rank, [e * a for a in x])
+        canon = _slow_reduce(factors, rank, x)
+        assert g.decompose(x) == (canon[:k], {i: canon[k + i] for i in range(rank) if canon[k + i]})
+        assert g.compose(*g.decompose(x)) == canon
+
+
 @given(st.integers(2, 12), st.integers(0, 40), st.integers(1, 6))
 @settings(max_examples=150, deadline=None)
 def test_nth_root_is_section_hypothesis(m, a, n):

@@ -512,18 +512,34 @@ def test_unknown_command_exits_2(capsys):
 # installed entry point
 
 
-def test_console_script_runs():
+def _child_env():
     # the child imports the package this process imported, installed or not
     package_root = str(Path(triadeform.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "triadeform.cli", "ring", "info", "Z/3", "--output", "json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["data"]["order"] == 3
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # sympy costs most of a cold start; only factoring and primality need it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, triadeform.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ code path.
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -31,10 +32,9 @@ from triadeform import (
 )
 from triadeform.abgroups import AbHom
 from triadeform.cocycles import (
+    CocycleReport,
     DictPsi,
     coboundary_defect,
-    ext_identity,
-    ext_mul,
     ext_pow,
 )
 
@@ -57,6 +57,28 @@ def _groups_up_to(bound):
             yield FgAbelian(factors)
 
 
+def linear_ext_powers(f, x, k):
+    """x^0, x^1, ..., x^|k| in E(f), one product at a time; x^-1 for k < 0.
+
+    Restates (b1, a1)(b2, a2) = (b1 b2, a1 a2 f(b1, b2)) and
+    (b, a)^-1 = (b^-1, (a f(b, b^-1))^-1) over the carriers alone.
+    """
+    b, a = f.domain, f.codomain
+    if k < 0:
+        b_inv = b.inverse(x[0])
+        x = (b_inv, a.inverse(a.op(x[1], f(x[0], b_inv))))
+    acc = (b.identity, a.identity)
+    yield acc
+    for _ in range(abs(k)):
+        acc = (b.op(acc[0], x[0]), a.op(a.op(acc[1], x[1]), f(acc[0], x[0])))
+        yield acc
+
+
+def linear_ext_pow(f, x, k):
+    *_, last = linear_ext_powers(f, x, k)
+    return last
+
+
 def brute_force_splits(f) -> bool:
     """Does the extension E(f) admit a section hom B -> E(f)?
 
@@ -69,7 +91,7 @@ def brute_force_splits(f) -> bool:
     gens = [b.torsion_factor_generator(i) for i in range(len(factors))]
     for alphas in itertools.product(a.elements(), repeat=len(factors)):
         if all(
-            ext_pow(f, (g, alpha), m) == ext_identity(f)
+            linear_ext_pow(f, (g, alpha), m) == (b.identity, a.identity)
             for g, alpha, m in zip(gens, alphas, factors)
         ):
             return True
@@ -111,6 +133,150 @@ def test_verify_samples_infinite_domains(rng):
     f = CarryCocycle(us, us, {0: (3, 2)})
     report = verify_cocycle(f, trials=60, rng=rng)
     assert report.ok and not report.exhaustive and report.checked >= 60
+
+
+def unmemoised_report(f) -> CocycleReport:
+    """verify_cocycle's exhaustive branch, restated with f and B.op evaluated
+    afresh at every use."""
+    b, a = f.domain, f.codomain
+    elems = list(b.elements())
+    checked = 0
+    for x in elems:
+        checked += 1
+        if not (f(b.identity, x) == a.identity and f(x, b.identity) == a.identity):
+            return CocycleReport(False, checked, True, ("normalisation", x))
+    for x, y in itertools.product(elems, repeat=2):
+        checked += 1
+        if f(x, y) != f(y, x):
+            return CocycleReport(False, checked, True, ("symmetry", x, y))
+    for x, y, z in itertools.product(elems, repeat=3):
+        checked += 1
+        if a.op(f(b.op(x, y), z), f(x, y)) != a.op(f(x, b.op(y, z)), f(y, z)):
+            return CocycleReport(False, checked, True, ("cocycle", x, y, z))
+    return CocycleReport(True, checked, True)
+
+
+class LoggedTable(FunctionTable):
+    """A FunctionTable that records every pair it is evaluated on."""
+
+    def __init__(self, domain, codomain, table):
+        super().__init__(domain, codomain, table)
+        self.calls = []
+
+    def __call__(self, x, y):
+        self.calls.append((x, y))
+        return super().__call__(x, y)
+
+
+def _broken_tables():
+    b = FgAbelian((2, 4))
+    a = FgAbelian((4,))
+    carry = CarryCocycle(b, a, {0: (1,), 1: (3,)})
+    good = {(x, y): carry(x, y) for x in b.elements() for y in b.elements()}
+    p, q = (1, 1), (0, 3)
+    unnormalised = dict(good)
+    unnormalised[(b.identity, q)] = (1,)
+    asymmetric = dict(good)
+    asymmetric[(p, q)] = a.op(good[(p, q)], (1,))
+    # symmetric and normalised, but the cocycle identity fails
+    bent = dict(good)
+    bent[(p, q)] = bent[(q, p)] = a.op(good[(p, q)], (1,))
+    return b, a, {"normalisation": unnormalised, "symmetry": asymmetric, "cocycle": bent, None: good}
+
+
+def test_verify_report_matches_unmemoised_checks():
+    b, a, tables = _broken_tables()
+    for law, table in tables.items():
+        f = FunctionTable(b, a, table)
+        report, expected = verify_cocycle(f, exhaustive_limit=16), unmemoised_report(f)
+        assert report == expected and report.to_json() == expected.to_json()
+        assert report.exhaustive and report.ok == (law is None)
+        assert (report.failure or (None,))[0] == law
+    # every pair is evaluated once, although the valid table meets each in many triples
+    logged = LoggedTable(b, a, tables[None])
+    assert verify_cocycle(logged, exhaustive_limit=16).checked == 8 + 64 + 512
+    assert sorted(logged.calls) == sorted(tables[None])
+    u5 = unit_group(parse_ring("Z/5"))
+    q = parse_ring("Q")
+    for target in ("3", "1/2"):
+        f = CarryCocycle(u5, unit_group(q), {0: q.parse_elem(target)})
+        assert verify_cocycle(f) == unmemoised_report(f) == CocycleReport(True, 4 + 16 + 64, True)
+
+
+def test_verify_raises_where_the_unmemoised_checks_raise():
+    b, a, tables = _broken_tables()
+    for missing in [((1, 1), (0, 3)), ((0, 2), b.identity), ((1, 3), (1, 3))]:
+        table = dict(tables[None])
+        del table[missing]
+        memoised, plain = LoggedTable(b, a, table), LoggedTable(b, a, table)
+        with pytest.raises(KeyError):
+            verify_cocycle(memoised)
+        with pytest.raises(KeyError):
+            unmemoised_report(plain)
+        # the same pairs are first asked for in the same order, up to the failing one
+        assert memoised.calls == list(dict.fromkeys(plain.calls))
+        assert memoised.calls[-1] == plain.calls[-1] == missing
+
+
+# ---------------------------------------------------------------------------
+# extension powers against the linear product
+
+
+def test_ext_pow_matches_linear_power_on_all_small_carries(rng):
+    # each carry is checked on one sign and every fifth exponent in
+    # [0, 40], rotating, so all of [-40, 40] is met on every shape
+    checked = 0
+    for b in _groups_up_to(8):
+        b_elems = list(b.elements())
+        for a in _groups_up_to(8):
+            a_elems = list(a.elements())
+            for f in all_carry_cocycles(b, a):
+                x = (rng.choice(b_elems), rng.choice(a_elems))
+                sign = 1 if checked % 2 else -1
+                powers = list(linear_ext_powers(f, x, 40 * sign))
+                for j in range(checked // 2 % 5, 41, 5):
+                    assert ext_pow(f, x, sign * j) == powers[j], (b, a, f.targets, x, sign * j)
+                checked += 1
+    assert checked > 3000
+
+
+def test_ext_pow_matches_linear_power_on_unit_groups():
+    rs = parse_ring("Z[sqrt(2)]")
+    us = unit_group(rs)
+    q = parse_ring("Q")
+    cases = [
+        (CarryCocycle(us, us, {0: (1, 1)}), (rs.neg(rs.unit_pow((1, 1), 3)), rs.unit_pow((1, 1), -2))),
+        (CarryCocycle(unit_group(parse_ring("Z/5")), unit_group(q), {0: q.parse_elem("3")}), (2, q.parse_elem("5/7"))),
+    ]
+    for f, x in cases:
+        for sign in (1, -1):
+            for k, expected in enumerate(linear_ext_powers(f, x, 40 * sign)):
+                assert ext_pow(f, x, sign * k) == expected, (f.domain, sign * k)
+
+
+def test_ext_pow_large_exponent_is_fast():
+    b, a = FgAbelian((2, 4)), FgAbelian((8,))
+    e = build_extension(CarryCocycle(b, a, {0: (3,), 1: (5,)}))
+    x = ((1, 3), (2,))
+    start = time.perf_counter()
+    big, big_inv = e.power(x, 10**6), e.power(x, -(10**6))
+    assert time.perf_counter() - start < 1.0
+    order = e.element_order(x)
+    assert big == linear_ext_pow(e.cocycle, x, 10**6 % order)
+    assert big_inv == linear_ext_pow(e.cocycle, x, -(10**6 % order))
+
+
+def test_section_witness_is_exact_for_large_free_exponents():
+    rs = parse_ring("Z[sqrt(2)]")
+    us = unit_group(rs)
+    f = CarryCocycle(us, us, {0: rs.unit_pow((1, 1), 6)})
+    psi = is_coboundary(f)
+    assert psi is not None
+    units = [rs.unit_pow((1, 1), k) for k in (0, 1, 700, -1000)]
+    units += [rs.neg(u) for u in units]
+    for x in units:
+        for y in units:
+            assert coboundary_defect(f, psi, x, y) == us.identity
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from triadeform import (
     unit_group,
 )
 from triadeform.errors import NotInSubgroupB
+from triadeform.rings import COMPLETE, QuadraticOrder, UnitGroupStruct
 
 # ---------------------------------------------------------------------------
 # parsing and the basic ring contract
@@ -199,6 +200,76 @@ def test_unit_decompose_round_trip(ring_sqrt2, rng):
         u.decompose((2, 0))
 
 
+def _real_sign(x, d):
+    # sign of a + b*sqrt(d), d > 0, in integers only
+    a, b = x
+    if a == 0 or b == 0 or (a > 0) == (b > 0):
+        return (a > 0) - (a < 0) or (b > 0) - (b < 0)
+    if a > 0:
+        return 1 if a * a > d * b * b else -1
+    return 1 if a * a < d * b * b else -1
+
+
+def _qmul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _linear_decompose(x, d, eps):
+    """(t, e) with x = (-1)^t eps^e, by dividing or multiplying by eps one step at a time."""
+    eps_inv = (eps[0], -eps[1]) if eps[0] ** 2 - d * eps[1] ** 2 == 1 else (-eps[0], eps[1])
+    t = 0
+    if _real_sign(x, d) < 0:
+        x, t = (-x[0], -x[1]), 1
+    e = 0
+    while x != (1, 0):
+        if _real_sign((x[0] - 1, x[1]), d) > 0:
+            x, e = _qmul(x, eps_inv, d), e + 1
+        else:
+            x, e = _qmul(x, eps, d), e - 1
+    return t, e
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_real_quadratic_decomposition_matches_linear_walk(d):
+    # Z[sqrt(2)] has a fundamental unit of norm -1, Z[sqrt(3)] and Z[sqrt(7)] of norm +1
+    ring = QuadraticOrder(d)  # a fresh ring, so no decomposition is cached
+    units = unit_group(ring)
+    eps = fundamental_unit(d)
+    eps_inv = ring.inv(eps)
+    for step, k_range in ((eps, range(0, 301)), (eps_inv, range(0, -301, -1))):
+        x = (1, 0)
+        for k in k_range:
+            for t, u in ((0, x), (1, (-x[0], -x[1]))):
+                assert unit_decompose(units, u) == (t, {0: k} if k else {})
+                assert _linear_decompose(u, d, eps) == (t, k)
+            x = _qmul(x, step, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_real_quadratic_decomposition_of_large_powers(d):
+    ring = QuadraticOrder(d)
+    units = unit_group(ring)
+    eps = fundamental_unit(d)
+    for k in (20000, -20000):
+        for u in (ring.unit_pow(eps, k), ring.neg(ring.unit_pow(eps, k))):
+            torsion, free = units.decompose(u)
+            assert free == {0: k}
+            assert units.compose(torsion, free) == u
+    for x in ((2, 0), (0, 1), (1, 1) if d != 2 else (1, 2), (0, 0), ring.mul((2, 0), eps)):
+        with pytest.raises(NotAUnit):
+            units.decompose(x)
+
+
+def test_real_quadratic_decomposition_checks_its_residue():
+    # with eps^2 passed off as the fundamental unit, eps itself has no exponent
+    ring = QuadraticOrder(2)
+    eps = fundamental_unit(2)
+    squared = UnitGroupStruct(ring, 2, (-1, 0), (ring.mul(eps, eps),), COMPLETE)
+    assert squared.decompose(ring.unit_pow(eps, 6)) == ((0,), {0: 3})
+    with pytest.raises(RuntimeError, match="residue"):
+        squared.decompose(ring.unit_pow(eps, 7))
+
+
 def test_is_square_unit_sqrt2(ring_sqrt2):
     u = unit_group(ring_sqrt2)
     assert is_square_unit(u, (3, 2))
@@ -309,3 +380,5 @@ def test_psi_needs_real_quadratic_order():
 def test_real_quadratic_decomposition_refuses_other_rings():
     with pytest.raises(InvalidParameter, match="real quadratic"):
         unit_group(parse_ring("Z/5"))._decompose_real_quadratic(2)
+    with pytest.raises(InvalidParameter, match="real quadratic"):
+        unit_group(parse_ring("Z[i]"))._decompose_real_quadratic((0, 1))

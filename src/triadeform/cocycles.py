@@ -16,6 +16,7 @@ both work, including the lazily factored Q^x.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -749,14 +750,28 @@ class ExtensionGroup:
             for a in self.fiber.elements():
                 yield (b, a)
 
-    def element_order(self, x) -> int:
-        acc, k = x, 1
-        while acc != self.identity:
-            acc = self.op(acc, x)
-            k += 1
-            if k > 4 * self.order() + 4:
-                raise InvalidParameter("element order runaway; cocycle is not a cocycle")
-        return k
+    def element_order(self, x) -> int | None:
+        """Order of x = (b, a), or None when infinite.
+
+        With k the order of b, x^k = (1, a') and the order is k * ord(a'),
+        both read off the carriers' decompositions.
+        """
+        k = _carrier_element_order(self.base, x[0])
+        if k is None:
+            return None
+        n = _carrier_element_order(self.fiber, self.power(x, k)[1])
+        if n is None:
+            return None
+        if self.power(x, k * n) != self.identity:
+            raise InvalidParameter("x^order is not the identity; cocycle is not a cocycle")
+        return k * n
+
+
+def _carrier_element_order(carrier, x) -> int | None:
+    torsion, free = carrier.decompose(x)
+    if free:
+        return None
+    return math.lcm(*(d // math.gcd(t, d) for t, d in zip(torsion, carrier.torsion_factors)))
 
 
 def build_extension(f: SymCocycle2, verify_trials: int = 64) -> ExtensionGroup:

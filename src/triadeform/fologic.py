@@ -7,18 +7,19 @@ sugar that expands to the core operations immediately, so two routes to the
 same formula produce identical trees (which is what the semantic-oracle
 pattern matcher relies on).
 
-Two evaluators: eval() expands quantifiers over the whole carrier and
-counts every atomic check against a budget; semantic_eval() recognises
-normal-closure-nilpotency and commutator-width quantifier blocks and
-answers them with subgroup computations instead, resolves @-atoms through
-registered definable sets, and restricts relativised quantifiers to their
-range sets.  Equality of the two evaluators on small models is a tested
-invariant, not an assumption.
+One walker, two modes.  eval_formula()/eval_with_stats() expand every
+quantifier over the whole carrier and count each atomic check against a
+budget.  semantic_eval() walks the same tree but answers recognised blocks
+of like quantifiers (normal-closure nilpotency, commutator width; binders
+in any order) with subgroup computations, and ranges relativised quantifiers
+over their registered sets only.  Equality of the two modes on small models
+is a tested invariant, checked against an evaluator restated in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -466,13 +467,13 @@ def model_from_group(group, constants: dict | None = None, definable_sets: dict 
 
 
 # ---------------------------------------------------------------------------
-# naive evaluation
+# evaluation
 
 
 class _Budget:
     __slots__ = ("limit", "atoms")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: float):
         self.limit = limit
         self.atoms = 0
 
@@ -519,40 +520,49 @@ def _eval_term(model: Model, t: Term, env: dict[str, int]) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _eval_naive(model: Model, phi: Formula, env: dict[str, int], budget: _Budget) -> bool:
-    fg = model.fg
+def _definable_set(model: Model, name: str) -> frozenset[int]:
+    members = model.definable_sets.get(name)
+    if members is None:
+        raise UnregisteredDefinableSet(f"no set registered under {name!r}")
+    return members
+
+
+def _eval(model: Model, phi: Formula, env: dict[str, int], budget: _Budget, semantic: bool) -> bool:
+    """The one formula walker.  The modes differ at quantifier nodes only:
+    semantic mode asks the oracles first, and ranges a relativised quantifier
+    (A v. @S(v) -> psi, E v. @S(v) & psi) over S alone."""
     if isinstance(phi, Eq):
         budget.spend()
         return _eval_term(model, phi.left, env) == _eval_term(model, phi.right, env)
     if isinstance(phi, InSet):
         budget.spend()
-        if phi.set_name not in model.definable_sets:
-            raise UnregisteredDefinableSet(f"no set registered under {phi.set_name!r}")
-        return _eval_term(model, phi.arg, env) in model.definable_sets[phi.set_name]
+        members = _definable_set(model, phi.set_name)
+        return _eval_term(model, phi.arg, env) in members
     if isinstance(phi, Not):
-        return not _eval_naive(model, phi.arg, env, budget)
+        return not _eval(model, phi.arg, env, budget, semantic)
     if isinstance(phi, And):
-        return _eval_naive(model, phi.left, env, budget) and _eval_naive(model, phi.right, env, budget)
+        return _eval(model, phi.left, env, budget, semantic) and _eval(model, phi.right, env, budget, semantic)
     if isinstance(phi, Or):
-        return _eval_naive(model, phi.left, env, budget) or _eval_naive(model, phi.right, env, budget)
+        return _eval(model, phi.left, env, budget, semantic) or _eval(model, phi.right, env, budget, semantic)
     if isinstance(phi, Implies):
-        return (not _eval_naive(model, phi.left, env, budget)) or _eval_naive(model, phi.right, env, budget)
-    if isinstance(phi, Forall):
-        for i in fg.all_indices:
-            env[phi.var] = i
-            ok = _eval_naive(model, phi.body, env, budget)
-            del env[phi.var]
-            if not ok:
-                return False
-        return True
-    if isinstance(phi, Exists):
-        for i in fg.all_indices:
-            env[phi.var] = i
-            ok = _eval_naive(model, phi.body, env, budget)
-            del env[phi.var]
-            if ok:
-                return True
-        return False
+        return (not _eval(model, phi.left, env, budget, semantic)) or _eval(model, phi.right, env, budget, semantic)
+    if isinstance(phi, (Forall, Exists)):
+        want = isinstance(phi, Exists)  # the body value that decides the block
+        domain, body = model.fg.all_indices, phi.body
+        if semantic:
+            verdict = _oracle(model, phi, env)
+            if verdict is not None:
+                return verdict
+            link = And if want else Implies
+            if isinstance(body, link) and isinstance(body.left, InSet) and body.left.arg == Var(phi.var):
+                domain = sorted(_definable_set(model, body.left.set_name))
+                body = body.right
+        inner = dict(env)  # env keeps any free use of the name outside this block
+        for i in domain:
+            inner[phi.var] = i
+            if _eval(model, body, inner, budget, semantic) is want:
+                return want
+        return not want
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -574,7 +584,7 @@ def eval_with_stats(model: Model, phi: Formula, assignment: dict | None = None, 
     if estimate > budget:
         raise BudgetExceeded(budget)
     tracker = _Budget(budget)
-    value = _eval_naive(model, phi, env, tracker)
+    value = _eval(model, phi, env, tracker, False)
     return value, tracker.atoms
 
 
@@ -775,122 +785,55 @@ def _peel(phi: Formula, klass) -> tuple[list[str], Formula]:
     return names, phi
 
 
-def _try_ncl_oracle(model: Model, phi: Formula, env: dict[str, int]):
-    names, _ = _peel(phi, Forall)
-    if len(names) < 2:
+def _match_block(pattern: Formula, subject: Formula) -> dict[str, str] | None:
+    """Alpha-match two blocks of like quantifiers, in any binder order.
+
+    The bodies must match up to renaming, and the renaming must send the
+    pattern's bound names onto the subject's as a set; like quantifiers
+    commute, so the blocks are then equivalent.  Returns the renaming.
+    """
+    p_names, p_body = _peel(pattern, type(pattern))
+    s_names, s_body = _peel(subject, type(pattern))
+    pmap: dict[str, str] = {}
+    if len(p_names) != len(s_names) or not _alpha_match(p_body, s_body, pmap):
         return None
-    c = len(names) - 1
-    pmap = alpha_equivalent(formula_ncl(c), phi)
-    if pmap is not None:
-        base = pmap["x"]
-        idx = _resolve(model, base, env)
-        cls = model.ncl_nilpotency_class(frozenset({idx}))
-        return cls is not None and cls <= c
-    # joint form: try m distinct base elements
-    flat_count = _count_conjuncts(phi)
-    if flat_count is None:
-        return None
-    for m in range(2, 6):
-        if m ** (c + 1) == flat_count:
-            pmap = alpha_equivalent(formula_ncl_multi([f"g{k}" for k in range(1, m + 1)], c), phi)
-            if pmap is not None:
-                idxs = frozenset(_resolve(model, pmap[f"g{k}"], env) for k in range(1, m + 1))
-                cls = model.ncl_nilpotency_class(idxs)
-                return cls is not None and cls <= c
-    return None
+    return pmap if {pmap.get(v) for v in p_names} == set(s_names) else None
 
 
-def _count_conjuncts(phi: Formula) -> int | None:
-    _, body = _peel(phi, Forall)
-    count = 0
-    stack = [body]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.extend([node.left, node.right])
-        elif isinstance(node, Eq):
-            count += 1
-        else:
+def _oracle(model: Model, phi: Formula, env: dict[str, int]) -> bool | None:
+    """Answer a recognised quantifier block from the group, or None.
+
+    c+1 universal binders over formula_ncl_multi(gs, c), 1 <= |gs| <= 5:
+    the normal closure of the gs is nilpotent of class <= c.  2m existential
+    binders over formula_phi_Gprime(m): x is a product of m commutators.
+    """
+    names, body = _peel(phi, type(phi))
+    if isinstance(phi, Forall):
+        c = len(names) - 1
+        conjuncts = 1  # along the left spine, as and_fold nests them
+        while isinstance(body, And):
+            conjuncts, body = conjuncts + 1, body.left
+        m = next((m for m in range(1, 6) if m ** (c + 1) == conjuncts), None)
+        if c < 1 or m is None:
             return None
-    return count
-
-
-def _try_width_oracle(model: Model, phi: Formula, env: dict[str, int]):
-    names, _ = _peel(phi, Exists)
-    if not names or len(names) % 2 != 0:
+        gs = [f"g{k}" for k in range(1, m + 1)]
+        pmap = _match_block(formula_ncl_multi(gs, c), phi)
+        if pmap is None:
+            return None
+        cls = model.ncl_nilpotency_class(frozenset(_resolve(model, pmap[g], env) for g in gs))
+        return cls is not None and cls <= c
+    if len(names) % 2:
         return None
     m = len(names) // 2
-    pmap = alpha_equivalent(formula_phi_Gprime(m), phi)
+    pmap = _match_block(formula_phi_Gprime(m), phi)
     if pmap is None:
         return None
-    idx = _resolve(model, pmap["x"], env)
-    return idx in model.fg.width_products(m)
+    return _resolve(model, pmap["x"], env) in model.fg.width_products(m)
 
 
 def semantic_eval(model: Model, phi: Formula, assignment: dict | None = None) -> bool:
     env = _env_from_assignment(model, assignment)
-    return _eval_semantic(model, phi, env)
-
-
-def _eval_semantic(model: Model, phi: Formula, env: dict[str, int]) -> bool:
-    fg = model.fg
-    if isinstance(phi, (Forall, Exists)):
-        oracle = _try_ncl_oracle(model, phi, env) if isinstance(phi, Forall) else _try_width_oracle(model, phi, env)
-        if oracle is not None:
-            return oracle
-        domain = fg.all_indices
-        body = phi.body
-        # relativised quantifier: A v. @S(v) -> ... / E v. @S(v) & ...
-        if (
-            isinstance(phi, Forall)
-            and isinstance(body, Implies)
-            and isinstance(body.left, InSet)
-            and body.left.arg == Var(phi.var)
-        ):
-            if body.left.set_name not in model.definable_sets:
-                raise UnregisteredDefinableSet(f"no set registered under {body.left.set_name!r}")
-            domain = sorted(model.definable_sets[body.left.set_name])
-            body = body.right
-        elif (
-            isinstance(phi, Exists)
-            and isinstance(body, And)
-            and isinstance(body.left, InSet)
-            and body.left.arg == Var(phi.var)
-        ):
-            if body.left.set_name not in model.definable_sets:
-                raise UnregisteredDefinableSet(f"no set registered under {body.left.set_name!r}")
-            domain = sorted(model.definable_sets[body.left.set_name])
-            body = body.right
-        if isinstance(phi, Forall):
-            for i in domain:
-                env[phi.var] = i
-                ok = _eval_semantic(model, body, env)
-                del env[phi.var]
-                if not ok:
-                    return False
-            return True
-        for i in domain:
-            env[phi.var] = i
-            ok = _eval_semantic(model, body, env)
-            del env[phi.var]
-            if ok:
-                return True
-        return False
-    if isinstance(phi, Eq):
-        return _eval_term(model, phi.left, env) == _eval_term(model, phi.right, env)
-    if isinstance(phi, InSet):
-        if phi.set_name not in model.definable_sets:
-            raise UnregisteredDefinableSet(f"no set registered under {phi.set_name!r}")
-        return _eval_term(model, phi.arg, env) in model.definable_sets[phi.set_name]
-    if isinstance(phi, Not):
-        return not _eval_semantic(model, phi.arg, env)
-    if isinstance(phi, And):
-        return _eval_semantic(model, phi.left, env) and _eval_semantic(model, phi.right, env)
-    if isinstance(phi, Or):
-        return _eval_semantic(model, phi.left, env) or _eval_semantic(model, phi.right, env)
-    if isinstance(phi, Implies):
-        return (not _eval_semantic(model, phi.left, env)) or _eval_semantic(model, phi.right, env)
-    raise TypeError(f"not a formula: {phi!r}")
+    return _eval(model, phi, env, _Budget(math.inf), True)
 
 
 def defining_set(model: Model, phi: Formula, var: str, semantic: bool = False, budget: int = DEFAULT_BUDGET) -> frozenset[int]:

@@ -34,6 +34,7 @@ from triadeform.abgroups import AbHom
 from triadeform.cocycles import (
     CocycleReport,
     DictPsi,
+    ExtensionGroup,
     coboundary_defect,
     ext_pow,
 )
@@ -82,20 +83,17 @@ def linear_ext_pow(f, x, k):
 def brute_force_splits(f) -> bool:
     """Does the extension E(f) admit a section hom B -> E(f)?
 
-    Enumerates generator images directly: a candidate alpha_i per torsion
+    Searches generator images directly: a candidate alpha_i per torsion
     factor, accepted when (g_i, alpha_i) has the right order in E(f).  Cross
-    relations hold automatically because E(f) is abelian.
+    relations hold automatically because E(f) is abelian, so each factor is
+    searched on its own and E(f) splits iff every factor has a lift.
     """
     b, a = f.domain, f.codomain
-    factors = b.torsion_factors
-    gens = [b.torsion_factor_generator(i) for i in range(len(factors))]
-    for alphas in itertools.product(a.elements(), repeat=len(factors)):
-        if all(
-            linear_ext_pow(f, (g, alpha), m) == (b.identity, a.identity)
-            for g, alpha, m in zip(gens, alphas, factors)
-        ):
-            return True
-    return False
+    identity = (b.identity, a.identity)
+    return all(
+        any(linear_ext_pow(f, (b.torsion_factor_generator(i), alpha), m) == identity for alpha in a.elements())
+        for i, m in enumerate(b.torsion_factors)
+    )
 
 
 def all_carry_cocycles(b, a):
@@ -411,6 +409,62 @@ def test_extension_group_twisted_vs_split_orders():
     g = (b.torsion_factor_generator(0), a.identity)
     assert twisted.element_order(g) == 4  # Z/4
     assert split.element_order(g) == 2  # Z/2 x Z/2
+
+
+def linear_element_order(f, x, bound):
+    """The least k >= 1 with x^k = 1, walking one product at a time."""
+    identity = (f.domain.identity, f.codomain.identity)
+    return next((k for k, p in enumerate(linear_ext_powers(f, x, bound)) if k and p == identity), None)
+
+
+def test_element_order_matches_linear_walk_on_all_small_carries(rng):
+    checked = 0
+    for b in _groups_up_to(8):
+        b_elems = list(b.elements())
+        for a in _groups_up_to(8):
+            a_elems = list(a.elements())
+            for f in all_carry_cocycles(b, a):
+                e = ExtensionGroup(f)
+                x = (rng.choice(b_elems), rng.choice(a_elems))
+                assert e.element_order(x) == linear_element_order(f, x, e.order()), (b, a, f.targets, x)
+                checked += 1
+    assert checked > 3000
+
+
+def test_element_order_over_infinite_carriers():
+    rs = parse_ring("Z[sqrt(2)]")
+    us = unit_group(rs)
+    one, minus_one, eps = rs.one, rs.neg(rs.one), (1, 1)
+    split = build_extension(CarryCocycle(us, us, {}))
+    assert split.element_order((minus_one, one)) == 2
+    assert split.element_order((one, minus_one)) == 2
+    assert split.element_order((one, one)) == 1
+    assert split.element_order((eps, one)) is None
+    assert split.element_order((minus_one, eps)) is None
+    # (-1, 1)^2 = (1, f(-1, -1)): the carry target sets the order
+    for target, order in ((minus_one, 4), (eps, None)):
+        f = CarryCocycle(us, us, {0: target})
+        assert build_extension(f).element_order((minus_one, one)) == order
+        assert order is None or linear_element_order(f, (minus_one, one), 8) == order
+    q = parse_ring("Q")
+    f = CarryCocycle(unit_group(parse_ring("Z/5")), unit_group(q), {0: q.parse_elem("-1")})
+    cases = [
+        ((2, q.one), 8),
+        ((4, q.parse_elem("-1")), 4),
+        ((1, q.parse_elem("-1")), 2),
+        ((2, q.parse_elem("5/7")), None),
+    ]
+    for x, order in cases:
+        assert build_extension(f).element_order(x) == order
+        assert order is None or linear_element_order(f, x, 16) == order
+
+
+def test_element_order_refuses_a_table_that_is_not_a_cocycle():
+    b, a = FgAbelian((3,)), FgAbelian((2,))
+    values = {(0, 0): 1, (0, 1): 1, (0, 2): 0, (1, 0): 1, (1, 1): 1, (1, 2): 1, (2, 0): 0, (2, 1): 1, (2, 2): 1}
+    table = FunctionTable(b, a, {((i,), (j,)): (v,) for (i, j), v in values.items()})
+    with pytest.raises(InvalidParameter):
+        ExtensionGroup(table).element_order(((1,), (0,)))
 
 
 def test_extension_group_is_abelian(rng):

@@ -1,6 +1,10 @@
 """Formula parsing, printing, naive evaluation, and the semantic shortcuts."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triadeform import (
     DeformedGroup,
@@ -14,6 +18,7 @@ from triadeform.errors import (
     UnboundVariable,
     UnregisteredDefinableSet,
 )
+from triadeform.finitegroup import FiniteGroup
 from triadeform.fologic import (
     And,
     Eq,
@@ -22,6 +27,7 @@ from triadeform.fologic import (
     Implies,
     InSet,
     Inv,
+    Model,
     Mul,
     Not,
     One,
@@ -57,10 +63,17 @@ from triadeform.structure import (
     unipotent_pm_description,
 )
 
+from test_acceptance import reference_eval
+
 
 @pytest.fixture(scope="module")
 def m2():
     return model_from_group(TriMatrixGroup(parse_ring("Z/3"), 2))
+
+
+@pytest.fixture(scope="module")
+def m3_z2():
+    return model_from_group(TriMatrixGroup(parse_ring("Z/2"), 3))
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +275,16 @@ def test_eval_unbound_variable(m2):
         eval_formula(m2, parse_formula("q = 1"))
 
 
+def test_quantifier_restores_a_free_use_of_its_name(m2):
+    # x is bound on the left and free on the right; the block must not
+    # drop the assignment the right conjunct reads
+    phi = parse_formula("(A x. x*x^-1 = 1) & x = y")
+    for i in m2.fg.all_indices:
+        asg = {"x": i, "y": i}
+        assert eval_formula(m2, phi, asg)
+        assert semantic_eval(m2, phi, asg)
+
+
 def test_eval_budget_upfront(m2):
     with pytest.raises(BudgetExceeded):
         eval_formula(m2, parse_formula("A x. x = x"), budget=10)
@@ -393,3 +416,151 @@ def test_defining_set_respects_budget(m3):
 def test_width_cache_base_case(m2):
     assert m2.fg.width_products(0) == frozenset({m2.fg.identity_index})
     assert m2.fg.commutator_set() <= m2.fg.width_products(1)
+
+
+# ---------------------------------------------------------------------------
+# oracle blocks in any binder order
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Count the subgroup computations the semantic oracles ask for."""
+    calls = {"ncl": 0, "width": 0}
+
+    def counted(key, method):
+        def wrapper(self, *args):
+            calls[key] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(Model, "ncl_nilpotency_class", counted("ncl", Model.ncl_nilpotency_class))
+    monkeypatch.setattr(FiniteGroup, "width_products", counted("width", FiniteGroup.width_products))
+    return calls
+
+
+REORDERED = [
+    ("ncl", "A y2. A y1. [x^y1, x^y2] = 1", formula_ncl(1)),
+    ("width", "E y1. E x1. E x2. E y2. x = [x1,y1]*[x2,y2]", formula_phi_Gprime(2)),
+]
+
+
+@pytest.mark.parametrize("model_name", ["m3_z2", "m2"])
+@pytest.mark.parametrize("oracle,text,library", REORDERED, ids=["ncl", "width"])
+def test_oracles_answer_reordered_binders(request, oracle_calls, model_name, oracle, text, library):
+    model = request.getfixturevalue(model_name)
+    phi = parse_formula(text)
+    assert alpha_equivalent(library, phi) is None  # only the binder order differs
+    naive = defining_set(model, phi, "x")
+    assert oracle_calls == {"ncl": 0, "width": 0}
+    assert defining_set(model, phi, "x", semantic=True) == naive
+    # the oracle answered every x instead of expanding the block
+    assert oracle_calls[oracle] >= model.fg.order
+    assert naive == defining_set(model, library, "x", semantic=True)
+
+
+@pytest.mark.parametrize(
+    "text,free",
+    [
+        ("A y1. A x. [x^y1, x^z] = 1", ["z"]),  # the base name is captured by the block
+        ("E x1. E y1. x = [x1, z]", ["x", "z"]),  # y1 is bound but unused; z is free
+        ("A y1. A y2. [x^y1, x^z] = 1", ["x", "z"]),  # y2 is bound but unused
+    ],
+)
+def test_blocks_that_only_look_like_oracles_are_expanded(m3_z2, oracle_calls, text, free):
+    phi = parse_formula(text)
+    carrier = list(m3_z2.fg.all_indices)
+    for combo in itertools.product(carrier, repeat=len(free)):
+        asg = dict(zip(free, combo))
+        assert semantic_eval(m3_z2, phi, asg) == eval_formula(m3_z2, phi, asg), asg
+    assert oracle_calls == {"ncl": 0, "width": 0}
+
+
+# ---------------------------------------------------------------------------
+# random formulas: both modes against the restated reference, and round trips
+
+POOL = ("x", "y", "z", "u")
+TERMS = st.recursive(
+    st.sampled_from([Var(n) for n in POOL] + [One()]),
+    lambda sub: st.one_of(st.builds(Mul, sub, sub), st.builds(Inv, sub)),
+    max_leaves=4,
+)
+SETS = st.sampled_from(("Z", "D"))
+
+
+def _reblock(phi, klass, order):
+    """phi's leading block of klass quantifiers, binders in the given order."""
+    body = phi
+    while isinstance(body, klass):
+        body = body.body
+    for name in reversed(order):
+        body = klass(name, body)
+    return body
+
+
+@st.composite
+def formulas(draw, bound=(), binders=3, depth=4):
+    """Formulas over POOL that never rebind an enclosing name.  At most
+    `binders` quantifiers nest, so evaluating one on a carrier of order N
+    takes O(N^binders) atoms.  Oracle leaves (ncl(1), width 1) come with
+    their binders in either order."""
+    kinds = ["eq", "in"]
+    if depth:
+        kinds += ["not", "and", "or", "imp"]
+        if binders and len(bound) < len(POOL):
+            kinds += ["A", "E", "A@", "E@"]
+    if binders >= 2:
+        kinds += ["ncl", "width"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "eq":
+        return Eq(draw(TERMS), draw(TERMS))
+    if kind == "in":
+        return InSet(draw(SETS), draw(TERMS))
+    if kind in ("ncl", "width"):
+        base = draw(st.sampled_from(POOL))
+        if kind == "ncl":
+            return _reblock(formula_ncl(1, base), Forall, draw(st.permutations(["y1", "y2"])))
+        return _reblock(formula_phi_Gprime(1, base), Exists, draw(st.permutations(["x1", "y1"])))
+    if kind in ("A", "E", "A@", "E@"):
+        var = draw(st.sampled_from([v for v in POOL if v not in bound]))
+        body = draw(formulas(bound + (var,), binders - 1, depth - 1))
+        if kind == "A@":
+            body = Implies(InSet(draw(SETS), Var(var)), body)
+        elif kind == "E@":
+            body = And(InSet(draw(SETS), Var(var)), body)
+        return (Forall if kind[0] == "A" else Exists)(var, body)
+    sub = formulas(bound, binders, depth - 1)
+    if kind == "not":
+        return Not(draw(sub))
+    return {"and": And, "or": Or, "imp": Implies}[kind](draw(sub), draw(sub))
+
+
+@pytest.fixture(scope="module")
+def fo_models():
+    out = []
+    for group in (TriMatrixGroup(parse_ring("Z/3"), 2), DeformedGroup(parse_ring("Z/2"), 3)):
+        model = model_from_group(group)
+        model.register_set("Z", model.fg.center())
+        model.register_set("D", model.fg.derived_subgroup())
+        out.append(model)
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_random_formulas_agree_with_reference(fo_models, data):
+    model = data.draw(st.sampled_from(fo_models))
+    phi = data.draw(formulas())
+    carrier = st.sampled_from(list(model.fg.all_indices))
+    asg = {v: data.draw(carrier) for v in sorted(free_variables(phi))}
+    expected = reference_eval(model, phi, asg)
+    assert eval_formula(model, phi, asg) == expected
+    assert semantic_eval(model, phi, asg) == expected
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(phi=formulas())
+def test_random_formulas_round_trip(phi):
+    printed = format_formula(phi)
+    assert parse_formula(printed) == phi
+    assert format_formula(parse_formula(printed)) == printed

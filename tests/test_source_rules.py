@@ -1,0 +1,20 @@
+"""Rules on the library source itself."""
+
+import ast
+import pathlib
+
+import triadeform
+
+SOURCES = sorted(pathlib.Path(triadeform.__file__).parent.glob("*.py"))
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts, so none may carry a correctness check
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(SOURCES) > 10
+    assert found == []

@@ -218,11 +218,24 @@ class FiniteGroup:
     # -- commutator width ------------------------------------------------------
 
     def commutator_set(self) -> frozenset[int]:
-        """All commutators [a, b]."""
+        """All commutators [a, b] = a^-1 a^b.  The set is a union of
+        conjugacy classes ([a, b]^g = [a^g, b^g]), so it is the union of the
+        classes of a^-1 c over a class representative a and c in Cl(a):
+        O(|G| |gens|) products instead of |G|^2."""
         if self._comms is None:
-            self._comms = frozenset(
-                self.comm_idx(a, b) for a in self.all_indices for b in self.all_indices
-            )
+            comms: set[int] = set()
+            covered: set[int] = set()
+            for a in self.all_indices:
+                if a in covered:
+                    continue
+                cls = self.conjugacy_class(a)
+                covered |= cls
+                inv_a = self.inv_idx(a)
+                for c in cls:
+                    d = self.op_idx(inv_a, c)
+                    if d not in comms:
+                        comms |= self.conjugacy_class(d)
+            self._comms = frozenset(comms)
         return self._comms
 
     def width_products(self, m: int) -> frozenset[int]:

@@ -7,13 +7,17 @@ sugar that expands to the core operations immediately, so two routes to the
 same formula produce identical trees (which is what the semantic-oracle
 pattern matcher relies on).
 
-One walker, two modes.  eval_formula()/eval_with_stats() expand every
-quantifier over the whole carrier and count each atomic check against a
-budget.  semantic_eval() walks the same tree but answers recognised blocks
-of like quantifiers (normal-closure nilpotency, commutator width; binders
-in any order) with subgroup computations, and ranges relativised quantifiers
-over their registered sets only.  Equality of the two modes on small models
-is a tested invariant, checked against an evaluator restated in the tests.
+Compiled once, evaluated in two modes.  A formula's first evaluation
+compiles it, for every model, to closures over a DAG of hash-consed terms
+(_Code, kept on the formula), so each distinct subterm costs one product per
+binding of the innermost binder it reads.  eval_formula()/eval_with_stats()
+expand every quantifier over the whole carrier and count each atomic check
+against a budget.  semantic_eval() answers the blocks of like quantifiers
+recognised at compile time (normal-closure nilpotency, commutator width;
+binders in any order) with subgroup computations, and ranges relativised
+quantifiers over their registered sets only.  Equality of the two modes on
+small models is a tested invariant, checked against evaluators restated in
+the tests.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -31,7 +35,7 @@ from .errors import (
     UnboundVariable,
     UnregisteredDefinableSet,
 )
-from .finitegroup import FiniteGroup
+from .finitegroup import FiniteGroup, from_group
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -47,11 +51,6 @@ class Term:
 
 @dataclass(frozen=True)
 class Var(Term):
-    name: str
-
-
-@dataclass(frozen=True)
-class Const(Term):
     name: str
 
 
@@ -91,20 +90,16 @@ def left_normed(terms: list[Term]) -> Term:
     return acc
 
 
-def mul_fold(terms: list[Term]) -> Term:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Mul(acc, t)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # formulas
 
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    _code = None  # the compiled form, kept by _run(); not a field
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
 
 @dataclass(frozen=True)
@@ -161,28 +156,29 @@ def and_fold(parts: list[Formula]) -> Formula:
     return acc
 
 
-def term_variables(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Mul):
-        return term_variables(t.left) | term_variables(t.right)
-    if isinstance(t, Inv):
-        return term_variables(t.arg)
-    return set()
+def _left_spine(phi: Formula, klass) -> list[Formula]:
+    """[p0, ..., pk] for klass(...klass(p0, p1)..., pk), found by a loop."""
+    parts = []
+    while isinstance(phi, klass):
+        parts.append(phi.right)
+        phi = phi.left
+    return [phi] + parts[::-1]
 
 
 def free_variables(phi: Formula) -> set[str]:
-    if isinstance(phi, Eq):
-        return term_variables(phi.left) | term_variables(phi.right)
-    if isinstance(phi, InSet):
-        return term_variables(phi.arg)
-    if isinstance(phi, Not):
-        return free_variables(phi.arg)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_variables(phi.left) | free_variables(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return free_variables(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    out: set[str] = set()
+    todo = [(phi, frozenset())]
+    while todo:  # a loop, so long spines need no recursion
+        phi, bound = todo.pop()
+        if isinstance(phi, Var):
+            out |= {phi.name} - bound
+        elif isinstance(phi, (Forall, Exists)):
+            todo.append((phi.body, bound | {phi.var}))
+        elif isinstance(phi, (Term, Formula)):
+            todo += [(getattr(phi, f.name), bound) for f in fields(phi) if f.name != "set_name"]
+        else:
+            raise TypeError(f"not a formula: {phi!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +201,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        for kind in ("arrow", "invop", "sym", "one", "ident"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, m.start(kind)))
-                break
+        kind = m.lastgroup  # the one alternative that matched
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
@@ -380,11 +373,10 @@ def parse_formula(text: str) -> Formula:
 def _term_text(t: Term, parent: str = "") -> str:
     if isinstance(t, One):
         return "1"
-    if isinstance(t, (Var, Const)):
+    if isinstance(t, Var):
         return t.name
     if isinstance(t, Inv):
-        inner = _term_text(t.arg, "inv")
-        return f"{inner}^-1"
+        return f"{_term_text(t.arg, 'inv')}^-1"
     if isinstance(t, Mul):
         body = f"{_term_text(t.left, 'mul-left')}*{_term_text(t.right, 'mul-right')}"
         if parent in ("inv", "mul-right"):
@@ -400,12 +392,12 @@ def _formula_text(phi: Formula, parent: str = "") -> str:
         return f"@{phi.set_name}({_term_text(phi.arg)})"
     if isinstance(phi, Not):
         return f"!{_formula_text(phi.arg, 'not')}"
-    if isinstance(phi, And):
-        body = f"{_formula_text(phi.left, 'and-left')} & {_formula_text(phi.right, 'and-right')}"
-        return f"({body})" if parent in ("not", "and-right") else body
-    if isinstance(phi, Or):
-        body = f"{_formula_text(phi.left, 'or-left')} | {_formula_text(phi.right, 'or-right')}"
-        return f"({body})" if parent in ("not", "and-left", "and-right", "or-right") else body
+    if isinstance(phi, (And, Or)):
+        op, side, wrap = ("&", "and", ("not", "and-right")) if isinstance(phi, And) else (
+            "|", "or", ("not", "and-left", "and-right", "or-right"))
+        first, *rest = _left_spine(phi, type(phi))
+        body = f" {op} ".join([_formula_text(first, f"{side}-left")] + [_formula_text(p, f"{side}-right") for p in rest])
+        return f"({body})" if parent in wrap else body
     if isinstance(phi, Implies):
         body = f"{_formula_text(phi.left, 'imp-left')} -> {_formula_text(phi.right, 'imp-right')}"
         return f"({body})" if parent not in ("", "imp-right", "quant") else body
@@ -460,64 +452,12 @@ class Model:
 
 
 def model_from_group(group, constants: dict | None = None, definable_sets: dict | None = None, generators=None) -> Model:
-    from .finitegroup import from_group
-
     fg = from_group(group, generators=generators)
     return Model(fg, constants, definable_sets, source=group)
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-class _Budget:
-    __slots__ = ("limit", "atoms")
-
-    def __init__(self, limit: float):
-        self.limit = limit
-        self.atoms = 0
-
-    def spend(self):
-        self.atoms += 1
-        if self.atoms > self.limit:
-            raise BudgetExceeded(self.limit)
-
-
-def _estimate_atoms(phi: Formula, carrier: int) -> int:
-    if isinstance(phi, (Eq, InSet)):
-        return 1
-    if isinstance(phi, Not):
-        return _estimate_atoms(phi.arg, carrier)
-    if isinstance(phi, (And, Or, Implies)):
-        return _estimate_atoms(phi.left, carrier) + _estimate_atoms(phi.right, carrier)
-    if isinstance(phi, (Forall, Exists)):
-        return carrier * _estimate_atoms(phi.body, carrier)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _resolve(model: Model, name: str, env: dict[str, int]) -> int:
-    if name in env:
-        return env[name]
-    if name in model.constants:
-        return model.constants[name]
-    raise UnboundVariable(f"variable {name!r} is not assigned and names no constant")
-
-
-def _eval_term(model: Model, t: Term, env: dict[str, int]) -> int:
-    fg = model.fg
-    if isinstance(t, One):
-        return fg.identity_index
-    if isinstance(t, Var):
-        return _resolve(model, t.name, env)
-    if isinstance(t, Const):
-        if t.name not in model.constants:
-            raise UnboundVariable(f"constant {t.name!r} is not registered")
-        return model.constants[t.name]
-    if isinstance(t, Mul):
-        return fg.op_idx(_eval_term(model, t.left, env), _eval_term(model, t.right, env))
-    if isinstance(t, Inv):
-        return fg.inv_idx(_eval_term(model, t.arg, env))
-    raise TypeError(f"not a term: {t!r}")
+# evaluation: each formula compiled once, to closures over a term DAG
 
 
 def _definable_set(model: Model, name: str) -> frozenset[int]:
@@ -527,127 +467,256 @@ def _definable_set(model: Model, name: str) -> frozenset[int]:
     return members
 
 
-def _eval(model: Model, phi: Formula, env: dict[str, int], budget: _Budget, semantic: bool) -> bool:
-    """The one formula walker.  The modes differ at quantifier nodes only:
-    semantic mode asks the oracles first, and ranges a relativised quantifier
-    (A v. @S(v) -> psi, E v. @S(v) & psi) over S alone."""
-    if isinstance(phi, Eq):
-        budget.spend()
-        return _eval_term(model, phi.left, env) == _eval_term(model, phi.right, env)
-    if isinstance(phi, InSet):
-        budget.spend()
-        members = _definable_set(model, phi.set_name)
-        return _eval_term(model, phi.arg, env) in members
-    if isinstance(phi, Not):
-        return not _eval(model, phi.arg, env, budget, semantic)
-    if isinstance(phi, And):
-        return _eval(model, phi.left, env, budget, semantic) and _eval(model, phi.right, env, budget, semantic)
-    if isinstance(phi, Or):
-        return _eval(model, phi.left, env, budget, semantic) or _eval(model, phi.right, env, budget, semantic)
-    if isinstance(phi, Implies):
-        return (not _eval(model, phi.left, env, budget, semantic)) or _eval(model, phi.right, env, budget, semantic)
-    if isinstance(phi, (Forall, Exists)):
-        want = isinstance(phi, Exists)  # the body value that decides the block
-        domain, body = model.fg.all_indices, phi.body
-        if semantic:
-            verdict = _oracle(model, phi, env)
-            if verdict is not None:
-                return verdict
-            link = And if want else Implies
-            if isinstance(body, link) and isinstance(body.left, InSet) and body.left.arg == Var(phi.var):
-                domain = sorted(_definable_set(model, body.left.set_name))
-                body = body.right
-        inner = dict(env)  # env keeps any free use of the name outside this block
-        for i in domain:
-            inner[phi.var] = i
-            if _eval(model, body, inner, budget, semantic) is want:
-                return want
-        return not want
-    raise TypeError(f"not a formula: {phi!r}")
+class _Env(dict):
+    """The free names of one evaluation: the assignment over the constants."""
+
+    def __missing__(self, name: str):
+        raise UnboundVariable(f"variable {name!r} is not assigned and names no constant")
 
 
-def _env_from_assignment(model: Model, assignment: dict | None) -> dict[str, int]:
-    env = {}
-    for name, el in (assignment or {}).items():
-        env[name] = el if isinstance(el, int) else model.fg.index(el)
-    return env
+def _memoised(level: int, compute):
+    """compute(S), run at most once per binding of the binder at depth
+    level: the memo (stamp, value) holds while that binding's stamp does."""
+    memo = (0, 0)
 
+    def value(S) -> int:
+        nonlocal memo
+        m, s = memo, S.stamps[level]
+        if m[0] != s:
+            m = memo = (s, compute(S))
+        return m[1]
 
-def eval_formula(model: Model, phi: Formula, assignment: dict | None = None, budget: int = DEFAULT_BUDGET) -> bool:
-    value, _ = eval_with_stats(model, phi, assignment, budget)
     return value
 
 
+class _State:
+    """One evaluation: the model, its free names, the value and binding
+    stamp of the binder at each depth, and the atoms spent."""
+
+    __slots__ = ("model", "env", "op", "inv", "one", "vals", "stamps", "atoms", "limit", "semantic")
+
+    def __init__(self, model: Model, env: dict[str, int], code: _Code, limit: float, semantic: bool):
+        fg = model.fg
+        self.model, self.env, self.limit, self.semantic = model, _Env({**model.constants, **env}), limit, semantic
+        self.op, self.inv, self.one = fg.op_idx, fg.inv_idx, fg.identity_index
+        self.vals = [0] * len(code.atoms_at)
+        self.stamps = [code.tick()] * len(code.atoms_at)  # depth 0 (free names) holds for the call
+        self.atoms = 0
+
+
+class _Code:
+    """A formula compiled for every model: closures over a term DAG.
+
+    A term compiles to a node (closure, level), level being the depth of the
+    innermost binder it reads (0: free names only).  Nodes are hash-consed
+    on (operation, child nodes), a bound variable keyed by its binder's
+    depth, so each distinct subterm is one node, computed when first needed
+    and at most once per binding of that binder.  A scope (bound name ->
+    depth, id -> node) reuses the node of a term object it has compiled, as
+    builders and the parser share subterm objects.  atoms_at[d] counts the
+    atoms under d quantifiers (the upfront bound is sum(atoms_at[d] * N**d)).
+    """
+
+    def __init__(self, phi: Formula):
+        self.tick = itertools.count(1).__next__  # binding stamps, never reused
+        self.nodes: dict[tuple, tuple] = {}
+        self.atoms_at = [0]
+        self.root = self.formula(phi, ({}, {}), 0)
+
+    def node(self, key: tuple) -> tuple:
+        found = self.nodes.get(key)
+        if found is None:
+            if key[0] == "one":
+                found = (lambda S: S.one), 0
+            elif key[0] == "var":
+                found = (lambda S, d=key[1]: S.vals[d]), key[1]
+            elif key[0] == "free":
+                found = (lambda S, name=key[1]: S.env[name]), 0
+            elif key[0] is Inv:
+                a, level = key[1]
+                found = _memoised(level, lambda S: S.inv(a(S))), level
+            else:
+                (a, la), (b, lb) = key[1:]
+                found = _memoised(max(la, lb), lambda S: S.op(a(S), b(S))), max(la, lb)
+            self.nodes[key] = found
+        return found
+
+    def var(self, name: str, scope) -> tuple:
+        depth = scope[0].get(name)
+        return self.node(("free", name) if depth is None else ("var", depth))
+
+    def term(self, t: Term, scope) -> tuple:
+        found = scope[1].get(id(t))
+        if found is None:
+            if isinstance(t, Var):
+                found = self.var(t.name, scope)
+            elif isinstance(t, One):
+                found = self.node(("one",))
+            elif isinstance(t, Mul):
+                found = self.node((Mul, self.term(t.left, scope), self.term(t.right, scope)))
+            elif isinstance(t, Inv):
+                found = self.node((Inv, self.term(t.arg, scope)))
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            scope[1][id(t)] = found
+        return found
+
+    def formula(self, phi: Formula, scope, depth: int):
+        if isinstance(phi, (Eq, InSet)):
+            self.atoms_at[depth] += 1
+            if isinstance(phi, Eq):
+                left, right = self.term(phi.left, scope)[0], self.term(phi.right, scope)[0]
+                check = lambda S: left(S) == right(S)
+            else:
+                name, arg = phi.set_name, self.term(phi.arg, scope)[0]
+                check = lambda S: _definable_set(S.model, name).__contains__(arg(S))  # the set, then the term
+
+            def atom(S) -> bool:
+                S.atoms += 1
+                if S.atoms > S.limit:
+                    raise BudgetExceeded(S.limit)
+                return check(S)
+
+            return atom
+        if isinstance(phi, Not):
+            arg = self.formula(phi.arg, scope, depth)
+            return lambda S: not arg(S)
+        if isinstance(phi, Implies):
+            left, right = self.formula(phi.left, scope, depth), self.formula(phi.right, scope, depth)
+            return lambda S: (not left(S)) or right(S)
+        if isinstance(phi, (And, Or)):
+            parts = [self.formula(p, scope, depth) for p in _left_spine(phi, type(phi))]
+            stop = isinstance(phi, Or)  # the part value that decides the spine
+
+            def spine(S) -> bool:
+                for part in parts:
+                    if part(S) is stop:
+                        return stop
+                return not stop
+
+            return spine
+        if isinstance(phi, (Forall, Exists)):
+            return self.quantifier(phi, scope, depth + 1)
+        raise TypeError(f"not a formula: {phi!r}")
+
+    def quantifier(self, phi: Formula, scope, d: int):
+        """Naive mode ranges over the carrier.  Semantic mode asks the oracle
+        recognised here, else ranges a relativised quantifier
+        (A v. @S(v) -> psi, E v. @S(v) & psi) over S alone."""
+        want = isinstance(phi, Exists)  # the body value that decides the block
+        oracle = self.oracle(phi, scope)
+        inner = ({**scope[0], phi.var: d}, {})
+        self.atoms_at += [0] * (d + 1 - len(self.atoms_at))
+        body, guard, rest = phi.body, None, None
+        if isinstance(body, And if want else Implies) and isinstance(body.left, InSet) and body.left.arg == Var(phi.var):
+            guard, test, rest = body.left.set_name, self.formula(body.left, inner, d), self.formula(body.right, inner, d)
+            body = (lambda S: test(S) and rest(S)) if want else (lambda S: (not test(S)) or rest(S))
+        else:
+            body = self.formula(body, inner, d)
+        tick = self.tick
+
+        def block(S) -> bool:
+            domain, run = S.model.fg.all_indices, body
+            if S.semantic:
+                if oracle is not None:
+                    return oracle(S)
+                if guard is not None:
+                    domain, run = sorted(_definable_set(S.model, guard)), rest
+            vals, stamps = S.vals, S.stamps
+            for i in domain:
+                vals[d], stamps[d] = i, tick()
+                if run(S) is want:
+                    return want
+            return not want
+
+        return block
+
+    def oracle(self, phi: Formula, scope):
+        """A closure answering the block at phi from the group, or None.
+
+        c+1 universal binders over formula_ncl_multi(gs, c), 1 <= |gs| <= 5:
+        the normal closure of the gs is nilpotent of class <= c.  2m
+        existential binders over formula_phi_Gprime(m): x is a product of m
+        commutators.  Both are matched up to renaming and binder order.
+        """
+        names, body = _peel(phi, type(phi))
+        if isinstance(phi, Forall):
+            c, conjuncts = len(names) - 1, len(_left_spine(body, And))
+            m = next((m for m in range(1, 6) if m ** (c + 1) == conjuncts), None)
+            if c < 1 or m is None:
+                return None
+            gs = [f"g{k}" for k in range(1, m + 1)]
+            pmap = _match_block(formula_ncl_multi(gs, c), phi)
+            if pmap is None:
+                return None
+            seeds = [self.var(pmap[g], scope)[0] for g in gs]
+
+            def ncl(S) -> bool:
+                cls = S.model.ncl_nilpotency_class(frozenset(g(S) for g in seeds))
+                return cls is not None and cls <= c
+
+            return ncl
+        pmap = None if len(names) % 2 else _match_block(formula_phi_Gprime(len(names) // 2), phi)
+        if pmap is None:
+            return None
+        x, m = self.var(pmap["x"], scope)[0], len(names) // 2
+        return lambda S: x(S) in S.model.fg.width_products(m)
+
+
+def _run(model: Model, phi: Formula, assignment: dict | None, limit: float, semantic: bool) -> tuple[bool, int]:
+    """Evaluate phi through its compiled form, built on first use and kept
+    on phi; returns the value and the atoms spent."""
+    env = {name: el if isinstance(el, int) else model.fg.index(el) for name, el in (assignment or {}).items()}
+    code = phi._code
+    if code is None:
+        code = _Code(phi)
+        object.__setattr__(phi, "_code", code)
+    carrier = max(model.fg.order, 1)
+    if sum(k * carrier**d for d, k in enumerate(code.atoms_at)) > limit:
+        raise BudgetExceeded(limit)
+    state = _State(model, env, code, limit, semantic)
+    return code.root(state), state.atoms
+
+
+def eval_formula(model: Model, phi: Formula, assignment: dict | None = None, budget: int = DEFAULT_BUDGET) -> bool:
+    return eval_with_stats(model, phi, assignment, budget)[0]
+
+
 def eval_with_stats(model: Model, phi: Formula, assignment: dict | None = None, budget: int = DEFAULT_BUDGET):
-    env = _env_from_assignment(model, assignment)
-    estimate = _estimate_atoms(phi, max(model.fg.order, 1))
-    if estimate > budget:
-        raise BudgetExceeded(budget)
-    tracker = _Budget(budget)
-    value = _eval(model, phi, env, tracker, False)
-    return value, tracker.atoms
+    return _run(model, phi, assignment, budget, False)
+
+
+def semantic_eval(model: Model, phi: Formula, assignment: dict | None = None) -> bool:
+    return _run(model, phi, assignment, math.inf, True)[0]
 
 
 # ---------------------------------------------------------------------------
 # alpha-matching of formula shapes
 
 
-def _alpha_match_term(pattern: Term, subject: Term, pmap: dict[str, str]) -> bool:
+def _alpha_match(pattern, subject, pmap: dict[str, str]) -> bool:
+    """Match two terms or formulas up to the injective renaming pmap of the
+    pattern's variable names, bound and free, extending pmap as it goes."""
+    if type(pattern) is not type(subject):
+        return False
     if isinstance(pattern, Var):
-        if not isinstance(subject, Var):
-            return False
         if pattern.name in pmap:
             return pmap[pattern.name] == subject.name
         if subject.name in pmap.values():
             return False
         pmap[pattern.name] = subject.name
         return True
-    if isinstance(pattern, One):
-        return isinstance(subject, One)
-    if isinstance(pattern, Const):
-        return isinstance(subject, Const) and pattern.name == subject.name
-    if isinstance(pattern, Mul):
-        return (
-            isinstance(subject, Mul)
-            and _alpha_match_term(pattern.left, subject.left, pmap)
-            and _alpha_match_term(pattern.right, subject.right, pmap)
-        )
-    if isinstance(pattern, Inv):
-        return isinstance(subject, Inv) and _alpha_match_term(pattern.arg, subject.arg, pmap)
-    return False
-
-
-def _alpha_match(pattern: Formula, subject: Formula, pmap: dict[str, str]) -> bool:
-    if isinstance(pattern, Eq):
-        return (
-            isinstance(subject, Eq)
-            and _alpha_match_term(pattern.left, subject.left, pmap)
-            and _alpha_match_term(pattern.right, subject.right, pmap)
-        )
-    if isinstance(pattern, InSet):
-        return (
-            isinstance(subject, InSet)
-            and pattern.set_name == subject.set_name
-            and _alpha_match_term(pattern.arg, subject.arg, pmap)
-        )
-    if isinstance(pattern, Not):
-        return isinstance(subject, Not) and _alpha_match(pattern.arg, subject.arg, pmap)
-    for klass in (And, Or, Implies):
-        if isinstance(pattern, klass):
-            return (
-                isinstance(subject, klass)
-                and _alpha_match(pattern.left, subject.left, pmap)
-                and _alpha_match(pattern.right, subject.right, pmap)
-            )
-    for klass in (Forall, Exists):
-        if isinstance(pattern, klass):
-            if not isinstance(subject, klass):
-                return False
-            if pattern.var in pmap or subject.var in pmap.values():
-                return False
-            pmap[pattern.var] = subject.var
-            return _alpha_match(pattern.body, subject.body, pmap)
-    return False
+    if isinstance(pattern, (Forall, Exists)):
+        if pattern.var in pmap or subject.var in pmap.values():
+            return False
+        pmap[pattern.var] = subject.var
+        return _alpha_match(pattern.body, subject.body, pmap)
+    if isinstance(pattern, (And, Or, Implies)):
+        ps, ss = _left_spine(pattern, type(pattern)), _left_spine(subject, type(pattern))
+        return len(ps) == len(ss) and all(_alpha_match(p, s, pmap) for p, s in zip(ps, ss))
+    if not isinstance(pattern, (Term, Formula)):
+        return pattern == subject  # a set name
+    return all(_alpha_match(getattr(pattern, f.name), getattr(subject, f.name), pmap) for f in fields(pattern))
 
 
 def alpha_equivalent(pattern: Formula, subject: Formula) -> dict[str, str] | None:
@@ -660,17 +729,11 @@ def alpha_equivalent(pattern: Formula, subject: Formula) -> dict[str, str] | Non
 
 
 def _phi_c_over(names: list[str], c: int, max_conjuncts: int) -> Formula:
-    letters = []
-    for n in names:
-        letters.append(Var(n))
-        letters.append(Inv(Var(n)))
+    letters = [t for n in names for t in (Var(n), Inv(Var(n)))]
     if len(letters) ** c > max_conjuncts:
         raise CombinatorialBlowup(f"{len(letters)}^{c} conjuncts exceed the budget")
-    conjuncts = []
-    for tup in itertools.product(letters, repeat=c):
-        word = left_normed(list(tup)) if c > 1 else tup[0]
-        conjuncts.append(Eq(word, One()))
-    return and_fold(conjuncts)
+    words = itertools.product(letters, repeat=c)
+    return and_fold([Eq(left_normed(list(tup)) if c > 1 else tup[0], One()) for tup in words])
 
 
 def formula_phi_c(n_vars: int, c: int, max_conjuncts: int = 4096) -> Formula:
@@ -682,10 +745,7 @@ def formula_phi_c(n_vars: int, c: int, max_conjuncts: int = 4096) -> Formula:
 def formula_phi_eq_c(n_vars: int, c: int, max_conjuncts: int = 4096) -> Formula:
     """Nilpotency class exactly c: length c+1 commutators die, length c do not."""
     names = [f"x{k}" for k in range(1, n_vars + 1)]
-    return And(
-        _phi_c_over(names, c + 1, max_conjuncts),
-        Not(_phi_c_over(names, c, max_conjuncts)),
-    )
+    return formula_max_nilpotent_membership(names[0], names[1:], c, max_conjuncts)
 
 
 def formula_max_nilpotent_membership(g_var: str, gen_vars: list[str], c: int, max_conjuncts: int = 4096) -> Formula:
@@ -698,23 +758,14 @@ def formula_max_nilpotent_membership(g_var: str, gen_vars: list[str], c: int, ma
 
 def formula_ncl(c: int, var: str = "x") -> Formula:
     """Every length-(c+1) left-normed commutator of conjugates of var is 1."""
-    ys = [f"y{k}" for k in range(1, c + 2)]
-    body = Eq(left_normed([conj(Var(var), Var(y)) for y in ys]), One())
-    phi: Formula = body
-    for y in reversed(ys):
-        phi = Forall(y, phi)
-    return phi
+    return formula_ncl_multi([var], c)
 
 
 def formula_ncl_multi(var_names: list[str], c: int) -> Formula:
     """Joint version over several elements: all mixed conjugate commutators die."""
     ys = [f"y{k}" for k in range(1, c + 2)]
-    conjuncts = []
-    for picks in itertools.product(var_names, repeat=c + 1):
-        conjuncts.append(
-            Eq(left_normed([conj(Var(p), Var(y)) for p, y in zip(picks, ys)]), One())
-        )
-    phi: Formula = and_fold(conjuncts)
+    picks = itertools.product(var_names, repeat=c + 1)
+    phi: Formula = and_fold([Eq(left_normed([conj(Var(p), Var(y)) for p, y in zip(ps, ys)]), One()) for ps in picks])
     for y in reversed(ys):
         phi = Forall(y, phi)
     return phi
@@ -737,7 +788,9 @@ def formula_phi_Gprime(m: int, var: str = "x") -> Formula:
     """var is a product of at most m commutators (padding with trivial ones)."""
     xs = [f"x{k}" for k in range(1, m + 1)]
     ys = [f"y{k}" for k in range(1, m + 1)]
-    product = mul_fold([comm(Var(a), Var(b)) for a, b in zip(xs, ys)])
+    product = comm(Var(xs[0]), Var(ys[0]))
+    for a, b in zip(xs[1:], ys[1:]):
+        product = Mul(product, comm(Var(a), Var(b)))
     phi: Formula = Eq(Var(var), product)
     for name in reversed(xs + ys):
         phi = Exists(name, phi)
@@ -746,13 +799,8 @@ def formula_phi_Gprime(m: int, var: str = "x") -> Formula:
 
 def formula_phi_Gu_pm(var: str = "x", fitt_set: str = "Fitt", derived_set: str = "Gprime") -> Formula:
     x = Var(var)
-    return And(
-        InSet(fitt_set, x),
-        Or(
-            InSet(derived_set, x),
-            And(Not(InSet(derived_set, x)), InSet(derived_set, Mul(x, x))),
-        ),
-    )
+    in_derived = InSet(derived_set, x)
+    return And(InSet(fitt_set, x), Or(in_derived, And(Not(in_derived), InSet(derived_set, Mul(x, x)))))
 
 
 def formula_phi_D(d_names: list[str], var: str = "x") -> Formula:
@@ -763,18 +811,12 @@ def formula_phi_D(d_names: list[str], var: str = "x") -> Formula:
 def formula_phi_iN(t_name: str, z_set: str = "Z") -> Formula:
     """Conjugates of the named transvection are it or its inverse modulo the central set."""
     t = Var(t_name)
-    body = And(
-        InSet(z_set, Var("z")),
-        Or(
-            Eq(conj(t, Var("y")), Mul(t, Var("z"))),
-            Eq(conj(t, Var("y")), Mul(Inv(t), Var("z"))),
-        ),
-    )
-    return Forall("y", Exists("z", body))
+    t_y, z = conj(t, Var("y")), Var("z")
+    return Forall("y", Exists("z", And(InSet(z_set, z), Or(Eq(t_y, Mul(t, z)), Eq(t_y, Mul(Inv(t), z))))))
 
 
 # ---------------------------------------------------------------------------
-# semantic evaluation
+# oracle blocks
 
 
 def _peel(phi: Formula, klass) -> tuple[list[str], Formula]:
@@ -800,50 +842,8 @@ def _match_block(pattern: Formula, subject: Formula) -> dict[str, str] | None:
     return pmap if {pmap.get(v) for v in p_names} == set(s_names) else None
 
 
-def _oracle(model: Model, phi: Formula, env: dict[str, int]) -> bool | None:
-    """Answer a recognised quantifier block from the group, or None.
-
-    c+1 universal binders over formula_ncl_multi(gs, c), 1 <= |gs| <= 5:
-    the normal closure of the gs is nilpotent of class <= c.  2m existential
-    binders over formula_phi_Gprime(m): x is a product of m commutators.
-    """
-    names, body = _peel(phi, type(phi))
-    if isinstance(phi, Forall):
-        c = len(names) - 1
-        conjuncts = 1  # along the left spine, as and_fold nests them
-        while isinstance(body, And):
-            conjuncts, body = conjuncts + 1, body.left
-        m = next((m for m in range(1, 6) if m ** (c + 1) == conjuncts), None)
-        if c < 1 or m is None:
-            return None
-        gs = [f"g{k}" for k in range(1, m + 1)]
-        pmap = _match_block(formula_ncl_multi(gs, c), phi)
-        if pmap is None:
-            return None
-        cls = model.ncl_nilpotency_class(frozenset(_resolve(model, pmap[g], env) for g in gs))
-        return cls is not None and cls <= c
-    if len(names) % 2:
-        return None
-    m = len(names) // 2
-    pmap = _match_block(formula_phi_Gprime(m), phi)
-    if pmap is None:
-        return None
-    return _resolve(model, pmap["x"], env) in model.fg.width_products(m)
-
-
-def semantic_eval(model: Model, phi: Formula, assignment: dict | None = None) -> bool:
-    env = _env_from_assignment(model, assignment)
-    return _eval(model, phi, env, _Budget(math.inf), True)
-
-
 def defining_set(model: Model, phi: Formula, var: str, semantic: bool = False, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Indices of carrier elements satisfying phi with var bound to them."""
-    out = set()
-    for i in model.fg.all_indices:
-        if semantic:
-            ok = semantic_eval(model, phi, {var: i})
-        else:
-            ok = eval_formula(model, phi, {var: i}, budget)
-        if ok:
-            out.add(i)
-    return frozenset(out)
+    if semantic:
+        return frozenset(i for i in model.fg.all_indices if semantic_eval(model, phi, {var: i}))
+    return frozenset(i for i in model.fg.all_indices if eval_formula(model, phi, {var: i}, budget))

@@ -299,6 +299,72 @@ def test_eval_with_stats_short_circuits(m2):
     assert not value and atoms == 12
 
 
+def test_short_circuits_skip_an_unbound_name(m2):
+    # evaluation is lazy: a disjunct that is never reached never reads z
+    phi = parse_formula("x = x | z = 1")
+    for i in m2.fg.all_indices:
+        assert eval_with_stats(m2, phi, {"x": i}) == (True, 1)
+        assert semantic_eval(m2, phi, {"x": i})
+    phi = parse_formula("A y. z = y")
+    with pytest.raises(UnboundVariable):
+        eval_formula(m2, phi)
+    with pytest.raises(UnboundVariable):
+        semantic_eval(m2, phi)
+    # a set atom looks its set up before it evaluates its term
+    phi = parse_formula("@Missing(z)")
+    with pytest.raises(UnregisteredDefinableSet):
+        eval_formula(m2, phi)
+    with pytest.raises(UnregisteredDefinableSet):
+        semantic_eval(m2, phi)
+
+
+def test_naive_ncl_computes_each_subterm_once_per_binding(m3_z2, monkeypatch):
+    # the body of formula_ncl(3) expands to about 100 group operations but
+    # has only O(c) distinct subterms: about 8 operations per atom when each
+    # is computed once per binding, 100 when the expanded tree is walked
+    calls = [0]
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls[0] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(FiniteGroup, "op_idx", counted(FiniteGroup.op_idx))
+    monkeypatch.setattr(FiniteGroup, "inv_idx", counted(FiniteGroup.inv_idx))
+    phi = formula_ncl(3)
+    runs = [eval_with_stats(m3_z2, phi, {"x": x}) for x in m3_z2.fg.all_indices]
+    assert runs == [(True, 8**4)] * 8  # T_3(Z/2) is nilpotent of class 2
+    assert calls[0] <= 400_000
+
+
+def test_long_and_spines_need_no_recursion():
+    # 5^5 = 3,125 conjuncts, nested on the left by and_fold, far past the
+    # default recursion limit
+    gs = [f"g{k}" for k in range(1, 6)]
+    phi = formula_ncl_multi(gs, 4)
+    model = model_from_group(TriMatrixGroup(parse_ring("Z/2"), 2))  # order 2, abelian
+    asg = {g: i % 2 for i, g in enumerate(gs)}
+    assert free_variables(phi) == set(gs)
+    assert semantic_eval(model, phi, asg)
+    assert eval_with_stats(model, phi, asg) == (True, 3125 * 2**5)
+    text = format_formula(phi)
+    back = parse_formula(text)
+    assert format_formula(back) == text
+
+    def conjuncts(f):  # the spine, walked without recursion
+        while isinstance(f, Forall):
+            f = f.body
+        out = []
+        while isinstance(f, And):
+            out.append(f.right)
+            f = f.left
+        return out + [f]
+
+    assert conjuncts(back) == conjuncts(phi) and len(conjuncts(phi)) == 3125
+
+
 def test_naive_eval_of_ncl_on_large_carrier_exceeds_budget(m3):
     # 216^3 quantified triples outgrow the default atom budget by design;
     # the semantic path is the supported route on carriers this size
@@ -503,8 +569,9 @@ def formulas(draw, bound=(), binders=3, depth=4):
     """Formulas over POOL that never rebind an enclosing name.  At most
     `binders` quantifiers nest, so evaluating one on a carrier of order N
     takes O(N^binders) atoms.  Oracle leaves (ncl(1), width 1) come with
-    their binders in either order."""
-    kinds = ["eq", "in"]
+    their binders in either order.  Left-normed commutators of 2-4
+    conjugates repeat their subterms, as the library formulas do."""
+    kinds = ["eq", "in", "lnc"]
     if depth:
         kinds += ["not", "and", "or", "imp"]
         if binders and len(bound) < len(POOL):
@@ -516,6 +583,9 @@ def formulas(draw, bound=(), binders=3, depth=4):
         return Eq(draw(TERMS), draw(TERMS))
     if kind == "in":
         return InSet(draw(SETS), draw(TERMS))
+    if kind == "lnc":
+        pairs = draw(st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(POOL)), min_size=2, max_size=4))
+        return Eq(left_normed([conj(Var(a), Var(b)) for a, b in pairs]), draw(TERMS))
     if kind in ("ncl", "width"):
         base = draw(st.sampled_from(POOL))
         if kind == "ncl":
@@ -546,6 +616,45 @@ def fo_models():
     return out
 
 
+def counting_eval(model, phi, env) -> tuple[bool, int]:
+    """Naive evaluation restated, counting atoms: every quantifier ranges
+    over the whole carrier and stops at the first deciding body value,
+    connectives short-circuit left to right, and each atom reached counts
+    one."""
+    fg, atoms = model.fg, [0]
+
+    def value(t, env):
+        if isinstance(t, One):
+            return fg.identity_index
+        if isinstance(t, Var):
+            return env[t.name] if t.name in env else model.constants[t.name]
+        if isinstance(t, Mul):
+            return fg.op_idx(value(t.left, env), value(t.right, env))
+        return fg.inv_idx(value(t.arg, env))
+
+    def holds(f, env):
+        if isinstance(f, (Eq, InSet)):
+            atoms[0] += 1
+            if isinstance(f, Eq):
+                return value(f.left, env) == value(f.right, env)
+            return value(f.arg, env) in model.definable_sets[f.set_name]
+        if isinstance(f, Not):
+            return not holds(f.arg, env)
+        if isinstance(f, And):
+            return holds(f.left, env) and holds(f.right, env)
+        if isinstance(f, Or):
+            return holds(f.left, env) or holds(f.right, env)
+        if isinstance(f, Implies):
+            return not holds(f.left, env) or holds(f.right, env)
+        want = isinstance(f, Exists)
+        for i in fg.all_indices:
+            if holds(f.body, {**env, f.var: i}) == want:
+                return want
+        return not want
+
+    return holds(phi, env), atoms[0]
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_random_formulas_agree_with_reference(fo_models, data):
@@ -554,7 +663,9 @@ def test_random_formulas_agree_with_reference(fo_models, data):
     carrier = st.sampled_from(list(model.fg.all_indices))
     asg = {v: data.draw(carrier) for v in sorted(free_variables(phi))}
     expected = reference_eval(model, phi, asg)
-    assert eval_formula(model, phi, asg) == expected
+    value, atoms = counting_eval(model, phi, asg)
+    assert value == expected
+    assert eval_with_stats(model, phi, asg) == (expected, atoms)
     assert semantic_eval(model, phi, asg) == expected
 
 

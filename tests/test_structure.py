@@ -1,6 +1,7 @@
 """Subgroup descriptions, tori, decompositions, and brute-force verifiers."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -347,6 +348,25 @@ def _small_groups():
         "T2(Z/5)": TriMatrixGroup(parse_ring("Z/5"), 2),
         "T3(Z/3) deformed": DeformedGroup(parse_ring("Z/3"), 3),
     }
+
+
+@pytest.mark.parametrize("name", list(_small_groups()) + ["T2(Z/8)", "T3(Z/3)"])
+def test_commutator_set_matches_all_pairs(name):
+    more = {"T2(Z/8)": TriMatrixGroup(parse_ring("Z/8"), 2), "T3(Z/3)": TriMatrixGroup(parse_ring("Z/3"), 3)}
+    fg = from_group({**_small_groups(), **more}[name])
+    comms = fg.commutator_set()
+    op, inv = fg.op_idx, fg.inv_idx
+    assert comms == {op(op(inv(a), inv(b)), op(a, b)) for a in fg.all_indices for b in fg.all_indices}
+
+
+def test_commutator_width_on_a_memo_group_is_fast():
+    # order 1,100 is above the table limit: every product goes through the
+    # memo, so |G|^2 commutators would take about 20 s
+    fg = from_group(TriMatrixGroup(parse_ring("Z/11"), 2))
+    start = time.perf_counter()
+    report = commutator_width_check(fg, 2)
+    assert time.perf_counter() - start < 3.0
+    assert (report.derived_order, report.width_needed, report.within_bound) == (11, 1, True)
 
 
 @pytest.mark.parametrize("name", list(_small_groups()))

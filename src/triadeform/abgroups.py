@@ -102,6 +102,11 @@ class FgAbelian:
             return (x, {})
         return (x[: self.k], {i: e for i, e in enumerate(x[self.k :]) if e})
 
+    def torsion_exponents(self, x) -> tuple[int, ...]:
+        """decompose(x)[0] alone."""
+        x = self.reduce(x)
+        return x[: self.k] if self.free_rank else x
+
     def compose(self, torsion_exps, free_exps) -> tuple[int, ...]:
         vec = list(torsion_exps) + [0] * (self.k - len(torsion_exps)) + [0] * self.free_rank
         for key, e in free_exps.items():

@@ -37,8 +37,17 @@ def _group_from_json(data):
     a bare backend; bare backends default both carriers to the unit group of
     the ambient ring.
     """
+    if not isinstance(data, dict):
+        raise ParseError("a group document must be a JSON object")
+    for field in ("ring", "n"):
+        if field not in data:
+            raise ParseError(f"group document lacks field {field!r}")
+    if not isinstance(data["ring"], str):
+        raise ParseError(f"group field 'ring' must be a ring spec string, got {data['ring']!r}")
+    n = data["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f"group field 'n' must be an integer, got {n!r}")
     ring = rings.parse_ring(data["ring"])
-    n = int(data["n"])
     kind = data.get("kind", "deformed")
     if kind == "matrix":
         return trigroup.TriMatrixGroup(ring, n)

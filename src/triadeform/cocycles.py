@@ -116,11 +116,15 @@ class MonomialPsi(PsiMap):
         self.free_bases = dict(free_bases or {})
 
     def __call__(self, b):
-        torsion, free = self.domain.decompose(b)
+        if self.free_bases:
+            torsion, free = self.domain.decompose(b)
+        else:
+            torsion, free = self.domain.torsion_exponents(b), {}
         out = self.codomain.identity
         for idx, base in self.torsion_bases.items():
             e = torsion[idx] if idx < len(torsion) else 0
-            out = self.codomain.op(out, self.codomain.power(base, e))
+            if e:
+                out = self.codomain.op(out, self.codomain.power(base, e))
         for key, e in free.items():
             if key in self.free_bases:
                 out = self.codomain.op(out, self.codomain.power(self.free_bases[key], e))
@@ -260,8 +264,8 @@ class CarryCocycle(SymCocycle2):
     def __call__(self, x, y):
         if not self.targets:
             return self.codomain.identity
-        tx, _ = self.domain.decompose(x)
-        ty, _ = self.domain.decompose(y)
+        tx = self.domain.torsion_exponents(x)
+        ty = self.domain.torsion_exponents(y)
         out = self.codomain.identity
         for idx, c in self.targets.items():
             m = self.domain.torsion_factors[idx]

@@ -289,6 +289,7 @@ class IntegersMod(Ring):
         self.spec = f"Z/{m}"
         self._unit_struct: UnitGroupStruct | None = None
         self._dlog: dict[int, int] | None = None
+        self._units: list[int] | None = None
 
     zero = 0
     one = 1
@@ -327,26 +328,34 @@ class IntegersMod(Ring):
         return iter(range(self.m))
 
     def units(self):
-        return [x for x in range(1, self.m) if math.gcd(x, self.m) == 1]
+        if self._units is None:
+            self._units = [x for x in range(1, self.m) if math.gcd(x, self.m) == 1]
+        return list(self._units)
 
     def size(self):
         return self.m
 
     def unit_group(self):
         if self._unit_struct is None:
-            us = self.units()
-            order = len(us)
-            gen = None
-            for candidate in us:
-                if _mult_order(candidate, self.m) == order:
-                    gen = candidate
-                    break
-            if gen is None:
+            m = self.m
+            factors = _trial_factor(m)
+            # (Z/m)^x is cyclic exactly for m = 2, 4, p^k and 2 p^k with p odd
+            odd = [p for p in factors if p != 2]
+            if not (m in (2, 4) or (len(odd) == 1 and factors.get(2, 0) <= 1)):
                 # A single torsion generator cannot describe a non-cyclic
                 # unit group; refuse rather than return something wrong.
                 raise InvalidParameter(
                     f"({self.spec})^x is not cyclic; no single-generator description exists"
                 )
+            order = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
+            # the least unit g with g^(order/q) != 1 for every prime q | order
+            # (Cohen, GTM 138, Alg. 1.4.4), i.e. the least unit of full order
+            cofactors = [order // q for q in _trial_factor(order)]
+            gen = next(
+                g
+                for g in range(1, m)
+                if math.gcd(g, m) == 1 and all(pow(g, c, m) != 1 for c in cofactors)
+            )
             self._unit_struct = UnitGroupStruct(self, order, gen, (), COMPLETE)
         return self._unit_struct
 
@@ -388,12 +397,19 @@ class IntegersMod(Ring):
                 return x
 
 
-def _mult_order(x: int, m: int) -> int:
-    k, acc = 1, x % m
-    while acc != 1:
-        acc = acc * x % m
-        k += 1
-    return k
+def _trial_factor(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1 by trial division, in about sqrt(n)
+    steps; unlike _factorint it does not import sympy."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 _QUAD_TERM = re.compile(
@@ -704,6 +720,16 @@ class UnitGroupStruct:
         result = self._decompose_fresh(x)
         self._decomp_cache[x] = result
         return result
+
+    def torsion_exponents(self, x) -> tuple[int, ...]:
+        """decompose(x)[0] alone.  Over Q^x it is the sign bit, found without
+        factoring x; raises NotAUnit for non-units like decompose."""
+        if self.basis_mode != LAZY_PRIME_BASIS:
+            return self.decompose(x)[0]
+        if not self.ring.is_unit(x):
+            raise NotAUnit(f"{x!r} is not a unit in {self.ring.spec}")
+        t = 0 if x > 0 else 1
+        return (t,) if self.torsion_factors else ()
 
     def _decompose_fresh(self, x):
         ring = self.ring

@@ -16,6 +16,10 @@ Validation happens at the API boundary: DeformedGroup.element and
 elem_from_json check coordinates and units, and upper_normalise checks entry
 indices and coerces values.  The internal products (op, inverse and the
 upper_* helpers) trust their normalised operands and only drop zeros.
+In the matrix picture only the public TriMatrix(ring, rows) constructor
+and TriMatrix.from_json validate; products, inverses, the named matrices
+(identity, transvections, diagonals, after checking their own arguments),
+enumeration, sampling and the bridge build through a trusted constructor.
 DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
 the constructor checks this on every unit when R^x is finite and verify is
 set.
@@ -161,16 +165,34 @@ class TriMatrix:
         self.rows = rows
 
     @classmethod
+    def _trusted(cls, ring: Ring, rows: tuple) -> "TriMatrix":
+        """Wrap a square tuple of tuple rows of ring elements, zero below the
+        diagonal and units on it, without checking any of that."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.n = len(rows)
+        m.rows = rows
+        return m
+
+    @classmethod
+    def _diagonal_trusted(cls, ring: Ring, entries) -> "TriMatrix":
+        """diag(entries) for unit entries of the ring."""
+        zero = ring.zero
+        n = len(entries)
+        rows = tuple((zero,) * i + (v,) + (zero,) * (n - i - 1) for i, v in enumerate(entries))
+        return cls._trusted(ring, rows)
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> "TriMatrix":
-        return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)])
+        return cls._diagonal_trusted(ring, (ring.one,) * n)
 
     @classmethod
     def transvection(cls, ring: Ring, n: int, i: int, j: int, beta) -> "TriMatrix":
         if not (1 <= i < j <= n):
             raise InvalidParameter(f"transvection needs 1 <= i < j <= n, got ({i}, {j})")
-        rows = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
+        rows = [list(row) for row in cls.identity(ring, n).rows]
         rows[i - 1][j - 1] = ring.ensure(beta)
-        return cls(ring, rows)
+        return cls._trusted(ring, tuple(map(tuple, rows)))
 
     @classmethod
     def diagonal_gen(cls, ring: Ring, n: int, k: int, alpha) -> "TriMatrix":
@@ -179,46 +201,53 @@ class TriMatrix:
         alpha = ring.ensure(alpha)
         if not ring.is_unit(alpha):
             raise NotAUnit(f"{ring.format_elem(alpha)} is not a unit")
-        rows = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
-        rows[k - 1][k - 1] = alpha
-        return cls(ring, rows)
+        return cls._diagonal_trusted(ring, tuple(alpha if a == k else ring.one for a in range(1, n + 1)))
 
     @classmethod
     def diagonal(cls, ring: Ring, entries) -> "TriMatrix":
-        entries = [ring.ensure(v) for v in entries]
-        n = len(entries)
-        rows = [[entries[a] if a == b else ring.zero for b in range(n)] for a in range(n)]
-        return cls(ring, rows)
+        entries = tuple(ring.ensure(v) for v in entries)
+        for v in entries:
+            if not ring.is_unit(v):
+                raise NotAUnit(f"diagonal entry {ring.format_elem(v)} is not a unit")
+        return cls._diagonal_trusted(ring, entries)
 
     def entry(self, i: int, j: int):
         return self.rows[i - 1][j - 1]
 
     def mul(self, other: "TriMatrix") -> "TriMatrix":
-        if self.ring != other.ring or self.n != other.n:
+        r = self.ring
+        if (other.ring is not r and other.ring != r) or self.n != other.n:
             raise DomainMismatch("matrix shapes or rings differ")
-        r, n = self.ring, self.n
+        add, mul, zero = r.add, r.mul, r.zero
+        a, b = self.rows, other.rows
+        n = self.n
         rows = []
         for i in range(n):
-            row = []
-            for j in range(n):
-                acc = r.zero
-                for k in range(i, j + 1):
-                    acc = r.add(acc, r.mul(self.rows[i][k], other.rows[k][j]))
+            ai = a[i]
+            row = [zero] * i
+            for j in range(i, n):
+                acc = mul(ai[i], b[i][j])
+                for k in range(i + 1, j + 1):
+                    acc = add(acc, mul(ai[k], b[k][j]))
                 row.append(acc)
-            rows.append(row)
-        return TriMatrix(r, rows)
+            rows.append(tuple(row))
+        return TriMatrix._trusted(r, tuple(rows))
 
     def inv(self) -> "TriMatrix":
         r, n = self.ring, self.n
-        out = [[r.zero] * n for _ in range(n)]
+        add, mul, zero = r.add, r.mul, r.zero
+        a = self.rows
+        diag_inv = [r.inv(a[i][i]) for i in range(n)]
+        out = [[zero] * n for _ in range(n)]
         for j in range(n):
-            out[j][j] = r.inv(self.rows[j][j])
+            out[j][j] = diag_inv[j]
             for i in range(j - 1, -1, -1):
-                acc = r.zero
-                for k in range(i + 1, j + 1):
-                    acc = r.add(acc, r.mul(self.rows[i][k], out[k][j]))
-                out[i][j] = r.neg(r.mul(r.inv(self.rows[i][i]), acc))
-        return TriMatrix(r, out)
+                ai = a[i]
+                acc = mul(ai[i + 1], out[i + 1][j])
+                for k in range(i + 2, j + 1):
+                    acc = add(acc, mul(ai[k], out[k][j]))
+                out[i][j] = r.neg(mul(diag_inv[i], acc))
+        return TriMatrix._trusted(r, tuple(map(tuple, out)))
 
     def is_unitriangular(self) -> bool:
         return all(self.rows[i][i] == self.ring.one for i in range(self.n))
@@ -246,7 +275,7 @@ class TriMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, TriMatrix)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.rows == other.rows
         )
 
@@ -310,24 +339,22 @@ class TriMatrixGroup:
         r, n = self.ring, self.n
         units = list(r.units())
         ring_elems = list(r.elements())
-        strict_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # fill lists the strict entries row by row; row i's start at starts[i]
+        starts = [i * n - i * (i + 1) // 2 for i in range(n + 1)]
+        lead = [(r.zero,) * i for i in range(n)]
         for diag in itertools.product(units, repeat=n):
-            for fill in itertools.product(ring_elems, repeat=len(strict_slots)):
-                rows = [[r.zero] * n for _ in range(n)]
-                for i in range(n):
-                    rows[i][i] = diag[i]
-                for (i, j), v in zip(strict_slots, fill):
-                    rows[i][j] = v
-                yield TriMatrix(r, rows)
+            for fill in itertools.product(ring_elems, repeat=starts[n]):
+                rows = tuple(lead[i] + (diag[i],) + fill[starts[i] : starts[i + 1]] for i in range(n))
+                yield TriMatrix._trusted(r, rows)
 
     def sample(self, rng: random.Random) -> TriMatrix:
         r, n = self.ring, self.n
-        rows = [[r.zero] * n for _ in range(n)]
+        rows = []
         for i in range(n):
-            rows[i][i] = r.random_unit(rng)
-            for j in range(i + 1, n):
-                rows[i][j] = r.random_elem(rng)
-        return TriMatrix(r, rows)
+            row = [r.zero] * i + [r.random_unit(rng)]
+            row.extend(r.random_elem(rng) for _ in range(i + 1, n))
+            rows.append(tuple(row))
+        return TriMatrix._trusted(r, tuple(rows))
 
     def generating_set(self) -> list[TriMatrix]:
         if not self.ring.is_finite:
@@ -688,7 +715,7 @@ def deformed_to_matrix(group: DeformedGroup, g: DeformedElem) -> TriMatrix:
         for j in range(i + 1, n):
             u = table.get((i + 1, j + 1), r.zero)
             rows[i][j] = r.mul(y[i], u)
-    return TriMatrix(r, rows)
+    return TriMatrix._trusted(r, tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------

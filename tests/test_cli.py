@@ -497,6 +497,25 @@ def test_invalid_group_json_exits_2(capsys, tmp_path):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"n": 3}, "field 'ring'"),
+        ({"ring": "Z/3"}, "field 'n'"),
+        ({"ring": "Z/3", "n": "three"}, "field 'n'"),
+        ({"ring": "Z/3", "n": 2.5}, "field 'n'"),
+        ({"ring": "Z/3", "n": True}, "field 'n'"),
+        ({"ring": 5, "n": 3}, "field 'ring'"),
+        ([{"ring": "Z/3", "n": 3}], "JSON object"),
+    ],
+)
+@pytest.mark.parametrize("cmd", [["group", "build"], ["structure", "center"]])
+def test_bad_group_document_names_the_field(capsys, group_file, doc, names, cmd):
+    rc, out, err = run(capsys, cmd + ["--group", group_file(doc)])
+    assert rc == 2
+    assert err.startswith("error:") and names in err
+
+
 def test_defining_set_requires_var(capsys, group_file):
     path = group_file({"ring": "Z/3", "n": 3})
     rc, out, err = run(capsys, ["fo", "eval", "x = 1", "--group", path, "--defining-set"])

@@ -17,6 +17,8 @@ from triadeform import (
     FgAbelian,
     FunctionTable,
     InvalidParameter,
+    MonomialPsi,
+    NotAUnit,
     build_extension,
     cocycle_from_json,
     cocycle_inverse,
@@ -104,6 +106,43 @@ def all_carry_cocycles(b, a):
 
 # ---------------------------------------------------------------------------
 # verification
+
+
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        unit_group(parse_ring("Q")),
+        unit_group(parse_ring("Z/9")),
+        unit_group(parse_ring("Z[sqrt(2)]")),
+        unit_group(parse_ring("Z[i]")),
+        FgAbelian((2, 6), 2),
+        FgAbelian((4,)),
+    ],
+    ids=repr,
+)
+def test_torsion_exponents_match_decompose(carrier, rng):
+    for _ in range(40):
+        x = carrier.sample(rng)
+        assert carrier.torsion_exponents(x) == carrier.decompose(x)[0]
+    if not isinstance(carrier, FgAbelian):
+        zero = carrier.ring.zero
+        with pytest.raises(NotAUnit):
+            carrier.torsion_exponents(zero)
+        with pytest.raises(NotAUnit):
+            CarryCocycle(carrier, carrier, {0: carrier.torsion_generator})(zero, carrier.identity)
+
+
+def test_carry_and_torsion_monomial_never_factor_rationals(monkeypatch):
+    import triadeform.rings as rings_module
+
+    q = unit_group(parse_ring("Q"))
+    f = CarryCocycle(q, q, {0: parse_ring("Q").parse_elem("3")})
+    psi = MonomialPsi(q, q, {0: parse_ring("Q").parse_elem("1/2")})
+    monkeypatch.setattr(rings_module, "_factorint", None)  # factoring would fail
+    minus = parse_ring("Q").parse_elem("-35/12")
+    plus = parse_ring("Q").parse_elem("77/5")
+    assert f(minus, minus) == 3 and f(minus, plus) == 1
+    assert psi(minus) == parse_ring("Q").parse_elem("1/2") and psi(plus) == 1
 
 
 def test_verify_accepts_carries_and_rejects_broken_tables(rng):

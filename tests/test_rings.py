@@ -1,5 +1,7 @@
 """Ring arithmetic, unit groups, divisibility, and the psi predicate."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from triadeform import (
     unit_group,
 )
 from triadeform.errors import NotInSubgroupB
-from triadeform.rings import COMPLETE, QuadraticOrder, UnitGroupStruct
+from triadeform.rings import COMPLETE, IntegersMod, QuadraticOrder, UnitGroupStruct
 
 # ---------------------------------------------------------------------------
 # parsing and the basic ring contract
@@ -187,6 +189,49 @@ def test_unit_group_structures():
 def test_non_cyclic_unit_group_refused():
     with pytest.raises(InvalidParameter):
         unit_group(parse_ring("Z/8"))
+    for m in (8, 12, 15):
+        with pytest.raises(InvalidParameter, match=rf"\(Z/{m}\)\^x is not cyclic"):
+            unit_group(IntegersMod(m))
+
+
+def _linear_order(x, m):
+    k, acc = 1, x % m
+    while acc != 1:
+        acc, k = acc * x % m, k + 1
+    return k
+
+
+def test_unit_group_generator_is_the_least_unit_of_full_order():
+    for m in range(2, 200):
+        units = [x for x in range(1, m) if math.gcd(x, m) == 1]
+        full = [x for x in units if _linear_order(x, m) == len(units)]
+        ring = IntegersMod(m)  # fresh, so nothing is cached
+        if not full:
+            with pytest.raises(InvalidParameter, match="not cyclic"):
+                unit_group(ring)
+            continue
+        struct = unit_group(ring)
+        assert (struct.torsion_generator, struct.torsion_order) == (full[0], len(units))
+        assert ring.units() == units
+
+
+def test_unit_group_of_a_large_prime_modulus_is_fast():
+    ring = IntegersMod(1_000_003)
+    start = time.perf_counter()
+    struct = unit_group(ring)
+    elapsed = time.perf_counter() - start
+    assert (struct.torsion_generator, struct.torsion_order) == (2, 1_000_002)
+    # 1_000_002 = 2 * 3 * 166_667 with 166_667 prime
+    assert all(pow(2, 1_000_002 // q, 1_000_003) != 1 for q in (2, 3, 166_667))
+    assert elapsed < 0.05
+
+
+def test_units_list_is_computed_once_and_copied(monkeypatch):
+    ring = IntegersMod(9)
+    first = ring.units()
+    monkeypatch.setattr(math, "gcd", None)  # a second enumeration would fail
+    first.append(0)
+    assert ring.units() == [1, 2, 4, 5, 7, 8]
 
 
 def test_unit_decompose_round_trip(ring_sqrt2, rng):

@@ -35,6 +35,7 @@ from triadeform import (
 )
 from triadeform.cocycles import DictPsi
 from triadeform.errors import TooLarge
+from triadeform.finitegroup import TABLE_LIMIT
 from triadeform.trigroup import upper_conjugate, upper_inv, upper_mul, upper_normalise
 
 
@@ -128,6 +129,115 @@ def test_matrix_json_round_trip(ring_sqrt2, rng):
     for _ in range(10):
         m = grp.sample(rng)
         assert grp.elem_from_json(grp.elem_to_json(m)) == m
+
+
+def _schoolbook(ring, a, b):
+    """Full n x n x n product of two row tuples, each entry summed from zero."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for k in range(n):
+                acc = ring.add(acc, ring.mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _assert_valid_rows(ring, m):
+    # the trusted constructor must only ever see rows the validating one accepts
+    assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+    rebuilt = TriMatrix(ring, m.rows)
+    assert rebuilt.rows == m.rows and rebuilt == m and hash(rebuilt) == hash(m)
+
+
+@pytest.mark.parametrize("spec", ["Z/6", "Q", "Z[sqrt(2)]"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_lane_matches_schoolbook_products(spec, n, rng):
+    ring = parse_ring(spec)
+    grp = TriMatrixGroup(ring, n)
+    identity = _schoolbook(ring, grp.identity.rows, grp.identity.rows)
+    for _ in range(12):
+        a, b = grp.sample(rng), grp.sample(rng)
+        for m in (a, b):
+            _assert_valid_rows(ring, m)
+        ab, a_inv, b_inv = a.mul(b), a.inv(), b.inv()
+        for m in (ab, a_inv, b_inv):
+            _assert_valid_rows(ring, m)
+        assert ab.rows == _schoolbook(ring, a.rows, b.rows)
+        assert _schoolbook(ring, a.rows, a_inv.rows) == identity
+        assert _schoolbook(ring, a_inv.rows, a.rows) == identity
+        comm = grp.commutator(a, b)
+        _assert_valid_rows(ring, comm)
+        expected = _schoolbook(ring, _schoolbook(ring, _schoolbook(ring, a_inv.rows, b_inv.rows), a.rows), b.rows)
+        assert comm.rows == expected
+
+
+@pytest.mark.parametrize("spec, n", [("Z/6", 1), ("Z/6", 2), ("Z/6", 3), ("Z/2", 4), ("Z/3", 3)])
+def test_matrix_elements_are_valid_and_distinct(spec, n):
+    ring = parse_ring(spec)
+    grp = TriMatrixGroup(ring, n)
+    elems = list(grp.elements())
+    for m in elems:
+        _assert_valid_rows(ring, m)
+    assert len(set(elems)) == len(elems) == grp.order()
+    for m in [grp.identity] + grp.generating_set():
+        _assert_valid_rows(ring, m)
+
+
+@pytest.mark.parametrize("spec", ["Z/6", "Q", "Z[sqrt(2)]"])
+def test_bridge_builds_valid_matrices(spec, rng):
+    g = DeformedGroup(parse_ring(spec), 3)
+    for _ in range(10):
+        x = g.sample(rng)
+        m = deformed_to_matrix(g, x)
+        _assert_valid_rows(g.ring, m)
+        assert matrix_to_deformed(g, m) == x
+
+
+def test_matrix_named_constructors_check_their_arguments(ring_z5):
+    with pytest.raises(NotAUnit):
+        TriMatrix.diagonal(ring_z5, [1, 0, 2])
+    with pytest.raises(NotAUnit):
+        TriMatrix.diagonal_gen(ring_z5, 3, 2, 5)
+    with pytest.raises(InvalidParameter):
+        TriMatrix.transvection(ring_z5, 3, 2, 2, 1)
+    with pytest.raises(InvalidParameter):
+        TriMatrix(ring_z5, [[1, 0], [0, 1, 0]])
+    with pytest.raises(InvalidParameter):
+        TriMatrix.from_json(ring_z5, [["1", "0"], ["2", "1"]])
+    with pytest.raises(NotAUnit):
+        TriMatrix.from_json(ring_z5, [["1", "0"], ["0", "0"]])
+    with pytest.raises(DomainMismatch):
+        TriMatrix.identity(ring_z5, 2).mul(TriMatrix.identity(parse_ring("Z/7"), 2))
+    assert TriMatrix.identity(ring_z5, 2) != TriMatrix.identity(parse_ring("Z/7"), 2)
+    m = TriMatrix.transvection(ring_z5, 3, 1, 3, 7)
+    assert m.rows == ((1, 0, 2), (0, 1, 0), (0, 0, 1))
+    assert TriMatrix.diagonal_gen(ring_z5, 3, 2, 3).rows == ((1, 0, 0), (0, 3, 0), (0, 0, 1))
+
+
+def test_matrix_lane_builds_no_validated_matrices(monkeypatch):
+    # products, inverses, enumeration and generators are valid by construction;
+    # only the public constructor and from_json may check entries
+    calls = [0]
+    init = TriMatrix.__init__
+
+    def counting_init(self, ring, rows):
+        calls[0] += 1
+        init(self, ring, rows)
+
+    monkeypatch.setattr(TriMatrix, "__init__", counting_init)
+    fg = from_group(TriMatrixGroup(parse_ring("Z/5"), 2))
+    assert fg.order == 80
+    assert calls[0] == 0
+    memo_fg = from_group(TriMatrixGroup(parse_ring("Z/11"), 2))
+    assert memo_fg.order == 1100 > TABLE_LIMIT
+    assert len(memo_fg.center()) == 10
+    gen = memo_fg.index(TriMatrix.transvection(memo_fg.elem(0).ring, 2, 1, 2, 1))
+    assert len(memo_fg.normal_closure([gen])) == 11
+    assert calls[0] == 0
 
 
 def test_op_table_associativity_vectorized(t3_z3_fg):

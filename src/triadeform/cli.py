@@ -37,17 +37,9 @@ def _group_from_json(data):
     a bare backend; bare backends default both carriers to the unit group of
     the ambient ring.
     """
-    if not isinstance(data, dict):
-        raise ParseError("a group document must be a JSON object")
-    for field in ("ring", "n"):
-        if field not in data:
-            raise ParseError(f"group document lacks field {field!r}")
-    if not isinstance(data["ring"], str):
-        raise ParseError(f"group field 'ring' must be a ring spec string, got {data['ring']!r}")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(f"group field 'n' must be an integer, got {n!r}")
-    ring = rings.parse_ring(data["ring"])
+    spec = cocycles._field(data, "ring", "", str)
+    n = cocycles._field(data, "n", "", int)
+    ring = rings.parse_ring(spec)
     kind = data.get("kind", "deformed")
     if kind == "matrix":
         return trigroup.TriMatrixGroup(ring, n)
@@ -56,15 +48,18 @@ def _group_from_json(data):
     raw = data.get("cocycles")
     if raw is None:
         return trigroup.DeformedGroup(ring, n)
+    if not isinstance(raw, list):
+        raise ParseError(f"field 'cocycles' must be a list, got {raw!r}")
     units = rings.unit_group(ring)
     built = []
-    for entry in raw:
+    for k, entry in enumerate(raw):
+        path = f"cocycles[{k}]"
         if entry is None:
             built.append(cocycles.trivial_cocycle(units, units))
-        elif "domain" in entry:
-            built.append(cocycles.cocycle_from_json(entry))
+        elif isinstance(entry, dict) and "domain" in entry:
+            built.append(cocycles.cocycle_from_json(entry, path))
         else:
-            built.append(cocycles._backend_from_json(units, units, entry))
+            built.append(cocycles._backend_from_json(units, units, entry, path))
     return trigroup.DeformedGroup(ring, n, tuple(built))
 
 
@@ -193,8 +188,8 @@ def cmd_cocycle(args, cfg: Config) -> CheckReport:
         verdict = cocycles.is_cot(f)
         return CheckReport("cocycle is-cot", "CoT", verdict, {"cot": verdict})
     if args.cocycle_cmd == "transport":
-        psi = _hom_from_json(_load_json(args.psi))
-        eta = _hom_from_json(_load_json(args.eta))
+        psi = _hom_from_json(_load_json(args.psi), "--psi")
+        eta = _hom_from_json(_load_json(args.eta), "--eta")
         out = cocycles.transport_cocycle(f, psi, eta)
         try:
             payload = out.to_json()
@@ -204,10 +199,21 @@ def cmd_cocycle(args, cfg: Config) -> CheckReport:
     raise ParseError(f"unknown cocycle subcommand {args.cocycle_cmd!r}")
 
 
-def _hom_from_json(data) -> abgroups.AbHom:
-    dom = abgroups.FgAbelian(tuple(data["domain"].get("invariants", ())), data["domain"].get("free_rank", 0))
-    cod = abgroups.FgAbelian(tuple(data["codomain"].get("invariants", ())), data["codomain"].get("free_rank", 0))
-    return abgroups.AbHom(dom, cod, data["matrix"])
+def _hom_from_json(data, flag: str) -> abgroups.AbHom:
+    """Hom document {"domain", "codomain", "matrix"}, the groups as
+    {"invariants"?, "free_rank"?}; ParseError naming the flag and field."""
+    try:
+        groups = []
+        for side in ("domain", "codomain"):
+            group = cocycles._field(data, side, "", dict)
+            factors = cocycles._int_list(cocycles._field(group, "invariants", side, list, []), f"{side}.invariants")
+            groups.append(abgroups.FgAbelian(tuple(factors), cocycles._field(group, "free_rank", side, int, 0)))
+        matrix = cocycles._field(data, "matrix", "", list)
+        for k, row in enumerate(matrix):
+            cocycles._int_list(row, f"matrix[{k}]")
+    except ParseError as exc:
+        raise ParseError(f"{flag} document: {exc}") from exc
+    return abgroups.AbHom(*groups, matrix)
 
 
 # ---------------------------------------------------------------------------

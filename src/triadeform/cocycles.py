@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .abgroups import AbHom, FgAbelian
-from .errors import DomainMismatch, InvalidParameter, NotBijective, TooLarge, UnsupportedCodomain
+from .errors import DomainMismatch, InvalidParameter, NotBijective, ParseError, TooLarge, UnsupportedCodomain
 from .rings import UnitGroupStruct, parse_ring
 
 
@@ -435,12 +435,15 @@ def carrier_to_json(carrier):
     raise InvalidParameter(f"unsupported carrier {carrier!r}")
 
 
-def carrier_from_json(data):
-    if data["type"] == "fg":
-        return FgAbelian(tuple(data["invariant_factors"]), data.get("free_rank", 0))
-    if data["type"] == "units":
-        return parse_ring(data["ring"]).unit_group()
-    raise InvalidParameter(f"unsupported carrier type {data['type']!r}")
+def carrier_from_json(data, path: str = ""):
+    """Carrier from its JSON object; path names that object in error messages."""
+    kind = _field(data, "type", path, str)
+    if kind == "fg":
+        factors = _int_list(_field(data, "invariant_factors", path, list), _at(path, "invariant_factors"))
+        return FgAbelian(tuple(factors), _field(data, "free_rank", path, int, 0))
+    if kind == "units":
+        return parse_ring(_field(data, "ring", path, str)).unit_group()
+    raise ParseError(f"field {_at(path, 'type')!r}: unsupported carrier type {kind!r}")
 
 
 def carrier_elem_to_json(carrier, x):
@@ -459,50 +462,111 @@ def carrier_elem_from_json(carrier, data):
     raise InvalidParameter(f"unsupported carrier {carrier!r}")
 
 
-def cocycle_from_json(data) -> SymCocycle2:
-    domain = carrier_from_json(data["domain"])
-    codomain = carrier_from_json(data["codomain"])
-    return _backend_from_json(domain, codomain, data["backend"])
+def cocycle_from_json(data, path: str = "") -> SymCocycle2:
+    """Cocycle from its JSON document {"domain", "codomain", "backend"}.
+
+    A malformed document raises ParseError naming the path of the bad field,
+    such as 'backend.targets.0'; path prefixes the document's own place, for
+    a document nested in another.
+    """
+    domain = carrier_from_json(_field(data, "domain", path, dict), _at(path, "domain"))
+    codomain = carrier_from_json(_field(data, "codomain", path, dict), _at(path, "codomain"))
+    return _backend_from_json(domain, codomain, _field(data, "backend", path, dict), _at(path, "backend"))
 
 
-def _backend_from_json(domain, codomain, backend) -> SymCocycle2:
-    kind = backend["type"]
+def _backend_from_json(domain, codomain, backend, path: str) -> SymCocycle2:
+    kind = _field(backend, "type", path, str)
     if kind == "carry":
-        targets = {
-            int(i): carrier_elem_from_json(codomain, c) for i, c in backend.get("targets", {}).items()
-        }
-        return CarryCocycle(domain, codomain, targets)
+        targets = _field(backend, "targets", path, dict, {})
+        at = _at(path, "targets")
+        return CarryCocycle(
+            domain, codomain, {_index(i, at): _elem(codomain, c, _at(at, i)) for i, c in targets.items()}
+        )
     if kind == "table":
-        table = {
-            (carrier_elem_from_json(domain, x), carrier_elem_from_json(domain, y)): carrier_elem_from_json(codomain, a)
-            for x, y, a in backend["entries"]
-        }
+        table = {}
+        at = _at(path, "entries")
+        for k, entry in enumerate(_field(backend, "entries", path, list)):
+            where = f"{at}[{k}]"
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ParseError(f"field {where!r} must be a list [x, y, value], got {entry!r}")
+            x, y, a = entry
+            table[_elem(domain, x, where), _elem(domain, y, where)] = _elem(codomain, a, where)
         return FunctionTable(domain, codomain, table)
     if kind == "coboundary":
-        return CoboundaryOf(domain, codomain, _psi_from_json(domain, codomain, backend["psi"]))
+        psi = _psi_from_json(domain, codomain, _field(backend, "psi", path, dict), _at(path, "psi"))
+        return CoboundaryOf(domain, codomain, psi)
     if kind == "product":
-        return ProductCocycle([_backend_from_json(domain, codomain, b) for b in backend["parts"]])
-    raise InvalidParameter(f"unsupported backend type {kind!r}")
+        parts = _field(backend, "parts", path, list)
+        at = _at(path, "parts")
+        return ProductCocycle([_backend_from_json(domain, codomain, b, f"{at}[{k}]") for k, b in enumerate(parts)])
+    raise ParseError(f"field {_at(path, 'type')!r}: unsupported backend type {kind!r}")
 
 
-def _psi_from_json(domain, codomain, data) -> PsiMap:
-    if data["type"] == "monomial":
-        return MonomialPsi(
-            domain,
-            codomain,
-            {int(i): carrier_elem_from_json(codomain, a) for i, a in data.get("torsion_bases", {}).items()},
-            {int(k): carrier_elem_from_json(codomain, a) for k, a in data.get("free_bases", {}).items()},
-        )
-    if data["type"] == "table":
-        return DictPsi(
-            domain,
-            codomain,
-            {
-                carrier_elem_from_json(domain, b): carrier_elem_from_json(codomain, a)
-                for b, a in data["entries"]
-            },
-        )
-    raise InvalidParameter(f"unsupported psi type {data['type']!r}")
+def _psi_from_json(domain, codomain, data, path: str) -> PsiMap:
+    kind = _field(data, "type", path, str)
+    if kind == "monomial":
+        bases = []
+        for name in ("torsion_bases", "free_bases"):
+            at = _at(path, name)
+            raw = _field(data, name, path, dict, {})
+            bases.append({_index(i, at): _elem(codomain, a, _at(at, i)) for i, a in raw.items()})
+        return MonomialPsi(domain, codomain, *bases)
+    if kind == "table":
+        table = {}
+        at = _at(path, "entries")
+        for k, entry in enumerate(_field(data, "entries", path, list)):
+            where = f"{at}[{k}]"
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ParseError(f"field {where!r} must be a list [x, value], got {entry!r}")
+            table[_elem(domain, entry[0], where)] = _elem(codomain, entry[1], where)
+        return DictPsi(domain, codomain, table)
+    raise ParseError(f"field {_at(path, 'type')!r}: unsupported psi type {kind!r}")
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "a JSON object"}
+_REQUIRED = object()
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _field(data, key: str, path: str, kind: type, default=_REQUIRED):
+    """data[key], checked to be of the JSON kind, for the JSON object data at
+    path; ParseError naming the path of what is missing or malformed."""
+    if not isinstance(data, dict):
+        raise ParseError(f"field {path!r} must be a JSON object" if path else "the document must be a JSON object")
+    if key not in data:
+        if default is not _REQUIRED:
+            return default
+        raise ParseError(f"field {_at(path, key)!r} is missing")
+    value = data[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"field {_at(path, key)!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _int_list(value, path: str) -> list:
+    """value, checked to be a list of integers; ParseError naming path otherwise."""
+    if not (isinstance(value, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ParseError(f"field {path!r} must be a list of integers, got {value!r}")
+    return value
+
+
+def _index(key: str, path: str) -> int:
+    """A JSON object key naming a factor index or prime, as an int."""
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise ParseError(f"field {_at(path, key)!r}: key must be an integer") from exc
+
+
+def _elem(carrier, data, path: str):
+    """carrier_elem_from_json, with decoding failures named by path."""
+    try:
+        return carrier_elem_from_json(carrier, data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"field {path!r} is not an element of {carrier!r}: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

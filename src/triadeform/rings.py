@@ -27,6 +27,7 @@ from .errors import (
     NotAUnit,
     NotInSubgroupB,
     ParseError,
+    TooLarge,
 )
 
 Elem = Any  # int | Fraction | tuple[int, int], depending on the ring
@@ -52,6 +53,12 @@ class Ring:
 
     kind: str
     spec: str
+    # Comparands equal to zero and one that are cheap to test against: plain
+    # ints over Q, where Fraction == int skips the numbers.Rational check
+    # that Fraction == Fraction pays.  Use them only as the right-hand side
+    # of == or !=, never as a stored value: they need not be ring elements.
+    zero_cmp: Any
+    one_cmp: Any
 
     # -- ring operations -------------------------------------------------
     @property
@@ -160,8 +167,8 @@ class IntegerRing(Ring):
     kind = "Integers"
     spec = "Z"
 
-    zero = 0
-    one = 1
+    zero = zero_cmp = 0
+    one = one_cmp = 1
 
     def add(self, x, y):
         return x + y
@@ -213,21 +220,69 @@ class IntegerRing(Ring):
         return rng.choice((1, -1))
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """The Fraction num/den for coprime ints num and den > 0, made by setting
+    its two slots.  Fraction's private slots are read and written in this
+    module only."""
+    q = object.__new__(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
+
+
 class RationalField(Ring):
     kind = "Rationals"
     spec = "Q"
 
     zero = Fraction(0)
     one = Fraction(1)
+    zero_cmp = 0
+    one_cmp = 1
+
+    # The operations read the two slots of their Fraction operands and build
+    # the reduced result with _fraction, skipping the operator dispatch and
+    # the argument checks of Fraction.__new__; anything else that ensure
+    # accepts (plain ints) takes the slow route once, the rest raises
+    # InvalidParameter.  The gcd steps are those of fractions.Fraction
+    # (Knuth, TAOCP vol. 2, 4.5.1).
 
     def add(self, x, y):
-        return x + y
+        try:
+            na, da = x._numerator, x._denominator
+            nb, db = y._numerator, y._denominator
+        except AttributeError:
+            return self.add(self.ensure(x), self.ensure(y))
+        g = math.gcd(da, db)
+        if g == 1:
+            return _fraction(na * db + da * nb, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = math.gcd(t, g)
+        if g2 == 1:
+            return _fraction(t, s * db)
+        return _fraction(t // g2, s * (db // g2))
 
     def neg(self, x):
-        return -x
+        try:
+            return _fraction(-x._numerator, x._denominator)
+        except AttributeError:
+            return self.neg(self.ensure(x))
 
     def mul(self, x, y):
-        return x * y
+        try:
+            na, da = x._numerator, x._denominator
+            nb, db = y._numerator, y._denominator
+        except AttributeError:
+            return self.mul(self.ensure(x), self.ensure(y))
+        g1 = math.gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = math.gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        return _fraction(na * nb, da * db)
 
     def coerce(self, n):
         return Fraction(n)
@@ -243,9 +298,15 @@ class RationalField(Ring):
         return x != 0
 
     def inv(self, x):
-        if x == 0:
-            raise NotAUnit("0 is not a unit in Q")
-        return 1 / Fraction(x)
+        try:
+            num, den = x._numerator, x._denominator
+        except AttributeError:
+            return self.inv(self.ensure(x))
+        if num > 0:
+            return _fraction(den, num)
+        if num < 0:
+            return _fraction(-den, -num)
+        raise NotAUnit("0 is not a unit in Q")
 
     def divides(self, a, b):
         if a == 0:
@@ -291,8 +352,8 @@ class IntegersMod(Ring):
         self._dlog: dict[int, int] | None = None
         self._units: list[int] | None = None
 
-    zero = 0
-    one = 1
+    zero = zero_cmp = 0
+    one = one_cmp = 1
 
     def add(self, x, y):
         return (x + y) % self.m
@@ -397,12 +458,21 @@ class IntegersMod(Ring):
                 return x
 
 
+# The largest divisor _trial_factor tries: it factors every n below its
+# square, 10^12, in at most half a million steps, and raises TooLarge for
+# larger n that it cannot finish, where the steps would grow as sqrt(n).
+TRIAL_DIVISION_LIMIT = 10**6
+
+
 def _trial_factor(n: int) -> dict[int, int]:
     """Prime factorisation of n >= 1 by trial division, in about sqrt(n)
     steps; unlike _factorint it does not import sympy."""
     out: dict[int, int] = {}
+    given = n
     p = 2
     while p * p <= n:
+        if p > TRIAL_DIVISION_LIMIT:
+            raise TooLarge(f"factoring {given} needs trial divisors above {TRIAL_DIVISION_LIMIT}")
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -429,8 +499,8 @@ class QuadraticOrder(Ring):
         self.spec = f"Z[sqrt({d})]"
         self._unit_struct: UnitGroupStruct | None = None
 
-    zero = (0, 0)
-    one = (1, 0)
+    zero = zero_cmp = (0, 0)
+    one = one_cmp = (1, 0)
 
     def add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])

@@ -56,9 +56,9 @@ def upper_normalise(ring: Ring, n: int, entries) -> tuple:
         if not (1 <= i < j <= n):
             raise InvalidParameter(f"entry ({i}, {j}) is not strictly upper in size {n}")
         v = ring.ensure(v)
-        if v != ring.zero:
+        if v != ring.zero_cmp:
             table[(i, j)] = ring.add(table[(i, j)], v) if (i, j) in table else v
-            if table[(i, j)] == ring.zero:
+            if table[(i, j)] == ring.zero_cmp:
                 del table[(i, j)]
     return tuple(sorted(table.items()))
 
@@ -68,7 +68,7 @@ def _entries(ring: Ring, table: dict) -> tuple:
 
     Keys come from normalised operands, so no index check is needed here.
     """
-    zero = ring.zero
+    zero = ring.zero_cmp
     return tuple(sorted(item for item in table.items() if item[1] != zero))
 
 
@@ -125,7 +125,7 @@ def upper_conjugate(ring: Ring, n: int, u: tuple, xbar: tuple) -> tuple:
 
     Units keep nonzero entries nonzero, so the result needs no normalising.
     """
-    one, mul = ring.one, ring.mul
+    one, mul = ring.one_cmp, ring.mul
     inverses: dict = {}
     out = []
     for (i, j), v in u:
@@ -432,6 +432,7 @@ class DeformedGroup:
         self.ring = ring
         self.n = n
         self._ones = (ring.one,) * (n - 1)
+        self._ones_cmp = (ring.one_cmp,) * (n - 1)
         self._identity = DeformedElem(self._ones, ring.one, ())
         self._factors: tuple = ()
         if cocycles is None:
@@ -475,8 +476,8 @@ class DeformedGroup:
         f(1, x) = f(x, 1) = 1.
         """
         r = self.ring
-        one = r.one
-        out = one
+        one = r.one_cmp
+        out = r.one
         for i, f in self._factors:
             a, b = x1[i], x2[i]
             if a != one and b != one:
@@ -511,7 +512,7 @@ class DeformedGroup:
         if not (1 <= i < j <= self.n):
             raise InvalidParameter(f"transvection needs 1 <= i < j <= n, got ({i}, {j})")
         beta = self.ring.ensure(beta)
-        upper = () if beta == self.ring.zero else (((i, j), beta),)
+        upper = () if beta == self.ring.zero_cmp else (((i, j), beta),)
         return DeformedElem(self._ones, self.ring.one, upper)
 
     def diagonal_gen(self, k: int, alpha) -> DeformedElem:
@@ -541,15 +542,15 @@ class DeformedGroup:
 
     def op(self, g1: DeformedElem, g2: DeformedElem) -> DeformedElem:
         r = self.ring
-        one = r.one
+        one = r.one_cmp
         x1, x2 = g1.xbar, g2.xbar
         z = g2.z if g1.z == one else g1.z if g2.z == one else r.mul(g1.z, g2.z)
         u1 = g1.upper
-        if x2 == self._ones:
+        if x2 == self._ones_cmp:
             # no twist (normalised cocycles) and no conjugation
             xbar = x1
         else:
-            xbar = x2 if x1 == self._ones else tuple(r.mul(a, b) for a, b in zip(x1, x2))
+            xbar = x2 if x1 == self._ones_cmp else tuple(r.mul(a, b) for a, b in zip(x1, x2))
             t = self.twist(x1, x2)
             if t != one:
                 z = r.mul(z, t)
@@ -558,10 +559,10 @@ class DeformedGroup:
 
     def inverse(self, g: DeformedElem) -> DeformedElem:
         r = self.ring
-        one = r.one
+        one = r.one_cmp
         z, xbar_inv = g.z, g.xbar
         upper = upper_inv(r, self.n, g.upper)
-        if g.xbar != self._ones:
+        if g.xbar != self._ones_cmp:
             xbar_inv = tuple(v if v == one else r.inv(v) for v in g.xbar)
             t = self.twist(g.xbar, xbar_inv)
             if t != one:
@@ -774,12 +775,16 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     units = _unit_pool(ring, rng, max(2, trials // 10))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     reports = []
+    # t_ij(scalars[p]) is built once, as t[i, j][p]
+    t = {(i, j): [group.transvection(i, j, beta) for beta in scalars] for i, j in pairs}
+    indexed = list(enumerate(scalars))
+    head = indexed[:4]
 
     checked = 0
     witness = None
-    for (i, j), beta, gamma in itertools.product(pairs, scalars, scalars):
+    for (i, j), (b, beta), (c, gamma) in itertools.product(pairs, indexed, indexed):
         checked += 1
-        lhs = group.op(group.transvection(i, j, beta), group.transvection(i, j, gamma))
+        lhs = group.op(t[i, j][b], t[i, j][c])
         rhs = group.transvection(i, j, ring.add(beta, gamma))
         if lhs != rhs:
             witness = (i, j, beta, gamma)
@@ -791,10 +796,9 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     for (i, j), (k, l) in itertools.product(pairs, repeat=2):
         if j == k or l == i:
             continue
-        for beta, gamma in itertools.product(scalars[:4], repeat=2):
+        for (b, beta), (c, gamma) in itertools.product(head, repeat=2):
             checked += 1
-            c = group.commutator(group.transvection(i, j, beta), group.transvection(k, l, gamma))
-            if c != group.identity:
+            if group.commutator(t[i, j][b], t[k, l][c]) != group.identity:
                 witness = (i, j, k, l, beta, gamma)
                 break
         if witness:
@@ -804,10 +808,10 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     checked = 0
     witness = None
     for i, j, l in itertools.combinations(range(1, n + 1), 3):
-        for beta, gamma in itertools.product(scalars[:4], repeat=2):
+        for (b, beta), (c, gamma) in itertools.product(head, repeat=2):
             checked += 1
-            c = group.commutator(group.transvection(i, j, beta), group.transvection(j, l, gamma))
-            if c != group.transvection(i, l, ring.mul(beta, gamma)):
+            comm = group.commutator(t[i, j][b], t[j, l][c])
+            if comm != group.transvection(i, l, ring.mul(beta, gamma)):
                 witness = (i, j, l, beta, gamma)
                 break
         if witness:
@@ -863,9 +867,9 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
         for alpha in units:
             dk = d(k, alpha)
             dk_inv = group.inverse(dk)
-            for (i, j), beta in itertools.product(pairs, scalars[:4]):
+            for (i, j), (b, beta) in itertools.product(pairs, head):
                 checked += 1
-                lhs = group.op(group.op(dk_inv, group.transvection(i, j, beta)), dk)
+                lhs = group.op(group.op(dk_inv, t[i, j][b]), dk)
                 scaled = beta
                 if i == k:
                     scaled = ring.mul(ring.inv(alpha), scaled)

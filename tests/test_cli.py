@@ -516,6 +516,83 @@ def test_bad_group_document_names_the_field(capsys, group_file, doc, names, cmd)
     assert err.startswith("error:") and names in err
 
 
+_UNITS_Z_TO_Q = {"domain": {"type": "units", "ring": "Z"}, "codomain": {"type": "units", "ring": "Q"}}
+_FG_2 = {"type": "fg", "invariant_factors": [2]}
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        (_UNITS_Z_TO_Q, "field 'backend'"),
+        ({"domain": {"type": "units"}, "codomain": {"type": "units", "ring": "Q"}, "backend": {"type": "carry"}},
+         "field 'domain.ring'"),
+        ({"codomain": {"type": "units", "ring": "Q"}, "backend": {"type": "carry"}}, "field 'domain'"),
+        ({**_UNITS_Z_TO_Q, "domain": {"type": "units", "ring": 5}}, "field 'domain.ring'"),
+        ({**_UNITS_Z_TO_Q, "backend": {"targets": {}}}, "field 'backend.type'"),
+        ({**_UNITS_Z_TO_Q, "backend": {"type": "carry", "targets": {"0": {"num": "4"}}}}, "field 'backend.targets.0'"),
+        ({**_UNITS_Z_TO_Q, "backend": {"type": "carry", "targets": {"x": "2"}}}, "field 'backend.targets.x'"),
+        ({**_UNITS_Z_TO_Q, "backend": {"type": "coboundary", "psi": {"type": "monomial", "free_bases": []}}},
+         "field 'backend.psi.free_bases'"),
+        ({"domain": _FG_2, "codomain": _FG_2, "backend": {"type": "table", "entries": [[[0], [1]]]}},
+         "field 'backend.entries[0]'"),
+        ({"domain": _FG_2, "codomain": _FG_2, "backend": {"type": "product", "parts": [{"type": "carry"}, {}]}},
+         "field 'backend.parts[1].type'"),
+        ({"domain": {"type": "fg", "invariant_factors": ["2"]}, "codomain": _FG_2, "backend": {"type": "carry"}},
+         "field 'domain.invariant_factors'"),
+        ([_UNITS_Z_TO_Q], "JSON object"),
+    ],
+)
+@pytest.mark.parametrize("cmd", ["verify", "is-coboundary"])
+def test_bad_cocycle_document_names_the_field(capsys, cocycle_file, doc, names, cmd):
+    rc, out, err = run(capsys, ["cocycle", cmd, "--file", cocycle_file(doc)])
+    assert rc == 2
+    assert err.startswith("error:") and names in err
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"ring": "Z/5", "n": 3, "cocycles": [{"type": "carry", "targets": {"0": "x"}}, None]},
+         "field 'cocycles[0].targets.0'"),
+        ({"ring": "Z/5", "n": 3, "cocycles": [{"domain": {"type": "units", "ring": "Z/5"}}, None]},
+         "field 'cocycles[0].codomain'"),
+        ({"ring": "Z/5", "n": 3, "cocycles": [7, None]}, "field 'cocycles[0]'"),
+        ({"ring": "Z/5", "n": 3, "cocycles": {"0": None}}, "field 'cocycles'"),
+    ],
+)
+def test_bad_cocycle_in_a_group_document_names_the_field(capsys, group_file, doc, names):
+    rc, out, err = run(capsys, ["group", "build", "--group", group_file(doc)])
+    assert rc == 2
+    assert err.startswith("error:") and names in err
+
+
+_HOM_2 = {"domain": {"invariants": [2]}, "codomain": {"invariants": [2]}, "matrix": [[1]]}
+_HOM_4 = {"domain": {"invariants": [4]}, "codomain": {"invariants": [4]}, "matrix": [[3]]}
+
+
+@pytest.mark.parametrize(
+    "psi, eta, names",
+    [
+        ({"codomain": {"invariants": [2]}, "matrix": [[1]]}, _HOM_4, "--psi document: field 'domain'"),
+        (_HOM_2, {**_HOM_4, "codomain": {"invariants": ["4"]}}, "--eta document: field 'codomain.invariants'"),
+        (_HOM_2, {**_HOM_4, "domain": {"invariants": [4], "free_rank": "0"}}, "--eta document: field 'domain.free_rank'"),
+        ({**_HOM_2, "matrix": [["1"]]}, _HOM_4, "--psi document: field 'matrix[0]'"),
+        (_HOM_2, {"domain": {"invariants": [4]}, "codomain": {"invariants": [4]}}, "--eta document: field 'matrix'"),
+        ([_HOM_2], _HOM_4, "--psi document: the document must be a JSON object"),
+    ],
+)
+def test_bad_hom_document_names_the_field(capsys, tmp_path, cocycle_file, psi, eta, names):
+    doc = {"domain": {"type": "fg", "invariant_factors": [4]}, "codomain": _FG_2, "backend": {"type": "carry"}}
+    paths = []
+    for name, data in (("psi", psi), ("eta", eta)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(data))
+    argv = ["cocycle", "transport", "--file", cocycle_file(doc), "--psi", str(paths[0]), "--eta", str(paths[1])]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error:") and names in err
+
+
 def test_defining_set_requires_var(capsys, group_file):
     path = group_file({"ring": "Z/3", "n": 3})
     rc, out, err = run(capsys, ["fo", "eval", "x = 1", "--group", path, "--defining-set"])

@@ -1,5 +1,6 @@
 """Ring arithmetic, unit groups, divisibility, and the psi predicate."""
 
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -22,8 +23,8 @@ from triadeform import (
     unit_decompose,
     unit_group,
 )
-from triadeform.errors import NotInSubgroupB
-from triadeform.rings import COMPLETE, IntegersMod, QuadraticOrder, UnitGroupStruct
+from triadeform.errors import NotInSubgroupB, TooLarge
+from triadeform.rings import COMPLETE, IntegersMod, QuadraticOrder, RationalField, UnitGroupStruct
 
 # ---------------------------------------------------------------------------
 # parsing and the basic ring contract
@@ -84,6 +85,63 @@ def test_rationals_stay_exact():
         acc = q.add(acc, x)
     assert acc == q.one
     assert isinstance(x, Fraction)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "Z/6", "Z[sqrt(2)]", "Z[i]"])
+def test_zero_and_one_comparands(spec):
+    r = parse_ring(spec)
+    assert r.zero == r.zero_cmp and r.one == r.one_cmp
+    assert r.zero != r.one_cmp and r.one != r.zero_cmp
+    for name in ("zero_cmp", "one_cmp"):
+        # a property would cost every comparison in the normal form a call
+        assert not isinstance(inspect.getattr_static(r, name), property)
+
+
+# ---------------------------------------------------------------------------
+# rational arithmetic against the fractions operators
+
+_BIG = 2**100
+_INTS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-60, 60), st.integers(-_BIG, _BIG))
+_FRACTIONS = st.builds(Fraction, _INTS, st.one_of(st.integers(1, 60), st.integers(1, _BIG)))
+
+
+def _assert_same_fraction(got, want):
+    assert got == want
+    assert type(got) is Fraction
+    assert repr(got) == repr(want) and hash(got) == hash(want)
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+
+
+@given(st.one_of(_FRACTIONS, _INTS), st.one_of(_FRACTIONS, _INTS))
+@settings(max_examples=400, deadline=None)
+def test_rational_arithmetic_matches_the_fraction_operators(x, y):
+    q = RationalField()
+    fx, fy = Fraction(x), Fraction(y)
+    _assert_same_fraction(q.add(x, y), fx + fy)
+    _assert_same_fraction(q.sub(x, y), fx - fy)
+    _assert_same_fraction(q.mul(x, y), fx * fy)
+    _assert_same_fraction(q.neg(x), -fx)
+    if fx:
+        _assert_same_fraction(q.inv(x), 1 / fx)
+    else:
+        with pytest.raises(NotAUnit):
+            q.inv(x)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", None, (1, 2), 1j])
+def test_rational_arithmetic_refuses_non_rationals(bad):
+    q = RationalField()
+    half = Fraction(1, 2)
+    for op in (q.add, q.sub, q.mul):
+        for args in ((bad, half), (half, bad)):
+            with pytest.raises(InvalidParameter):
+                op(*args)
+    for op in (q.neg, q.inv):
+        with pytest.raises(InvalidParameter):
+            op(bad)
+    for zero in (0, Fraction(0), q.zero):
+        with pytest.raises(NotAUnit):
+            q.inv(zero)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +282,15 @@ def test_unit_group_of_a_large_prime_modulus_is_fast():
     # 1_000_002 = 2 * 3 * 166_667 with 166_667 prime
     assert all(pow(2, 1_000_002 // q, 1_000_003) != 1 for q in (2, 3, 166_667))
     assert elapsed < 0.05
+
+
+def test_unit_group_of_a_modulus_beyond_trial_division_fails_fast():
+    # 10^14 + 31 is prime: trial division would take about 5 * 10^6 steps
+    ring = IntegersMod(2 * (10**14 + 31))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="trial divisors"):
+        unit_group(ring)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_units_list_is_computed_once_and_copied(monkeypatch):

@@ -18,3 +18,17 @@ def test_library_has_no_assert_statements():
     ]
     assert len(SOURCES) > 10
     assert found == []
+
+
+def test_fraction_slots_are_touched_in_rings_only():
+    # rings builds Fractions by setting their private slots, a CPython
+    # detail that must stay in one module
+    slots = {"_numerator", "_denominator"}
+    found = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in slots)
+        or (isinstance(node, ast.Constant) and node.value in slots)
+    }
+    assert found == {"rings.py"}

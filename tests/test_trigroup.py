@@ -464,6 +464,13 @@ class _Arith:
             return a + b
         return (a[0] + b[0], a[1] + b[1])
 
+    def neg(self, a):
+        if self.spec == "Z/5":
+            return -a % 5
+        if self.spec == "Q":
+            return -a
+        return (-a[0], -a[1])
+
     def mul(self, a, b):
         if self.spec == "Z/5":
             return a * b % 5
@@ -505,6 +512,33 @@ def _oracle_op(ar, n, cocycles, g1, g2):
             if acc != ar.zero:
                 upper.append(((i + 1, j + 1), acc))
     return xbar, z, tuple(upper)
+
+
+def _oracle_inverse(ar, n, cocycles, g):
+    """(xbar^-1, (z prod_i f_i(x_i, x_i^-1))^-1, U') with I + U' =
+    D^-1 (I + U)^-1 D, D = diag(xbar^-1, 1), by back substitution."""
+    xbar = tuple(ar.inv(a) for a in g.xbar)
+    z = g.z
+    for i, f in enumerate(cocycles or ()):
+        z = ar.mul(z, f(g.xbar[i], xbar[i]))
+    d = list(xbar) + [ar.one]
+    m = [[ar.one if i == j else ar.zero for j in range(n)] for i in range(n)]
+    for (i, j), v in g.upper:
+        m[i - 1][j - 1] = v
+    inv = [[ar.one if i == j else ar.zero for j in range(n)] for i in range(n)]
+    upper = []
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            acc = ar.zero
+            for k in range(i + 1, j + 1):
+                acc = ar.add(acc, ar.mul(m[i][k], inv[k][j]))
+            inv[i][j] = ar.neg(acc)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = ar.mul(ar.mul(ar.inv(d[i]), inv[i][j]), d[j])
+            if v != ar.zero:
+                upper.append(((i + 1, j + 1), v))
+    return xbar, ar.inv(z), tuple(upper)
 
 
 _TWISTS = {
@@ -561,8 +595,13 @@ def test_op_and_inverse_match_oracle(spec, n, kind, rng):
     for a in pool:
         for b in pool:
             c = g.op(a, b)
-            assert (c.xbar, c.z, c.upper) == _oracle_op(ar, n, g.cocycles, a, b), (a, b)
+            want = _oracle_op(ar, n, g.cocycles, a, b)
+            # repr pins each entry's type and, over Q, its reduced form
+            assert (c.xbar, c.z, c.upper) == want and repr((c.xbar, c.z, c.upper)) == repr(want), (a, b)
         a_inv = g.inverse(a)
+        want = _oracle_inverse(ar, n, g.cocycles, a)
+        assert (a_inv.xbar, a_inv.z, a_inv.upper) == want, a
+        assert repr((a_inv.xbar, a_inv.z, a_inv.upper)) == repr(want), a
         identity = (ones, ar.one, ())
         assert _oracle_op(ar, n, g.cocycles, a, a_inv) == identity, a
         assert _oracle_op(ar, n, g.cocycles, a_inv, a) == identity, a

@@ -165,9 +165,9 @@ class FgAbelian:
             cols.append(col)
         return cols
 
-    def sample(self, rng, span: int = 6) -> tuple[int, ...]:
+    def sample(self, rng) -> tuple[int, ...]:
         vec = [rng.randrange(d) for d in self.invariant_factors]
-        vec += [rng.randint(-span, span) for _ in range(self.free_rank)]
+        vec += [rng.randint(-6, 6) for _ in range(self.free_rank)]
         return self.reduce(vec)
 
     def element_order(self, x) -> int | None:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import abgroups, cocycles, fologic, rings, structure, trigroup
-from .config import Config, resolve_seed
+from .config import DEFAULT_BUDGET, DEFAULT_OUTPUT, DEFAULT_TRIALS, Config, resolve_seed
 from .errors import ParseError, TriadeformError
 from .finitegroup import from_group
 from .report import CheckReport
@@ -67,9 +68,12 @@ def _load_group(path: str):
     return _group_from_json(_load_json(path))
 
 
-def _parse_fg_abelian(text: str) -> abgroups.FgAbelian:
+def _parse_fg_abelian(text: str, arg: str) -> abgroups.FgAbelian:
     """Comma-separated cyclic orders; 0 denotes a Z factor, e.g. "4,0"."""
-    orders = [int(part) for part in text.split(",") if part.strip() != ""]
+    try:
+        orders = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ParseError(f"argument {arg} must be comma-separated integers, got {text!r}") from None
     free = sum(1 for d in orders if d == 0)
     torsion = [d for d in orders if d != 0]
     return abgroups.FgAbelian.from_cyclic_orders(torsion, free)
@@ -146,24 +150,17 @@ def cmd_ring(args, cfg: Config) -> CheckReport:
 
 
 def cmd_ext(args, cfg: Config) -> CheckReport:
-    b = _parse_fg_abelian(args.b)
-    a = _parse_fg_abelian(args.a)
+    b = _parse_fg_abelian(args.b, "b")
+    a = _parse_fg_abelian(args.a, "a")
     ext = abgroups.ext_group(b, a)
     data = {
         "b": {"invariants": list(b.invariant_factors), "free_rank": b.free_rank},
         "a": {"invariants": list(a.invariant_factors), "free_rank": a.free_rank},
         "ext_invariants": list(ext.invariant_factors),
-        "ext_order": 1 if not ext.invariant_factors else _product(ext.invariant_factors),
+        "ext_order": math.prod(ext.invariant_factors),
         "trivial": not ext.invariant_factors and ext.free_rank == 0,
     }
     return CheckReport("ext", "ext-invariants", True, data)
-
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +232,8 @@ def cmd_group(args, cfg: Config) -> CheckReport:
             data["order"] = group.order()
         return CheckReport("group build", "deformation-def", True, data)
     if args.group_cmd == "mul":
-        x = group.elem_from_json(json.loads(args.x))
-        y = group.elem_from_json(json.loads(args.y))
+        x = group._elem_from_json(json.loads(args.x), "--x")
+        y = group._elem_from_json(json.loads(args.y), "--y")
         product = group.op(x, y)
         return CheckReport("group mul", "normal-form-mul", True, {"product": group.elem_to_json(product)})
     if args.group_cmd == "check-presentation":
@@ -353,7 +350,7 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
     if args.structure_cmd == "torus":
         if not isinstance(group, trigroup.DeformedGroup):
             raise ParseError("torus membership needs a deformed group description")
-        x = group.elem_from_json(json.loads(args.elem))
+        x = group._elem_from_json(json.loads(args.elem), "--elem")
         alpha = structure.torus_membership(group, args.index, x)
         member = alpha is not None
         data = {"i": args.index, "member": member}
@@ -410,7 +407,7 @@ def cmd_fo(args, cfg: Config) -> CheckReport:
             name, _, payload = binding.partition("=")
             if not payload:
                 raise ParseError(f"assignment {binding!r} needs var=json")
-            assignment[name] = group.elem_from_json(json.loads(payload))
+            assignment[name] = group._elem_from_json(json.loads(payload), f"--assign {name}")
         if args.defining_set:
             if args.var is None:
                 raise ParseError("--defining-set needs --var")
@@ -554,9 +551,9 @@ def main(argv=None) -> int:
     try:
         cfg = Config(
             rng_seed=resolve_seed(getattr(args, "seed", None)),
-            trials=getattr(args, "trials", 200),
-            quantifier_budget=getattr(args, "budget", 10_000_000),
-            output=getattr(args, "output", "text"),
+            trials=getattr(args, "trials", DEFAULT_TRIALS),
+            quantifier_budget=getattr(args, "budget", DEFAULT_BUDGET),
+            output=getattr(args, "output", DEFAULT_OUTPUT),
         )
         report = _DISPATCH[args.cmd](args, cfg)
     except (TriadeformError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from .abgroups import AbHom, FgAbelian
 from .errors import DomainMismatch, InvalidParameter, NotBijective, ParseError, TooLarge, UnsupportedCodomain
-from .rings import UnitGroupStruct, parse_ring
+from .rings import Ring, UnitGroupStruct, parse_ring
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +562,11 @@ def _index(key: str, path: str) -> int:
 
 
 def _elem(carrier, data, path: str):
-    """carrier_elem_from_json, with decoding failures named by path."""
+    """An element of carrier (a carrier group, or a ring) decoded from data,
+    with decoding failures named by path."""
     try:
+        if isinstance(carrier, Ring):
+            return carrier.elem_from_json(data)
         return carrier_elem_from_json(carrier, data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"field {path!r} is not an element of {carrier!r}: {exc!r}") from exc
@@ -842,8 +845,8 @@ def _carrier_element_order(carrier, x) -> int | None:
     return math.lcm(*(d // math.gcd(t, d) for t, d in zip(torsion, carrier.torsion_factors)))
 
 
-def build_extension(f: SymCocycle2, verify_trials: int = 64) -> ExtensionGroup:
-    report = verify_cocycle(f, trials=verify_trials, exhaustive_limit=16)
+def build_extension(f: SymCocycle2) -> ExtensionGroup:
+    report = verify_cocycle(f, trials=64, exhaustive_limit=16)
     if not report.ok:
         raise InvalidParameter(f"not a symmetric cocycle: failed {report.failure[0]}")
     return ExtensionGroup(f)

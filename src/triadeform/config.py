@@ -11,6 +11,7 @@ from .errors import InvalidParameter
 DEFAULT_SEED = 20260814
 DEFAULT_TRIALS = 200
 DEFAULT_BUDGET = 10_000_000
+DEFAULT_OUTPUT = "text"
 SEED_ENV_VAR = "TRIADEFORM_SEED"
 
 
@@ -19,7 +20,7 @@ class Config:
     rng_seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
     quantifier_budget: int = DEFAULT_BUDGET
-    output: str = "text"
+    output: str = DEFAULT_OUTPUT
 
     def __post_init__(self):
         if self.output not in ("text", "json"):

@@ -48,10 +48,6 @@ class NotBijective(TriadeformError):
     """Homomorphism expected to be an isomorphism is not."""
 
 
-class MissingWitness(TriadeformError):
-    """A splitting map was requested but no coboundary witness exists."""
-
-
 class TooLarge(TriadeformError):
     """Requested enumeration exceeds the configured size bound."""
 

@@ -22,7 +22,7 @@ SIZE_LIMIT = 20_000
 
 
 class FiniteGroup:
-    def __init__(self, elements, op, identity, inverse=None, generators=None):
+    def __init__(self, elements, op, identity, inverse, generators=None):
         self._elems = list(elements)
         if len(self._elems) > SIZE_LIMIT:
             raise TooLarge(f"group of order {len(self._elems)} exceeds {SIZE_LIMIT}")
@@ -78,20 +78,8 @@ class FiniteGroup:
 
     def inv_idx(self, i: int) -> int:
         out = self._inv_memo.get(i)
-        if out is not None:
-            return out
-        if self._inv is not None:
-            out = self._index[self._inv(self._elems[i])]
-        elif self._table is not None:
-            out = self._table[i].index(self.identity_index)
-        elif i == self.identity_index:
-            out = i
-        else:
-            prev, acc = i, self.op_idx(i, i)
-            while acc != self.identity_index:
-                prev, acc = acc, self.op_idx(acc, i)
-            out = prev
-        self._inv_memo[i] = out
+        if out is None:
+            out = self._inv_memo[i] = self._index[self._inv(self._elems[i])]
         return out
 
     def conj_idx(self, i: int, by: int) -> int:
@@ -272,14 +260,13 @@ class FiniteGroup:
         return out
 
 
-def from_group(group, generators=None) -> FiniteGroup:
-    """Index any object with elements()/op/inverse/identity as a FiniteGroup."""
-    if generators is None and hasattr(group, "generating_set"):
-        generators = group.generating_set()
+def from_group(group) -> FiniteGroup:
+    """Index a group with elements()/op/inverse/identity/generating_set(),
+    such as a finite triangular group, as a FiniteGroup."""
     return FiniteGroup(
         group.elements(),
         group.op,
         group.identity,
         inverse=group.inverse,
-        generators=generators,
+        generators=group.generating_set(),
     )

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import Iterable
 
+from .config import DEFAULT_BUDGET
 from .errors import (
     BudgetExceeded,
     CombinatorialBlowup,
@@ -36,8 +37,6 @@ from .errors import (
     UnregisteredDefinableSet,
 )
 from .finitegroup import FiniteGroup, from_group
-
-DEFAULT_BUDGET = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -419,24 +418,18 @@ def format_formula(phi: Formula) -> str:
 class Model:
     """Finite group carrier plus named constants and definable sets."""
 
-    def __init__(self, fg: FiniteGroup, constants: dict | None = None, definable_sets: dict | None = None, source=None):
+    def __init__(self, fg: FiniteGroup, source=None):
         self.fg = fg
         self.source = source
         self.constants: dict[str, int] = {}
         self.definable_sets: dict[str, frozenset[int]] = {}
-        for name, el in (constants or {}).items():
-            self.register_constant(name, el)
-        for name, members in (definable_sets or {}).items():
-            self.register_set(name, members)
         self._ncl_class_cache: dict[frozenset[int], int | None] = {}
 
     def register_constant(self, name: str, el):
-        self.constants[name] = el if isinstance(el, int) else self.fg.index(el)
+        self.constants[name] = self.fg.index(el)
 
-    def register_set(self, name: str, members: Iterable):
-        self.definable_sets[name] = frozenset(
-            m if isinstance(m, int) else self.fg.index(m) for m in members
-        )
+    def register_set(self, name: str, members: Iterable[int]):
+        self.definable_sets[name] = frozenset(members)
 
     # -- oracles -------------------------------------------------------------
 
@@ -451,9 +444,8 @@ class Model:
         return out
 
 
-def model_from_group(group, constants: dict | None = None, definable_sets: dict | None = None, generators=None) -> Model:
-    fg = from_group(group, generators=generators)
-    return Model(fg, constants, definable_sets, source=group)
+def model_from_group(group) -> Model:
+    return Model(from_group(group), source=group)
 
 
 # ---------------------------------------------------------------------------
@@ -728,31 +720,31 @@ def alpha_equivalent(pattern: Formula, subject: Formula) -> dict[str, str] | Non
 # formula library
 
 
-def _phi_c_over(names: list[str], c: int, max_conjuncts: int) -> Formula:
+def _phi_c_over(names: list[str], c: int) -> Formula:
     letters = [t for n in names for t in (Var(n), Inv(Var(n)))]
-    if len(letters) ** c > max_conjuncts:
+    if len(letters) ** c > 4096:
         raise CombinatorialBlowup(f"{len(letters)}^{c} conjuncts exceed the budget")
     words = itertools.product(letters, repeat=c)
     return and_fold([Eq(left_normed(list(tup)) if c > 1 else tup[0], One()) for tup in words])
 
 
-def formula_phi_c(n_vars: int, c: int, max_conjuncts: int = 4096) -> Formula:
+def formula_phi_c(n_vars: int, c: int) -> Formula:
     """All left-normed commutators of length c in x1..xn and inverses vanish."""
     names = [f"x{k}" for k in range(1, n_vars + 1)]
-    return _phi_c_over(names, c, max_conjuncts)
+    return _phi_c_over(names, c)
 
 
-def formula_phi_eq_c(n_vars: int, c: int, max_conjuncts: int = 4096) -> Formula:
+def formula_phi_eq_c(n_vars: int, c: int) -> Formula:
     """Nilpotency class exactly c: length c+1 commutators die, length c do not."""
     names = [f"x{k}" for k in range(1, n_vars + 1)]
-    return formula_max_nilpotent_membership(names[0], names[1:], c, max_conjuncts)
+    return formula_max_nilpotent_membership(names[0], names[1:], c)
 
 
-def formula_max_nilpotent_membership(g_var: str, gen_vars: list[str], c: int, max_conjuncts: int = 4096) -> Formula:
+def formula_max_nilpotent_membership(g_var: str, gen_vars: list[str], c: int) -> Formula:
     """g belongs to the maximal class-c overgroup of <gen_vars>: adjoining it keeps class c."""
     return And(
-        _phi_c_over([g_var] + list(gen_vars), c + 1, max_conjuncts),
-        Not(_phi_c_over([g_var] + list(gen_vars), c, max_conjuncts)),
+        _phi_c_over([g_var] + list(gen_vars), c + 1),
+        Not(_phi_c_over([g_var] + list(gen_vars), c)),
     )
 
 

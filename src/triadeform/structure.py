@@ -346,14 +346,15 @@ def lower_central_series(fg: FiniteGroup) -> list[frozenset[int]]:
     return fg.lower_central_series()
 
 
-def left_normed_gamma(fg: FiniteGroup, c: int, max_tuples: int = 100_000) -> frozenset[int]:
-    """gamma_c via normal closure of length-c left-normed generator commutators."""
+def left_normed_gamma(fg: FiniteGroup, c: int) -> frozenset[int]:
+    """gamma_c via normal closure of length-c left-normed generator commutators;
+    TooLarge when there are more than 100,000 generator tuples."""
     if c < 1:
         raise InvalidParameter("series index starts at 1")
     gens = fg.generator_indices
     if c == 1:
         return frozenset(fg.all_indices)
-    if len(gens) ** c > max_tuples:
+    if len(gens) ** c > 100_000:
         raise TooLarge(f"{len(gens)}^{c} generator tuples")
     seeds = []
     for tup in itertools.product(gens, repeat=c):
@@ -457,24 +458,22 @@ class FittingReport:
         }
 
 
-def brute_force_fitting(fg: FiniteGroup, class_bound: int, fast_reject: bool | None = None) -> FittingReport:
+def brute_force_fitting(fg: FiniteGroup, class_bound: int) -> FittingReport:
     """Subgroup generated by {g : the normal closure of g is nilpotent of
     class <= class_bound}, with normality, nilpotency and maximality verified.
 
-    fast_reject (default: on above 1000 elements) prunes non-members with
-    commutator-cycle certificates before any closure is built; the
-    certificates are sound, and inconclusive elements fall back to the full
-    normal-closure nilpotency computation.
+    Each conjugacy class is first tested with a commutator-cycle certificate,
+    which rules out nilpotency of the normal closure without building it
+    (counted in fast_rejections); the certificate is sound, and classes it
+    leaves open get the full normal-closure nilpotency computation.
     """
-    if fast_reject is None:
-        fast_reject = fg.order > 1000
     verdicts: dict[int, bool] = {}
     fast_rejections = 0
     for g in fg.all_indices:
         if g in verdicts:
             continue
         cls_members = fg.conjugacy_class(g)
-        if fast_reject and _certificate_ncl_nonnilpotent(fg, g):
+        if _certificate_ncl_nonnilpotent(fg, g):
             verdict = False
             fast_rejections += 1
         else:

@@ -21,8 +21,7 @@ and TriMatrix.from_json validate; products, inverses, the named matrices
 (identity, transvections, diagonals, after checking their own arguments),
 enumeration, sampling and the bridge build through a trusted constructor.
 DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
-the constructor checks this on every unit when R^x is finite and verify is
-set.
+the constructor checks this on every unit when R^x is finite.
 """
 
 from __future__ import annotations
@@ -32,12 +31,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .cocycles import CarryCocycle, SymCocycle2, carriers_equal, is_coboundary, verify_cocycle
+from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, carriers_equal, is_coboundary, verify_cocycle
+from .config import DEFAULT_SEED
 from .errors import (
     DomainMismatch,
     InvalidParameter,
-    MissingWitness,
     NotAUnit,
+    ParseError,
     TooLarge,
 )
 from .rings import Ring
@@ -270,7 +270,7 @@ class TriMatrix:
 
     @classmethod
     def from_json(cls, ring: Ring, data) -> "TriMatrix":
-        return cls(ring, [[ring.elem_from_json(v) for v in row] for row in data])
+        return cls(ring, _rows_from_json(ring, data, ""))
 
     def __eq__(self, other):
         return (
@@ -375,6 +375,10 @@ class TriMatrixGroup:
     def elem_from_json(self, data) -> TriMatrix:
         return TriMatrix.from_json(self.ring, data)
 
+    def _elem_from_json(self, data, path: str) -> TriMatrix:
+        """elem_from_json for the document at path, which errors name."""
+        return TriMatrix(self.ring, _rows_from_json(self.ring, data, path))
+
     def __eq__(self, other):
         return isinstance(other, TriMatrixGroup) and self.ring == other.ring and self.n == other.n
 
@@ -396,9 +400,6 @@ class DeformedElem:
     xbar: tuple
     z: Any
     upper: tuple
-
-    def __repr__(self):
-        return f"DeformedElem(xbar={self.xbar!r}, z={self.z!r}, upper={self.upper!r})"
 
 
 @dataclass
@@ -426,7 +427,7 @@ class DeformedGroup:
     unit group, so untwisted groups exist over every supported ring.
     """
 
-    def __init__(self, ring: Ring, n: int, cocycles=None, verify: bool = True):
+    def __init__(self, ring: Ring, n: int, cocycles=None):
         if n < 3:
             raise InvalidParameter("deformations are defined for n >= 3")
         self.ring = ring
@@ -447,14 +448,13 @@ class DeformedGroup:
                     raise InvalidParameter("cocycle entries must be SymCocycle2 instances")
                 if not carriers_equal(f.domain, units) or not carriers_equal(f.codomain, units):
                     raise DomainMismatch("cocycles must map R^x pairs into R^x")
-                if verify:
-                    report = verify_cocycle(f, trials=32, exhaustive_limit=16)
-                    if not report.ok:
-                        raise InvalidParameter(
-                            f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}"
-                        )
-                    if units.is_finite:
-                        _check_normalised(f, units)
+                report = verify_cocycle(f, trials=32, exhaustive_limit=16)
+                if not report.ok:
+                    raise InvalidParameter(
+                        f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}"
+                    )
+                if units.is_finite:
+                    _check_normalised(f, units)
             self.cocycles = cocycles
             self._factors = tuple(
                 (i, f)
@@ -664,19 +664,37 @@ class DeformedGroup:
         }
 
     def elem_from_json(self, data) -> DeformedElem:
+        return self._elem_from_json(data, "")
+
+    def _elem_from_json(self, data, path: str) -> DeformedElem:
+        """The element document {"xbar", "z", "upper"?} at path; ParseError
+        naming the path of a missing or malformed field, such as xbar[0]."""
         upper = []
-        for key, v in data.get("upper", {}).items():
-            i, j = (int(part) for part in key.split(","))
-            upper.append(((i, j), self.ring.elem_from_json(v)))
+        at = _at(path, "upper")
+        for key, v in _field(data, "upper", path, dict, {}).items():
+            try:
+                i, j = (int(part) for part in key.split(","))
+            except ValueError:
+                raise ParseError(f"field {_at(at, key)!r}: key must be 'i,j'") from None
+            upper.append(((i, j), _elem(self.ring, v, _at(at, key))))
+        at = _at(path, "xbar")
         return self.element(
-            [self.ring.elem_from_json(v) for v in data["xbar"]],
-            self.ring.elem_from_json(data["z"]),
+            [_elem(self.ring, v, f"{at}[{k}]") for k, v in enumerate(_field(data, "xbar", path, list))],
+            _elem(self.ring, _field(data, "z", path, object), _at(path, "z")),
             upper,
         )
 
     def __repr__(self):
         kind = "untwisted" if self.is_untwisted else "twisted"
         return f"DeformedGroup({self.ring.spec!r}, n={self.n}, {kind})"
+
+
+def _rows_from_json(ring: Ring, data, path: str) -> list:
+    """Rows of ring elements from the list of lists at path; ParseError
+    naming the path of a malformed entry, such as [0][1]."""
+    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
+        raise ParseError(f"field {path!r} must be a list of rows, got {data!r}")
+    return [[_elem(ring, v, f"{path}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(data)]
 
 
 def _check_normalised(f: SymCocycle2, units) -> None:
@@ -769,7 +787,7 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     from d_n(a)^-1 by a central factor, so the substitution form would fail
     for reasons that have nothing to do with the relation itself.
     """
-    rng = rng or random.Random(20260814)
+    rng = rng or random.Random(DEFAULT_SEED)
     ring, n = group.ring, group.n
     scalars = _scalar_pool(ring, rng, max(3, trials // 8))
     units = _unit_pool(ring, rng, max(2, trials // 10))
@@ -818,7 +836,9 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
             break
     reports.append(RelationReport("overlap-commutation", checked, witness is None, witness))
 
-    # d_k(a) is built once per (k, a) and shared by the diagonal families
+    # d_k(a) is built once per (k, a) and shared by the diagonal families;
+    # the pool's d_k(units[p]) is read by position, as d_pool[k][p], so only
+    # the products a1 a2 are looked up by value
     diag: dict = {}
 
     def d(k, a):
@@ -827,13 +847,15 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
             out = diag[(k, a)] = group.diagonal_gen(k, a)
         return out
 
+    d_pool = {k: [d(k, a) for a in units] for k in range(1, n + 1)}
+
     checked = 0
     witness = None
     deformed = isinstance(group, DeformedGroup)
     for k in range(1, n + 1):
-        for a1, a2 in itertools.product(units, repeat=2):
+        for (p1, a1), (p2, a2) in itertools.product(enumerate(units), repeat=2):
             checked += 1
-            lhs = group.op(d(k, a1), d(k, a2))
+            lhs = group.op(d_pool[k][p1], d_pool[k][p2])
             rhs = d(k, ring.mul(a1, a2))
             if deformed and group.cocycles is not None:
                 # d_k(a)d_k(b) = d_k(ab) diag(f_k(a,b)); the k = n twist is
@@ -850,10 +872,10 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
             break
     if witness is None:
         for k, l in itertools.combinations(range(1, n + 1), 2):
-            for a1, a2 in itertools.product(units[:4], repeat=2):
+            for (p1, a1), (p2, a2) in itertools.product(enumerate(units[:4]), repeat=2):
                 checked += 1
-                lhs = group.op(d(k, a1), d(l, a2))
-                rhs = group.op(d(l, a2), d(k, a1))
+                lhs = group.op(d_pool[k][p1], d_pool[l][p2])
+                rhs = group.op(d_pool[l][p2], d_pool[k][p1])
                 if lhs != rhs:
                     witness = ("commutation", k, l, a1, a2)
                     break
@@ -864,8 +886,8 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     checked = 0
     witness = None
     for k in range(1, n + 1):
-        for alpha in units:
-            dk = d(k, alpha)
+        for p, alpha in enumerate(units):
+            dk = d_pool[k][p]
             dk_inv = group.inverse(dk)
             for (i, j), (b, beta) in itertools.product(pairs, head):
                 checked += 1

@@ -593,6 +593,54 @@ def test_bad_hom_document_names_the_field(capsys, tmp_path, cocycle_file, psi, e
     assert err.startswith("error:") and names in err
 
 
+_Q_ONE = {"num": "1", "den": "1"}
+_Q3_ELEM = {"xbar": [_Q_ONE, _Q_ONE], "z": _Q_ONE}
+
+
+@pytest.mark.parametrize(
+    "x, names",
+    [
+        ({**_Q3_ELEM, "xbar": [{"num": "1", "den": "0"}, _Q_ONE]}, "field '--x.xbar[0]'"),
+        ({**_Q3_ELEM, "xbar": 5}, "field '--x.xbar'"),
+        ({**_Q3_ELEM, "xbar": [_Q_ONE, 5]}, "field '--x.xbar[1]'"),
+        ({**_Q3_ELEM, "upper": {"1,2": {"num": "1"}}}, "field '--x.upper.1,2'"),
+        ({**_Q3_ELEM, "upper": {"1;2": _Q_ONE}}, "field '--x.upper.1;2'"),
+        ({**_Q3_ELEM, "upper": [_Q_ONE]}, "field '--x.upper'"),
+        ({"xbar": [_Q_ONE, _Q_ONE]}, "field '--x.z'"),
+        ({**_Q3_ELEM, "z": "1/2"}, "field '--x.z'"),
+        ([_Q3_ELEM], "field '--x'"),
+    ],
+)
+def test_bad_element_document_names_the_field(capsys, group_file, x, names):
+    argv = ["group", "mul", "--group", group_file({"ring": "Q", "n": 3}), "--x", json.dumps(x), "--y", json.dumps(_Q3_ELEM)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error:") and names in err
+
+
+@pytest.mark.parametrize(
+    "group, argv, names",
+    [
+        ({"ring": "Z/3", "n": 3}, ["structure", "torus", "--index", "1", "--elem", '{"xbar": ["1", "x"], "z": "1"}'],
+         "field '--elem.xbar[1]'"),
+        ({"ring": "Z/3", "n": 3}, ["fo", "eval", "x = 1", "--assign", 'x={"xbar": ["1", "1"]}'], "field '--assign x.z'"),
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["1", "0"], ["0", "1"]]', "--y", '[["1", null], ["0", "1"]]'],
+         "field '--y[0][1]'"),
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["1", "0"], "1"]', "--y", '[["1", "0"], ["0", "1"]]'],
+         "field '--x'"),
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["fo", "eval", "x = 1", "--assign", "x=5"], "field '--assign x'"),
+        (None, ["ext", "4,x", "2"], "argument b"),
+        (None, ["ext", "4", "2,0.5"], "argument a"),
+    ],
+)
+def test_bad_element_argument_names_the_field(capsys, group_file, group, argv, names):
+    if group is not None:
+        argv = argv + ["--group", group_file(group)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error:") and names in err
+
+
 def test_defining_set_requires_var(capsys, group_file):
     path = group_file({"ring": "Z/3", "n": 3})
     rc, out, err = run(capsys, ["fo", "eval", "x = 1", "--group", path, "--defining-set"])

@@ -169,12 +169,45 @@ def test_fitting_description_matrix_lane(t2_z3, t2_z3_fg):
     assert report.nilpotency_class == 1
 
 
-def test_fitting_fast_reject_agrees_with_full_scan(t2_z3_fg):
-    fast = brute_force_fitting(t2_z3_fg, class_bound=2, fast_reject=True)
-    slow = brute_force_fitting(t2_z3_fg, class_bound=2, fast_reject=False)
-    assert fast.indices == slow.indices
-    assert fast.fast_rejections > 0
-    assert slow.fast_rejections == 0
+def _fitting_by_full_scan(fg, class_bound):
+    """brute_force_fitting restated without commutator-cycle certificates:
+    the nilpotency class of the normal closure of each conjugacy class, and
+    the nilpotency of the join with each class outside the result."""
+    reps, members, seen = [], [], set()
+    for g in fg.all_indices:
+        if g not in seen:
+            cls = fg.conjugacy_class(g)
+            seen |= cls
+            reps.append(g)
+            nilp, c = fg.is_nilpotent(fg.normal_closure([g]))
+            if nilp and c <= class_bound:
+                members.extend(cls)
+    fitting = fg.subgroup_closure(members)
+    nilp, c = fg.is_nilpotent(fitting)
+    gens = fg.subgroup_generators(fitting)
+    maximal = not any(
+        fg.is_nilpotent(fg.subgroup_closure(gens + [g]))[0] for g in reps if g not in fitting
+    )
+    return fitting, c, fg.is_normal(fitting) and nilp and maximal
+
+
+def test_fitting_fast_reject_agrees_with_full_scan():
+    # T2(Z/11), of order 1,100, is indexed through the product memo, not a table
+    groups = {
+        "T2(Z/3)": TriMatrixGroup(parse_ring("Z/3"), 2),
+        "T2(Z/5)": TriMatrixGroup(parse_ring("Z/5"), 2),
+        "T3(Z/3) deformed": DeformedGroup(parse_ring("Z/3"), 3),
+        "T2(Z/11)": TriMatrixGroup(parse_ring("Z/11"), 2),
+    }
+    for name, group in groups.items():
+        fg = from_group(group)
+        report = brute_force_fitting(fg, class_bound=2)
+        fitting, cls, verified = _fitting_by_full_scan(fg, 2)
+        assert (report.indices, report.order, report.nilpotency_class, report.verified) == (
+            fitting, len(fitting), cls, verified
+        ), name
+        if name == "T2(Z/3)":
+            assert report.fast_rejections > 0
 
 
 def test_fitting_description_requires_domain():
@@ -323,7 +356,8 @@ def test_left_normed_gamma_guards(t3_z3_fg):
     with pytest.raises(InvalidParameter):
         left_normed_gamma(t3_z3_fg, 0)
     with pytest.raises(TooLarge):
-        left_normed_gamma(t3_z3_fg, 5, max_tuples=10)
+        # 7 generators, 7^6 = 117,649 tuples: the guard fires before any product
+        left_normed_gamma(t3_z3_fg, 6)
 
 
 def test_commutator_width_one_suffices(t3_z3_fg, t2_z3_fg):

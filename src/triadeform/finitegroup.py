@@ -9,7 +9,11 @@ workable without a quadratic table build.
 A subgroup is a set of indices of its parent, never a group of its own:
 the lower central series and nilpotency of a subgroup, and normal closures
 inside it, run on the parent's table or memo, so they multiply no elements
-once the table is built.  The commutator set and the products of at most m
+once the table is built.  Subgroups grow by adjoining one generator at a
+time, in the manner of Dimino's algorithm: old elements are multiplied by
+the new generator only, new ones by every generator.  A normal closure
+conjugates only the elements it adjoined, at most log2 of its order, not
+every element it has collected.  The commutator set and the products of at most m
 commutators (commutator width) live here too, memoised per group.
 """
 
@@ -100,38 +104,44 @@ class FiniteGroup:
     def subgroup_generators(self, subset) -> list[int]:
         """Generators of the subgroup `subset`: scan it in index order and
         keep each element that the ones kept so far do not generate."""
-        gens: list[int] = []
-        known = frozenset({self.identity_index})
+        closed, gens = {self.identity_index}, []
         for i in sorted(subset):
-            if i not in known:
-                gens.append(i)
-                known = self.subgroup_closure(gens)
-                if len(known) == len(subset):
-                    break
+            if self._adjoin(closed, gens, i) and len(closed) == len(subset):
+                break
         return gens
 
     # -- subgroup machinery -------------------------------------------------------
 
-    def subgroup_closure(self, seed) -> frozenset[int]:
-        """Indices of the subgroup generated by the seed indices."""
-        seed = [s for s in seed]
-        closed = {self.identity_index}
+    def _adjoin(self, closed: set[int], gens: list[int], s: int) -> bool:
+        """Grow the subgroup `closed`, generated by `gens`, to <gens, s> in
+        place; False, changing nothing, when s lies in it already.  An old
+        element x needs only x s (its products with the old generators are
+        old), a new element its product with every generator; a finite
+        group needs no inverses."""
+        if s in closed:
+            return False
+        gens.append(s)
+        op = self.op_idx
         frontier = []
-        gens = []
-        for s in seed:
-            gens.append(s)
-            gens.append(self.inv_idx(s))
-        for g in gens:
-            if g not in closed:
-                closed.add(g)
-                frontier.append(g)
+        for x in list(closed):
+            y = op(x, s)
+            if y not in closed:
+                closed.add(y)
+                frontier.append(y)
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = self.op_idx(x, g)
+                y = op(x, g)
                 if y not in closed:
                     closed.add(y)
                     frontier.append(y)
+        return True
+
+    def subgroup_closure(self, seed) -> frozenset[int]:
+        """Indices of the subgroup generated by the seed indices."""
+        closed, gens = {self.identity_index}, []
+        for s in seed:
+            self._adjoin(closed, gens, s)
         return frozenset(closed)
 
     def is_normal(self, subset) -> bool:
@@ -144,20 +154,17 @@ class FiniteGroup:
 
     def normal_closure(self, seed, by=None) -> frozenset[int]:
         """Smallest subgroup containing the seed indices and normalised by
-        the indices `by` (default: the group's generators)."""
+        the indices `by` (default: the group's generators).  A candidate
+        outside the subgroup is adjoined and its conjugates queued, so only
+        the adjoined generators, at most log2 of the order, are conjugated."""
         by = self.generator_indices if by is None else by
-        working = list(dict.fromkeys(seed))
-        while True:
-            current = self.subgroup_closure(working)
-            extra = []
-            for w in working:
-                for g in by:
-                    c = self.conj_idx(w, g)
-                    if c not in current:
-                        extra.append(c)
-            if not extra:
-                return current
-            working.extend(dict.fromkeys(extra))
+        closed, gens = {self.identity_index}, []
+        queue = list(seed)
+        while queue:
+            s = queue.pop()
+            if self._adjoin(closed, gens, s):
+                queue.extend(self.conj_idx(s, g) for g in by)
+        return frozenset(closed)
 
     def center(self) -> frozenset[int]:
         gens = self.generator_indices
@@ -166,12 +173,9 @@ class FiniteGroup:
         )
 
     def derived_subgroup(self) -> frozenset[int]:
-        seeds = [
-            self.comm_idx(a, b)
-            for a in self.generator_indices
-            for b in self.generator_indices
-        ]
-        return self.normal_closure(seeds)
+        # [b, a] = [a, b]^-1 and [a, a] = 1: one seed per unordered pair
+        gens = self.generator_indices
+        return self.normal_closure([self.comm_idx(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]])
 
     def lower_central_series(self, subgroup=None) -> list[frozenset[int]]:
         """gamma_1 = H, gamma_{m+1} = <[gamma_m, H]>; stops when stable.

@@ -42,6 +42,17 @@ def _factorint(n: int) -> dict[int, int]:
     return {int(p): int(e) for p, e in factorint(n).items()}
 
 
+def _json_int(value) -> int:
+    """An integer field of an element document: a JSON integer, or the
+    decimal string elem_to_json writes.  Floats, booleans and other strings
+    raise ValueError instead of being truncated by int()."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"expected an integer or a decimal string, got {value!r}")
+
+
 def _is_squarefree(d: int) -> bool:
     if d in (0,):
         return False
@@ -211,7 +222,7 @@ class IntegerRing(Ring):
         return str(x)
 
     def elem_from_json(self, data):
-        return int(data)
+        return _json_int(data)
 
     def random_elem(self, rng):
         return rng.randint(-40, 40)
@@ -329,7 +340,7 @@ class RationalField(Ring):
         return {"num": str(x.numerator), "den": str(x.denominator)}
 
     def elem_from_json(self, data):
-        return Fraction(int(data["num"]), int(data["den"]))
+        return Fraction(_json_int(data["num"]), _json_int(data["den"]))
 
     def random_elem(self, rng):
         return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
@@ -446,7 +457,7 @@ class IntegersMod(Ring):
         return str(x % self.m)
 
     def elem_from_json(self, data):
-        return int(data) % self.m
+        return _json_int(data) % self.m
 
     def random_elem(self, rng):
         return rng.randrange(self.m)
@@ -586,9 +597,9 @@ class QuadraticOrder(Ring):
         return {"a": str(x[0]), "b": str(x[1]), "d": self.d}
 
     def elem_from_json(self, data):
-        if "d" in data and int(data["d"]) != self.d:
+        if "d" in data and _json_int(data["d"]) != self.d:
             raise InvalidParameter(f"element with d={data['d']} used in {self.spec}")
-        return (int(data["a"]), int(data["b"]))
+        return (_json_int(data["a"]), _json_int(data["b"]))
 
     def random_elem(self, rng):
         return (rng.randint(-15, 15), rng.randint(-15, 15))

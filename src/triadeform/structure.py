@@ -481,11 +481,13 @@ def brute_force_fitting(fg: FiniteGroup, class_bound: int) -> FittingReport:
             verdict = nilp and c <= class_bound
         for member in cls_members:
             verdicts[member] = verdict
-    candidates = [g for g, v in verdicts.items() if v]
-    fitting = fg.subgroup_closure(candidates)
+    closed, base_gens = {fg.identity_index}, []
+    for g, verdict in verdicts.items():
+        if verdict:
+            fg._adjoin(closed, base_gens, g)
+    fitting = frozenset(closed)
     nilp, cls = fg.is_nilpotent(fitting)
     normal = fg.is_normal(fitting)
-    base_gens = fg.subgroup_generators(fitting)
     maximal = True
     failure = None
     checked_classes: set[int] = set()
@@ -495,7 +497,8 @@ def brute_force_fitting(fg: FiniteGroup, class_bound: int) -> FittingReport:
         checked_classes.update(fg.conjugacy_class(g))
         if _certificate_join_nonnilpotent(fg, base_gens, g):
             continue
-        join = fg.subgroup_closure(base_gens + [g])
+        join = set(closed)
+        fg._adjoin(join, list(base_gens), g)
         join_nilp, _ = fg.is_nilpotent(join)
         if join_nilp:
             maximal = False

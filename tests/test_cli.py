@@ -609,6 +609,8 @@ _Q3_ELEM = {"xbar": [_Q_ONE, _Q_ONE], "z": _Q_ONE}
         ({"xbar": [_Q_ONE, _Q_ONE]}, "field '--x.z'"),
         ({**_Q3_ELEM, "z": "1/2"}, "field '--x.z'"),
         ([_Q3_ELEM], "field '--x'"),
+        ({**_Q3_ELEM, "xbar": [{"num": 1.5, "den": "1"}, _Q_ONE]}, "field '--x.xbar[0]'"),
+        ({**_Q3_ELEM, "z": {"num": "1", "den": True}}, "field '--x.z'"),
     ],
 )
 def test_bad_element_document_names_the_field(capsys, group_file, x, names):
@@ -631,6 +633,18 @@ def test_bad_element_document_names_the_field(capsys, group_file, x, names):
         ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["fo", "eval", "x = 1", "--assign", "x=5"], "field '--assign x'"),
         (None, ["ext", "4,x", "2"], "argument b"),
         (None, ["ext", "4", "2,0.5"], "argument a"),
+        ({"ring": "Z/5", "n": 3}, ["group", "mul", "--x", '{"xbar": [2.7, 1], "z": 1}', "--y", '{"xbar": [1, 1], "z": 1}'],
+         "field '--x.xbar[0]'"),
+        ({"ring": "Z/5", "n": 3}, ["group", "mul", "--x", '{"xbar": [2, 1], "z": 1}', "--y", '{"xbar": [1, 1], "z": true}'],
+         "field '--y.z'"),
+        ({"ring": "Z", "n": 3}, ["group", "mul", "--x", '{"xbar": ["1", "1"], "z": 1.5}', "--y", '{"xbar": [1, 1], "z": 1}'],
+         "field '--x.z'"),
+        ({"ring": "Z[sqrt(2)]", "n": 3},
+         ["group", "mul", "--x", '{"xbar": [{"a": "1", "b": "0", "d": 3}, {"a": "1", "b": "0"}], "z": {"a": "1", "b": "0"}}',
+          "--y", '{"xbar": [{"a": "1", "b": "0"}, {"a": "1", "b": "0"}], "z": {"a": "1", "b": "0"}}'],
+         "field '--x.xbar[0]'"),
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["1", 0.5], ["0", "1"]]', "--y", '[["1", "0"], ["0", "1"]]'],
+         "field '--x[0][1]'"),
     ],
 )
 def test_bad_element_argument_names_the_field(capsys, group_file, group, argv, names):

@@ -77,6 +77,26 @@ def test_elem_text_and_json_round_trip(spec, rng):
         assert r.elem_from_json(r.elem_to_json(x)) == x
 
 
+@pytest.mark.parametrize(
+    "spec, good, bad",
+    [
+        ("Z", [(7, 7), ("-7", -7)], [7.0, 2.7, True, "7.0", "+7", " 7", "x", None]),
+        ("Z/5", [(7, 2), ("-1", 4)], [2.7, False, "2.7", "", [2]]),
+        ("Q", [({"num": 1, "den": "2"}, Fraction(1, 2))], [{"num": 1.5, "den": "1"}, {"num": "1", "den": True}]),
+        ("Z[sqrt(2)]", [({"a": 1, "b": "-2", "d": 2}, (1, -2))], [{"a": 1.0, "b": "0"}, {"a": "1", "b": "0", "d": 2.0}]),
+    ],
+)
+def test_elem_from_json_reads_integers_only(spec, good, bad):
+    # a JSON integer or the decimal string elem_to_json writes; int() used
+    # to accept floats and booleans and truncate them
+    r = parse_ring(spec)
+    for data, x in good:
+        assert r.elem_from_json(data) == x
+    for data in bad:
+        with pytest.raises((TypeError, ValueError)):
+            r.elem_from_json(data)
+
+
 def test_rationals_stay_exact():
     q = parse_ring("Q")
     x = q.parse_elem("1/3")

@@ -1,6 +1,8 @@
 """Subgroup descriptions, tori, decompositions, and brute-force verifiers."""
 
 import itertools
+import math
+import random
 import time
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from triadeform import (
     InvalidParameter,
     Model,
     NotDiagonal,
+    TriMatrix,
     TriMatrixGroup,
     brute_force_fitting,
     center_description,
@@ -192,22 +195,27 @@ def _fitting_by_full_scan(fg, class_bound):
 
 
 def test_fitting_fast_reject_agrees_with_full_scan():
-    # T2(Z/11), of order 1,100, is indexed through the product memo, not a table
+    # T2(Z/11), of order 1,100, is indexed through the product memo, not a
+    # table; at class bound 1, T2(Z/8) has a class outside the result whose
+    # join with it is nilpotent, so the join is computed, not certified away
     groups = {
-        "T2(Z/3)": TriMatrixGroup(parse_ring("Z/3"), 2),
-        "T2(Z/5)": TriMatrixGroup(parse_ring("Z/5"), 2),
-        "T3(Z/3) deformed": DeformedGroup(parse_ring("Z/3"), 3),
-        "T2(Z/11)": TriMatrixGroup(parse_ring("Z/11"), 2),
+        "T2(Z/3)": (TriMatrixGroup(parse_ring("Z/3"), 2), 2),
+        "T2(Z/5)": (TriMatrixGroup(parse_ring("Z/5"), 2), 2),
+        "T3(Z/3) deformed": (DeformedGroup(parse_ring("Z/3"), 3), 2),
+        "T2(Z/11)": (TriMatrixGroup(parse_ring("Z/11"), 2), 2),
+        "T2(Z/8)": (TriMatrixGroup(parse_ring("Z/8"), 2), 1),
     }
-    for name, group in groups.items():
+    for name, (group, bound) in groups.items():
         fg = from_group(group)
-        report = brute_force_fitting(fg, class_bound=2)
-        fitting, cls, verified = _fitting_by_full_scan(fg, 2)
+        report = brute_force_fitting(fg, class_bound=bound)
+        fitting, cls, verified = _fitting_by_full_scan(fg, bound)
         assert (report.indices, report.order, report.nilpotency_class, report.verified) == (
             fitting, len(fitting), cls, verified
         ), name
         if name == "T2(Z/3)":
             assert report.fast_rejections > 0
+        if name == "T2(Z/8)":
+            assert (report.order, report.is_maximal) == (64, False) and report.failure is not None
 
 
 def test_fitting_description_requires_domain():
@@ -425,6 +433,110 @@ def test_subgroup_nilpotency_matches_standalone_subgroup(name):
         assert [{fg.elem(i) for i in term} for term in series] == [
             {alone.elem(i) for i in term} for term in alone_series
         ]
+
+
+def _closure_by_bfs(fg, seed):
+    """The subgroup generated by seed, restated: a search over right
+    products by the seeds and their inverses, from the identity."""
+    gens = [x for s in seed for x in (s, fg.inv_idx(s))]
+    closed = {fg.identity_index, *gens}
+    frontier = list(closed)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = fg.op_idx(x, g)
+            if y not in closed:
+                closed.add(y)
+                frontier.append(y)
+    return frozenset(closed)
+
+
+def _normal_closure_by_rounds(fg, seed, by):
+    """The normal closure, restated: close, conjugate every element by
+    every element of `by`, and close again until nothing new appears."""
+    working = set(seed)
+    while True:
+        current = _closure_by_bfs(fg, working)
+        extra = {fg.conj_idx(x, g) for x in current for g in by} - current
+        if not extra:
+            return current
+        working |= extra
+
+
+def _greedy_generators(fg, subset):
+    gens, known = [], {fg.identity_index}
+    for i in sorted(subset):
+        if i not in known:
+            gens.append(i)
+            known = _closure_by_bfs(fg, gens)
+    return gens
+
+
+def _series_restated(fg, subgroup):
+    """gamma_{m+1} = the normal closure in H of [x, h] over x in gamma_m and
+    the generators h of H."""
+    gens = _greedy_generators(fg, subgroup)
+    series = [frozenset(subgroup)]
+    while True:
+        nxt = _normal_closure_by_rounds(fg, {fg.comm_idx(x, h) for x in series[-1] for h in gens}, gens)
+        if nxt == series[-1]:
+            return series
+        series.append(nxt)
+        if len(nxt) == 1:
+            return series
+
+
+@pytest.fixture(scope="module")
+def closure_groups(t3_z3_fg):
+    return {"T3(Z/3) deformed, table": t3_z3_fg, "T2(Z/11), memo": from_group(TriMatrixGroup(parse_ring("Z/11"), 2))}
+
+
+@pytest.mark.parametrize("name", ["T3(Z/3) deformed, table", "T2(Z/11), memo"])
+def test_closures_match_a_restated_closure(closure_groups, name):
+    fg = closure_groups[name]
+    rng = random.Random(f"closures:{name}")
+    for _ in range(8):
+        seed = rng.sample(fg.all_indices, rng.randint(1, 2))
+        by = rng.sample(fg.all_indices, 1)
+        sub = _closure_by_bfs(fg, seed)
+        assert fg.subgroup_closure(seed) == sub
+        assert fg.subgroup_generators(sub) == _greedy_generators(fg, sub)
+        assert fg.normal_closure(seed) == _normal_closure_by_rounds(fg, seed, fg.generator_indices)
+        assert fg.normal_closure(seed, by=by) == _normal_closure_by_rounds(fg, seed, by)
+        series = _series_restated(fg, sub)
+        assert fg.lower_central_series(subgroup=sub) == series
+        nilpotent = len(series[-1]) == 1
+        assert fg.is_nilpotent(sub) == (nilpotent, len(series) - 1 if nilpotent else None)
+    whole = _series_restated(fg, fg.all_indices)
+    assert fg.lower_central_series() == whole
+    assert fg.derived_subgroup() == whole[1]
+
+
+def test_generators_of_a_group_built_without_them():
+    group = DeformedGroup(parse_ring("Z/3"), 3)
+    fg = FiniteGroup(group.elements(), group.op, group.identity, inverse=group.inverse)
+    assert fg.generator_indices == _greedy_generators(fg, fg.all_indices)
+
+
+def test_normal_closure_conjugates_only_what_it_adjoins():
+    # each adjoined element at least doubles the subgroup, so at most
+    # L = ceil(log2 |H|) are adjoined; closing costs at most 2 |H| L products
+    # in all (each step multiplies the old elements once and each new one by
+    # at most L generators), and each conjugate by the 19 generators 2 more
+    group = TriMatrixGroup(parse_ring("Z/11"), 2)
+    elems = list(group.elements())
+    for rows in [((1, 1), (0, 1)), ((1, 7), (0, 10)), ((5, 6), (0, 8))]:
+        calls = [0]
+
+        def op(a, b):
+            calls[0] += 1
+            return group.op(a, b)
+
+        fg = FiniteGroup(elems, op, group.identity, inverse=group.inverse, generators=group.generating_set())
+        assert fg.order == 1100 and len(fg.generator_indices) == 19
+        closure = fg.normal_closure([fg.index(TriMatrix(group.ring, rows))])
+        log = math.ceil(math.log2(len(closure)))
+        assert calls[0] <= 2 * len(closure) * log + 2 * 19 * log
 
 
 def test_no_element_products_after_the_table_is_built():

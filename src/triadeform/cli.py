@@ -3,7 +3,8 @@ structure checks, evaluate formulas, and emit schema-conforming reports.
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a checked property fails (the report carries a witness),
-2 on usage errors (bad syntax, unreadable files, unsupported domains).
+2 on usage errors (bad syntax, unreadable files, unsupported domains),
+3 on any other exception, which is a fault in the library, not in the input.
 All randomized commands derive their generator from the resolved seed, so
 repeated runs with the same seed produce byte-identical reports.
 """
@@ -556,9 +557,13 @@ def main(argv=None) -> int:
             output=getattr(args, "output", DEFAULT_OUTPUT),
         )
         report = _DISPATCH[args.cmd](args, cfg)
-    except (TriadeformError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (TriadeformError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # a fault in the library, not in the input
+        traceback.print_exc()
+        return 3
     print(report.render(cfg.output))
     return 0 if report.ok else 1
 

@@ -568,7 +568,7 @@ def _elem(carrier, data, path: str):
         if isinstance(carrier, Ring):
             return carrier.elem_from_json(data)
         return carrier_elem_from_json(carrier, data)
-    except (InvalidParameter, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (InvalidParameter, ParseError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"field {path!r} is not an element of {carrier!r}: {exc!r}") from exc
 
 

@@ -2,26 +2,24 @@
 
 Wraps any concrete group (matrix, deformed, extension, abelian carrier)
 behind integer indices so closure, conjugacy and series computations run on
-ints.  Small groups get a full multiplication table; larger ones fall back
-to a memoised product map, which keeps groups of a few thousand elements
-workable without a quadratic table build.
+ints.  Each product is computed when first asked for and kept in one memo
+keyed by i * order + j: the structure questions read a few per cent of
+the |G|^2 products, so no table is built.
 
 A subgroup is a set of indices of its parent, never a group of its own:
 the lower central series and nilpotency of a subgroup, and normal closures
-inside it, run on the parent's table or memo, so they multiply no elements
-once the table is built.  Subgroups grow by adjoining one generator at a
-time, in the manner of Dimino's algorithm: old elements are multiplied by
-the new generator only, new ones by every generator.  A normal closure
-conjugates only the elements it adjoined, at most log2 of its order, not
-every element it has collected.  The commutator set and the products of at most m
-commutators (commutator width) live here too, memoised per group.
+inside it, share the parent's memo.  Subgroups grow by adjoining one
+generator at a time, in the manner of Dimino's algorithm, multiplying only
+the new elements.  A normal closure conjugates only the elements it
+adjoined, at most log2 of its order, not every element it has collected.
+The commutator set and the products of at most m commutators (commutator
+width) live here too, memoised per group.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidParameter, TooLarge
 
-TABLE_LIMIT = 600
 SIZE_LIMIT = 20_000
 
 
@@ -41,17 +39,12 @@ class FiniteGroup:
         self.identity_index = self._index[identity]
         self._op = op
         self._inv = inverse
-        self._table: list[list[int]] | None = None
-        self._memo: dict[tuple[int, int], int] = {}
+        self._memo: dict[int, int] = {}
         self._inv_memo: dict[int, int] = {}
         self._class_memo: dict[int, frozenset[int]] = {}
         self._comms: frozenset[int] | None = None
         self._width_memo: dict[int, frozenset[int]] = {}
         self._gens = None if generators is None else [self.index(g) for g in generators]
-        if self.order <= TABLE_LIMIT:
-            self._table = [
-                [self._index[op(a, b)] for b in self._elems] for a in self._elems
-            ]
 
     # -- raw access -----------------------------------------------------------
 
@@ -71,13 +64,10 @@ class FiniteGroup:
     # -- arithmetic on indices --------------------------------------------------
 
     def op_idx(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        key = (i, j)
+        key = i * self.order + j
         out = self._memo.get(key)
         if out is None:
-            out = self._index[self._op(self._elems[i], self._elems[j])]
-            self._memo[key] = out
+            out = self._memo[key] = self._index[self._op(self._elems[i], self._elems[j])]
         return out
 
     def inv_idx(self, i: int) -> int:
@@ -113,21 +103,24 @@ class FiniteGroup:
     # -- subgroup machinery -------------------------------------------------------
 
     def _adjoin(self, closed: set[int], gens: list[int], s: int) -> bool:
-        """Grow the subgroup `closed`, generated by `gens`, to <gens, s> in
-        place; False, changing nothing, when s lies in it already.  An old
-        element x needs only x s (its products with the old generators are
-        old), a new element its product with every generator; a finite
-        group needs no inverses."""
+        """Grow the subgroup `closed` = H, generated by `gens`, to K = <H, s>
+        in place; False, changing nothing, when s lies in H.  A search from
+        s alone, multiplying each new element by every generator, finds
+        all of K but H; no inverses are needed, and H is never multiplied.
+
+        Proof sketch: what the search reaches is a union of cosets xH, and
+        on K/H it is closed under the arcs xH -> xhsH (h in H) of the
+        orbital digraph of HsH, once the vertex H is removed.  That digraph
+        is strongly connected and vertex-transitive, so by Hamidoune's atom
+        lemma (C. R. Acad. Sci. Paris 284, 1977) the one vertex H separates
+        it only when its out-degree is 1: a directed cycle H, sH, s^2 H, ...,
+        where the path from sH meets every other coset."""
         if s in closed:
             return False
         gens.append(s)
         op = self.op_idx
-        frontier = []
-        for x in list(closed):
-            y = op(x, s)
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
+        closed.add(s)
+        frontier = [s]
         while frontier:
             x = frontier.pop()
             for g in gens:

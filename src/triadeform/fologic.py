@@ -32,6 +32,7 @@ from .config import DEFAULT_BUDGET
 from .errors import (
     BudgetExceeded,
     CombinatorialBlowup,
+    InvalidParameter,
     ParseError,
     UnboundVariable,
     UnregisteredDefinableSet,
@@ -82,7 +83,7 @@ def comm(a: Term, b: Term) -> Term:
 def left_normed(terms: list[Term]) -> Term:
     """[t1, t2, ..., tk] = [[t1, t2], ..., tk], expanded."""
     if not terms:
-        raise ValueError("left-normed commutator of nothing")
+        raise InvalidParameter("left-normed commutator of nothing")
     acc = terms[0]
     for t in terms[1:]:
         acc = comm(acc, t)

@@ -45,12 +45,12 @@ def _factorint(n: int) -> dict[int, int]:
 def _json_int(value) -> int:
     """An integer field of an element document: a JSON integer, or the
     decimal string elem_to_json writes.  Floats, booleans and other strings
-    raise ValueError instead of being truncated by int()."""
+    raise ParseError instead of being truncated by int()."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
-    raise ValueError(f"expected an integer or a decimal string, got {value!r}")
+    raise ParseError(f"expected an integer or a decimal string, got {value!r}")
 
 
 def _is_squarefree(d: int) -> bool:
@@ -135,9 +135,7 @@ class Ring:
         raise InvalidParameter(f"{self.spec} is not finite")
 
     def size(self) -> int:
-        if not self.is_finite:
-            raise InvalidParameter(f"{self.spec} is not finite")
-        return len(list(self.elements()))
+        raise InvalidParameter(f"{self.spec} is not finite")
 
     # -- unit group ------------------------------------------------------
     def unit_group(self) -> "UnitGroupStruct":

@@ -33,6 +33,7 @@ from .rings import (
     QuadraticOrder,
     RationalField,
     Ring,
+    _trial_factor,
 )
 from .snf import solve_integer
 from .trigroup import DeformedElem, DeformedGroup, TriMatrix, TriMatrixGroup
@@ -95,13 +96,14 @@ def unit_diff_ideal(ring: Ring) -> UnitDiffIdeal:
 
 
 def _is_integral_domain(ring: Ring) -> bool:
-    if isinstance(ring, (IntegerRing, RationalField, QuadraticOrder, GaussianIntegers)):
-        return True
     if isinstance(ring, IntegersMod):
-        from sympy import isprime
+        try:
+            return _trial_factor(ring.m) == {ring.m: 1}
+        except TooLarge:  # m above 10^12 with no factor below 10^6
+            from sympy import isprime
 
-        return isprime(ring.m)
-    return False
+            return isprime(ring.m)
+    return isinstance(ring, (IntegerRing, RationalField, QuadraticOrder, GaussianIntegers))
 
 
 # ---------------------------------------------------------------------------

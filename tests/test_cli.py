@@ -495,6 +495,9 @@ def test_invalid_group_json_exits_2(capsys, tmp_path):
     path.write_text("{not json")
     rc, out, err = run(capsys, ["group", "build", "--group", str(path)])
     assert rc == 2 and "error:" in err
+    path.write_bytes(b"\xff\xfe{}")
+    rc, out, err = run(capsys, ["group", "build", "--group", str(path)])
+    assert rc == 2 and "error:" in err
 
 
 @pytest.mark.parametrize(
@@ -664,6 +667,17 @@ def test_defining_set_requires_var(capsys, group_file):
 def test_unknown_command_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_library_fault_exits_3_not_2(capsys, monkeypatch, group_file):
+    # a KeyError from inside a command is a bug, not a usage error
+    def faulty(group):
+        raise KeyError("missing entry")
+
+    monkeypatch.setattr(triadeform.structure, "center_description", faulty)
+    rc, out, err = run(capsys, ["structure", "center", "--group", group_file({"ring": "Z/3", "n": 3})])
+    assert rc == 3
+    assert out == "" and "Traceback" in err and "KeyError: 'missing entry'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Subgroup descriptions, tori, decompositions, and brute-force verifiers."""
 
+import collections
 import itertools
 import math
 import random
@@ -195,9 +196,9 @@ def _fitting_by_full_scan(fg, class_bound):
 
 
 def test_fitting_fast_reject_agrees_with_full_scan():
-    # T2(Z/11), of order 1,100, is indexed through the product memo, not a
-    # table; at class bound 1, T2(Z/8) has a class outside the result whose
-    # join with it is nilpotent, so the join is computed, not certified away
+    # T2(Z/11) has order 1,100; at class bound 1, T2(Z/8) has a class
+    # outside the result whose join with it is nilpotent, so the join is
+    # computed, not certified away
     groups = {
         "T2(Z/3)": (TriMatrixGroup(parse_ring("Z/3"), 2), 2),
         "T2(Z/5)": (TriMatrixGroup(parse_ring("Z/5"), 2), 2),
@@ -402,8 +403,8 @@ def test_commutator_set_matches_all_pairs(name):
 
 
 def test_commutator_width_on_a_memo_group_is_fast():
-    # order 1,100 is above the table limit: every product goes through the
-    # memo, so |G|^2 commutators would take about 20 s
+    # at order 1,100 every product is a matrix product and an index lookup,
+    # so |G|^2 commutators would take about 20 s
     fg = from_group(TriMatrixGroup(parse_ring("Z/11"), 2))
     start = time.perf_counter()
     report = commutator_width_check(fg, 2)
@@ -488,10 +489,10 @@ def _series_restated(fg, subgroup):
 
 @pytest.fixture(scope="module")
 def closure_groups(t3_z3_fg):
-    return {"T3(Z/3) deformed, table": t3_z3_fg, "T2(Z/11), memo": from_group(TriMatrixGroup(parse_ring("Z/11"), 2))}
+    return {"T3(Z/3) deformed": t3_z3_fg, "T2(Z/11)": from_group(TriMatrixGroup(parse_ring("Z/11"), 2))}
 
 
-@pytest.mark.parametrize("name", ["T3(Z/3) deformed, table", "T2(Z/11), memo"])
+@pytest.mark.parametrize("name", ["T3(Z/3) deformed", "T2(Z/11)"])
 def test_closures_match_a_restated_closure(closure_groups, name):
     fg = closure_groups[name]
     rng = random.Random(f"closures:{name}")
@@ -539,24 +540,80 @@ def test_normal_closure_conjugates_only_what_it_adjoins():
         assert calls[0] <= 2 * len(closure) * log + 2 * 19 * log
 
 
-def test_no_element_products_after_the_table_is_built():
+def test_no_product_is_computed_twice():
+    # products are computed when first asked for and kept: the three
+    # questions below share one memo and need far fewer than |G|^2 of them
     group = DeformedGroup(parse_ring("Z/3"), 3)
-    calls = [0]
+    elems = list(group.elements())
+    pos = {e: i for i, e in enumerate(elems)}
+    pairs = collections.Counter()
 
     def op(a, b):
-        calls[0] += 1
+        pairs[pos[a], pos[b]] += 1
         return group.op(a, b)
 
-    fg = FiniteGroup(group.elements(), op, group.identity, inverse=group.inverse, generators=group.generating_set())
+    fg = FiniteGroup(elems, op, group.identity, inverse=group.inverse, generators=group.generating_set())
     assert fg.order == 216
-    built = calls[0]
-    assert built == 216 * 216
+    assert not pairs
     assert brute_force_fitting(fg, 2).order == 54
-    assert calls[0] == built
     assert len(defining_set(Model(fg), formula_ncl(2), "x", semantic=True)) == 54
-    assert calls[0] == built
     assert commutator_width_check(fg, 3).width_needed == 1
-    assert calls[0] == built
+    assert set(pairs.values()) == {1}
+    assert len(pairs) < 216 * 216
+
+
+def _s4():
+    """S_4 as permutation tuples, composed as (p q)(i) = q[p[i]]."""
+    elems = list(itertools.permutations(range(4)))
+    return FiniteGroup(
+        elems,
+        lambda p, q: tuple(q[i] for i in p),
+        tuple(range(4)),
+        inverse=lambda p: tuple(sorted(range(4), key=p.__getitem__)),
+    )
+
+
+def _perm_closure(perms):
+    """The subgroup of S_4 generated by perms, restated on the tuples."""
+    closed = {tuple(range(4))}
+    frontier = list(closed)
+    while frontier:
+        p = frontier.pop()
+        for q in perms:
+            r = tuple(q[i] for i in p)
+            if r not in closed:
+                closed.add(r)
+                frontier.append(r)
+    return frozenset(closed)
+
+
+def test_adjoin_reaches_the_join_without_multiplying_the_old_subgroup():
+    # every subgroup H of S_4 and every s outside it: <H, s> is reached
+    # from s alone, and no element of H is multiplied by s
+    elems = list(itertools.permutations(range(4)))
+    subgroups = {_perm_closure([p]) for p in elems}
+    while True:
+        joins = {_perm_closure(a | b) for a in subgroups for b in subgroups}
+        if joins <= subgroups:
+            break
+        subgroups |= joins
+    assert len(subgroups) == 30
+    cases = 0
+    for sub in subgroups:
+        for s in elems:
+            if s in sub:
+                continue
+            fg = _s4()
+            closed = {fg.index(p) for p in sub}
+            gens = fg.subgroup_generators(closed)
+            asked = []
+            op_idx = fg.op_idx
+            fg.op_idx = lambda i, j: asked.append((i, j)) or op_idx(i, j)
+            assert fg._adjoin(closed, gens, fg.index(s))
+            assert closed == {fg.index(p) for p in _perm_closure(sub | {s})}
+            assert not [i for i, j in asked if fg.elem(i) in sub and j == fg.index(s)]
+            cases += 1
+    assert cases == 577
 
 
 @pytest.mark.parametrize("name", ["T3(Z/2)", "T2(Z/3)", "T2(Z/5)"])

@@ -20,7 +20,46 @@ from .errors import InvalidParameter, NotBijective
 from . import snf
 
 
-class FgAbelian:
+class AbelianCarrier:
+    """An abelian group that a cocycle can live on: the carrier protocol.
+
+    A carrier provides identity, op, inverse, power, contains, sample,
+    is_finite, order and elements; its cyclic decomposition through
+    torsion_factors, torsion_factor_generator, free_generator, decompose,
+    torsion_exponents and compose; the JSON forms to_json, elem_to_json and
+    elem_from_json, format_elem for text; and value equality.  Roots and
+    element orders follow from the decomposition alone, once for every
+    carrier, here.
+    """
+
+    def nth_root(self, x, n: int):
+        """Some y with y^n = x, the least torsion exponents canonical, or None."""
+        if n <= 0:
+            raise InvalidParameter(f"root index must be positive, got {n}")
+        torsion, free = self.decompose(x)
+        root_free = {}
+        for key, e in free.items():
+            if e % n:
+                return None
+            root_free[key] = e // n
+        root_torsion = []
+        for t, m in zip(torsion, self.torsion_factors):
+            g = math.gcd(n, m)
+            if t % g:
+                return None
+            # the least s with n*s = t (mod m)
+            root_torsion.append((t // g) * pow(n // g, -1, m // g) % (m // g))
+        return self.compose(root_torsion, root_free)
+
+    def element_order(self, x) -> int | None:
+        """Order of x, or None when infinite."""
+        torsion, free = self.decompose(x)
+        if free:
+            return None
+        return math.lcm(*(d // math.gcd(t, d) for t, d in zip(torsion, self.torsion_factors)))
+
+
+class FgAbelian(AbelianCarrier):
     """Z/d1 x ... x Z/dk x Z^r with the di forming a divisibility chain."""
 
     def __init__(self, invariant_factors=(), free_rank: int = 0):
@@ -113,24 +152,6 @@ class FgAbelian:
             vec[self.k + key] = e
         return self.reduce(vec)
 
-    def nth_root(self, x, n: int):
-        if n <= 0:
-            raise InvalidParameter(f"root index must be positive, got {n}")
-        x = self.reduce(x)
-        out = []
-        for i, a in enumerate(x):
-            if i < self.k:
-                m = self.invariant_factors[i]
-                g = math.gcd(n, m)
-                if a % g:
-                    return None
-                out.append((a // g) * pow(n // g, -1, m // g) % (m // g))
-            else:
-                if a % n:
-                    return None
-                out.append(a // n)
-        return self.reduce(out)
-
     @property
     def is_finite(self) -> bool:
         return self.free_rank == 0
@@ -145,11 +166,6 @@ class FgAbelian:
             raise InvalidParameter("group is infinite")
         for combo in itertools.product(*(range(d) for d in self.invariant_factors)):
             yield combo
-
-    def exponent(self) -> int:
-        if not self.is_finite:
-            raise InvalidParameter("group is infinite")
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def generators(self) -> list[tuple[int, ...]]:
         return [self.torsion_factor_generator(i) for i in range(self.k)] + [
@@ -170,16 +186,17 @@ class FgAbelian:
         vec += [rng.randint(-6, 6) for _ in range(self.free_rank)]
         return self.reduce(vec)
 
-    def element_order(self, x) -> int | None:
-        """Order of x, or None when infinite."""
-        x = self.reduce(x)
-        if any(x[self.k + j] for j in range(self.free_rank)):
-            return None
-        out = 1
-        for i, a in enumerate(x[: self.k]):
-            d = self.invariant_factors[i]
-            out = math.lcm(out, d // math.gcd(a, d))
-        return out
+    def to_json(self):
+        return {"type": "fg", "invariant_factors": list(self.invariant_factors), "free_rank": self.free_rank}
+
+    def elem_to_json(self, x):
+        return list(x)
+
+    def elem_from_json(self, data) -> tuple[int, ...]:
+        return self.reduce(data)
+
+    def format_elem(self, x) -> str:
+        return str(list(x))
 
     def __eq__(self, other):
         return (
@@ -322,18 +339,6 @@ def _preimage_subgroup_generators(hom: AbHom, n: int) -> list[tuple[int, ...]]:
     return [a_grp.reduce(v[: a_grp.n]) for v in basis]
 
 
-def _in_n_multiples(group: FgAbelian, x, n: int) -> bool:
-    """Whether x lies in n*group, coordinate by coordinate."""
-    x = group.reduce(x)
-    for i, a in enumerate(x):
-        if i < group.k:
-            if a % math.gcd(n, group.invariant_factors[i]):
-                return False
-        elif a % n:
-            return False
-    return True
-
-
 def is_pure_subgroup(embedding: AbHom, bound: int) -> bool:
     """Decide nA = nB intersect A for all 1 <= n <= bound.
 
@@ -347,6 +352,6 @@ def is_pure_subgroup(embedding: AbHom, bound: int) -> bool:
         raise InvalidParameter("the homomorphism is not injective, so not an embedding")
     for n in range(1, bound + 1):
         for gen in _preimage_subgroup_generators(embedding, n):
-            if not _in_n_multiples(embedding.domain, gen, n):
+            if embedding.domain.nth_root(gen, n) is None:
                 return False
     return True

@@ -80,21 +80,13 @@ def _parse_fg_abelian(text: str, arg: str) -> abgroups.FgAbelian:
     return abgroups.FgAbelian.from_cyclic_orders(torsion, free)
 
 
-def _carrier_elem_text(carrier, x) -> str:
-    if isinstance(carrier, rings.UnitGroupStruct):
-        return carrier.ring.format_elem(x)
-    return str(list(x))
-
-
 def _witness_text(psi: cocycles.SplitSectionPsi) -> str:
     parts = []
     for idx in sorted(psi.roots):
         root = psi.roots[idx]
         if root != psi.codomain.identity:
             gen = psi.domain.torsion_factor_generator(idx)
-            parts.append(
-                f"psi({_carrier_elem_text(psi.domain, gen)})={_carrier_elem_text(psi.codomain, root)}"
-            )
+            parts.append(f"psi({psi.domain.format_elem(gen)})={psi.codomain.format_elem(root)}")
     return "; ".join(parts) if parts else "1"
 
 
@@ -107,8 +99,8 @@ def cmd_ring(args, cfg: Config) -> CheckReport:
     if args.ring_cmd == "info":
         data = {"spec": ring.spec, "kind": ring.kind, "finite": ring.is_finite}
         if ring.is_finite:
-            data["order"] = len(list(ring.elements()))
-            data["unit_count"] = len(ring.units())
+            data["order"] = ring.size()
+            data["unit_count"] = ring.unit_count()
         return CheckReport("ring info", "exact-arith", True, data)
     if args.ring_cmd == "units":
         u = rings.unit_group(ring)

@@ -9,20 +9,21 @@ every obstruction is an m-th power in A.  Free factors never obstruct.  The
 witness returned is a genuine section-based splitting map, so the coboundary
 identity holds exactly, not just up to cohomology.
 
-Carriers for B and A are duck-typed: FgAbelian instances and unit groups
-both work, including the lazily factored Q^x.
+Carriers for B and A follow the protocol of abgroups.AbelianCarrier: group
+operations, the cyclic decomposition, element formats and value equality.
+FgAbelian and the unit groups R^x (including the lazily factored Q^x)
+implement it, so nothing here asks which carrier it holds.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .abgroups import AbHom, FgAbelian
 from .errors import DomainMismatch, InvalidParameter, NotBijective, ParseError, TooLarge, UnsupportedCodomain
-from .rings import Ring, UnitGroupStruct, parse_ring
+from .rings import parse_ring
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +92,16 @@ class DictPsi(PsiMap):
         self.table[domain.identity] = codomain.identity
 
     def __call__(self, b):
-        return self.table[b]
+        try:
+            return self.table[b]
+        except KeyError:
+            raise InvalidParameter(f"psi table has no entry for {self.domain.format_elem(b)}") from None
 
     def to_json(self):
         return {
             "type": "table",
             "entries": [
-                [carrier_elem_to_json(self.domain, b), carrier_elem_to_json(self.codomain, a)]
-                for b, a in self.table.items()
+                [self.domain.elem_to_json(b), self.codomain.elem_to_json(a)] for b, a in self.table.items()
             ],
         }
 
@@ -133,12 +136,8 @@ class MonomialPsi(PsiMap):
     def to_json(self):
         return {
             "type": "monomial",
-            "torsion_bases": {
-                str(idx): carrier_elem_to_json(self.codomain, a) for idx, a in self.torsion_bases.items()
-            },
-            "free_bases": {
-                str(key): carrier_elem_to_json(self.codomain, a) for key, a in self.free_bases.items()
-            },
+            "torsion_bases": {str(idx): self.codomain.elem_to_json(a) for idx, a in self.torsion_bases.items()},
+            "free_bases": {str(key): self.codomain.elem_to_json(a) for key, a in self.free_bases.items()},
         }
 
 
@@ -180,7 +179,7 @@ class SplitSectionPsi(PsiMap):
     def to_json(self):
         return {
             "type": "section",
-            "roots": {str(idx): carrier_elem_to_json(self.codomain, a) for idx, a in self.roots.items()},
+            "roots": {str(idx): self.codomain.elem_to_json(a) for idx, a in self.roots.items()},
         }
 
 
@@ -230,8 +229,8 @@ class SymCocycle2:
 
     def to_json(self):
         return {
-            "domain": carrier_to_json(self.domain),
-            "codomain": carrier_to_json(self.codomain),
+            "domain": self.domain.to_json(),
+            "codomain": self.codomain.to_json(),
             "backend": self.backend_json(),
         }
 
@@ -277,7 +276,7 @@ class CarryCocycle(SymCocycle2):
     def backend_json(self):
         return {
             "type": "carry",
-            "targets": {str(i): carrier_elem_to_json(self.codomain, c) for i, c in self.targets.items()},
+            "targets": {str(i): self.codomain.elem_to_json(c) for i, c in self.targets.items()},
         }
 
 
@@ -309,11 +308,7 @@ class FunctionTable(SymCocycle2):
         return {
             "type": "table",
             "entries": [
-                [
-                    carrier_elem_to_json(self.domain, x),
-                    carrier_elem_to_json(self.domain, y),
-                    carrier_elem_to_json(self.codomain, a),
-                ]
+                [self.domain.elem_to_json(x), self.domain.elem_to_json(y), self.codomain.elem_to_json(a)]
                 for (x, y), a in self.table.items()
             ],
         }
@@ -351,7 +346,7 @@ class ProductCocycle(SymCocycle2):
         self.domain = parts[0].domain
         self.codomain = parts[0].codomain
         for p in parts[1:]:
-            if not carriers_equal(p.domain, self.domain) or not carriers_equal(p.codomain, self.codomain):
+            if p.domain != self.domain or p.codomain != self.codomain:
                 raise DomainMismatch("product factors live on different groups")
 
     def __call__(self, x, y):
@@ -362,24 +357,6 @@ class ProductCocycle(SymCocycle2):
 
     def backend_json(self):
         return {"type": "product", "parts": [p.backend_json() for p in self.parts]}
-
-
-class RestrictionCocycle(SymCocycle2):
-    """Restriction of a cocycle to an embedded subgroup of its domain."""
-
-    backend = "restriction"
-
-    def __init__(self, base: SymCocycle2, domain, embed: Callable):
-        self.base = base
-        self.domain = domain
-        self.codomain = base.codomain
-        self.embed = embed
-
-    def __call__(self, x, y):
-        return self.base(self.embed(x), self.embed(y))
-
-    def backend_json(self):
-        return {"type": "restriction", "base": self.base.backend_json()}
 
 
 class TransportedCocycle(SymCocycle2):
@@ -410,29 +387,7 @@ class TransportedCocycle(SymCocycle2):
 
 
 # ---------------------------------------------------------------------------
-# carrier helpers
-
-
-def carriers_equal(a, b) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, FgAbelian) and isinstance(b, FgAbelian):
-        return a == b
-    if isinstance(a, UnitGroupStruct) and isinstance(b, UnitGroupStruct):
-        return a.ring == b.ring
-    return False
-
-
-def carrier_to_json(carrier):
-    if isinstance(carrier, FgAbelian):
-        return {
-            "type": "fg",
-            "invariant_factors": list(carrier.invariant_factors),
-            "free_rank": carrier.free_rank,
-        }
-    if isinstance(carrier, UnitGroupStruct):
-        return {"type": "units", "ring": carrier.ring.spec}
-    raise InvalidParameter(f"unsupported carrier {carrier!r}")
+# JSON documents
 
 
 def carrier_from_json(data, path: str = ""):
@@ -444,22 +399,6 @@ def carrier_from_json(data, path: str = ""):
     if kind == "units":
         return parse_ring(_field(data, "ring", path, str)).unit_group()
     raise ParseError(f"field {_at(path, 'type')!r}: unsupported carrier type {kind!r}")
-
-
-def carrier_elem_to_json(carrier, x):
-    if isinstance(carrier, FgAbelian):
-        return list(x)
-    if isinstance(carrier, UnitGroupStruct):
-        return carrier.ring.elem_to_json(x)
-    raise InvalidParameter(f"unsupported carrier {carrier!r}")
-
-
-def carrier_elem_from_json(carrier, data):
-    if isinstance(carrier, FgAbelian):
-        return carrier.reduce(data)
-    if isinstance(carrier, UnitGroupStruct):
-        return carrier.ring.elem_from_json(data)
-    raise InvalidParameter(f"unsupported carrier {carrier!r}")
 
 
 def cocycle_from_json(data, path: str = "") -> SymCocycle2:
@@ -491,7 +430,13 @@ def _backend_from_json(domain, codomain, backend, path: str) -> SymCocycle2:
                 raise ParseError(f"field {where!r} must be a list [x, y, value], got {entry!r}")
             x, y, a = entry
             table[_elem(domain, x, where), _elem(domain, y, where)] = _elem(codomain, a, where)
-        return FunctionTable(domain, codomain, table)
+        f = FunctionTable(domain, codomain, table)  # refuses a large or infinite domain before it is listed
+        elems = list(domain.elements())
+        missing = next(((x, y) for x in elems for y in elems if (x, y) not in table), None)
+        if missing is not None:
+            x, y = map(domain.format_elem, missing)
+            raise ParseError(f"field {at!r} has no entry for x = {x}, y = {y}; a table lists every pair")
+        return f
     if kind == "coboundary":
         psi = _psi_from_json(domain, codomain, _field(backend, "psi", path, dict), _at(path, "psi"))
         return CoboundaryOf(domain, codomain, psi)
@@ -519,7 +464,15 @@ def _psi_from_json(domain, codomain, data, path: str) -> PsiMap:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ParseError(f"field {where!r} must be a list [x, value], got {entry!r}")
             table[_elem(domain, entry[0], where)] = _elem(codomain, entry[1], where)
-        return DictPsi(domain, codomain, table)
+        psi = DictPsi(domain, codomain, table)
+        # over an infinite domain a missing entry shows only when psi meets it
+        if domain.is_finite:
+            missing = next((b for b in domain.elements() if b not in psi.table), None)
+            if missing is not None:
+                raise ParseError(
+                    f"field {at!r} has no entry for {domain.format_elem(missing)}; a table lists every element"
+                )
+        return psi
     raise ParseError(f"field {_at(path, 'type')!r}: unsupported psi type {kind!r}")
 
 
@@ -565,9 +518,7 @@ def _elem(carrier, data, path: str):
     """An element of carrier (a carrier group, or a ring) decoded from data,
     with decoding failures named by path."""
     try:
-        if isinstance(carrier, Ring):
-            return carrier.elem_from_json(data)
-        return carrier_elem_from_json(carrier, data)
+        return carrier.elem_from_json(data)
     except (InvalidParameter, ParseError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"field {path!r} is not an element of {carrier!r}: {exc!r}") from exc
 
@@ -709,22 +660,18 @@ def coboundary_defect(f: SymCocycle2, psi: PsiMap, x, y):
     return a_grp.op(f(x, y), a_grp.inverse(delta))
 
 
-def torsion_restriction(f: SymCocycle2) -> RestrictionCocycle:
-    """f restricted to the torsion subgroup of its domain."""
-    b_grp = f.domain
-    t_grp = FgAbelian(b_grp.torsion_factors, 0)
-
-    def embed(x):
-        return b_grp.compose(x, {})
-
-    return RestrictionCocycle(f, t_grp, embed)
-
-
 def is_cot(f: SymCocycle2) -> bool:
-    """Whether f is a coboundary on the torsion of its domain (CoT)."""
+    """Whether f is a coboundary on the torsion of its domain (CoT).
+
+    For symmetric f this is is_coboundary's verdict: that decision asks only
+    about the torsion factors (free factors split, Ext(Z^r, A) = 0), and
+    their obstructions are products of the same values of f whether or not
+    f is first restricted to the torsion.  A domain without torsion has
+    nothing to obstruct, whatever the codomain.
+    """
     if not f.domain.torsion_factors:
         return True
-    return is_coboundary(torsion_restriction(f)) is not None
+    return is_coboundary(f) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +679,7 @@ def is_cot(f: SymCocycle2) -> bool:
 
 
 def cocycle_product(f: SymCocycle2, g: SymCocycle2) -> SymCocycle2:
-    if not carriers_equal(f.domain, g.domain) or not carriers_equal(f.codomain, g.codomain):
+    if f.domain != g.domain or f.codomain != g.codomain:
         raise DomainMismatch("cocycles live on different groups")
     if isinstance(f, CarryCocycle) and isinstance(g, CarryCocycle):
         targets = dict(f.targets)
@@ -827,22 +774,15 @@ class ExtensionGroup:
         With k the order of b, x^k = (1, a') and the order is k * ord(a'),
         both read off the carriers' decompositions.
         """
-        k = _carrier_element_order(self.base, x[0])
+        k = self.base.element_order(x[0])
         if k is None:
             return None
-        n = _carrier_element_order(self.fiber, self.power(x, k)[1])
+        n = self.fiber.element_order(self.power(x, k)[1])
         if n is None:
             return None
         if self.power(x, k * n) != self.identity:
             raise InvalidParameter("x^order is not the identity; cocycle is not a cocycle")
         return k * n
-
-
-def _carrier_element_order(carrier, x) -> int | None:
-    torsion, free = carrier.decompose(x)
-    if free:
-        return None
-    return math.lcm(*(d // math.gcd(t, d) for t, d in zip(torsion, carrier.torsion_factors)))
 
 
 def build_extension(f: SymCocycle2) -> ExtensionGroup:

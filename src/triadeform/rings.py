@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from typing import Any, Iterator
 
+from .abgroups import AbelianCarrier
 from .errors import (
     DivisionByZeroDivisor,
     InvalidParameter,
@@ -135,6 +136,9 @@ class Ring:
         raise InvalidParameter(f"{self.spec} is not finite")
 
     def size(self) -> int:
+        raise InvalidParameter(f"{self.spec} is not finite")
+
+    def unit_count(self) -> int:
         raise InvalidParameter(f"{self.spec} is not finite")
 
     # -- unit group ------------------------------------------------------
@@ -405,6 +409,10 @@ class IntegersMod(Ring):
     def size(self):
         return self.m
 
+    def unit_count(self):
+        """phi(m), from the factorisation of m alone."""
+        return _totient(_trial_factor(self.m))
+
     def unit_group(self):
         if self._unit_struct is None:
             m = self.m
@@ -417,7 +425,7 @@ class IntegersMod(Ring):
                 raise InvalidParameter(
                     f"({self.spec})^x is not cyclic; no single-generator description exists"
                 )
-            order = math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
+            order = _totient(factors)
             # the least unit g with g^(order/q) != 1 for every prime q | order
             # (Cohen, GTM 138, Alg. 1.4.4), i.e. the least unit of full order
             cofactors = [order // q for q in _trial_factor(order)]
@@ -489,6 +497,11 @@ def _trial_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+def _totient(factors: dict[int, int]) -> int:
+    """Euler's phi of the number whose prime factorisation is factors."""
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
 
 
 _QUAD_TERM = re.compile(
@@ -719,13 +732,14 @@ def fundamental_unit(d: int) -> tuple[int, int]:
 # unit groups as torsion-by-free abelian groups
 
 
-class UnitGroupStruct:
+class UnitGroupStruct(AbelianCarrier):
     """R^x presented as <g> x Z^r with a single cyclic torsion factor <g>.
 
-    Doubles as the abelian-group carrier used by the cocycle module: it
-    exposes op/inverse/power, canonical decomposition into exponents, and
-    decidable n-th roots.  For Q^x the free part is the lazy prime basis and
-    decomposition keys free exponents by the primes themselves.
+    Doubles as a cocycle carrier: it exposes op/inverse/power, canonical
+    decomposition into exponents, and the ring's element formats; roots and
+    element orders come from AbelianCarrier.  For Q^x the free part is the
+    lazy prime basis and decomposition keys free exponents by the primes
+    themselves.  Two unit groups are equal when their rings are.
     """
 
     def __init__(self, ring: Ring, torsion_order: int, torsion_generator, free_basis, basis_mode: str):
@@ -878,30 +892,26 @@ class UnitGroupStruct:
             out = self.ring.mul(out, self.power(self.free_generator(key), e))
         return out
 
-    def nth_root(self, x, n: int):
-        """Some y with y^n = x, least-exponent canonical, or None."""
-        if n <= 0:
-            raise InvalidParameter(f"root index must be positive, got {n}")
-        torsion, free = self.decompose(x)
-        root_free = {}
-        for key, e in free.items():
-            if e % n:
-                return None
-            root_free[key] = e // n
-        root_torsion = ()
-        if self.torsion_factors:
-            t = torsion[0] if torsion else 0
-            m = self.torsion_order
-            g = math.gcd(n, m)
-            if t % g:
-                return None
-            # minimal s with n*s = t (mod m)
-            s = (t // g) * pow(n // g, -1, m // g) % (m // g)
-            root_torsion = (s,)
-        return self.compose(root_torsion, root_free)
-
     def sample(self, rng):
         return self.ring.random_unit(rng)
+
+    def to_json(self):
+        return {"type": "units", "ring": self.ring.spec}
+
+    def elem_to_json(self, x):
+        return self.ring.elem_to_json(x)
+
+    def elem_from_json(self, data) -> Elem:
+        return self.ring.elem_from_json(data)
+
+    def format_elem(self, x) -> str:
+        return self.ring.format_elem(x)
+
+    def __eq__(self, other):
+        return isinstance(other, UnitGroupStruct) and self.ring == other.ring
+
+    def __hash__(self):
+        return hash(self.ring)
 
     def __repr__(self):
         return f"UnitGroupStruct({self.ring.spec}, torsion={self.torsion_order}, rank={len(self.free_basis)})"

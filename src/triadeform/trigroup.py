@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, carriers_equal, is_coboundary, verify_cocycle
+from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, is_coboundary, verify_cocycle
 from .config import DEFAULT_SEED
 from .errors import (
     DomainMismatch,
@@ -211,9 +211,6 @@ class TriMatrix:
                 raise NotAUnit(f"diagonal entry {ring.format_elem(v)} is not a unit")
         return cls._diagonal_trusted(ring, entries)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i - 1][j - 1]
-
     def mul(self, other: "TriMatrix") -> "TriMatrix":
         r = self.ring
         if (other.ring is not r and other.ring != r) or self.n != other.n:
@@ -328,7 +325,7 @@ class TriMatrixGroup:
     def order(self) -> int:
         if not self.ring.is_finite:
             raise TooLarge("infinite ring")
-        units = len(self.ring.units())
+        units = self.ring.unit_count()
         return units**self.n * self.ring.size() ** (self.n * (self.n - 1) // 2)
 
     def elements(self) -> Iterator[TriMatrix]:
@@ -446,7 +443,7 @@ class DeformedGroup:
             for f in cocycles:
                 if not isinstance(f, SymCocycle2):
                     raise InvalidParameter("cocycle entries must be SymCocycle2 instances")
-                if not carriers_equal(f.domain, units) or not carriers_equal(f.codomain, units):
+                if f.domain != units or f.codomain != units:
                     raise DomainMismatch("cocycles must map R^x pairs into R^x")
                 report = verify_cocycle(f, trials=32, exhaustive_limit=16)
                 if not report.ok:
@@ -588,9 +585,6 @@ class DeformedGroup:
                 g = self.op(g, g)
         return acc
 
-    def conjugate(self, g: DeformedElem, by: DeformedElem) -> DeformedElem:
-        return self.op(self.op(self.inverse(by), g), by)
-
     # -- size and enumeration -------------------------------------------------
 
     @property
@@ -600,7 +594,7 @@ class DeformedGroup:
     def order(self) -> int:
         if not self.ring.is_finite:
             raise TooLarge("infinite ring")
-        units = len(self.ring.units())
+        units = self.ring.unit_count()
         return units**self.n * self.ring.size() ** (self.n * (self.n - 1) // 2)
 
     def elements(self) -> Iterator[DeformedElem]:

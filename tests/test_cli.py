@@ -115,6 +115,16 @@ def test_ring_psi_worked_instance(capsys):
     assert rc == 1 and report["data"]["value"] is False
 
 
+def test_ring_info_counts_residues_and_units_without_listing_them(capsys):
+    # 999999999999 = 3^3 * 7 * 11 * 13 * 37 * 101 * 9901
+    rc, report = run_json(capsys, ["ring", "info", "Z/999999999999"])
+    assert rc == 0
+    assert (report["data"]["order"], report["data"]["unit_count"]) == (999999999999, 461894400000)
+    # 10^23 - 1 = 9 * R23 with R23 prime, beyond trial division
+    rc, out, err = run(capsys, ["ring", "info", "Z/99999999999999999999999"])
+    assert rc == 2 and err.startswith("error:") and "trial divisors" in err
+
+
 def test_text_output_format(capsys):
     rc, out, err = run(capsys, ["ring", "info", "Z/5"])
     assert rc == 0 and err == ""
@@ -520,7 +530,10 @@ def test_bad_group_document_names_the_field(capsys, group_file, doc, names, cmd)
 
 
 _UNITS_Z_TO_Q = {"domain": {"type": "units", "ring": "Z"}, "codomain": {"type": "units", "ring": "Q"}}
+_UNITS_Q_TO_Q = {"domain": {"type": "units", "ring": "Q"}, "codomain": {"type": "units", "ring": "Q"}}
 _FG_2 = {"type": "fg", "invariant_factors": [2]}
+_FG_4 = {"type": "fg", "invariant_factors": [4]}
+_Q_2 = {"num": "2", "den": "1"}
 
 
 @pytest.mark.parametrize(
@@ -543,9 +556,17 @@ _FG_2 = {"type": "fg", "invariant_factors": [2]}
         ({"domain": {"type": "fg", "invariant_factors": ["2"]}, "codomain": _FG_2, "backend": {"type": "carry"}},
          "field 'domain.invariant_factors'"),
         ([_UNITS_Z_TO_Q], "JSON object"),
+        ({"domain": _FG_4, "codomain": _FG_2, "backend": {"type": "table", "entries": [[[1], [1], [1]]]}},
+         "field 'backend.entries' has no entry for x = [0], y = [0]"),
+        ({"domain": _FG_4, "codomain": _FG_2,
+          "backend": {"type": "coboundary", "psi": {"type": "table", "entries": [[[1], [1]], [[2], [0]]]}}},
+         "field 'backend.psi.entries' has no entry for [3]"),
+        # over Q^x a psi table cannot be complete; the first missing element met is named
+        ({**_UNITS_Q_TO_Q, "backend": {"type": "coboundary", "psi": {"type": "table", "entries": [[_Q_2, _Q_2]]}}},
+         "psi table has no entry for "),
     ],
 )
-@pytest.mark.parametrize("cmd", ["verify", "is-coboundary"])
+@pytest.mark.parametrize("cmd", ["verify", "is-coboundary", "is-cot"])
 def test_bad_cocycle_document_names_the_field(capsys, cocycle_file, doc, names, cmd):
     rc, out, err = run(capsys, ["cocycle", cmd, "--file", cocycle_file(doc)])
     assert rc == 2

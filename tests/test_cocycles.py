@@ -427,12 +427,79 @@ def test_is_cot_examples():
     assert is_cot(CarryCocycle(torsion_free, FgAbelian((2,)), {}))
 
 
-def test_is_cot_tracks_torsion_restriction_only():
+def test_is_cot_reads_the_torsion_factors_only():
     # obstruction lives on the torsion factor; free data is irrelevant
     b = FgAbelian((2,), 1)
     a = FgAbelian((4,))
     assert is_cot(CarryCocycle(b, a, {0: (2,)}))
     assert not is_cot(CarryCocycle(b, a, {0: (1,)}))
+
+
+def restricted_to_torsion(f):
+    """f on the torsion subgroup of its domain, as a closure over
+    FgAbelian(torsion factors) embedded through the domain's compose."""
+    b = f.domain
+
+    def restricted(x, y):
+        return f(b.compose(x, {}), b.compose(y, {}))
+
+    restricted.domain, restricted.codomain = FgAbelian(b.torsion_factors), f.codomain
+    return restricted
+
+
+COT_CARRIERS = [
+    FgAbelian((2,)),
+    FgAbelian((4,)),
+    FgAbelian((2, 2)),
+    FgAbelian((2, 4)),
+    FgAbelian((3,), 1),
+    FgAbelian((2,), 2),
+    FgAbelian((), 1),
+] + [unit_group(parse_ring(spec)) for spec in ("Z/5", "Z/7", "Z/9", "Q", "Z[sqrt(2)]", "Z[i]", "Z")]
+
+
+def _target_pool(a):
+    """Every element of a finite carrier; the identity, the torsion
+    generators and seeded samples of an infinite one."""
+    if a.is_finite:
+        return list(a.elements())
+    rng = random.Random(0)
+    pool = [a.identity] + [a.torsion_factor_generator(i) for i in range(len(a.torsion_factors))]
+    for x in (a.sample(rng) for _ in range(5)):
+        if x not in pool:
+            pool.append(x)
+    return pool
+
+
+def test_is_cot_agrees_with_a_restated_restriction_to_torsion():
+    checked = 0
+    for b in COT_CARRIERS:
+        for a in COT_CARRIERS:
+            for targets in itertools.product(_target_pool(a), repeat=len(b.torsion_factors)):
+                f = CarryCocycle(b, a, dict(enumerate(targets)))
+                expected = is_coboundary(restricted_to_torsion(f)) is not None
+                assert is_cot(f) == expected, (b, a, targets)
+                checked += 1
+    assert checked > 1500
+
+
+@pytest.mark.parametrize("spec", ["Z/7", "Z/9", "Z[i]"])
+def test_unit_group_roots_and_orders_match_a_linear_walk(spec):
+    units = unit_group(parse_ring(spec))
+    elems = units.elements()  # g^0, g^1, ..., so the first root has the least exponent
+
+    def linear_power(y, n):
+        acc = units.identity
+        for _ in range(n):
+            acc = units.op(acc, y)
+        return acc
+
+    for x in elems:
+        order = next(k for k in range(1, len(elems) + 1) if linear_power(x, k) == units.identity)
+        assert units.element_order(x) == order
+        for n in range(1, 2 * len(elems) + 1):
+            roots = [y for y in elems if linear_power(y, n) == x]
+            assert units.nth_root(x, n) == (roots[0] if roots else None), (x, n)
 
 
 # ---------------------------------------------------------------------------

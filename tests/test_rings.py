@@ -293,6 +293,11 @@ def test_unit_group_generator_is_the_least_unit_of_full_order():
         assert ring.units() == units
 
 
+def test_unit_count_matches_the_unit_list():
+    for m in range(2, 300):
+        assert IntegersMod(m).unit_count() == sum(1 for x in range(1, m) if math.gcd(x, m) == 1), m
+
+
 def test_unit_group_of_a_large_prime_modulus_is_fast():
     ring = IntegersMod(1_000_003)
     start = time.perf_counter()

@@ -107,7 +107,6 @@ from .trigroup import (
     TriMatrixGroup,
     check_presentation,
     deformed_to_matrix,
-    enumerate_group,
     fn_identity_check,
     matrix_to_deformed,
     split_isomorphism,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidParameter, NotBijective
+from .errors import InvalidParameter, NotBijective, ParseError
 from . import snf
 
 
@@ -193,6 +193,9 @@ class FgAbelian(AbelianCarrier):
         return list(x)
 
     def elem_from_json(self, data) -> tuple[int, ...]:
+        """The list of integer coordinates data, reduced."""
+        if not (isinstance(data, list) and all(type(v) is int for v in data)):
+            raise ParseError(f"an element of {self!r} is a list of integers, got {data!r}")
         return self.reduce(data)
 
     def format_elem(self, x) -> str:

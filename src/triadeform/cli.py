@@ -241,7 +241,7 @@ def cmd_group(args, cfg: Config) -> CheckReport:
     if args.group_cmd == "split-iso":
         return _split_iso_report(group, cfg)
     if args.group_cmd == "enumerate":
-        elems = trigroup.enumerate_group(group)
+        elems = list(group.elements())
         data = {"order": len(elems)}
         if args.list_elements:
             data["elements"] = [group.elem_to_json(g) for g in elems]

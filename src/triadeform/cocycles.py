@@ -196,23 +196,6 @@ class InvertedPsi(PsiMap):
         return {"type": "inverted", "psi": self.psi.to_json()}
 
 
-class ComposedPsi(PsiMap):
-    """after o psi o before, for transporting coboundary data along isos."""
-
-    def __init__(self, domain, codomain, after: Callable, psi: PsiMap, before: Callable):
-        self.domain = domain
-        self.codomain = codomain
-        self.after = after
-        self.psi = psi
-        self.before = before
-
-    def __call__(self, b):
-        return self.after(self.psi(self.before(b)))
-
-    def to_json(self):
-        return {"type": "composed", "psi": self.psi.to_json()}
-
-
 # ---------------------------------------------------------------------------
 # cocycle backends
 
@@ -705,9 +688,9 @@ def cocycle_inverse(f: SymCocycle2) -> SymCocycle2:
 def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
     """Transport g along isos psi: A -> A' and eta: B -> B'.
 
-    The result evaluates as g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).
-    Coboundaries stay coboundaries with a composed witness; anything else is
-    materialised as a table when B' is small enough, or wrapped.
+    The result evaluates as g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).  A
+    product is transported part by part; any other backend is materialised
+    as a table when |B'| <= 256, or wrapped.
     """
     if not isinstance(g.domain, FgAbelian) or not isinstance(g.codomain, FgAbelian):
         raise InvalidParameter("transport is defined for FgAbelian carriers")
@@ -717,9 +700,6 @@ def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
         raise NotBijective("transport requires isomorphisms on both sides")
     eta_inv = eta.inverse()
     new_domain, new_codomain = eta.codomain, psi.codomain
-    if isinstance(g, CoboundaryOf):
-        composed = ComposedPsi(new_domain, new_codomain, psi.apply, g.psi, eta_inv.apply)
-        return CoboundaryOf(new_domain, new_codomain, composed)
     if isinstance(g, ProductCocycle):
         return ProductCocycle([transport_cocycle(p, psi, eta) for p in g.parts])
     transported = TransportedCocycle(g, new_domain, new_codomain, psi.apply, eta_inv.apply)

@@ -44,28 +44,62 @@ from .finitegroup import FiniteGroup, from_group
 # terms
 
 
-@dataclass(frozen=True)
-class Term:
+class _Syntax:
+    """Structural equality and hashing for terms and formulas, by loops over
+    explicit stacks, so that long spines and deep nesting need no recursion."""
+
+    def __eq__(self, other):
+        todo = [(self, other)]
+        pop, push = todo.pop, todo.append
+        while todo:
+            a, b = pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, _Syntax):
+                for name in a.__match_args__:
+                    push((getattr(a, name), getattr(b, name)))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):
+        seen, todo = [], [self]
+        pop, push = todo.pop, todo.append
+        while todo:
+            a = pop()
+            if isinstance(a, _Syntax):
+                seen.append(type(a))
+                for name in a.__match_args__:
+                    push(getattr(a, name))
+            else:
+                seen.append(a)
+        return hash(tuple(seen))
+
+
+@dataclass(frozen=True, eq=False)
+class Term(_Syntax):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Inv(Term):
     arg: Term
 
@@ -94,56 +128,56 @@ def left_normed(terms: list[Term]) -> Term:
 # formulas
 
 
-@dataclass(frozen=True)
-class Formula:
+@dataclass(frozen=True, eq=False)
+class Formula(_Syntax):
     _code = None  # the compiled form, kept by _run(); not a field
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InSet(Formula):
     set_name: str
     arg: Term
@@ -363,7 +397,13 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    return _Parser(text).parse()
+    """The formula in text; ParseError on bad syntax, and on nesting deeper
+    than the recursive descent can follow."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("formula nests too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +418,9 @@ def _term_text(t: Term, parent: str = "") -> str:
     if isinstance(t, Inv):
         return f"{_term_text(t.arg, 'inv')}^-1"
     if isinstance(t, Mul):
-        body = f"{_term_text(t.left, 'mul-left')}*{_term_text(t.right, 'mul-right')}"
-        if parent in ("inv", "mul-right"):
-            return f"({body})"
-        return body
+        first, *rest = _left_spine(t, Mul)
+        body = "*".join([_term_text(first, "mul-left")] + [_term_text(p, "mul-right") for p in rest])
+        return f"({body})" if parent in ("inv", "mul-right") else body
     raise TypeError(f"not a term: {t!r}")
 
 

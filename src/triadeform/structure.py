@@ -3,7 +3,9 @@ brute-force counterparts on finite instances.
 
 The symbolic side describes center, derived subgroup, Fitting subgroup,
 signed unipotent subgroup and the coordinate tori as membership predicates
-on normal-form coordinates.  The brute-force side drives the FiniteGroup
+on normal-form coordinates.  The center, derived, Fitting and signed
+unipotent descriptions are proved for integral domains and refuse any other
+ring (InvalidParameter).  The brute-force side drives the FiniteGroup
 engine: normal closures, lower central series, the commutator-width check
 (on FiniteGroup.width_products) and a from-scratch Fitting computation,
 whose subgroups are index sets of the one parent group.  Tests
@@ -95,15 +97,20 @@ def unit_diff_ideal(ring: Ring) -> UnitDiffIdeal:
     return UnitDiffIdeal(ring)
 
 
-def _is_integral_domain(ring: Ring) -> bool:
+def _require_domain(ring: Ring) -> None:
+    """The one rule for where the subgroup descriptions apply: they are
+    proved for integral domains, so any other ring is refused."""
     if isinstance(ring, IntegersMod):
         try:
-            return _trial_factor(ring.m) == {ring.m: 1}
+            domain = _trial_factor(ring.m) == {ring.m: 1}
         except TooLarge:  # m above 10^12 with no factor below 10^6
             from sympy import isprime
 
-            return isprime(ring.m)
-    return isinstance(ring, (IntegerRing, RationalField, QuadraticOrder, GaussianIntegers))
+            domain = isprime(ring.m)
+    else:
+        domain = isinstance(ring, (IntegerRing, RationalField, QuadraticOrder, GaussianIntegers))
+    if not domain:
+        raise InvalidParameter(f"{ring.spec} is not an integral domain; the description is proved for domains")
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +149,7 @@ def center_description(group) -> SubgroupDescription:
     enough to separate entries; for R^x = {1} (e.g. Z/2) this is a proper
     subgroup of the center and the instance is documented as degenerate.
     """
+    _require_domain(group.ring)
     if isinstance(group, DeformedGroup):
         ones = (group.ring.one,) * (group.n - 1)
 
@@ -160,14 +168,13 @@ def central_involution(group):
     minus_one = ring.neg(ring.one)
     if minus_one == ring.one:
         return None
-    if isinstance(group, DeformedGroup):
-        return group.central(minus_one)
-    return group.scalar(minus_one)
+    return group.central(minus_one)
 
 
 def derived_description(group) -> SubgroupDescription:
     """Unipotent part with superdiagonal entries in the unit-difference ideal."""
     ring = group.ring
+    _require_domain(ring)
     ideal = unit_diff_ideal(ring)
     if isinstance(group, DeformedGroup):
         ones = (ring.one,) * (group.n - 1)
@@ -197,10 +204,7 @@ def derived_description(group) -> SubgroupDescription:
 
 def fitting_description(group) -> SubgroupDescription:
     """Unipotent-times-center: trivial torus class, any z, any U."""
-    if not _is_integral_domain(group.ring):
-        raise InvalidParameter(
-            f"{group.ring.spec} is not an integral domain; the description is proved for domains"
-        )
+    _require_domain(group.ring)
     if isinstance(group, DeformedGroup):
         ones = (group.ring.one,) * (group.n - 1)
 

@@ -12,14 +12,18 @@ realise the isomorphism explicitly.
 Index convention: generators and entry keys are 1-based, matching t_ij and
 d_k notation; i < j always for strict upper entries.
 
-Validation happens at the API boundary: DeformedGroup.element and
-elem_from_json check coordinates and units, and upper_normalise checks entry
-indices and coerces values.  The internal products (op, inverse and the
-upper_* helpers) trust their normalised operands and only drop zeros.
-In the matrix picture only the public TriMatrix(ring, rows) constructor
-and TriMatrix.from_json validate; products, inverses, the named matrices
-(identity, transvections, diagonals, after checking their own arguments),
-enumeration, sampling and the bridge build through a trusted constructor.
+Both pictures share one protocol, TriangularGroup: identity, op, inverse,
+commutator, the generators t_ij(b), d_k(a) and diag(z) as transvection,
+diagonal_gen and central, order, elements, sample, generating_set and the
+JSON forms of elements.
+
+Validation happens at the API boundary: the named generators, DeformedGroup
+.element, elem_from_json and the public TriMatrix(ring, rows) constructor
+check their arguments, and upper_normalise checks entry indices and coerces
+values.  The internal products (op, inverse and the upper_* helpers) trust
+their normalised operands and only drop zeros; in the matrix picture
+products, inverses, the named generators, enumeration, sampling and the
+bridge build through the trusted TriMatrix._trusted.
 DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
 the constructor checks this on every unit when R^x is finite.
 """
@@ -174,43 +178,6 @@ class TriMatrix:
         m.rows = rows
         return m
 
-    @classmethod
-    def _diagonal_trusted(cls, ring: Ring, entries) -> "TriMatrix":
-        """diag(entries) for unit entries of the ring."""
-        zero = ring.zero
-        n = len(entries)
-        rows = tuple((zero,) * i + (v,) + (zero,) * (n - i - 1) for i, v in enumerate(entries))
-        return cls._trusted(ring, rows)
-
-    @classmethod
-    def identity(cls, ring: Ring, n: int) -> "TriMatrix":
-        return cls._diagonal_trusted(ring, (ring.one,) * n)
-
-    @classmethod
-    def transvection(cls, ring: Ring, n: int, i: int, j: int, beta) -> "TriMatrix":
-        if not (1 <= i < j <= n):
-            raise InvalidParameter(f"transvection needs 1 <= i < j <= n, got ({i}, {j})")
-        rows = [list(row) for row in cls.identity(ring, n).rows]
-        rows[i - 1][j - 1] = ring.ensure(beta)
-        return cls._trusted(ring, tuple(map(tuple, rows)))
-
-    @classmethod
-    def diagonal_gen(cls, ring: Ring, n: int, k: int, alpha) -> "TriMatrix":
-        if not 1 <= k <= n:
-            raise InvalidParameter(f"diagonal index {k} out of range")
-        alpha = ring.ensure(alpha)
-        if not ring.is_unit(alpha):
-            raise NotAUnit(f"{ring.format_elem(alpha)} is not a unit")
-        return cls._diagonal_trusted(ring, tuple(alpha if a == k else ring.one for a in range(1, n + 1)))
-
-    @classmethod
-    def diagonal(cls, ring: Ring, entries) -> "TriMatrix":
-        entries = tuple(ring.ensure(v) for v in entries)
-        for v in entries:
-            if not ring.is_unit(v):
-                raise NotAUnit(f"diagonal entry {ring.format_elem(v)} is not a unit")
-        return cls._diagonal_trusted(ring, entries)
-
     def mul(self, other: "TriMatrix") -> "TriMatrix":
         r = self.ring
         if (other.ring is not r and other.ring != r) or self.n != other.n:
@@ -265,10 +232,6 @@ class TriMatrix:
     def to_json(self):
         return [[self.ring.elem_to_json(v) for v in row] for row in self.rows]
 
-    @classmethod
-    def from_json(cls, ring: Ring, data) -> "TriMatrix":
-        return cls(ring, _rows_from_json(ring, data, ""))
-
     def __eq__(self, other):
         return (
             isinstance(other, TriMatrix)
@@ -286,37 +249,16 @@ class TriMatrix:
         return f"TriMatrix[{body}]"
 
 
-class TriMatrixGroup:
-    """T_n(R) with the group protocol used across the package."""
+class TriangularGroup:
+    """What T_n(R) and T_n(R, f) share.
 
-    def __init__(self, ring: Ring, n: int):
-        if n < 1:
-            raise InvalidParameter("matrix size must be positive")
-        self.ring = ring
-        self.n = n
+    A subclass sets ring, n and identity, and supplies op, inverse,
+    transvection, diagonal_gen, central, sample, elem_to_json,
+    _elem_from_json and _elements, the enumeration behind elements().
+    """
 
-    @property
-    def identity(self) -> TriMatrix:
-        return TriMatrix.identity(self.ring, self.n)
-
-    def op(self, a: TriMatrix, b: TriMatrix) -> TriMatrix:
-        return a.mul(b)
-
-    def inverse(self, a: TriMatrix) -> TriMatrix:
-        return a.inv()
-
-    def commutator(self, a: TriMatrix, b: TriMatrix) -> TriMatrix:
-        return a.inv().mul(b.inv()).mul(a).mul(b)
-
-    def transvection(self, i: int, j: int, beta) -> TriMatrix:
-        return TriMatrix.transvection(self.ring, self.n, i, j, beta)
-
-    def diagonal_gen(self, k: int, alpha) -> TriMatrix:
-        return TriMatrix.diagonal_gen(self.ring, self.n, k, alpha)
-
-    def scalar(self, alpha) -> TriMatrix:
-        alpha = self.ring.ensure(alpha)
-        return TriMatrix.diagonal(self.ring, [alpha] * self.n)
+    ring: Ring
+    n: int
 
     @property
     def is_finite(self) -> bool:
@@ -328,11 +270,73 @@ class TriMatrixGroup:
         units = self.ring.unit_count()
         return units**self.n * self.ring.size() ** (self.n * (self.n - 1) // 2)
 
-    def elements(self) -> Iterator[TriMatrix]:
-        if not self.ring.is_finite:
-            raise TooLarge("infinite ring")
+    def elements(self) -> Iterator:
+        """Every element; TooLarge for an infinite ring or above ENUMERATION_LIMIT."""
         if self.order() > ENUMERATION_LIMIT:
             raise TooLarge(f"group order {self.order()} exceeds {ENUMERATION_LIMIT}")
+        yield from self._elements()
+
+    def commutator(self, a, b):
+        return self.op(self.op(self.inverse(a), self.inverse(b)), self.op(a, b))
+
+    def generating_set(self) -> list:
+        """t_ij(1) for i < j, then d_k(u) for each k and each unit u != 1."""
+        if not self.ring.is_finite:
+            raise TooLarge("generating sets are enumerated for finite rings only")
+        r, n = self.ring, self.n
+        gens = [self.transvection(i, j, r.one) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        return gens + [self.diagonal_gen(k, u) for k in range(1, n + 1) for u in r.units() if u != r.one]
+
+    def elem_from_json(self, data):
+        return self._elem_from_json(data, "")
+
+    def _unit(self, alpha):
+        """alpha as a ring element; NotAUnit unless it is a unit."""
+        alpha = self.ring.ensure(alpha)
+        if not self.ring.is_unit(alpha):
+            raise NotAUnit(f"{self.ring.format_elem(alpha)} is not a unit")
+        return alpha
+
+
+class TriMatrixGroup(TriangularGroup):
+    """T_n(R) as invertible upper triangular matrices."""
+
+    def __init__(self, ring: Ring, n: int):
+        if n < 1:
+            raise InvalidParameter("matrix size must be positive")
+        self.ring = ring
+        self.n = n
+        self.identity = self._diagonal((ring.one,) * n)
+
+    def op(self, a: TriMatrix, b: TriMatrix) -> TriMatrix:
+        return a.mul(b)
+
+    def inverse(self, a: TriMatrix) -> TriMatrix:
+        return a.inv()
+
+    def _diagonal(self, entries: tuple) -> TriMatrix:
+        """diag(entries) for n unit entries of the ring."""
+        zero, n = self.ring.zero, self.n
+        rows = tuple((zero,) * i + (v,) + (zero,) * (n - i - 1) for i, v in enumerate(entries))
+        return TriMatrix._trusted(self.ring, rows)
+
+    def transvection(self, i: int, j: int, beta) -> TriMatrix:
+        if not (1 <= i < j <= self.n):
+            raise InvalidParameter(f"transvection needs 1 <= i < j <= n, got ({i}, {j})")
+        rows = [list(row) for row in self.identity.rows]
+        rows[i - 1][j - 1] = self.ring.ensure(beta)
+        return TriMatrix._trusted(self.ring, tuple(map(tuple, rows)))
+
+    def diagonal_gen(self, k: int, alpha) -> TriMatrix:
+        if not 1 <= k <= self.n:
+            raise InvalidParameter(f"diagonal index {k} out of range")
+        alpha = self._unit(alpha)
+        return self._diagonal(tuple(alpha if a == k else self.ring.one for a in range(1, self.n + 1)))
+
+    def central(self, alpha) -> TriMatrix:
+        return self._diagonal((self._unit(alpha),) * self.n)
+
+    def _elements(self) -> Iterator[TriMatrix]:
         r, n = self.ring, self.n
         units = list(r.units())
         ring_elems = list(r.elements())
@@ -353,28 +357,18 @@ class TriMatrixGroup:
             rows.append(tuple(row))
         return TriMatrix._trusted(r, tuple(rows))
 
-    def generating_set(self) -> list[TriMatrix]:
-        if not self.ring.is_finite:
-            raise TooLarge("generating sets are enumerated for finite rings only")
-        gens = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                gens.append(self.transvection(i, j, self.ring.one))
-        for k in range(1, self.n + 1):
-            for u in self.ring.units():
-                if u != self.ring.one:
-                    gens.append(self.diagonal_gen(k, u))
-        return gens
-
     def elem_to_json(self, a: TriMatrix):
         return a.to_json()
 
-    def elem_from_json(self, data) -> TriMatrix:
-        return TriMatrix.from_json(self.ring, data)
-
     def _elem_from_json(self, data, path: str) -> TriMatrix:
-        """elem_from_json for the document at path, which errors name."""
-        return TriMatrix(self.ring, _rows_from_json(self.ring, data, path))
+        """The n rows of n ring elements at path; ParseError naming the path
+        of a matrix of another size or of a malformed entry, such as [0][1]."""
+        r, n = self.ring, self.n
+        n_rows = isinstance(data, list) and len(data) == n
+        if not (n_rows and all(isinstance(row, list) and len(row) == n for row in data)):
+            raise ParseError(f"field {path!r} must be {n} rows of {n} entries, got {data!r}")
+        rows = [[_elem(r, v, f"{path}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(data)]
+        return TriMatrix(r, rows)
 
     def __eq__(self, other):
         return isinstance(other, TriMatrixGroup) and self.ring == other.ring and self.n == other.n
@@ -417,7 +411,7 @@ class RelationReport:
         }
 
 
-class DeformedGroup:
+class DeformedGroup(TriangularGroup):
     """T_n(R, f) for a tuple of cocycles f = (f_1, .., f_{n-1}) on R^x.
 
     cocycles=None means the untwisted group; this avoids requiring a cyclic
@@ -431,7 +425,7 @@ class DeformedGroup:
         self.n = n
         self._ones = (ring.one,) * (n - 1)
         self._ones_cmp = (ring.one_cmp,) * (n - 1)
-        self._identity = DeformedElem(self._ones, ring.one, ())
+        self.identity = DeformedElem(self._ones, ring.one, ())
         self._factors: tuple = ()
         if cocycles is None:
             self.cocycles = None
@@ -489,10 +483,6 @@ class DeformedGroup:
 
     # -- element constructors ------------------------------------------------
 
-    @property
-    def identity(self) -> DeformedElem:
-        return self._identity
-
     def element(self, xbar, z, upper) -> DeformedElem:
         xbar = tuple(self.ring.ensure(v) for v in xbar)
         if len(xbar) != self.n - 1:
@@ -515,9 +505,7 @@ class DeformedGroup:
     def diagonal_gen(self, k: int, alpha) -> DeformedElem:
         """d_k(a).  For k = n the central part carries the cocycle correction
         prod_i f_i(a, a^-1)^-1, which keeps conjugation formulas uniform."""
-        alpha = self.ring.ensure(alpha)
-        if not self.ring.is_unit(alpha):
-            raise NotAUnit(f"{self.ring.format_elem(alpha)} is not a unit")
+        alpha = self._unit(alpha)
         if not 1 <= k <= self.n:
             raise InvalidParameter(f"diagonal index {k} out of range")
         r = self.ring
@@ -530,10 +518,7 @@ class DeformedGroup:
         return DeformedElem(xbar, z, ())
 
     def central(self, alpha) -> DeformedElem:
-        alpha = self.ring.ensure(alpha)
-        if not self.ring.is_unit(alpha):
-            raise NotAUnit(f"{self.ring.format_elem(alpha)} is not a unit")
-        return DeformedElem((self.ring.one,) * (self.n - 1), alpha, ())
+        return DeformedElem(self._ones, self._unit(alpha), ())
 
     # -- group operations ----------------------------------------------------
 
@@ -569,9 +554,6 @@ class DeformedGroup:
             z = r.inv(z)
         return DeformedElem(xbar_inv, z, upper)
 
-    def commutator(self, a: DeformedElem, b: DeformedElem) -> DeformedElem:
-        return self.op(self.op(self.inverse(a), self.inverse(b)), self.op(a, b))
-
     def power(self, g: DeformedElem, k: int) -> DeformedElem:
         """g^k by square-and-multiply."""
         if k < 0:
@@ -587,21 +569,7 @@ class DeformedGroup:
 
     # -- size and enumeration -------------------------------------------------
 
-    @property
-    def is_finite(self) -> bool:
-        return self.ring.is_finite
-
-    def order(self) -> int:
-        if not self.ring.is_finite:
-            raise TooLarge("infinite ring")
-        units = self.ring.unit_count()
-        return units**self.n * self.ring.size() ** (self.n * (self.n - 1) // 2)
-
-    def elements(self) -> Iterator[DeformedElem]:
-        if not self.ring.is_finite:
-            raise TooLarge("infinite ring")
-        if self.order() > ENUMERATION_LIMIT:
-            raise TooLarge(f"group order {self.order()} exceeds {ENUMERATION_LIMIT}")
+    def _elements(self) -> Iterator[DeformedElem]:
         r = self.ring
         units = list(r.units())
         ring_elems = list(r.elements())
@@ -633,20 +601,9 @@ class DeformedGroup:
         return k
 
     def generating_set(self) -> list[DeformedElem]:
-        if not self.ring.is_finite:
-            raise TooLarge("generating sets are enumerated for finite rings only")
-        gens = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                gens.append(self.transvection(i, j, self.ring.one))
-        for k in range(1, self.n + 1):
-            for u in self.ring.units():
-                if u != self.ring.one:
-                    gens.append(self.diagonal_gen(k, u))
-        for u in self.ring.units():
-            if u != self.ring.one:
-                gens.append(self.central(u))
-        return gens
+        """The shared generators, then diag(u) for each unit u != 1."""
+        r = self.ring
+        return super().generating_set() + [self.central(u) for u in r.units() if u != r.one]
 
     # -- serialisation ---------------------------------------------------------
 
@@ -656,9 +613,6 @@ class DeformedGroup:
             "z": self.ring.elem_to_json(g.z),
             "upper": {f"{i},{j}": self.ring.elem_to_json(v) for (i, j), v in g.upper},
         }
-
-    def elem_from_json(self, data) -> DeformedElem:
-        return self._elem_from_json(data, "")
 
     def _elem_from_json(self, data, path: str) -> DeformedElem:
         """The element document {"xbar", "z", "upper"?} at path; ParseError
@@ -681,14 +635,6 @@ class DeformedGroup:
     def __repr__(self):
         kind = "untwisted" if self.is_untwisted else "twisted"
         return f"DeformedGroup({self.ring.spec!r}, n={self.n}, {kind})"
-
-
-def _rows_from_json(ring: Ring, data, path: str) -> list:
-    """Rows of ring elements from the list of lists at path; ParseError
-    naming the path of a malformed entry, such as [0][1]."""
-    if not (isinstance(data, list) and all(isinstance(row, list) for row in data)):
-        raise ParseError(f"field {path!r} must be a list of rows, got {data!r}")
-    return [[_elem(ring, v, f"{path}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(data)]
 
 
 def _check_normalised(f: SymCocycle2, units) -> None:
@@ -773,6 +719,17 @@ def _unit_pool(ring: Ring, rng: random.Random, count: int) -> list:
     return pool
 
 
+def _first_failure(family: str, cases) -> RelationReport:
+    """Run a family's (witness, lhs, rhs) cases in order and stop at the
+    first with lhs != rhs; checked counts the cases run."""
+    checked = 0
+    for witness, lhs, rhs in cases:
+        checked += 1
+        if lhs != rhs:
+            return RelationReport(family, checked, False, witness)
+    return RelationReport(family, checked, True)
+
+
 def check_presentation(group, trials: int = 40, rng: random.Random | None = None) -> list[RelationReport]:
     """Check the five defining relation families on a triangular group.
 
@@ -786,49 +743,31 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     scalars = _scalar_pool(ring, rng, max(3, trials // 8))
     units = _unit_pool(ring, rng, max(2, trials // 10))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    reports = []
+    product = itertools.product
     # t_ij(scalars[p]) is built once, as t[i, j][p]
     t = {(i, j): [group.transvection(i, j, beta) for beta in scalars] for i, j in pairs}
     indexed = list(enumerate(scalars))
     head = indexed[:4]
 
-    checked = 0
-    witness = None
-    for (i, j), (b, beta), (c, gamma) in itertools.product(pairs, indexed, indexed):
-        checked += 1
-        lhs = group.op(t[i, j][b], t[i, j][c])
-        rhs = group.transvection(i, j, ring.add(beta, gamma))
-        if lhs != rhs:
-            witness = (i, j, beta, gamma)
-            break
-    reports.append(RelationReport("transvection-additivity", checked, witness is None, witness))
-
-    checked = 0
-    witness = None
-    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
-        if j == k or l == i:
-            continue
-        for (b, beta), (c, gamma) in itertools.product(head, repeat=2):
-            checked += 1
-            if group.commutator(t[i, j][b], t[k, l][c]) != group.identity:
-                witness = (i, j, k, l, beta, gamma)
-                break
-        if witness:
-            break
-    reports.append(RelationReport("disjoint-commutation", checked, witness is None, witness))
-
-    checked = 0
-    witness = None
-    for i, j, l in itertools.combinations(range(1, n + 1), 3):
-        for (b, beta), (c, gamma) in itertools.product(head, repeat=2):
-            checked += 1
-            comm = group.commutator(t[i, j][b], t[j, l][c])
-            if comm != group.transvection(i, l, ring.mul(beta, gamma)):
-                witness = (i, j, l, beta, gamma)
-                break
-        if witness:
-            break
-    reports.append(RelationReport("overlap-commutation", checked, witness is None, witness))
+    additivity = (
+        ((i, j, beta, gamma), group.op(t[i, j][b], t[i, j][c]), group.transvection(i, j, ring.add(beta, gamma)))
+        for (i, j), (b, beta), (c, gamma) in product(pairs, indexed, indexed)
+    )
+    disjoint = (
+        ((i, j, k, l, beta, gamma), group.commutator(t[i, j][b], t[k, l][c]), group.identity)
+        for (i, j), (k, l) in product(pairs, repeat=2)
+        if j != k and l != i
+        for (b, beta), (c, gamma) in product(head, repeat=2)
+    )
+    overlap = (
+        (
+            (i, j, l, beta, gamma),
+            group.commutator(t[i, j][b], t[j, l][c]),
+            group.transvection(i, l, ring.mul(beta, gamma)),
+        )
+        for i, j, l in itertools.combinations(range(1, n + 1), 3)
+        for (b, beta), (c, gamma) in product(head, repeat=2)
+    )
 
     # d_k(a) is built once per (k, a) and shared by the diagonal families;
     # the pool's d_k(units[p]) is read by position, as d_pool[k][p], so only
@@ -842,64 +781,57 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
         return out
 
     d_pool = {k: [d(k, a) for a in units] for k in range(1, n + 1)}
+    twisted = isinstance(group, DeformedGroup) and group.cocycles is not None
 
-    checked = 0
-    witness = None
-    deformed = isinstance(group, DeformedGroup)
-    for k in range(1, n + 1):
-        for (p1, a1), (p2, a2) in itertools.product(enumerate(units), repeat=2):
-            checked += 1
-            lhs = group.op(d_pool[k][p1], d_pool[k][p2])
-            rhs = d(k, ring.mul(a1, a2))
-            if deformed and group.cocycles is not None:
-                # d_k(a)d_k(b) = d_k(ab) diag(f_k(a,b)); the k = n twist is
-                # the product correction F(a,b)^-1 instead
-                if k < n:
-                    corr = group.cocycles[k - 1](a1, a2)
-                else:
-                    corr = ring.inv(group.big_f(a1, a2))
-                rhs = group.op(rhs, group.central(corr))
-            if lhs != rhs:
-                witness = ("multiplicativity", k, a1, a2)
-                break
-        if witness:
-            break
-    if witness is None:
-        for k, l in itertools.combinations(range(1, n + 1), 2):
-            for (p1, a1), (p2, a2) in itertools.product(enumerate(units[:4]), repeat=2):
-                checked += 1
-                lhs = group.op(d_pool[k][p1], d_pool[l][p2])
-                rhs = group.op(d_pool[l][p2], d_pool[k][p1])
-                if lhs != rhs:
-                    witness = ("commutation", k, l, a1, a2)
-                    break
-            if witness:
-                break
-    reports.append(RelationReport("diagonal-subgroup", checked, witness is None, witness))
+    def d_product(k, a1, a2):
+        # d_k(a)d_k(b) = d_k(ab) diag(f_k(a,b)); the k = n twist is the
+        # product correction F(a,b)^-1 instead
+        if not twisted:
+            return d(k, ring.mul(a1, a2))
+        corr = group.cocycles[k - 1](a1, a2) if k < n else ring.inv(group.big_f(a1, a2))
+        return group.op(d(k, ring.mul(a1, a2)), group.central(corr))
 
-    checked = 0
-    witness = None
-    for k in range(1, n + 1):
-        for p, alpha in enumerate(units):
-            dk = d_pool[k][p]
-            dk_inv = group.inverse(dk)
-            for (i, j), (b, beta) in itertools.product(pairs, head):
-                checked += 1
-                lhs = group.op(group.op(dk_inv, t[i, j][b]), dk)
-                scaled = beta
-                if i == k:
-                    scaled = ring.mul(ring.inv(alpha), scaled)
-                if j == k:
-                    scaled = ring.mul(scaled, alpha)
-                if lhs != group.transvection(i, j, scaled):
-                    witness = (k, alpha, i, j, beta)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    reports.append(RelationReport("diagonal-conjugation", checked, witness is None, witness))
-    return reports
+    diagonal = itertools.chain(
+        (
+            (("multiplicativity", k, a1, a2), group.op(d_pool[k][p1], d_pool[k][p2]), d_product(k, a1, a2))
+            for k in range(1, n + 1)
+            for (p1, a1), (p2, a2) in product(enumerate(units), repeat=2)
+        ),
+        (
+            (
+                ("commutation", k, l, a1, a2),
+                group.op(d_pool[k][p1], d_pool[l][p2]),
+                group.op(d_pool[l][p2], d_pool[k][p1]),
+            )
+            for k, l in itertools.combinations(range(1, n + 1), 2)
+            for (p1, a1), (p2, a2) in product(enumerate(units[:4]), repeat=2)
+        ),
+    )
+
+    def scaled(k, alpha, i, j, beta):
+        # d_k(a)^-1 t_ij(b) d_k(a) = t_ij(a_i^-1 b a_j), a_m = a at m = k, else 1
+        if i == k:
+            beta = ring.mul(ring.inv(alpha), beta)
+        return ring.mul(beta, alpha) if j == k else beta
+
+    d_inv = {k: [group.inverse(x) for x in d_pool[k]] for k in d_pool}
+    conjugation = (
+        (
+            (k, alpha, i, j, beta),
+            group.op(group.op(d_inv[k][p], t[i, j][b]), d_pool[k][p]),
+            group.transvection(i, j, scaled(k, alpha, i, j, beta)),
+        )
+        for k in range(1, n + 1)
+        for p, alpha in enumerate(units)
+        for (i, j), (b, beta) in product(pairs, head)
+    )
+    return [
+        _first_failure("transvection-additivity", additivity),
+        _first_failure("disjoint-commutation", disjoint),
+        _first_failure("overlap-commutation", overlap),
+        _first_failure("diagonal-subgroup", diagonal),
+        _first_failure("diagonal-conjugation", conjugation),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +886,3 @@ def split_isomorphism(group: DeformedGroup) -> SplitIso | None:
             return None
         witnesses.append(psi)
     return SplitIso(group, tuple(witnesses))
-
-
-def enumerate_group(group) -> list:
-    """All elements of a finite group; TooLarge above the shared cap."""
-    return list(group.elements())

@@ -352,6 +352,19 @@ def test_structure_fitting_description_only(capsys, group_file):
     assert report["data"]["kind"] == "Fitting"
 
 
+@pytest.mark.parametrize("kind", ["deformed", "matrix"])
+@pytest.mark.parametrize("cmd", ["center", "derived", "fitting"])
+def test_structure_descriptions_refuse_a_non_domain(capsys, group_file, cmd, kind):
+    # Z/4 is not a domain; every description refuses it alike (exit 2),
+    # where center and derived used to check anyway and fail with exit 1
+    path = group_file({"ring": "Z/4", "n": 3, "kind": kind})
+    rc, out, err = run(capsys, ["structure", cmd, "--group", path])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Z/4 is not an integral domain" in err
+    rc, out, err = run(capsys, ["fo", "eval", "x = 1", "--group", path, "--center-set", "Z", "--assign", "x=1"])
+    assert rc == 2 and "Z/4 is not an integral domain" in err
+
+
 def test_structure_width(capsys, group_file):
     path = group_file({"ring": "Z/3", "n": 3})
     rc, report = run_json(capsys, ["structure", "width", "--group", path, "--bound", "3"])
@@ -393,6 +406,27 @@ def test_fo_parse(capsys):
     rc, report = run_json(capsys, ["fo", "parse", "A x. x = 1"])
     assert rc == 0
     assert report["data"] == {"canonical": "A x. x = 1", "free_variables": [], "round_trip": True}
+
+
+@pytest.mark.parametrize(
+    "text, rc",
+    [
+        (" & ".join(["x = 1"] * 1200), 0),
+        ("x" + "*x" * 1999 + " = 1", 0),
+        ("!" * 3000 + "x = 1", 2),
+        ("(" * 2000 + "x = 1" + ")" * 2000, 2),
+    ],
+    ids=["1200-conjuncts", "2000-factors", "3000-negations", "2000-parentheses"],
+)
+def test_fo_parse_of_long_or_deep_input_is_not_a_library_fault(capsys, text, rc):
+    # long spines round-trip; nesting too deep is an input error, not exit 3
+    if rc == 0:
+        got, report = run_json(capsys, ["fo", "parse", text])
+        assert got == 0 and report["data"]["round_trip"] is True
+        assert report["data"]["canonical"] == text
+    else:
+        got, out, err = run(capsys, ["fo", "parse", text])
+        assert got == rc and err.startswith("error: formula nests too deeply")
 
 
 def test_fo_parse_reports_free_variables(capsys):
@@ -564,6 +598,13 @@ _Q_2 = {"num": "2", "den": "1"}
         # over Q^x a psi table cannot be complete; the first missing element met is named
         ({**_UNITS_Q_TO_Q, "backend": {"type": "coboundary", "psi": {"type": "table", "entries": [[_Q_2, _Q_2]]}}},
          "psi table has no entry for "),
+        # FgAbelian coordinates are integers, not anything that supports %
+        ({"domain": _FG_4, "codomain": _FG_2, "backend": {"type": "carry", "targets": {"0": [1.5]}}},
+         "field 'backend.targets.0'"),
+        ({"domain": _FG_4, "codomain": _FG_2, "backend": {"type": "carry", "targets": {"0": ["%d"]}}},
+         "field 'backend.targets.0'"),
+        ({"domain": _FG_2, "codomain": _FG_2, "backend": {"type": "table", "entries": [[[0], [True], [0]]]}},
+         "field 'backend.entries[0]'"),
     ],
 )
 @pytest.mark.parametrize("cmd", ["verify", "is-coboundary", "is-cot"])
@@ -669,6 +710,14 @@ def test_bad_element_document_names_the_field(capsys, group_file, x, names):
          "field '--x.xbar[0]'"),
         ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["1", 0.5], ["0", "1"]]', "--y", '[["1", "0"], ["0", "1"]]'],
          "field '--x[0][1]'"),
+        # a matrix element of T_n(R) is n rows of n entries
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["1"]]', "--y", '[["2"]]'],
+         "field '--x' must be 2 rows of 2 entries"),
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"},
+         ["group", "mul", "--x", '[["1", "0"], ["0", "1"]]', "--y", '[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]'],
+         "field '--y' must be 2 rows of 2 entries"),
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["fo", "eval", "x = 1", "--assign", 'x=[["1", "0"], ["1"]]'],
+         "field '--assign x' must be 2 rows of 2 entries"),
     ],
 )
 def test_bad_element_argument_names_the_field(capsys, group_file, group, argv, names):

@@ -6,6 +6,7 @@ code path.
 """
 
 import itertools
+import json
 import random
 import time
 
@@ -37,6 +38,7 @@ from triadeform.cocycles import (
     CocycleReport,
     DictPsi,
     ExtensionGroup,
+    TransportedCocycle,
     coboundary_defect,
     ext_pow,
 )
@@ -609,6 +611,35 @@ def test_transport_preserves_class_and_values():
         for y in b.elements():
             assert g(x, y) == psi.apply(f(inv.apply(x), inv.apply(y)))
     assert (is_coboundary(g) is None) == (is_coboundary(f) is None)
+
+
+def test_transported_coboundary_reads_back_with_the_same_values(rng):
+    # a coboundary takes the path of every other backend: a table over a
+    # finite domain, whose document reads back, or a wrapper over an
+    # infinite one, which has no document
+    a = FgAbelian((4,))
+    psi = AbHom(a, a, [[3]])
+    cases = [
+        (FgAbelian((2, 4)), [[1, 0], [0, 3]], {0: (1,), 1: (3,)}, {}),
+        (FgAbelian((2,), 1), [[1, 0], [0, -1]], {0: (1,)}, {0: (1,)}),
+    ]
+    for b, matrix, torsion_bases, free_bases in cases:
+        f = CoboundaryOf(b, a, MonomialPsi(b, a, torsion_bases, free_bases))
+        eta = AbHom(b, b, matrix)
+        g = transport_cocycle(f, psi, eta)
+        inv = eta.inverse()
+        xs = list(b.elements()) if b.is_finite else [b.sample(rng) for _ in range(10)]
+        want = {(x, y): psi.apply(f(inv.apply(x), inv.apply(y))) for x in xs for y in xs}
+        assert any(v != a.identity for v in want.values())
+        assert {(x, y): g(x, y) for x in xs for y in xs} == want
+        if b.is_finite:
+            back = cocycle_from_json(json.loads(json.dumps(g.to_json())))
+            assert {(x, y): back(x, y) for x in xs for y in xs} == want
+            assert is_coboundary(back) is not None
+        else:
+            assert isinstance(g, TransportedCocycle)
+            with pytest.raises(InvalidParameter):
+                g.to_json()
 
 
 def test_transport_rejects_non_bijective_eta():

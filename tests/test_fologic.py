@@ -34,6 +34,7 @@ from triadeform.fologic import (
     Or,
     Var,
     alpha_equivalent,
+    and_fold,
     comm,
     conj,
     defining_set,
@@ -363,6 +364,22 @@ def test_long_and_spines_need_no_recursion():
         return out + [f]
 
     assert conjuncts(back) == conjuncts(phi) and len(conjuncts(phi)) == 3125
+    assert back == phi  # equality walks the spine without recursion as well
+
+
+def test_equality_and_hash_need_no_recursion():
+    # 5,000 negations and a 5,000-conjunct spine, each far past the
+    # default recursion limit, built without the parser
+    deep, other = Eq(Var("x"), One()), Eq(Var("y"), One())
+    for _ in range(5000):
+        deep, other = Not(deep), Not(other)
+    assert deep == Not(deep).arg and hash(deep) == hash(Not(deep).arg)
+    assert deep != other
+    spine = and_fold([Eq(Var(f"x{k % 7}"), One()) for k in range(5000)])
+    twin = and_fold([Eq(Var(f"x{k % 7}"), One()) for k in range(5000)])
+    assert spine == twin and hash(spine) == hash(twin) and len({spine, twin}) == 1
+    assert spine != and_fold([Eq(Var(f"x{k % 7}"), One()) for k in range(4999)] + [Eq(One(), One())])
+    assert Mul(Var("x"), One()) != Mul(One(), Var("x")) and Var("x") != "x"
 
 
 def test_naive_eval_of_ncl_on_large_carrier_exceeds_budget(m3):

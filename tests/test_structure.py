@@ -225,6 +225,17 @@ def test_fitting_description_requires_domain():
         fitting_description(group)
 
 
+@pytest.mark.parametrize(
+    "describe", [center_description, derived_description, fitting_description, unipotent_pm_description]
+)
+def test_every_description_applies_to_domains_only(describe):
+    for group in (DeformedGroup(parse_ring("Z/4"), 3), TriMatrixGroup(parse_ring("Z/6"), 2)):
+        with pytest.raises(InvalidParameter, match="not an integral domain"):
+            describe(group)
+    for spec in ("Z/5", "Z", "Q", "Z[sqrt(2)]", "Z[i]"):
+        assert describe(DeformedGroup(parse_ring(spec), 3)).kind
+
+
 def test_fitting_report_json_keys(t2_z3_fg):
     report = brute_force_fitting(t2_z3_fg, class_bound=2)
     data = report.to_json()

@@ -1,5 +1,6 @@
 """Triangular matrix groups, deformations, bridges, presentation checking."""
 
+import itertools
 import json
 import random
 import time
@@ -23,7 +24,6 @@ from triadeform import (
     TriMatrixGroup,
     check_presentation,
     deformed_to_matrix,
-    enumerate_group,
     fn_identity_check,
     from_group,
     matrix_to_deformed,
@@ -34,7 +34,7 @@ from triadeform import (
     verify_cocycle,
 )
 from triadeform.cocycles import DictPsi
-from triadeform.errors import TooLarge
+from triadeform.errors import ParseError, TooLarge
 from triadeform.trigroup import upper_conjugate, upper_inv, upper_mul, upper_normalise
 
 
@@ -68,7 +68,7 @@ def test_upper_mul_matches_matrix_product(ring_q, rng):
 
 
 def _unitri(ring, n, upper):
-    m = TriMatrix.identity(ring, n)
+    m = TriMatrixGroup(ring, n).identity
     rows = [list(row) for row in m.rows]
     for (i, j), v in upper:
         rows[i - 1][j - 1] = v
@@ -197,29 +197,36 @@ def test_bridge_builds_valid_matrices(spec, rng):
 
 
 def test_matrix_named_constructors_check_their_arguments(ring_z5):
+    t3, t2 = TriMatrixGroup(ring_z5, 3), TriMatrixGroup(ring_z5, 2)
     with pytest.raises(NotAUnit):
-        TriMatrix.diagonal(ring_z5, [1, 0, 2])
+        t3.central(0)
     with pytest.raises(NotAUnit):
-        TriMatrix.diagonal_gen(ring_z5, 3, 2, 5)
+        t3.diagonal_gen(2, 5)
     with pytest.raises(InvalidParameter):
-        TriMatrix.transvection(ring_z5, 3, 2, 2, 1)
+        t3.diagonal_gen(4, 2)
+    with pytest.raises(InvalidParameter):
+        t3.transvection(2, 2, 1)
     with pytest.raises(InvalidParameter):
         TriMatrix(ring_z5, [[1, 0], [0, 1, 0]])
     with pytest.raises(InvalidParameter):
-        TriMatrix.from_json(ring_z5, [["1", "0"], ["2", "1"]])
+        t2.elem_from_json([["1", "0"], ["2", "1"]])
     with pytest.raises(NotAUnit):
-        TriMatrix.from_json(ring_z5, [["1", "0"], ["0", "0"]])
+        t2.elem_from_json([["1", "0"], ["0", "0"]])
+    for bad in ([["1"]], [["1", "0"], ["0", "1"], ["0", "0"]], [["1", "0"], ["0"]], [["1", "0", "0"], ["0", "1", "0"]]):
+        with pytest.raises(ParseError, match="2 rows of 2 entries"):
+            t2.elem_from_json(bad)
     with pytest.raises(DomainMismatch):
-        TriMatrix.identity(ring_z5, 2).mul(TriMatrix.identity(parse_ring("Z/7"), 2))
-    assert TriMatrix.identity(ring_z5, 2) != TriMatrix.identity(parse_ring("Z/7"), 2)
-    m = TriMatrix.transvection(ring_z5, 3, 1, 3, 7)
-    assert m.rows == ((1, 0, 2), (0, 1, 0), (0, 0, 1))
-    assert TriMatrix.diagonal_gen(ring_z5, 3, 2, 3).rows == ((1, 0, 0), (0, 3, 0), (0, 0, 1))
+        t2.identity.mul(TriMatrixGroup(parse_ring("Z/7"), 2).identity)
+    assert t2.identity != TriMatrixGroup(parse_ring("Z/7"), 2).identity
+    assert t3.transvection(1, 3, 7).rows == ((1, 0, 2), (0, 1, 0), (0, 0, 1))
+    assert t3.diagonal_gen(2, 3).rows == ((1, 0, 0), (0, 3, 0), (0, 0, 1))
+    assert t3.central(4).rows == ((4, 0, 0), (0, 4, 0), (0, 0, 4))
+    assert t3.identity is t3.identity
 
 
 def test_matrix_lane_builds_no_validated_matrices(monkeypatch):
     # products, inverses, enumeration and generators are valid by construction;
-    # only the public constructor and from_json may check entries
+    # only the public constructor and elem_from_json may check entries
     calls = [0]
     init = TriMatrix.__init__
 
@@ -235,7 +242,7 @@ def test_matrix_lane_builds_no_validated_matrices(monkeypatch):
     memo_fg = from_group(TriMatrixGroup(parse_ring("Z/11"), 2))
     assert memo_fg.order == 1100
     assert len(memo_fg.center()) == 10
-    gen = memo_fg.index(TriMatrix.transvection(memo_fg.elem(0).ring, 2, 1, 2, 1))
+    gen = memo_fg.index(TriMatrixGroup(memo_fg.elem(0).ring, 2).transvection(1, 2, 1))
     assert len(memo_fg.normal_closure([gen])) == 11
     assert calls[0] == 0
 
@@ -353,7 +360,7 @@ def test_untwisted_multiply_matches_matrix_multiply(spec, rng):
 def test_bridge_requires_untwisted():
     g = _twisted_f5()
     with pytest.raises(InvalidParameter):
-        matrix_to_deformed(g, TriMatrix.identity(g.ring, 3))
+        matrix_to_deformed(g, TriMatrixGroup(g.ring, 3).identity)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +387,102 @@ def test_presentation_catches_wrong_cocycle_use():
     c = parse_ring("Q").parse_elem("-5")
     lhs = g.commutator(g.transvection(1, 2, b), g.transvection(2, 3, c))
     assert lhs == g.transvection(1, 3, b * c)
+
+
+def _broken(base, family):
+    """An untwisted group class with one generator altered so that the named
+    relation family fails; families that use the same generator may fail
+    with it."""
+
+    class Broken(base):
+        def transvection(self, i, j, beta):
+            r = self.ring
+            if family == "additivity" and (i, j) == (2, 3):
+                return super().transvection(i, j, r.mul(beta, beta))
+            if family == "disjoint" and (i, j) == (3, 4):  # t_34 drags a t_23 along
+                return self.op(super().transvection(3, 4, beta), super().transvection(2, 3, beta))
+            if family == "overlap" and (i, j) == (1, self.n):
+                return super().transvection(i, j, r.add(beta, beta))
+            return super().transvection(i, j, beta)
+
+        def diagonal_gen(self, k, alpha):
+            d = super().diagonal_gen(k, alpha)
+            p = super().transvection(1, 2, self.ring.one)
+            if family == "multiplicativity" and k == self.n:
+                return self.op(d, p)
+            if family == "commutation" and k == 2:  # still multiplicative in alpha
+                return self.op(self.op(p, d), self.inverse(p))
+            if family == "conjugation" and k == 1:
+                return super().diagonal_gen(k, self.ring.mul(alpha, alpha))
+            return d
+
+    return Broken
+
+
+def _restated_cases(g, family):
+    """(witness, holds) for each case of a family at trials=0 over a ring of
+    at most 8 elements, in the documented order, for untwisted g."""
+    r, n = g.ring, g.n
+    scalars, units = list(r.elements()), list(r.units())
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    t, d, op, inv = g.transvection, g.diagonal_gen, g.op, g.inverse
+
+    def comm(a, b):
+        return op(op(inv(a), inv(b)), op(a, b))
+
+    if family == "transvection-additivity":
+        for (i, j), b, c in itertools.product(pairs, scalars, scalars):
+            yield (i, j, b, c), op(t(i, j, b), t(i, j, c)) == t(i, j, r.add(b, c))
+    if family == "disjoint-commutation":
+        for (i, j), (k, l) in itertools.product(pairs, pairs):
+            for b, c in itertools.product(scalars[:4], repeat=2):
+                if j != k and l != i:
+                    yield (i, j, k, l, b, c), comm(t(i, j, b), t(k, l, c)) == g.identity
+    if family == "overlap-commutation":
+        for i, j, l in itertools.combinations(range(1, n + 1), 3):
+            for b, c in itertools.product(scalars[:4], repeat=2):
+                yield (i, j, l, b, c), comm(t(i, j, b), t(j, l, c)) == t(i, l, r.mul(b, c))
+    if family == "diagonal-subgroup":
+        for k in range(1, n + 1):
+            for a1, a2 in itertools.product(units, repeat=2):
+                yield ("multiplicativity", k, a1, a2), op(d(k, a1), d(k, a2)) == d(k, r.mul(a1, a2))
+        for k, l in itertools.combinations(range(1, n + 1), 2):
+            for a1, a2 in itertools.product(units[:4], repeat=2):
+                yield ("commutation", k, l, a1, a2), op(d(k, a1), d(l, a2)) == op(d(l, a2), d(k, a1))
+    if family == "diagonal-conjugation":
+        for k, a in itertools.product(range(1, n + 1), units):
+            for (i, j), b in itertools.product(pairs, scalars[:4]):
+                scale = (r.inv(a) if i == k else r.one, a if j == k else r.one)
+                want = t(i, j, r.mul(r.mul(scale[0], b), scale[1]))
+                yield (k, a, i, j, b), op(op(inv(d(k, a)), t(i, j, b)), d(k, a)) == want
+
+
+@pytest.mark.parametrize(
+    "base, spec, n, broken",
+    [
+        (DeformedGroup, "Z/3", 3, "additivity"),
+        (TriMatrixGroup, "Z/3", 4, "disjoint"),
+        (TriMatrixGroup, "Z/5", 3, "overlap"),
+        (DeformedGroup, "Z/5", 3, "multiplicativity"),
+        (TriMatrixGroup, "Z/7", 3, "commutation"),
+        (DeformedGroup, "Z/7", 4, "conjugation"),
+    ],
+)
+def test_presentation_reports_the_first_failing_case(base, spec, n, broken):
+    # checked counts the cases up to and including the first failure, which
+    # is the witness; a family that holds counts all of its cases
+    g = _broken(base, broken)(parse_ring(spec), n)
+    reports = check_presentation(g, trials=0)
+    failing = []
+    for report in reports:
+        checked, witness = 0, None
+        for checked, (case, holds) in enumerate(_restated_cases(g, report.family), 1):
+            if not holds:
+                witness = case
+                break
+        assert (report.checked, report.ok, report.witness) == (checked, witness is None, witness), report.family
+        failing += [report.family] if witness else []
+    assert failing and all(r.family in failing for r in reports if not r.ok)
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +531,18 @@ def test_split_isomorphism_refuses_non_coboundary():
     assert split_isomorphism(_twisted_f5()) is None
 
 
-def test_enumerate_group_sizes(t3_z3):
-    elems = enumerate_group(t3_z3)
+def test_elements_sizes_and_cap(t3_z3):
+    elems = list(t3_z3.elements())
     assert len(elems) == 216 == t3_z3.order()
     assert len(set(elems)) == 216
-    with pytest.raises(TooLarge):
-        enumerate_group(DeformedGroup(parse_ring("Z/7"), 4))
+    for group in (DeformedGroup(parse_ring("Z/7"), 4), TriMatrixGroup(parse_ring("Z/7"), 4), DeformedGroup(parse_ring("Q"), 3)):
+        with pytest.raises(TooLarge):
+            list(group.elements())
 
 
 def test_twisted_group_order_and_enumeration():
     g = _twisted_f5()
-    elems = enumerate_group(g)
+    elems = list(g.elements())
     assert len(elems) == 8000 == g.order()
     fg = from_group(_twisted_f5(n=3, target=1))
     assert fg.order == 8000

@@ -51,6 +51,10 @@ class FiniteGroup:
     def elem(self, i: int):
         return self._elems[i]
 
+    def indices_where(self, pred) -> frozenset[int]:
+        """The indices of the elements x with pred(x)."""
+        return frozenset([i for i, x in enumerate(self._elems) if pred(x)])
+
     def index(self, el) -> int:
         try:
             return self._index[el]

@@ -549,6 +549,8 @@ class _Code:
     atoms under d quantifiers (the upfront bound is sum(atoms_at[d] * N**d)).
     """
 
+    SPINE_STEP = 100  # the prefixes of a Mul spine evaluated by recursion, at most
+
     def __init__(self, phi: Formula):
         self.tick = itertools.count(1).__next__  # binding stamps, never reused
         self.nodes: dict[tuple, tuple] = {}
@@ -585,13 +587,27 @@ class _Code:
             elif isinstance(t, One):
                 found = self.node(("one",))
             elif isinstance(t, Mul):
-                found = self.node((Mul, self.term(t.left, scope), self.term(t.right, scope)))
+                found = self.spine(t, scope)
             elif isinstance(t, Inv):
                 found = self.node((Inv, self.term(t.arg, scope)))
             else:
                 raise TypeError(f"not a term: {t!r}")
             scope[1][id(t)] = found
         return found
+
+    def spine(self, t: Mul, scope) -> tuple:
+        """A Mul left spine, compiled by a loop into one node per prefix
+        product, as a recursive fold would.  A prefix evaluates the one below
+        it first, so a long spine computes every SPINE_STEP-th prefix in
+        order, and evaluation recurses no deeper than that either."""
+        first, *rest = _left_spine(t, Mul)
+        nodes = [self.term(first, scope)]
+        for right in rest:
+            nodes.append(self.node((Mul, nodes[-1], self.term(right, scope))))
+        if len(nodes) <= self.SPINE_STEP:
+            return nodes[-1]
+        steps = [f for f, _ in nodes[self.SPINE_STEP :: self.SPINE_STEP]] + [nodes[-1][0]]
+        return (lambda S: [step(S) for step in steps][-1]), nodes[-1][1]
 
     def formula(self, phi: Formula, scope, depth: int):
         if isinstance(phi, (Eq, InSet)):

@@ -3,13 +3,15 @@ brute-force counterparts on finite instances.
 
 The symbolic side describes center, derived subgroup, Fitting subgroup,
 signed unipotent subgroup and the coordinate tori as membership predicates
-on normal-form coordinates.  The center, derived, Fitting and signed
-unipotent descriptions are proved for integral domains and refuse any other
-ring (InvalidParameter).  The brute-force side drives the FiniteGroup
-engine: normal closures, lower central series, the commutator-width check
-(on FiniteGroup.width_products) and a from-scratch Fitting computation,
-whose subgroups are index sets of the one parent group.  Tests
-cross-validate the two.
+on the normal-form coordinates (xbar, z, U) of g = D (I + U).  Each is
+written once, over the coordinate questions that both pictures of trigroup
+answer (torus_is_trivial, is_unipotent, strict_part, torus_part).  The
+center, derived, Fitting and signed unipotent descriptions are proved for
+integral domains and refuse any other ring (InvalidParameter).  The
+brute-force side drives the FiniteGroup engine: normal closures, lower
+central series, the commutator-width check (on FiniteGroup.width_products)
+and a from-scratch Fitting computation, whose subgroups are index sets of
+the one parent group.  Tests cross-validate the two.
 
 Derived-subgroup membership depends on the ideal generated by {1 - u : u a
 unit}; for Z that is 2Z, for a field with a unit other than 1 it is
@@ -38,7 +40,7 @@ from .rings import (
     _trial_factor,
 )
 from .snf import solve_integer
-from .trigroup import DeformedElem, DeformedGroup, TriMatrix, TriMatrixGroup
+from .trigroup import DeformedGroup
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +129,7 @@ class SubgroupDescription:
         return self.membership(g)
 
     def elements_in(self, fg: FiniteGroup) -> frozenset[int]:
-        return frozenset(i for i in fg.all_indices if self.membership(fg.elem(i)))
-
-
-def _is_scalar_matrix(m: TriMatrix) -> bool:
-    r = m.ring
-    first = m.rows[0][0]
-    for i in range(m.n):
-        if m.rows[i][i] != first:
-            return False
-        for j in range(i + 1, m.n):
-            if m.rows[i][j] != r.zero:
-                return False
-    return True
+        return fg.indices_where(self.membership)
 
 
 def center_description(group) -> SubgroupDescription:
@@ -150,16 +140,12 @@ def center_description(group) -> SubgroupDescription:
     subgroup of the center and the instance is documented as degenerate.
     """
     _require_domain(group.ring)
-    if isinstance(group, DeformedGroup):
-        ones = (group.ring.one,) * (group.n - 1)
+    torus_is_trivial, strict_part = group.torus_is_trivial, group.strict_part
 
-        def member(g: DeformedElem) -> bool:
-            return g.xbar == ones and g.upper == ()
+    def member(g) -> bool:
+        return torus_is_trivial(g) and not strict_part(g)
 
-        return SubgroupDescription("Center", member, "diag(z) for z in R^x")
-    if isinstance(group, TriMatrixGroup):
-        return SubgroupDescription("Center", _is_scalar_matrix, "scalar matrices z*I")
-    raise InvalidParameter(f"unsupported group {group!r}")
+    return SubgroupDescription("Center", member, "diag(z) for z in R^x")
 
 
 def central_involution(group):
@@ -173,53 +159,20 @@ def central_involution(group):
 
 def derived_description(group) -> SubgroupDescription:
     """Unipotent part with superdiagonal entries in the unit-difference ideal."""
-    ring = group.ring
-    _require_domain(ring)
-    ideal = unit_diff_ideal(ring)
-    if isinstance(group, DeformedGroup):
-        ones = (ring.one,) * (group.n - 1)
+    _require_domain(group.ring)
+    ideal = unit_diff_ideal(group.ring)
+    is_unipotent, strict_part = group.is_unipotent, group.strict_part
 
-        def member(g: DeformedElem) -> bool:
-            if g.xbar != ones or g.z != ring.one:
-                return False
-            return all(
-                ideal.contains(v) for (i, j), v in g.upper if j == i + 1
-            )
+    def member(g) -> bool:
+        return is_unipotent(g) and all(ideal.contains(v) for (i, j), v in strict_part(g) if j == i + 1)
 
-        return SubgroupDescription(
-            "Derived", member, "t_{i,i+1}((1-u)b) and t_{kl}(b) for l-k >= 2"
-        )
-    if isinstance(group, TriMatrixGroup):
-
-        def member(m: TriMatrix) -> bool:
-            if not m.is_unitriangular():
-                return False
-            return all(ideal.contains(m.rows[i][i + 1]) for i in range(m.n - 1))
-
-        return SubgroupDescription(
-            "Derived", member, "t_{i,i+1}((1-u)b) and t_{kl}(b) for l-k >= 2"
-        )
-    raise InvalidParameter(f"unsupported group {group!r}")
+    return SubgroupDescription("Derived", member, "t_{i,i+1}((1-u)b) and t_{kl}(b) for l-k >= 2")
 
 
 def fitting_description(group) -> SubgroupDescription:
     """Unipotent-times-center: trivial torus class, any z, any U."""
     _require_domain(group.ring)
-    if isinstance(group, DeformedGroup):
-        ones = (group.ring.one,) * (group.n - 1)
-
-        def member(g: DeformedElem) -> bool:
-            return g.xbar == ones
-
-        return SubgroupDescription("Fitting", member, "UT_n(R) * Z(G)")
-    if isinstance(group, TriMatrixGroup):
-
-        def member(m: TriMatrix) -> bool:
-            first = m.rows[0][0]
-            return all(m.rows[i][i] == first for i in range(m.n))
-
-        return SubgroupDescription("Fitting", member, "UT_n(R) * Z(G)")
-    raise InvalidParameter(f"unsupported group {group!r}")
+    return SubgroupDescription("Fitting", group.torus_is_trivial, "UT_n(R) * Z(G)")
 
 
 def unipotent_pm_description(group) -> SubgroupDescription:
@@ -228,11 +181,7 @@ def unipotent_pm_description(group) -> SubgroupDescription:
     derived = derived_description(group)
 
     def member(g) -> bool:
-        if not fitt.contains(g):
-            return False
-        in_derived = derived.contains(g)
-        square = group.op(g, g)
-        return in_derived or (not in_derived and derived.contains(square))
+        return fitt.contains(g) and (derived.contains(g) or derived.contains(group.op(g, g)))
 
     return SubgroupDescription("UnipotentPlusMinus", member, "UT_n(R) x {I, -I}")
 
@@ -241,32 +190,22 @@ def unipotent_pm_description(group) -> SubgroupDescription:
 # coordinate tori
 
 
-def torus_membership(group: DeformedGroup, i: int, x: DeformedElem):
+def torus_membership(group, i: int, x):
     """The unique unit a with x = d_i(a) * diag(z), or None if x is not in
     the i-th coordinate torus.  x must be diagonal (U = 0)."""
-    if not isinstance(group, DeformedGroup):
-        raise InvalidParameter("torus coordinates are read off normal forms")
     if not 1 <= i <= group.n:
         raise InvalidParameter(f"torus index {i} out of range")
-    if x.upper:
+    if group.strict_part(x):
         raise NotDiagonal("torus membership is defined on the diagonal subgroup")
-    ring = group.ring
+    ring, xbar = group.ring, group.torus_part(x)
     if i < group.n:
-        for j in range(group.n - 1):
-            if j != i - 1 and x.xbar[j] != ring.one:
-                return None
-        return x.xbar[i - 1]
-    first = x.xbar[0]
-    if any(v != first for v in x.xbar):
-        return None
-    return ring.inv(first)
+        return xbar[i - 1] if all(v == ring.one for v in xbar[: i - 1] + xbar[i:]) else None
+    return ring.inv(xbar[0]) if all(v == xbar[0] for v in xbar) else None
 
 
-def torus_description(group: DeformedGroup, i: int) -> SubgroupDescription:
-    def member(g: DeformedElem) -> bool:
-        if g.upper:
-            return False
-        return torus_membership(group, i, g) is not None
+def torus_description(group, i: int) -> SubgroupDescription:
+    def member(g) -> bool:
+        return not group.strict_part(g) and torus_membership(group, i, g) is not None
 
     return SubgroupDescription(f"Torus({i})", member, "d_i(R^x) * Z(G)")
 

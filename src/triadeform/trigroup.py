@@ -14,8 +14,9 @@ d_k notation; i < j always for strict upper entries.
 
 Both pictures share one protocol, TriangularGroup: identity, op, inverse,
 commutator, the generators t_ij(b), d_k(a) and diag(z) as transvection,
-diagonal_gen and central, order, elements, sample, generating_set and the
-JSON forms of elements.
+diagonal_gen and central, order, elements, sample, generating_set, the
+JSON forms of elements, is_untwisted and the coordinate questions on
+(xbar, z, U); only this module reads the fields of an element.
 
 Validation happens at the API boundary: the named generators, DeformedGroup
 .element, elem_from_json and the public TriMatrix(ring, rows) constructor
@@ -213,22 +214,6 @@ class TriMatrix:
                 out[i][j] = r.neg(mul(diag_inv[i], acc))
         return TriMatrix._trusted(r, tuple(map(tuple, out)))
 
-    def is_unitriangular(self) -> bool:
-        return all(self.rows[i][i] == self.ring.one for i in range(self.n))
-
-    def diagonal_part(self) -> tuple:
-        return tuple(self.rows[i][i] for i in range(self.n))
-
-    def strict_part(self) -> tuple:
-        """Strict entries of D^-1 M, i.e. the U with M = D (I + U)."""
-        r = self.ring
-        entries = []
-        for i in range(self.n):
-            yi_inv = r.inv(self.rows[i][i])
-            for j in range(i + 1, self.n):
-                entries.append(((i + 1, j + 1), r.mul(yi_inv, self.rows[i][j])))
-        return upper_normalise(r, self.n, entries)
-
     def to_json(self):
         return [[self.ring.elem_to_json(v) for v in row] for row in self.rows]
 
@@ -252,9 +237,14 @@ class TriMatrix:
 class TriangularGroup:
     """What T_n(R) and T_n(R, f) share.
 
-    A subclass sets ring, n and identity, and supplies op, inverse,
-    transvection, diagonal_gen, central, sample, elem_to_json,
+    A subclass sets ring, n, identity and is_untwisted, and supplies op,
+    inverse, transvection, diagonal_gen, central, sample, elem_to_json,
     _elem_from_json and _elements, the enumeration behind elements().
+
+    Each answers, in its own format, the coordinate questions on the normal
+    form (xbar, z, U) of g = diag(z xbar_1, .., z xbar_{n-1}, z) (I + U):
+    torus_is_trivial (xbar = 1), is_unipotent (xbar = 1, z = 1), strict_part
+    (U) and torus_part (xbar).
     """
 
     ring: Ring
@@ -297,9 +287,19 @@ class TriangularGroup:
             raise NotAUnit(f"{self.ring.format_elem(alpha)} is not a unit")
         return alpha
 
+    def _unit_at(self, data, path: str):
+        """The ring element decoded from data at path; NotAUnit naming the
+        path unless it is a unit."""
+        v = _elem(self.ring, data, path)
+        if not self.ring.is_unit(v):
+            raise NotAUnit(f"field {path!r} must be a unit, got {self.ring.format_elem(v)}")
+        return v
+
 
 class TriMatrixGroup(TriangularGroup):
     """T_n(R) as invertible upper triangular matrices."""
+
+    is_untwisted = True
 
     def __init__(self, ring: Ring, n: int):
         if n < 1:
@@ -336,6 +336,52 @@ class TriMatrixGroup(TriangularGroup):
     def central(self, alpha) -> TriMatrix:
         return self._diagonal((self._unit(alpha),) * self.n)
 
+    def torus_is_trivial(self, m: TriMatrix) -> bool:
+        rows = m.rows
+        first = rows[0][0]
+        for i in range(1, self.n):
+            if rows[i][i] != first:
+                return False
+        return True
+
+    def is_unipotent(self, m: TriMatrix) -> bool:
+        one = self.ring.one_cmp
+        for i, row in enumerate(m.rows):
+            if row[i] != one:
+                return False
+        return True
+
+    def strict_part(self, m: TriMatrix) -> tuple:
+        """Strict entries of D^-1 M, i.e. the U with M = D (I + U); a unit
+        times a nonzero entry is nonzero, so U is zero where M is."""
+        r, zero, out = self.ring, self.ring.zero_cmp, []
+        for i, row in enumerate(m.rows[:-1]):
+            y_inv = r.inv(row[i])
+            out += [((i + 1, j + 1), r.mul(y_inv, row[j])) for j in range(i + 1, self.n) if row[j] != zero]
+        return tuple(out)
+
+    def torus_part(self, m: TriMatrix) -> tuple:
+        """y_i y_n^-1 for the diagonal y of M."""
+        r, rows = self.ring, m.rows
+        yn_inv = r.inv(rows[-1][-1])
+        return tuple(r.mul(rows[i][i], yn_inv) for i in range(self.n - 1))
+
+    def _coordinates(self, m: TriMatrix) -> "DeformedElem":
+        """diag(y) (I + U) -> (y_i y_n^-1, y_n, U)."""
+        if m.ring != self.ring or m.n != self.n:
+            raise DomainMismatch("matrix does not live over the group's ring and size")
+        return DeformedElem(self.torus_part(m), m.rows[-1][-1], self.strict_part(m))
+
+    def _from_coordinates(self, g: "DeformedElem") -> TriMatrix:
+        """(xbar, z, U) -> diag(z xbar_1, .., z xbar_{n-1}, z) (I + U)."""
+        r, n, table = self.ring, self.n, dict(g.upper)
+        y = [r.mul(g.z, x) for x in g.xbar] + [g.z]
+        rows = (
+            (r.zero,) * i + (y[i],) + tuple(r.mul(y[i], table.get((i + 1, j + 1), r.zero)) for j in range(i + 1, n))
+            for i in range(n)
+        )
+        return TriMatrix._trusted(r, tuple(rows))
+
     def _elements(self) -> Iterator[TriMatrix]:
         r, n = self.ring, self.n
         units = list(r.units())
@@ -362,12 +408,15 @@ class TriMatrixGroup(TriangularGroup):
 
     def _elem_from_json(self, data, path: str) -> TriMatrix:
         """The n rows of n ring elements at path; ParseError naming the path
-        of a matrix of another size or of a malformed entry, such as [0][1]."""
+        of a matrix of another size or of a malformed entry, such as [0][1],
+        and NotAUnit naming a diagonal entry that is not a unit."""
         r, n = self.ring, self.n
         n_rows = isinstance(data, list) and len(data) == n
         if not (n_rows and all(isinstance(row, list) and len(row) == n for row in data)):
             raise ParseError(f"field {path!r} must be {n} rows of {n} entries, got {data!r}")
-        rows = [[_elem(r, v, f"{path}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(data)]
+        at = lambda i, j: f"{path}[{i}][{j}]"
+        rows = [[self._unit_at(v, at(i, j)) if i == j else _elem(r, v, at(i, j)) for j, v in enumerate(row)]
+                for i, row in enumerate(data)]
         return TriMatrix(r, rows)
 
     def __eq__(self, other):
@@ -520,6 +569,18 @@ class DeformedGroup(TriangularGroup):
     def central(self, alpha) -> DeformedElem:
         return DeformedElem(self._ones, self._unit(alpha), ())
 
+    def torus_is_trivial(self, g: DeformedElem) -> bool:
+        return g.xbar == self._ones_cmp
+
+    def is_unipotent(self, g: DeformedElem) -> bool:
+        return g.xbar == self._ones_cmp and g.z == self.ring.one_cmp
+
+    def strict_part(self, g: DeformedElem) -> tuple:
+        return g.upper
+
+    def torus_part(self, g: DeformedElem) -> tuple:
+        return g.xbar
+
     # -- group operations ----------------------------------------------------
 
     def op(self, g1: DeformedElem, g2: DeformedElem) -> DeformedElem:
@@ -616,7 +677,8 @@ class DeformedGroup(TriangularGroup):
 
     def _elem_from_json(self, data, path: str) -> DeformedElem:
         """The element document {"xbar", "z", "upper"?} at path; ParseError
-        naming the path of a missing or malformed field, such as xbar[0]."""
+        naming the path of a missing or malformed field, such as xbar[0], and
+        NotAUnit naming a torus or central coordinate that is not a unit."""
         upper = []
         at = _at(path, "upper")
         for key, v in _field(data, "upper", path, dict, {}).items():
@@ -626,11 +688,8 @@ class DeformedGroup(TriangularGroup):
                 raise ParseError(f"field {_at(at, key)!r}: key must be 'i,j'") from None
             upper.append(((i, j), _elem(self.ring, v, _at(at, key))))
         at = _at(path, "xbar")
-        return self.element(
-            [_elem(self.ring, v, f"{at}[{k}]") for k, v in enumerate(_field(data, "xbar", path, list))],
-            _elem(self.ring, _field(data, "z", path, object), _at(path, "z")),
-            upper,
-        )
+        xbar = [self._unit_at(v, f"{at}[{k}]") for k, v in enumerate(_field(data, "xbar", path, list))]
+        return self.element(xbar, self._unit_at(_field(data, "z", path, object), _at(path, "z")), upper)
 
     def __repr__(self):
         kind = "untwisted" if self.is_untwisted else "twisted"
@@ -649,32 +708,19 @@ def _check_normalised(f: SymCocycle2, units) -> None:
 # bridges between the pictures (untwisted only)
 
 
-def matrix_to_deformed(group: DeformedGroup, m: TriMatrix) -> DeformedElem:
-    """diag(y) (I + U) -> (y_i y_n^-1, y_n, U); a homomorphism when untwisted."""
+def _matrix_group(group: DeformedGroup) -> TriMatrixGroup:
     if not group.is_untwisted:
         raise InvalidParameter("the matrix bridge is defined for untwisted groups")
-    if m.ring != group.ring or m.n != group.n:
-        raise DomainMismatch("matrix does not live over the group's ring and size")
-    r = group.ring
-    y = m.diagonal_part()
-    yn_inv = r.inv(y[-1])
-    xbar = tuple(r.mul(y[i], yn_inv) for i in range(group.n - 1))
-    return DeformedElem(xbar, y[-1], m.strict_part())
+    return TriMatrixGroup(group.ring, group.n)
+
+
+def matrix_to_deformed(group: DeformedGroup, m: TriMatrix) -> DeformedElem:
+    """diag(y) (I + U) -> (y_i y_n^-1, y_n, U); a homomorphism when untwisted."""
+    return _matrix_group(group)._coordinates(m)
 
 
 def deformed_to_matrix(group: DeformedGroup, g: DeformedElem) -> TriMatrix:
-    if not group.is_untwisted:
-        raise InvalidParameter("the matrix bridge is defined for untwisted groups")
-    r, n = group.ring, group.n
-    y = [r.mul(g.z, g.xbar[i]) for i in range(n - 1)] + [g.z]
-    rows = [[r.zero] * n for _ in range(n)]
-    table = dict(g.upper)
-    for i in range(n):
-        rows[i][i] = y[i]
-        for j in range(i + 1, n):
-            u = table.get((i + 1, j + 1), r.zero)
-            rows[i][j] = r.mul(y[i], u)
-    return TriMatrix._trusted(r, tuple(map(tuple, rows)))
+    return _matrix_group(group)._from_coordinates(g)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +827,7 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
         return out
 
     d_pool = {k: [d(k, a) for a in units] for k in range(1, n + 1)}
-    twisted = isinstance(group, DeformedGroup) and group.cocycles is not None
+    twisted = not group.is_untwisted
 
     def d_product(k, a1, a2):
         # d_k(a)d_k(b) = d_k(ab) diag(f_k(a,b)); the k = n twist is the
@@ -849,25 +895,19 @@ class SplitIso:
         self.group = group
         self.witnesses = witnesses
         self.target = TriMatrixGroup(group.ring, group.n)
-        self._untwisted = DeformedGroup(group.ring, group.n)
 
-    def straighten(self, g: DeformedElem) -> DeformedElem:
-        r = self.group.ring
-        z = g.z
-        for i, psi in enumerate(self.witnesses):
-            z = r.mul(z, r.inv(psi(g.xbar[i])))
+    def _scale_z(self, g: DeformedElem, invert: bool) -> DeformedElem:
+        """g with z times prod_i psi_i(xbar_i), or times its inverse."""
+        r, z = self.group.ring, g.z
+        for psi, x in zip(self.witnesses, g.xbar):
+            z = r.mul(z, r.inv(psi(x)) if invert else psi(x))
         return DeformedElem(g.xbar, z, g.upper)
 
     def forward(self, g: DeformedElem) -> TriMatrix:
-        return deformed_to_matrix(self._untwisted, self.straighten(g))
+        return self.target._from_coordinates(self._scale_z(g, True))
 
     def backward(self, m: TriMatrix) -> DeformedElem:
-        e = matrix_to_deformed(self._untwisted, m)
-        r = self.group.ring
-        z = e.z
-        for i, psi in enumerate(self.witnesses):
-            z = r.mul(z, psi(e.xbar[i]))
-        return DeformedElem(e.xbar, z, e.upper)
+        return self._scale_z(self.target._coordinates(m), False)
 
 
 def split_isomorphism(group: DeformedGroup) -> SplitIso | None:

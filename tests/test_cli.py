@@ -429,6 +429,21 @@ def test_fo_parse_of_long_or_deep_input_is_not_a_library_fault(capsys, text, rc)
         assert got == rc and err.startswith("error: formula nests too deeply")
 
 
+@pytest.mark.parametrize(
+    "text, assign, rc",
+    [
+        ("A x. x" + "*x" * 1999 + " = 1", [], 1),  # T_3(Z/3) has exponent 6
+        ("x" + "*x" * 1999 + " = 1", ["--assign", 'x={"xbar": ["1", "1"], "z": "1", "upper": {"1,2": "1"}}'], 1),
+        ("x" + "*x" * 2159 + " = 1", ["--assign", 'x={"xbar": ["2", "1"], "z": "2", "upper": {"1,3": "1"}}'], 0),
+    ],
+    ids=["2000-factors-closed", "2000-factors-assigned", "2160-factors-assigned"],
+)
+def test_fo_eval_of_a_long_product_is_not_a_library_fault(capsys, group_file, text, assign, rc):
+    argv = ["fo", "eval", text, "--group", group_file({"ring": "Z/3", "n": 3})] + assign
+    got, report = run_json(capsys, argv)
+    assert got == rc and report["data"]["value"] is (rc == 0)
+
+
 def test_fo_parse_reports_free_variables(capsys):
     rc, report = run_json(capsys, ["fo", "parse", "A x. [x, y] = 1"])
     assert rc == 0
@@ -718,6 +733,17 @@ def test_bad_element_document_names_the_field(capsys, group_file, x, names):
          "field '--y' must be 2 rows of 2 entries"),
         ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["fo", "eval", "x = 1", "--assign", 'x=[["1", "0"], ["1"]]'],
          "field '--assign x' must be 2 rows of 2 entries"),
+        # a non-unit on the diagonal, in the torus or in the central part
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["0", "1"], ["0", "1"]]', "--y", '[["1", "0"], ["0", "1"]]'],
+         "field '--x[0][0]' must be a unit"),
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["1", "0"], ["0", "1"]]', "--y", '[["1", "0"], ["0", "0"]]'],
+         "field '--y[1][1]' must be a unit"),
+        ({"ring": "Z/3", "n": 3}, ["group", "mul", "--x", '{"xbar": ["0", "1"], "z": "1"}', "--y", '{"xbar": ["1", "1"], "z": "1"}'],
+         "field '--x.xbar[0]' must be a unit"),
+        ({"ring": "Z/3", "n": 3}, ["group", "mul", "--x", '{"xbar": ["1", "1"], "z": "1"}', "--y", '{"xbar": ["1", "1"], "z": "0"}'],
+         "field '--y.z' must be a unit"),
+        ({"ring": "Z/3", "n": 3}, ["fo", "eval", "x = 1", "--assign", 'x={"xbar": ["1", "0"], "z": "1"}'],
+         "field '--assign x.xbar[1]' must be a unit"),
     ],
 )
 def test_bad_element_argument_names_the_field(capsys, group_file, group, argv, names):

@@ -367,6 +367,32 @@ def test_long_and_spines_need_no_recursion():
     assert back == phi  # equality walks the spine without recursion as well
 
 
+@pytest.mark.parametrize("factors", [2000, 2160])
+def test_long_products_need_no_recursion(factors):
+    # x * x * ... * x nests on the left far past the default recursion
+    # limit; it compiles to one node per prefix product, as a fold would
+    from triadeform.fologic import _Code
+
+    product = Var("x")
+    for _ in range(factors - 1):
+        product = Mul(product, Var("x"))
+    phi = Forall("x", Eq(product, One()))
+    assert len(_Code(phi).nodes) == factors + 1  # x, 1 and the prefixes
+    model = model_from_group(TriMatrixGroup(parse_ring("Z/3"), 2))
+    fg = model.fg
+
+    def power(x):
+        acc = fg.identity_index
+        for _ in range(factors):
+            acc = fg.op_idx(acc, x)
+        return acc
+
+    holds = [power(x) == fg.identity_index for x in fg.all_indices]
+    value, atoms = eval_with_stats(model, phi)
+    assert value == all(holds) and atoms == (holds.index(False) + 1 if False in holds else fg.order)
+    assert value is (factors % 6 == 0)  # T_2(Z/3) has exponent 6
+
+
 def test_equality_and_hash_need_no_recursion():
     # 5,000 negations and a 5,000-conjunct spine, each far past the
     # default recursion limit, built without the parser

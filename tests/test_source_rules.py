@@ -32,3 +32,18 @@ def test_fraction_slots_are_touched_in_rings_only():
         or (isinstance(node, ast.Constant) and node.value in slots)
     }
     assert found == {"rings.py"}
+
+
+def test_element_fields_are_read_in_trigroup_only():
+    # the structure descriptions and the bridges read elements through the
+    # coordinate questions of trigroup.TriangularGroup, so the matrix rows
+    # and the normal-form fields stay behind that one module
+    fields = {"rows", "xbar", "upper"}
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "trigroup.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    }
+    assert found == set()

@@ -28,6 +28,7 @@ from triadeform import (
     fitting_description,
     formula_ncl,
     from_group,
+    matrix_to_deformed,
     left_normed_gamma,
     lower_central_series,
     normal_closure,
@@ -262,6 +263,48 @@ def test_unipotent_pm_discriminates_over_z5():
     assert not desc.contains(group.central(2))  # square is -1, not unipotent
     assert desc.contains(group.transvection(1, 3, 2))
     assert not desc.contains(group.diagonal_gen(1, 2))
+
+
+def _descriptions(group):
+    describe = (center_description, derived_description, fitting_description, unipotent_pm_description)
+    return [d(group) for d in describe] + [torus_description(group, i) for i in range(1, group.n + 1)]
+
+
+def _picture_pool(spec):
+    """Every element of T_3(R) for a finite R; otherwise samples, their
+    products and the constructed central(u), t_12(2), t_12(1), d_1(-1)."""
+    ring = parse_ring(spec)
+    mg = TriMatrixGroup(ring, 3)
+    if ring.is_finite:
+        return mg, list(mg.elements())
+    rng = random.Random(14)
+    unit = ring.parse_elem("2") if spec == "Q" else ring.neg(ring.one)
+    built = [mg.central(unit), mg.transvection(1, 2, 2), mg.transvection(1, 2, 1), mg.diagonal_gen(1, ring.neg(ring.one))]
+    samples = [mg.sample(rng) for _ in range(40)]
+    products = [mg.op(a, b) for a in built for b in built + samples[:5]]
+    return mg, built + samples + products + [mg.identity]
+
+
+@pytest.mark.parametrize("spec", ["Z/2", "Z/3", "Z", "Q"])
+def test_both_pictures_give_the_same_verdicts(spec):
+    # each description is written once over the coordinate questions, so a
+    # matrix and its normal form must meet the same verdict everywhere
+    mg, pool = _picture_pool(spec)
+    dg = DeformedGroup(mg.ring, 3)
+    on_matrices, on_normal_forms = _descriptions(mg), _descriptions(dg)
+    seen = set()
+    for m in pool:
+        g = matrix_to_deformed(dg, m)
+        verdicts = [d.contains(m) for d in on_matrices]
+        assert verdicts == [d.contains(g) for d in on_normal_forms], (spec, m)
+        seen.add(tuple(verdicts))
+        if not dg.strict_part(g):
+            for i in range(1, 4):
+                assert torus_membership(mg, i, m) == torus_membership(dg, i, g), (spec, m, i)
+    # every description meets both verdicts somewhere in the pool, except
+    # Fitting and +-unipotent on T_3(Z/2) = UT_3(Z/2), which hold everywhere
+    always = {2, 3} if spec == "Z/2" else set()
+    assert [len({v[k] for v in seen}) for k in range(len(on_matrices))] == [1 if k in always else 2 for k in range(7)]
 
 
 # ---------------------------------------------------------------------------

@@ -341,8 +341,6 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
         witness = None if rep.within_bound else f"width {rep.width_needed} exceeds bound {rep.bound}"
         return CheckReport("structure width", "verbal-width", rep.within_bound, rep.to_json(), witness)
     if args.structure_cmd == "torus":
-        if not isinstance(group, trigroup.DeformedGroup):
-            raise ParseError("torus membership needs a deformed group description")
         x = group._elem_from_json(json.loads(args.elem), "--elem")
         alpha = structure.torus_membership(group, args.index, x)
         member = alpha is not None
@@ -351,8 +349,6 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
             data["alpha"] = group.ring.format_elem(alpha)
         return CheckReport("structure torus", "torus-desc", member, data)
     if args.structure_cmd == "theta":
-        if not isinstance(group, trigroup.DeformedGroup):
-            raise ParseError("theta needs a deformed group description")
         verdict = structure.torsion_split_check(group, args.index)
         return CheckReport("structure theta", "theta-split", verdict, {"i": args.index, "splits": verdict})
     raise ParseError(f"unknown structure subcommand {args.structure_cmd!r}")

@@ -3,16 +3,18 @@ the formula library used by the structural checks.
 
 Terms are built from variables, constants, 1, products and inverses;
 commutators, conjugation and left-normed commutators are parser/builder
-sugar that expands to the core operations immediately, so two routes to the
-same formula produce identical trees (which is what the semantic-oracle
-pattern matcher relies on).
+sugar that expands to the core operations immediately.  Every node is
+hash-consed when it is built, by builders and parser alike, so a formula is
+one DAG of distinct subterms from construction on: equal formulas are one
+object, and equality, alpha-matching (which the semantic oracles rely on)
+and free names visit each distinct node once.
 
-Compiled once, evaluated in two modes.  A formula's first evaluation
-compiles it, for every model, to closures over a DAG of hash-consed terms
-(_Code, kept on the formula), so each distinct subterm costs one product per
-binding of the innermost binder it reads.  eval_formula()/eval_with_stats()
-expand every quantifier over the whole carrier and count each atomic check
-against a budget.  semantic_eval() answers the blocks of like quantifiers
+Compiled once, evaluated in two modes.  A formula's first use compiles it,
+for every model, to closures over a DAG of term nodes (_Code, kept on the
+formula), so each distinct subterm costs one product per binding of the
+innermost binder it reads.  eval_formula()/eval_with_stats() expand every
+quantifier over the whole carrier and count each atomic check against a
+budget.  semantic_eval() answers the blocks of like quantifiers
 recognised at compile time (normal-closure nilpotency, commutator width;
 binders in any order) with subgroup computations, and ranges relativised
 quantifiers over their registered sets only.  Equality of the two modes on
@@ -22,10 +24,12 @@ the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 from typing import Iterable
 
 from .config import DEFAULT_BUDGET
@@ -44,62 +48,51 @@ from .finitegroup import FiniteGroup, from_group
 # terms
 
 
+_NODES: dict[tuple, weakref.ref] = {}  # (class, *fields) -> the live node, weakly
+
+
 class _Syntax:
-    """Structural equality and hashing for terms and formulas, by loops over
-    explicit stacks, so that long spines and deep nesting need no recursion."""
+    """Hash-consed terms and formulas: building a node returns the live node
+    with the same class and fields if there is one, so equal formulas are
+    one object and equality is identity.  The table holds nodes weakly, by
+    keys whose children hash by identity; a node's death pops its key (nodes
+    form no cycles, so before the key can recur).  Lookup, insertion and
+    removal are C calls, adding no frame to the parser's recursion."""
 
-    def __eq__(self, other):
-        todo = [(self, other)]
-        pop, push = todo.pop, todo.append
-        while todo:
-            a, b = pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, _Syntax):
-                for name in a.__match_args__:
-                    push((getattr(a, name), getattr(b, name)))
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        seen, todo = [], [self]
-        pop, push = todo.pop, todo.append
-        while todo:
-            a = pop()
-            if isinstance(a, _Syntax):
-                seen.append(type(a))
-                for name in a.__match_args__:
-                    push(getattr(a, name))
-            else:
-                seen.append(a)
-        return hash(tuple(seen))
+    def __new__(cls, *args):
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            if len(args) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__}({', '.join(cls.__match_args__)}) got {len(args)} arguments")
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls.__match_args__, args))
+            _NODES[key] = weakref.ref(node, functools.partial(_NODES.pop, key))
+        return node
 
 
-@dataclass(frozen=True, eq=False)
 class Term(_Syntax):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Inv(Term):
     arg: Term
 
@@ -128,56 +121,52 @@ def left_normed(terms: list[Term]) -> Term:
 # formulas
 
 
-@dataclass(frozen=True, eq=False)
 class Formula(_Syntax):
-    _code = None  # the compiled form, kept by _run(); not a field
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_code"}
+    _code = None  # the compiled form, kept by _compiled(); not a field
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class InSet(Formula):
     set_name: str
     arg: Term
@@ -200,19 +189,8 @@ def _left_spine(phi: Formula, klass) -> list[Formula]:
 
 
 def free_variables(phi: Formula) -> set[str]:
-    out: set[str] = set()
-    todo = [(phi, frozenset())]
-    while todo:  # a loop, so long spines need no recursion
-        phi, bound = todo.pop()
-        if isinstance(phi, Var):
-            out |= {phi.name} - bound
-        elif isinstance(phi, (Forall, Exists)):
-            todo.append((phi.body, bound | {phi.var}))
-        elif isinstance(phi, (Term, Formula)):
-            todo += [(getattr(phi, f.name), bound) for f in fields(phi) if f.name != "set_name"]
-        else:
-            raise TypeError(f"not a formula: {phi!r}")
-    return out
+    """The names phi reads unbound: the free-name nodes of its compiled form."""
+    return {key[1] for key in _compiled(phi).nodes if key[0] == "free"}
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +199,18 @@ def free_variables(phi: Formula) -> set[str]:
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<invop>\^-1)|(?P<sym>[()\[\],.=*!&|@^])|"
-    r"(?P<one>1)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+    r"(?P<one>1)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then eof; the matches tile the text."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup  # the one alternative that matched
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start())
+        tokens.append((kind, m[kind], m.start(kind)))
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -542,11 +515,12 @@ class _Code:
     A term compiles to a node (closure, level), level being the depth of the
     innermost binder it reads (0: free names only).  Nodes are hash-consed
     on (operation, child nodes), a bound variable keyed by its binder's
-    depth, so each distinct subterm is one node, computed when first needed
-    and at most once per binding of that binder.  A scope (bound name ->
-    depth, id -> node) reuses the node of a term object it has compiled, as
-    builders and the parser share subterm objects.  atoms_at[d] counts the
-    atoms under d quantifiers (the upfront bound is sum(atoms_at[d] * N**d)).
+    depth and a free one by its name, so each distinct subterm is one node,
+    computed when first needed and at most once per binding of that binder.
+    Equal terms are one object (syntax nodes are hash-consed), so a scope
+    (bound name -> depth, id -> node) compiles each distinct term object of
+    the scope once.  atoms_at[d] counts the atoms under d quantifiers (the
+    upfront bound is sum(atoms_at[d] * N**d)).
     """
 
     SPINE_STEP = 100  # the prefixes of a Mul spine evaluated by recursion, at most
@@ -588,8 +562,13 @@ class _Code:
                 found = self.node(("one",))
             elif isinstance(t, Mul):
                 found = self.spine(t, scope)
-            elif isinstance(t, Inv):
-                found = self.node((Inv, self.term(t.arg, scope)))
+            elif isinstance(t, Inv):  # a chain of inverses, by a loop
+                chain = [t]
+                while isinstance(chain[-1].arg, Inv) and id(chain[-1].arg) not in scope[1]:
+                    chain.append(chain[-1].arg)
+                found = self.term(chain[-1].arg, scope)
+                for inv in reversed(chain):
+                    found = scope[1][id(inv)] = self.node((Inv, found))
             else:
                 raise TypeError(f"not a term: {t!r}")
             scope[1][id(t)] = found
@@ -656,7 +635,7 @@ class _Code:
         inner = ({**scope[0], phi.var: d}, {})
         self.atoms_at += [0] * (d + 1 - len(self.atoms_at))
         body, guard, rest = phi.body, None, None
-        if isinstance(body, And if want else Implies) and isinstance(body.left, InSet) and body.left.arg == Var(phi.var):
+        if isinstance(body, And if want else Implies) and isinstance(body.left, InSet) and body.left.arg is Var(phi.var):
             guard, test, rest = body.left.set_name, self.formula(body.left, inner, d), self.formula(body.right, inner, d)
             body = (lambda S: test(S) and rest(S)) if want else (lambda S: (not test(S)) or rest(S))
         else:
@@ -711,14 +690,20 @@ class _Code:
         return lambda S: x(S) in S.model.fg.width_products(m)
 
 
-def _run(model: Model, phi: Formula, assignment: dict | None, limit: float, semantic: bool) -> tuple[bool, int]:
-    """Evaluate phi through its compiled form, built on first use and kept
-    on phi; returns the value and the atoms spent."""
-    env = {name: el if isinstance(el, int) else model.fg.index(el) for name, el in (assignment or {}).items()}
-    code = phi._code
+def _compiled(phi: Formula) -> _Code:
+    """phi's compiled form, built on first use and kept on phi."""
+    code = getattr(phi, "_code", None)
     if code is None:
         code = _Code(phi)
         object.__setattr__(phi, "_code", code)
+    return code
+
+
+def _run(model: Model, phi: Formula, assignment: dict | None, limit: float, semantic: bool) -> tuple[bool, int]:
+    """Evaluate phi through its compiled form; returns the value and the
+    atoms spent."""
+    env = {name: el if isinstance(el, int) else model.fg.index(el) for name, el in (assignment or {}).items()}
+    code = _compiled(phi)
     carrier = max(model.fg.order, 1)
     if sum(k * carrier**d for d, k in enumerate(code.atoms_at)) > limit:
         raise BudgetExceeded(limit)
@@ -744,27 +729,41 @@ def semantic_eval(model: Model, phi: Formula, assignment: dict | None = None) ->
 
 def _alpha_match(pattern, subject, pmap: dict[str, str]) -> bool:
     """Match two terms or formulas up to the injective renaming pmap of the
-    pattern's variable names, bound and free, extending pmap as it goes."""
-    if type(pattern) is not type(subject):
-        return False
-    if isinstance(pattern, Var):
-        if pattern.name in pmap:
-            return pmap[pattern.name] == subject.name
-        if subject.name in pmap.values():
+    pattern's variable names, bound and free, extending pmap as it goes.
+    Pairs are visited in tree order; one met again is skipped, as pmap only
+    grows and stays injective, so each distinct pair costs one step."""
+    used, seen, todo = set(pmap.values()), set(), [(pattern, subject)]
+
+    def bind(name: str, image: str) -> bool:
+        if name in pmap or image in used:
             return False
-        pmap[pattern.name] = subject.name
+        pmap[name] = image
+        used.add(image)
         return True
-    if isinstance(pattern, (Forall, Exists)):
-        if pattern.var in pmap or subject.var in pmap.values():
+
+    while todo:
+        pair = todo.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        p, s = pair
+        if type(p) is not type(s):
             return False
-        pmap[pattern.var] = subject.var
-        return _alpha_match(pattern.body, subject.body, pmap)
-    if isinstance(pattern, (And, Or, Implies)):
-        ps, ss = _left_spine(pattern, type(pattern)), _left_spine(subject, type(pattern))
-        return len(ps) == len(ss) and all(_alpha_match(p, s, pmap) for p, s in zip(ps, ss))
-    if not isinstance(pattern, (Term, Formula)):
-        return pattern == subject  # a set name
-    return all(_alpha_match(getattr(pattern, f.name), getattr(subject, f.name), pmap) for f in fields(pattern))
+        if isinstance(p, Var):
+            if pmap.get(p.name) != s.name and not bind(p.name, s.name):
+                return False
+        elif isinstance(p, (Forall, Exists)):
+            if not bind(p.var, s.var):
+                return False
+            todo.append((p.body, s.body))
+        else:
+            for field in reversed(p.__match_args__):
+                a, b = getattr(p, field), getattr(s, field)
+                if isinstance(a, _Syntax):
+                    todo.append((a, b))
+                elif a != b:  # a set name
+                    return False
+    return True
 
 
 def alpha_equivalent(pattern: Formula, subject: Formula) -> dict[str, str] | None:

@@ -210,11 +210,12 @@ def torus_description(group, i: int) -> SubgroupDescription:
     return SubgroupDescription(f"Torus({i})", member, "d_i(R^x) * Z(G)")
 
 
-def torsion_split_check(group: DeformedGroup, i: int) -> bool:
-    """Whether the i-th torus twist splits over the torsion of R^x."""
+def torsion_split_check(group, i: int) -> bool:
+    """Whether the i-th torus twist splits over the torsion of R^x; an
+    untwisted group (a matrix group among them) splits at every i."""
     if not 1 <= i <= group.n - 1:
         raise InvalidParameter(f"cocycle index {i} out of range")
-    if group.cocycles is None:
+    if group.is_untwisted:
         return True
     return is_cot(group.cocycles[i - 1])
 

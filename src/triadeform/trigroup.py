@@ -409,7 +409,8 @@ class TriMatrixGroup(TriangularGroup):
     def _elem_from_json(self, data, path: str) -> TriMatrix:
         """The n rows of n ring elements at path; ParseError naming the path
         of a matrix of another size or of a malformed entry, such as [0][1],
-        and NotAUnit naming a diagonal entry that is not a unit."""
+        InvalidParameter naming a nonzero entry below the diagonal, and
+        NotAUnit naming a diagonal entry that is not a unit."""
         r, n = self.ring, self.n
         n_rows = isinstance(data, list) and len(data) == n
         if not (n_rows and all(isinstance(row, list) and len(row) == n for row in data)):
@@ -417,6 +418,9 @@ class TriMatrixGroup(TriangularGroup):
         at = lambda i, j: f"{path}[{i}][{j}]"
         rows = [[self._unit_at(v, at(i, j)) if i == j else _elem(r, v, at(i, j)) for j, v in enumerate(row)]
                 for i, row in enumerate(data)]
+        for i, j in itertools.combinations(range(n), 2):
+            if rows[j][i] != r.zero_cmp:
+                raise InvalidParameter(f"field {at(j, i)!r} is below the diagonal and must be 0, got {r.format_elem(rows[j][i])}")
         return TriMatrix(r, rows)
 
     def __eq__(self, other):
@@ -677,8 +681,10 @@ class DeformedGroup(TriangularGroup):
 
     def _elem_from_json(self, data, path: str) -> DeformedElem:
         """The element document {"xbar", "z", "upper"?} at path; ParseError
-        naming the path of a missing or malformed field, such as xbar[0], and
-        NotAUnit naming a torus or central coordinate that is not a unit."""
+        naming the path of a missing or malformed field, such as xbar[0],
+        InvalidParameter naming an xbar of another length or an upper key off
+        the strict upper triangle, and NotAUnit naming a torus or central
+        coordinate that is not a unit."""
         upper = []
         at = _at(path, "upper")
         for key, v in _field(data, "upper", path, dict, {}).items():
@@ -686,9 +692,14 @@ class DeformedGroup(TriangularGroup):
                 i, j = (int(part) for part in key.split(","))
             except ValueError:
                 raise ParseError(f"field {_at(at, key)!r}: key must be 'i,j'") from None
+            if not 1 <= i < j <= self.n:
+                raise InvalidParameter(f"field {_at(at, key)!r}: key must have 1 <= i < j <= {self.n}")
             upper.append(((i, j), _elem(self.ring, v, _at(at, key))))
         at = _at(path, "xbar")
-        xbar = [self._unit_at(v, f"{at}[{k}]") for k, v in enumerate(_field(data, "xbar", path, list))]
+        raw = _field(data, "xbar", path, list)
+        if len(raw) != self.n - 1:
+            raise InvalidParameter(f"field {at!r} must have {self.n - 1} coordinates, got {len(raw)}")
+        xbar = [self._unit_at(v, f"{at}[{k}]") for k, v in enumerate(raw)]
         return self.element(xbar, self._unit_at(_field(data, "z", path, object), _at(path, "z")), upper)
 
     def __repr__(self):

@@ -398,6 +398,20 @@ def test_structure_theta(capsys, group_file):
     assert rc == 0 and report["data"]["splits"] is True
 
 
+def test_structure_torus_and_theta_on_a_matrix_group(capsys, group_file):
+    # the matrix picture answers as the deformed one does: diag(2, 1, 1) is
+    # d_1(2), and an untwisted group splits at every level
+    path = group_file({"ring": "Z/3", "n": 3, "kind": "matrix"})
+    elem = json.dumps([["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    rc, report = run_json(capsys, ["structure", "torus", "--group", path, "--index", "1", "--elem", elem])
+    assert rc == 0 and report["data"] == {"i": 1, "member": True, "alpha": "2"}
+    rc, report = run_json(capsys, ["structure", "theta", "--group", path, "--index", "1"])
+    assert rc == 0 and report["data"] == {"i": 1, "splits": True}
+    for cmd in (["torus", "--elem", elem], ["theta"]):
+        rc, out, err = run(capsys, ["structure", cmd[0], "--group", path, "--index", "4"] + cmd[1:])
+        assert rc == 2 and err.startswith("error:") and "out of range" in err
+
+
 # ---------------------------------------------------------------------------
 # fo commands
 
@@ -744,6 +758,14 @@ def test_bad_element_document_names_the_field(capsys, group_file, x, names):
          "field '--y.z' must be a unit"),
         ({"ring": "Z/3", "n": 3}, ["fo", "eval", "x = 1", "--assign", 'x={"xbar": ["1", "0"], "z": "1"}'],
          "field '--assign x.xbar[1]' must be a unit"),
+        # an entry below the diagonal, an upper key off the strict upper triangle, a short xbar
+        ({"ring": "Z/3", "n": 2, "kind": "matrix"}, ["group", "mul", "--x", '[["1", "0"], ["1", "1"]]', "--y", '[["1", "0"], ["0", "1"]]'],
+         "field '--x[1][0]' is below the diagonal"),
+        ({"ring": "Z/3", "n": 3}, ["group", "mul", "--x", '{"xbar": ["1", "1"], "z": "1", "upper": {"2,1": "1"}}',
+                                   "--y", '{"xbar": ["1", "1"], "z": "1"}'],
+         "field '--x.upper.2,1'"),
+        ({"ring": "Z/3", "n": 3}, ["group", "mul", "--x", '{"xbar": ["1"], "z": "1"}', "--y", '{"xbar": ["1", "1"], "z": "1"}'],
+         "field '--x.xbar' must have 2 coordinates"),
     ],
 )
 def test_bad_element_argument_names_the_field(capsys, group_file, group, argv, names):

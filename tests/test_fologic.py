@@ -151,7 +151,40 @@ def test_library_formulas_round_trip():
         formula_phi_iN("t"),
     ]
     for phi in library:
-        assert parse_formula(format_formula(phi)) == phi
+        assert parse_formula(format_formula(phi)) is phi  # equal formulas are one object
+
+
+def test_equal_formulas_are_one_object():
+    assert parse_formula("[a, b] = 1").left is comm(Var("a"), Var("b"))
+    assert parse_formula("x^y = 1") is Eq(conj(Var("x"), Var("y")), One())
+    assert formula_ncl(2) is formula_ncl(2) and formula_ncl(2) is not formula_ncl(2, "w")
+    # a repeated subterm is one node: both conjuncts of ncl_multi([g1, g2], 1)
+    # whose first entry is g1 hold the one node of g1^y1
+    spine = formula_ncl_multi(["g1", "g2"], 1).body.body
+    g1g1, g1g2 = spine.left.left.left, spine.left.left.right
+    assert g1g1.left.left.left.left.arg is conj(Var("g1"), Var("y1")) is g1g2.left.left.left.left.arg
+
+
+def test_a_dropped_formula_leaves_no_node_behind(monkeypatch, m2):
+    # a 20,000-factor product, compiled and evaluated, then dropped: every
+    # node of it leaves the table, and freeing the long spine raises nothing
+    import gc
+    import sys
+
+    from triadeform.fologic import _NODES
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    before = len(_NODES)
+    product = Var("probe")
+    for k in range(19_999):
+        product = Mul(product, Var(f"probe{k % 3}"))
+    phi = Forall("probe", Eq(product, Var("probe0")))
+    assert len(_NODES) == before + 19_999 + 4 + 2  # the products, four names, Eq and Forall
+    assert eval_with_stats(m2, phi, dict.fromkeys(["probe0", "probe1", "probe2"], 0))[1] >= 1
+    del product, phi
+    assert len(_NODES) == before and unraisable == []
 
 
 def test_commutator_sugar_expands_to_left_normed():
@@ -364,7 +397,7 @@ def test_long_and_spines_need_no_recursion():
         return out + [f]
 
     assert conjuncts(back) == conjuncts(phi) and len(conjuncts(phi)) == 3125
-    assert back == phi  # equality walks the spine without recursion as well
+    assert back is phi  # the parser builds the one node of each distinct subterm
 
 
 @pytest.mark.parametrize("factors", [2000, 2160])
@@ -404,6 +437,7 @@ def test_equality_and_hash_need_no_recursion():
     spine = and_fold([Eq(Var(f"x{k % 7}"), One()) for k in range(5000)])
     twin = and_fold([Eq(Var(f"x{k % 7}"), One()) for k in range(5000)])
     assert spine == twin and hash(spine) == hash(twin) and len({spine, twin}) == 1
+    assert deep is Not(deep).arg and spine is twin  # equal formulas are one object
     assert spine != and_fold([Eq(Var(f"x{k % 7}"), One()) for k in range(4999)] + [Eq(One(), One())])
     assert Mul(Var("x"), One()) != Mul(One(), Var("x")) and Var("x") != "x"
 
@@ -566,6 +600,25 @@ def test_oracles_answer_reordered_binders(request, oracle_calls, model_name, ora
     # the oracle answered every x instead of expanding the block
     assert oracle_calls[oracle] >= model.fg.order
     assert naive == defining_set(model, library, "x", semantic=True)
+
+
+def test_ncl_oracle_decides_a_renamed_and_reordered_large_block(oracle_calls):
+    # formula_ncl_multi(g1..g5, 4) parsed from its text with the free names
+    # renamed and the five binders permuted: the oracle still answers it, and
+    # agrees with naive evaluation on a model of order 2
+    import re
+
+    text = format_formula(formula_ncl_multi([f"g{k}" for k in range(1, 6)], 4))
+    head = "A y1. A y2. A y3. A y4. A y5. "
+    assert text.startswith(head)
+    text = "A y3. A y5. A y1. A y4. A y2. " + re.sub(r"\bg(\d)\b", r"h\1", text[len(head):])
+    phi = parse_formula(text)
+    assert free_variables(phi) == {f"h{k}" for k in range(1, 6)}
+    model = model_from_group(TriMatrixGroup(parse_ring("Z/2"), 2))
+    asg = {f"h{k}": k % 2 for k in range(1, 6)}
+    assert semantic_eval(model, phi, asg) is True
+    assert oracle_calls["ncl"] == 1
+    assert eval_with_stats(model, phi, asg) == (True, 3125 * 2**5)
 
 
 @pytest.mark.parametrize(

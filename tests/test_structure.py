@@ -354,6 +354,14 @@ def test_torsion_split_untwisted_always_true(t3_z3):
     assert torsion_split_check(t3_z3, 2)
 
 
+def test_torsion_split_and_torus_membership_on_a_matrix_group():
+    # the matrix picture is untwisted: it splits at every level, and
+    # diag(2, 1, 1) lies in the first coordinate torus with alpha = 2
+    group = TriMatrixGroup(parse_ring("Z/3"), 3)
+    assert all(torsion_split_check(group, i) for i in (1, 2))
+    assert torus_membership(group, 1, group.diagonal_gen(1, 2)) == 2
+
+
 def test_torsion_split_detects_nonsplit_twist(ring_z5):
     units = unit_group(ring_z5)
     twisted = DeformedGroup(

@@ -1,25 +1,28 @@
-"""First-order logic over the group language: AST, parser, evaluators and
-the formula library used by the structural checks.
+"""First-order logic over the group language: AST, parser, printer,
+evaluators and the formula library used by the structural checks.
 
 Terms are built from variables, constants, 1, products and inverses;
-commutators, conjugation and left-normed commutators are parser/builder
-sugar that expands to the core operations immediately.  Every node is
-hash-consed when it is built, by builders and parser alike, so a formula is
-one DAG of distinct subterms from construction on: equal formulas are one
-object, and equality, alpha-matching (which the semantic oracles rely on)
-and free names visit each distinct node once.
+commutators, conjugation and left-normed commutators are sugar that expands
+to the core operations at once.  Nodes are slotted, immutable records,
+hash-consed when built, so a formula is one DAG of distinct subterms: equal
+formulas are one object, and equality, alpha-matching and free names visit
+each distinct node once.
 
-Compiled once, evaluated in two modes.  A formula's first use compiles it,
-for every model, to closures over a DAG of term nodes (_Code, kept on the
-formula), so each distinct subterm costs one product per binding of the
-innermost binder it reads.  eval_formula()/eval_with_stats() expand every
-quantifier over the whole carrier and count each atomic check against a
-budget.  semantic_eval() answers the blocks of like quantifiers
-recognised at compile time (normal-closure nilpotency, commutator width;
-binders in any order) with subgroup computations, and ranges relativised
-quantifiers over their registered sets only.  Equality of the two modes on
-small models is a tested invariant, checked against evaluators restated in
-the tests.
+The parser's "formula nests too deeply" is the only depth limit.  The
+printer and the term compiler are loops over an explicit stack, and term
+evaluation recurses through at most _STEP levels, so terms built through
+the API evaluate whatever their shape and depth; connectives and
+quantifiers compile by recursion, as deep as the parser nests them.
+
+A formula's first use compiles it, for every model, to closures over a DAG
+of term nodes (_Code, kept on the formula), so each distinct subterm costs
+one product per binding of the innermost binder it reads.
+eval_formula()/eval_with_stats() expand every quantifier over the carrier
+and count each atom against a budget.  semantic_eval() answers the blocks
+of like quantifiers recognised at compile time (normal-closure nilpotency,
+commutator width; binders in any order) with subgroup computations, and
+ranges relativised quantifiers over their registered sets only.  The two
+modes agree on small models, checked against evaluators restated in tests.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import itertools
 import math
 import re
 import weakref
-from dataclasses import dataclass
 from typing import Iterable
 
 from .config import DEFAULT_BUDGET
@@ -52,12 +54,14 @@ _NODES: dict[tuple, weakref.ref] = {}  # (class, *fields) -> the live node, weak
 
 
 class _Syntax:
-    """Hash-consed terms and formulas: building a node returns the live node
-    with the same class and fields if there is one, so equal formulas are
-    one object and equality is identity.  The table holds nodes weakly, by
-    keys whose children hash by identity; a node's death pops its key (nodes
-    form no cycles, so before the key can recur).  Lookup, insertion and
-    removal are C calls, adding no frame to the parser's recursion."""
+    """Hash-consed, immutable terms and formulas, each class naming its
+    fields once as __slots__ = __match_args__.  Building a node returns the
+    live node with the same class and fields if there is one, so equal
+    formulas are one object and equality is identity.  The table holds nodes
+    weakly, by keys whose children hash by identity; a node's death pops its
+    key (nodes form no cycles, so before the key can recur)."""
+
+    __slots__ = ("__weakref__",)
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -67,34 +71,39 @@ class _Syntax:
             if len(args) != len(cls.__match_args__):
                 raise TypeError(f"{cls.__name__}({', '.join(cls.__match_args__)}) got {len(args)} arguments")
             node = object.__new__(cls)
-            node.__dict__.update(zip(cls.__match_args__, args))
+            for field, value in zip(cls.__match_args__, args):
+                object.__setattr__(node, field, value)
             _NODES[key] = weakref.ref(node, functools.partial(_NODES.pop, key))
         return node
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
 
 class Term(_Syntax):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Var(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class One(Term):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Mul(Term):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Inv(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
 
 
 def conj(t: Term, by: Term) -> Term:
@@ -111,10 +120,7 @@ def left_normed(terms: list[Term]) -> Term:
     """[t1, t2, ..., tk] = [[t1, t2], ..., tk], expanded."""
     if not terms:
         raise InvalidParameter("left-normed commutator of nothing")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = comm(acc, t)
-    return acc
+    return functools.reduce(comm, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -122,61 +128,43 @@ def left_normed(terms: list[Term]) -> Term:
 
 
 class Formula(_Syntax):
-    _code = None  # the compiled form, kept by _compiled(); not a field
+    __slots__ = ("_code",)  # the compiled form, kept by _compiled(); not a field
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Eq(Formula):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
-    arg: Formula
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class InSet(Formula):
-    set_name: str
-    arg: Term
+    __slots__ = __match_args__ = ("set_name", "arg")
 
 
 def and_fold(parts: list[Formula]) -> Formula:
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = And(acc, p)
-    return acc
+    return functools.reduce(And, parts)
 
 
 def _left_spine(phi: Formula, klass) -> list[Formula]:
@@ -224,7 +212,6 @@ class _Parser:
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.bound: list[str] = []
@@ -383,45 +370,44 @@ def parse_formula(text: str) -> Formula:
 # pretty printer (canonical core syntax; inverse of the parser on its output)
 
 
-def _term_text(t: Term, parent: str = "") -> str:
-    if isinstance(t, One):
-        return "1"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Inv):
-        return f"{_term_text(t.arg, 'inv')}^-1"
-    if isinstance(t, Mul):
-        first, *rest = _left_spine(t, Mul)
-        body = "*".join([_term_text(first, "mul-left")] + [_term_text(p, "mul-right") for p in rest])
-        return f"({body})" if parent in ("inv", "mul-right") else body
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _formula_text(phi: Formula, parent: str = "") -> str:
-    if isinstance(phi, Eq):
-        return f"{_term_text(phi.left)} = {_term_text(phi.right)}"
-    if isinstance(phi, InSet):
-        return f"@{phi.set_name}({_term_text(phi.arg)})"
-    if isinstance(phi, Not):
-        return f"!{_formula_text(phi.arg, 'not')}"
-    if isinstance(phi, (And, Or)):
-        op, side, wrap = ("&", "and", ("not", "and-right")) if isinstance(phi, And) else (
-            "|", "or", ("not", "and-left", "and-right", "or-right"))
-        first, *rest = _left_spine(phi, type(phi))
-        body = f" {op} ".join([_formula_text(first, f"{side}-left")] + [_formula_text(p, f"{side}-right") for p in rest])
-        return f"({body})" if parent in wrap else body
-    if isinstance(phi, Implies):
-        body = f"{_formula_text(phi.left, 'imp-left')} -> {_formula_text(phi.right, 'imp-right')}"
-        return f"({body})" if parent not in ("", "imp-right", "quant") else body
-    if isinstance(phi, (Forall, Exists)):
-        q = "A" if isinstance(phi, Forall) else "E"
-        body = f"{q} {phi.var}. {_formula_text(phi.body, 'quant')}"
-        return f"({body})" if parent not in ("", "quant", "imp-right") else body
-    raise TypeError(f"not a formula: {phi!r}")
+# How tightly each node binds, and its text, last piece first (as the stack
+# pops them): strings, and each child with the binding strength its place
+# needs; a child that binds more loosely is parenthesised.  Formulas:
+# quantifiers 0, -> 1, | 2, & 3, ! 4, atoms 5; terms: * 1, ^-1 2, atoms 3.
+_LAYOUT = {
+    Var: (3, lambda t: (t.name,)),
+    One: (3, lambda t: ("1",)),
+    Mul: (1, lambda t: ((t.right, 2), "*", (t.left, 1))),
+    Inv: (2, lambda t: ("^-1", (t.arg, 2))),
+    Eq: (5, lambda f: ((f.right, 0), " = ", (f.left, 0))),
+    InSet: (5, lambda f: (")", (f.arg, 0), f"@{f.set_name}(")),
+    Not: (4, lambda f: ((f.arg, 4), "!")),
+    And: (3, lambda f: ((f.right, 4), " & ", (f.left, 3))),
+    Or: (2, lambda f: ((f.right, 3), " | ", (f.left, 2))),
+    Implies: (1, lambda f: ((f.right, 0), " -> ", (f.left, 2))),
+    Forall: (0, lambda f: ((f.body, 0), f"A {f.var}. ")),
+    Exists: (0, lambda f: ((f.body, 0), f"E {f.var}. ")),
+}
 
 
 def format_formula(phi: Formula) -> str:
-    return _formula_text(phi)
+    """phi's text, by one loop over an explicit stack of pieces."""
+    out, todo = [], [(phi, 0)]
+    while todo:
+        piece = todo.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+            continue
+        node, need = piece
+        if node.__class__ is Var:  # the commonest node, emitted at once
+            out.append(node.name)
+            continue
+        strength, pieces = _LAYOUT[node.__class__]
+        if strength < need:
+            todo += (")", *pieces(node), "(")
+        else:
+            todo += pieces(node)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +430,12 @@ class Model:
     def register_set(self, name: str, members: Iterable[int]):
         self.definable_sets[name] = frozenset(members)
 
-    # -- oracles -------------------------------------------------------------
-
     def ncl_nilpotency_class(self, seed: frozenset[int]) -> int | None:
         """Nilpotency class of the normal closure of the seed, or None."""
-        cached = self._ncl_class_cache.get(seed)
-        if cached is not None or seed in self._ncl_class_cache:
-            return cached
-        nilp, cls = self.fg.is_nilpotent(self.fg.normal_closure(sorted(seed)))
-        out = cls if nilp else None
-        self._ncl_class_cache[seed] = out
-        return out
+        if seed not in self._ncl_class_cache:
+            nilp, cls = self.fg.is_nilpotent(self.fg.normal_closure(sorted(seed)))
+            self._ncl_class_cache[seed] = cls if nilp else None
+        return self._ncl_class_cache[seed]
 
 
 def model_from_group(group) -> Model:
@@ -509,21 +490,27 @@ class _State:
         self.atoms = 0
 
 
+_STEP = 100  # term levels that evaluation recurses through, at most
+
+
 class _Code:
     """A formula compiled for every model: closures over a term DAG.
 
-    A term compiles to a node (closure, level), level being the depth of the
-    innermost binder it reads (0: free names only).  Nodes are hash-consed
-    on (operation, child nodes), a bound variable keyed by its binder's
-    depth and a free one by its name, so each distinct subterm is one node,
-    computed when first needed and at most once per binding of that binder.
-    Equal terms are one object (syntax nodes are hash-consed), so a scope
+    A term compiles to a node (closure, level, height, run): level is the
+    depth of the innermost binder it reads (0: free names only), height the
+    number of nodes on its longest path down, and run that number counted
+    from the nearest checkpoint below.  Nodes are hash-consed on (operation,
+    child closures), a bound variable keyed by its binder's depth and a free
+    one by its name, so each distinct subterm is one node, computed when
+    first needed and at most once per binding of that binder.  A scope
     (bound name -> depth, id -> node) compiles each distinct term object of
     the scope once.  atoms_at[d] counts the atoms under d quantifiers (the
-    upfront bound is sum(atoms_at[d] * N**d)).
+    upfront bound is sum(atoms_at[d] * N**d)).  A node evaluates its
+    children by recursion, down to the values already computed for the
+    current bindings; a term evaluates the checkpoints below it first (in a
+    chain: the heights that are multiples of STEP), so evaluation recurses
+    through at most STEP levels of a term of any shape and depth.
     """
-
-    SPINE_STEP = 100  # the prefixes of a Mul spine evaluated by recursion, at most
 
     def __init__(self, phi: Formula):
         self.tick = itertools.count(1).__next__  # binding stamps, never reused
@@ -531,21 +518,24 @@ class _Code:
         self.atoms_at = [0]
         self.root = self.formula(phi, ({}, {}), 0)
 
-    def node(self, key: tuple) -> tuple:
+    def node(self, key: tuple, a: tuple = None, b: tuple = None) -> tuple:
+        """The node keyed (operation, *child closures), over child nodes a, b;
+        runs count modulo STEP, so a run of 0 marks a checkpoint."""
         found = self.nodes.get(key)
         if found is None:
-            if key[0] == "one":
-                found = (lambda S: S.one), 0
-            elif key[0] == "var":
-                found = (lambda S, d=key[1]: S.vals[d]), key[1]
-            elif key[0] == "free":
-                found = (lambda S, name=key[1]: S.env[name]), 0
+            if key[0] is Mul:
+                (f, la, ha, ra), (g, lb, hb, rb) = a, b
+                level, height, run = la if la > lb else lb, ha if ha > hb else hb, ra if ra > rb else rb
+                found = _memoised(level, lambda S: S.op(f(S), g(S))), level, height + 1, (run + 1) % _STEP
             elif key[0] is Inv:
-                a, level = key[1]
-                found = _memoised(level, lambda S: S.inv(a(S))), level
+                f, level, height, run = a
+                found = _memoised(level, lambda S: S.inv(f(S))), level, height + 1, (run + 1) % _STEP
+            elif key[0] == "one":
+                found = (lambda S: S.one), 0, 1, 1
+            elif key[0] == "var":
+                found = (lambda S, d=key[1]: S.vals[d]), key[1], 1, 1
             else:
-                (a, la), (b, lb) = key[1:]
-                found = _memoised(max(la, lb), lambda S: S.op(a(S), b(S))), max(la, lb)
+                found = (lambda S, name=key[1]: S.env[name]), 0, 1, 1
             self.nodes[key] = found
         return found
 
@@ -553,49 +543,58 @@ class _Code:
         depth = scope[0].get(name)
         return self.node(("free", name) if depth is None else ("var", depth))
 
-    def term(self, t: Term, scope) -> tuple:
-        found = scope[1].get(id(t))
-        if found is None:
-            if isinstance(t, Var):
-                found = self.var(t.name, scope)
-            elif isinstance(t, One):
+    def term(self, t: Term, scope):
+        """The closure evaluating t.  Children compile before their parent,
+        in one post-order walk over an explicit stack: a node stays on it
+        until the scope holds its children's nodes.  A term taller than STEP
+        first evaluates the checkpoints below it, lowest first."""
+        done = scope[1]
+        todo = [] if id(t) in done else [t]
+        while todo:
+            u = todo[-1]
+            if u.__class__ is Mul:
+                a, b = done.get(id(u.left)), done.get(id(u.right))
+                if a is None or b is None:
+                    if b is None:
+                        todo.append(u.right)
+                    if a is None:
+                        todo.append(u.left)  # compiled first, as evaluation goes
+                    continue
+                found = self.node((Mul, a[0], b[0]), a, b)
+            elif u.__class__ is Inv:
+                a = done.get(id(u.arg))
+                if a is None:
+                    todo.append(u.arg)
+                    continue
+                found = self.node((Inv, a[0]), a)
+            elif u.__class__ is Var:
+                found = self.var(u.name, scope)
+            elif u.__class__ is One:
                 found = self.node(("one",))
-            elif isinstance(t, Mul):
-                found = self.spine(t, scope)
-            elif isinstance(t, Inv):  # a chain of inverses, by a loop
-                chain = [t]
-                while isinstance(chain[-1].arg, Inv) and id(chain[-1].arg) not in scope[1]:
-                    chain.append(chain[-1].arg)
-                found = self.term(chain[-1].arg, scope)
-                for inv in reversed(chain):
-                    found = scope[1][id(inv)] = self.node((Inv, found))
             else:
-                raise TypeError(f"not a term: {t!r}")
-            scope[1][id(t)] = found
-        return found
-
-    def spine(self, t: Mul, scope) -> tuple:
-        """A Mul left spine, compiled by a loop into one node per prefix
-        product, as a recursive fold would.  A prefix evaluates the one below
-        it first, so a long spine computes every SPINE_STEP-th prefix in
-        order, and evaluation recurses no deeper than that either."""
-        first, *rest = _left_spine(t, Mul)
-        nodes = [self.term(first, scope)]
-        for right in rest:
-            nodes.append(self.node((Mul, nodes[-1], self.term(right, scope))))
-        if len(nodes) <= self.SPINE_STEP:
-            return nodes[-1]
-        steps = [f for f, _ in nodes[self.SPINE_STEP :: self.SPINE_STEP]] + [nodes[-1][0]]
-        return (lambda S: [step(S) for step in steps][-1]), nodes[-1][1]
+                raise TypeError(f"not a term: {u!r}")
+            done[id(u)] = found
+            todo.pop()
+        value, _, height, _ = done[id(t)]
+        if height <= _STEP:
+            return value
+        tall, todo = {}, [t]  # the subterms of height STEP or more
+        while todo:
+            u = todo.pop()
+            if id(u) not in tall and done[id(u)][2] >= _STEP:
+                tall[id(u)] = done[id(u)]
+                todo += (u.left, u.right) if u.__class__ is Mul else (u.arg,)
+        steps = [f for f, _, _, run in sorted(tall.values(), key=lambda node: node[2]) if run == 0] + [value]
+        return lambda S: [step(S) for step in steps][-1]
 
     def formula(self, phi: Formula, scope, depth: int):
         if isinstance(phi, (Eq, InSet)):
             self.atoms_at[depth] += 1
             if isinstance(phi, Eq):
-                left, right = self.term(phi.left, scope)[0], self.term(phi.right, scope)[0]
+                left, right = self.term(phi.left, scope), self.term(phi.right, scope)
                 check = lambda S: left(S) == right(S)
             else:
-                name, arg = phi.set_name, self.term(phi.arg, scope)[0]
+                name, arg = phi.set_name, self.term(phi.arg, scope)
                 check = lambda S: _definable_set(S.model, name).__contains__(arg(S))  # the set, then the term
 
             def atom(S) -> bool:
@@ -728,39 +727,45 @@ def semantic_eval(model: Model, phi: Formula, assignment: dict | None = None) ->
 
 
 def _alpha_match(pattern, subject, pmap: dict[str, str]) -> bool:
-    """Match two terms or formulas up to the injective renaming pmap of the
-    pattern's variable names, bound and free, extending pmap as it goes.
-    Pairs are visited in tree order; one met again is skipped, as pmap only
-    grows and stays injective, so each distinct pair costs one step."""
-    used, seen, todo = set(pmap.values()), set(), [(pattern, subject)]
-
-    def bind(name: str, image: str) -> bool:
-        if name in pmap or image in used:
-            return False
-        pmap[name] = image
-        used.add(image)
-        return True
-
+    """Match two terms or formulas up to an injective renaming of the
+    pattern's variable names, extending pmap, which maps the free ones.  A
+    binder maps its name over its body only (pushed on entry, popped on
+    exit), to a name no other mapping in scope has.  Pairs are visited in
+    tree order; one met again in the same body is skipped, as there the
+    renaming only grows, so each distinct pair costs one step per body."""
+    used, seen, bodies, todo = set(pmap.values()), set(), itertools.count(1), [(pattern, subject, 0)]
     while todo:
-        pair = todo.pop()
-        if pair in seen:
+        item = p, s, body = todo.pop()
+        if p is None:  # leaving a binder: s is its name and the name's image outside
+            used.discard(pmap.pop(s[0]))
+            if s[1] is not None:
+                pmap[s[0]] = s[1]
+                used.add(s[1])
             continue
-        seen.add(pair)
-        p, s = pair
-        if type(p) is not type(s):
+        if item in seen:
+            continue
+        seen.add(item)
+        cls = p.__class__
+        if cls is not s.__class__:
             return False
-        if isinstance(p, Var):
-            if pmap.get(p.name) != s.name and not bind(p.name, s.name):
+        if cls is Var:
+            image = pmap.get(p.name)
+            if image != s.name and (image is not None or s.name in used):
                 return False
-        elif isinstance(p, (Forall, Exists)):
-            if not bind(p.var, s.var):
+            pmap[p.name] = s.name
+            used.add(s.name)
+        elif cls is Forall or cls is Exists:
+            outer = pmap.get(p.var)
+            if s.var in used and s.var != outer:
                 return False
-            todo.append((p.body, s.body))
+            pmap[p.var] = s.var
+            used.add(s.var)
+            todo += ((None, (p.var, outer), body), (p.body, s.body, next(bodies)))
         else:
-            for field in reversed(p.__match_args__):
+            for field in reversed(cls.__match_args__):
                 a, b = getattr(p, field), getattr(s, field)
                 if isinstance(a, _Syntax):
-                    todo.append((a, b))
+                    todo.append((a, b, body))
                 elif a != b:  # a set name
                     return False
     return True
@@ -785,8 +790,7 @@ def _phi_c_over(names: list[str], c: int) -> Formula:
 
 def formula_phi_c(n_vars: int, c: int) -> Formula:
     """All left-normed commutators of length c in x1..xn and inverses vanish."""
-    names = [f"x{k}" for k in range(1, n_vars + 1)]
-    return _phi_c_over(names, c)
+    return _phi_c_over([f"x{k}" for k in range(1, n_vars + 1)], c)
 
 
 def formula_phi_eq_c(n_vars: int, c: int) -> Formula:
@@ -797,10 +801,8 @@ def formula_phi_eq_c(n_vars: int, c: int) -> Formula:
 
 def formula_max_nilpotent_membership(g_var: str, gen_vars: list[str], c: int) -> Formula:
     """g belongs to the maximal class-c overgroup of <gen_vars>: adjoining it keeps class c."""
-    return And(
-        _phi_c_over([g_var] + list(gen_vars), c + 1),
-        Not(_phi_c_over([g_var] + list(gen_vars), c)),
-    )
+    names = [g_var] + list(gen_vars)
+    return And(_phi_c_over(names, c + 1), Not(_phi_c_over(names, c)))
 
 
 def formula_ncl(c: int, var: str = "x") -> Formula:
@@ -835,10 +837,7 @@ def formula_phi_Gprime(m: int, var: str = "x") -> Formula:
     """var is a product of at most m commutators (padding with trivial ones)."""
     xs = [f"x{k}" for k in range(1, m + 1)]
     ys = [f"y{k}" for k in range(1, m + 1)]
-    product = comm(Var(xs[0]), Var(ys[0]))
-    for a, b in zip(xs[1:], ys[1:]):
-        product = Mul(product, comm(Var(a), Var(b)))
-    phi: Formula = Eq(Var(var), product)
+    phi: Formula = Eq(Var(var), functools.reduce(Mul, [comm(Var(a), Var(b)) for a, b in zip(xs, ys)]))
     for name in reversed(xs + ys):
         phi = Exists(name, phi)
     return phi

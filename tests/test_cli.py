@@ -458,6 +458,43 @@ def test_fo_eval_of_a_long_product_is_not_a_library_fault(capsys, group_file, te
     assert got == rc and report["data"]["value"] is (rc == 0)
 
 
+NESTED = {  # construct -> the text nesting it n deep
+    "negation": lambda n: "!" * n + "1 = 1",
+    "implication": lambda n: "1 = 1 -> " * n + "1 = 1",
+    "conjunction": lambda n: "1 = 1 & (" * n + "1 = 1" + ")" * n,
+    "disjunction": lambda n: "1 = 1 | (" * n + "1 = 1" + ")" * n,
+    "quantifier": lambda n: "".join(f"E x{k}. " for k in range(n)) + "x0 = x0",
+    "parentheses": lambda n: "(" * n + "1 = 1" + ")" * n,
+    "inverse": lambda n: "A x. x" + "^-1" * n + " = x",
+    "conjugation": lambda n: "A x. A y. x" + "^y" * n + " = x",
+}
+
+
+@pytest.mark.parametrize("construct", NESTED)
+def test_the_deepest_text_fo_parse_accepts_evaluates(capsys, group_file, construct):
+    # the parser's "formula nests too deeply" is the only depth limit: at
+    # the deepest nesting fo parse accepts (up to 4,096), fo eval and
+    # fo eval --semantic answer or refuse the input, never exit 3
+    nest = NESTED[construct]
+
+    def parse(n):
+        rc, out, err = run(capsys, ["fo", "parse", nest(n)])
+        assert rc in (0, 2), err
+        return rc == 0
+
+    lo, hi = 1, 4096
+    assert parse(lo)
+    if parse(hi):
+        lo = hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if parse(mid) else (lo, mid)
+    group = group_file({"ring": "Z/2", "n": 2, "kind": "matrix"})
+    for mode in ([], ["--semantic"]):
+        rc, out, err = run(capsys, ["fo", "eval", nest(lo), "--group", group] + mode)
+        assert rc in (0, 1, 2), err
+
+
 def test_fo_parse_reports_free_variables(capsys):
     rc, report = run_json(capsys, ["fo", "parse", "A x. [x, y] = 1"])
     assert rc == 0

@@ -154,6 +154,117 @@ def test_library_formulas_round_trip():
         assert parse_formula(format_formula(phi)) is phi  # equal formulas are one object
 
 
+LIBRARY_TEXT = [  # every builder, with its printed text pinned
+    (
+        lambda: formula_phi_c(1, 2),
+        "x1^-1*x1^-1*x1*x1 = 1 & x1^-1*x1^-1^-1*x1*x1^-1 = 1 & x1^-1^-1*x1^-1*x1^-1*x1 = 1"
+        " & x1^-1^-1*x1^-1^-1*x1^-1*x1^-1 = 1",
+    ),
+    (
+        lambda: formula_phi_eq_c(1, 1),
+        "x1^-1*x1^-1*x1*x1 = 1 & x1^-1*x1^-1^-1*x1*x1^-1 = 1 & x1^-1^-1*x1^-1*x1^-1*x1 = 1"
+        " & x1^-1^-1*x1^-1^-1*x1^-1*x1^-1 = 1 & !(x1 = 1 & x1^-1 = 1)",
+    ),
+    (
+        lambda: formula_max_nilpotent_membership("g", [], 1),
+        "g^-1*g^-1*g*g = 1 & g^-1*g^-1^-1*g*g^-1 = 1 & g^-1^-1*g^-1*g^-1*g = 1"
+        " & g^-1^-1*g^-1^-1*g^-1*g^-1 = 1 & !(g = 1 & g^-1 = 1)",
+    ),
+    (lambda: formula_ncl(1), "A y1. A y2. (y1^-1*x*y1)^-1*(y2^-1*x*y2)^-1*(y1^-1*x*y1)*(y2^-1*x*y2) = 1"),
+    (
+        lambda: formula_ncl_multi(["g1", "g2"], 1),
+        "A y1. A y2. (y1^-1*g1*y1)^-1*(y2^-1*g1*y2)^-1*(y1^-1*g1*y1)*(y2^-1*g1*y2) = 1"
+        " & (y1^-1*g1*y1)^-1*(y2^-1*g2*y2)^-1*(y1^-1*g1*y1)*(y2^-1*g2*y2) = 1"
+        " & (y1^-1*g2*y1)^-1*(y2^-1*g1*y2)^-1*(y1^-1*g2*y1)*(y2^-1*g1*y2) = 1"
+        " & (y1^-1*g2*y1)^-1*(y2^-1*g2*y2)^-1*(y1^-1*g2*y1)*(y2^-1*g2*y2) = 1",
+    ),
+    (
+        lambda: formula_fitt_ck(1, 1),
+        "A g. (A y1. A y2. A y3. ((y1^-1*g*y1)^-1*(y2^-1*g*y2)^-1*(y1^-1*g*y1)*(y2^-1*g*y2))^-1"
+        "*(y3^-1*g*y3)^-1*((y1^-1*g*y1)^-1*(y2^-1*g*y2)^-1*(y1^-1*g*y1)*(y2^-1*g*y2))*(y3^-1*g*y3) = 1)"
+        " -> A y1. A y2. (y1^-1*g*y1)^-1*(y2^-1*g*y2)^-1*(y1^-1*g*y1)*(y2^-1*g*y2) = 1",
+    ),
+    (
+        lambda: formula_phi_c_star(1),
+        "A g1. (A y1. A y2. (y1^-1*g1*y1)^-1*(y2^-1*g1*y2)^-1*(y1^-1*g1*y1)*(y2^-1*g1*y2) = 1)"
+        " -> A y1. A y2. (y1^-1*g1*y1)^-1*(y2^-1*g1*y2)^-1*(y1^-1*g1*y1)*(y2^-1*g1*y2) = 1",
+    ),
+    (lambda: formula_phi_Gprime(2), "E x1. E x2. E y1. E y2. x = x1^-1*y1^-1*x1*y1*(x2^-1*y2^-1*x2*y2)"),
+    (lambda: formula_phi_Gu_pm(), "@Fitt(x) & (@Gprime(x) | !@Gprime(x) & @Gprime(x*x))"),
+    (lambda: formula_phi_D(["d1", "d2"]), "x^-1*d1^-1*x*d1 = 1 & x^-1*d2^-1*x*d2 = 1"),
+    (lambda: formula_phi_iN("t"), "A y. E z. @Z(z) & (y^-1*t*y = t*z | y^-1*t*y = t^-1*z)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    LIBRARY_TEXT,
+    ids=["phi_c", "phi_eq_c", "max_nilpotent", "ncl", "ncl_multi", "fitt_ck", "phi_c_star", "Gprime", "Gu_pm", "phi_D", "phi_iN"],
+)
+def test_library_formulas_print_as_pinned(build, text):
+    assert format_formula(build()) == text
+
+
+def reference_text(f, place=""):
+    """The canonical text restated by recursion (shallow input only): a
+    node is parenthesised by the place it stands in, named by its parent."""
+    if isinstance(f, One):
+        return "1"
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Inv):
+        return reference_text(f.arg, "inv") + "^-1"
+    if isinstance(f, Mul):
+        text = reference_text(f.left, "mul-left") + "*" + reference_text(f.right, "mul-right")
+        return f"({text})" if place in ("inv", "mul-right") else text
+    if isinstance(f, Eq):
+        return f"{reference_text(f.left)} = {reference_text(f.right)}"
+    if isinstance(f, InSet):
+        return f"@{f.set_name}({reference_text(f.arg)})"
+    if isinstance(f, Not):
+        return "!" + reference_text(f.arg, "not")
+    if isinstance(f, (And, Or)):
+        op, side = (" & ", "and") if isinstance(f, And) else (" | ", "or")
+        text = reference_text(f.left, side + "-left") + op + reference_text(f.right, side + "-right")
+        wrapped = ("not", "and-right") if isinstance(f, And) else ("not", "and-left", "and-right", "or-right")
+        return f"({text})" if place in wrapped else text
+    if isinstance(f, Implies):
+        text = reference_text(f.left, "imp-left") + " -> " + reference_text(f.right, "imp-right")
+        return f"({text})" if place not in ("", "imp-right", "quant") else text
+    text = f"{'A' if isinstance(f, Forall) else 'E'} {f.var}. {reference_text(f.body, 'quant')}"
+    return f"({text})" if place not in ("", "quant", "imp-right") else text
+
+
+def test_printer_matches_a_restated_printer_on_seeded_random_formulas():
+    import random
+
+    rng = random.Random(20261019)
+
+    def term(depth):
+        kind = rng.randrange(6 if depth else 2)
+        if kind < 2:
+            return Var(rng.choice("xyzu")) if kind == 0 else One()
+        if kind == 2:
+            return Inv(term(depth - 1))
+        if kind == 3:
+            return conj(term(depth - 1), term(depth - 1))
+        return Mul(term(depth - 1), term(depth - 1))
+
+    def formula(depth):
+        kind = rng.randrange(8 if depth else 2)
+        if kind < 2:
+            return Eq(term(3), term(3)) if kind == 0 else InSet(rng.choice("SZ"), term(3))
+        if kind == 2:
+            return Not(formula(depth - 1))
+        if kind == 3:
+            return (Forall if rng.random() < 0.5 else Exists)(rng.choice("xyzu"), formula(depth - 1))
+        return (And, Or, Implies, And)[kind - 4](formula(depth - 1), formula(depth - 1))
+
+    for _ in range(3000):
+        phi = formula(4)
+        assert format_formula(phi) == reference_text(phi)
+
+
 def test_equal_formulas_are_one_object():
     assert parse_formula("[a, b] = 1").left is comm(Var("a"), Var("b"))
     assert parse_formula("x^y = 1") is Eq(conj(Var("x"), Var("y")), One())
@@ -163,6 +274,22 @@ def test_equal_formulas_are_one_object():
     spine = formula_ncl_multi(["g1", "g2"], 1).body.body
     g1g1, g1g2 = spine.left.left.left, spine.left.left.right
     assert g1g1.left.left.left.left.arg is conj(Var("g1"), Var("y1")) is g1g2.left.left.left.left.arg
+
+
+def test_nodes_are_immutable_slotted_records():
+    node = Mul(Var("x"), One())
+    assert repr(node) == "Mul(left=Var(name='x'), right=One())"
+    assert repr(Forall("x", InSet("S", Inv(Var("x"))))) == "Forall(var='x', body=InSet(set_name='S', arg=Inv(arg=Var(name='x'))))"
+    with pytest.raises(AttributeError):
+        node.left = One()
+    with pytest.raises(AttributeError):
+        del node.right
+    with pytest.raises(AttributeError):
+        node.colour = "red"
+    assert node.left is Var("x") and not hasattr(node, "__dict__")
+    assert Mul.__match_args__ == Mul.__slots__ == ("left", "right")
+    with pytest.raises(TypeError):
+        Mul(Var("x"))
 
 
 def test_a_dropped_formula_leaves_no_node_behind(monkeypatch, m2):
@@ -280,6 +407,29 @@ def test_alpha_equivalent_is_injective():
     pat = parse_formula("A u. A v. u*v = v*u")
     assert alpha_equivalent(pat, parse_formula("A a. A b. a*b = b*a")) is not None
     assert alpha_equivalent(pat, parse_formula("A a. A b. a*a = a*a")) is None
+
+
+@pytest.mark.parametrize(
+    "pattern, subject, equivalent",
+    [
+        # sibling binders: one pattern name, two subject names
+        ("(A y. y = 1) & (A y. y = 1)", "(A a. a = 1) & (A b. b = 1)", True),
+        ("(A y. y = 1) & (A y. y = 1)", "(A a. a = 1) & (A b. a = 1)", False),
+        # a name free on one side of & and bound on the other
+        ("(A y. y = 1) & y = 1", "(A a. a = 1) & a = 1", True),
+        ("(A y. y = 1) & y = 1", "(A a. a = 1) & b = 1", True),
+        ("x = 1 & (A x. x = 1)", "a = 1 & (A a. a = 1)", True),
+        # a binder may not capture a name that a free one maps to
+        ("x = 1 & (A y. y = x)", "a = 1 & (A a. a = a)", False),
+        ("(A y. x = y) & x = 1", "(A a. b = a) & a = 1", False),
+    ],
+)
+def test_alpha_equivalent_scopes_each_binder(pattern, subject, equivalent):
+    pmap = alpha_equivalent(parse_formula(pattern), parse_formula(subject))
+    assert (pmap is not None) is equivalent
+    # the renaming returned maps the free names only
+    if equivalent:
+        assert set(pmap) == free_variables(parse_formula(pattern))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +574,51 @@ def test_long_products_need_no_recursion(factors):
     value, atoms = eval_with_stats(model, phi)
     assert value == all(holds) and atoms == (holds.index(False) + 1 if False in holds else fg.order)
     assert value is (factors % 6 == 0)  # T_2(Z/3) has exponent 6
+
+
+CHAINS = {  # one level of each chain: (the term, its value, its text)
+    "inverse": (lambda t: Inv(t), lambda fg, v, y: fg.inv_idx(v), lambda s, k: s + "^-1"),
+    "conjugation": (
+        lambda t: conj(t, Var("y")),
+        lambda fg, v, y: fg.op_idx(fg.op_idx(fg.inv_idx(y), v), y),
+        lambda s, k: f"y^-1*{s if k == 0 else f'({s})'}*y",
+    ),
+    "left-product": (lambda t: Mul(t, Var("y")), lambda fg, v, y: fg.op_idx(v, y), lambda s, k: s + "*y"),
+    "right-product": (
+        lambda t: Mul(Var("y"), t),
+        lambda fg, v, y: fg.op_idx(y, v),
+        lambda s, k: f"y*{s if k == 0 else f'({s})'}",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", CHAINS)
+def test_deep_term_chains_print_and_evaluate(m2, shape):
+    # 10,000 levels built through the API, ten times the default recursion
+    # limit: the printer and the compiler are loops, and evaluation recurses
+    # through a bounded number of levels at a time
+    build, step, text = CHAINS[shape]
+    t, expected_text = Var("x"), "x"
+    for k in range(10_000):
+        t = build(t)
+        if k < 50:  # the text is restated for a shallow prefix of the chain
+            expected_text = text(expected_text, k)
+    phi = Forall("x", Eq(t, Inv(Var("x"))))
+    shallow = Var("x")
+    for _ in range(50):
+        shallow = build(shallow)
+    assert format_formula(Eq(shallow, One())) == expected_text + " = 1"
+    assert format_formula(phi).startswith("A x. ")
+    fg = m2.fg
+    for y in (fg.identity_index, 1, 7):
+        holds = []
+        for x in fg.all_indices:
+            value = x
+            for _ in range(10_000):
+                value = step(fg, value, y)
+            holds.append(value == fg.inv_idx(x))
+        atoms = holds.index(False) + 1 if False in holds else fg.order
+        assert eval_with_stats(m2, phi, {"y": y}) == (all(holds), atoms)
 
 
 def test_equality_and_hash_need_no_recursion():

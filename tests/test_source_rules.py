@@ -47,3 +47,43 @@ def test_element_fields_are_read_in_trigroup_only():
         if isinstance(node, ast.Attribute) and node.attr in fields
     }
     assert found == set()
+
+
+def test_fologic_recurses_only_where_the_parser_bounds_the_depth():
+    # the call graph of fologic (calls to module functions, and to methods
+    # through self) has cycles only in the parser's descent and in the
+    # compiler's connective and quantifier levels, which nest no deeper
+    # than the parser lets them; the printer and the term compiler are loops
+    path = next(path for path in SOURCES if path.name == "fologic.py")
+    calls: dict[str, set[str]] = {}
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name + ".")
+            elif isinstance(node, ast.FunctionDef):
+                called = calls.setdefault(owner + node.name, set())
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                        called.add(sub.func.id)
+                    elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and owner:
+                        if isinstance(sub.func.value, ast.Name) and sub.func.value.id == "self":
+                            called.add(owner + sub.func.attr)
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body, "")
+
+    def reaches_itself(name):
+        seen, todo = set(), [name]
+        while todo:
+            for callee in calls.get(todo.pop(), ()):
+                if callee == name:
+                    return True
+                if callee in calls and callee not in seen:
+                    seen.add(callee)
+                    todo.append(callee)
+        return False
+
+    cyclic = {name for name in calls if reaches_itself(name)}
+    descent = {"formula", "disjunction", "conjunction", "unary", "quantifier", "atom", "term", "factor", "primary"}
+    assert {"format_formula", "_Code.term", "_alpha_match"} <= set(calls)
+    assert cyclic == {f"_Parser.{name}" for name in descent} | {"_Code.formula", "_Code.quantifier"}

@@ -35,14 +35,7 @@ import weakref
 from typing import Iterable
 
 from .config import DEFAULT_BUDGET
-from .errors import (
-    BudgetExceeded,
-    CombinatorialBlowup,
-    InvalidParameter,
-    ParseError,
-    UnboundVariable,
-    UnregisteredDefinableSet,
-)
+from .errors import BudgetExceeded, CombinatorialBlowup, InvalidParameter, ParseError, UnboundVariable, UnregisteredDefinableSet
 from .finitegroup import FiniteGroup, from_group
 
 
@@ -82,8 +75,19 @@ class _Syntax:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # one loop over a stack of text and nodes, so a chain of any depth prints
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            pieces = [type(item).__name__ + "("]
+            for k, field in enumerate(item.__match_args__):
+                value = getattr(item, field)
+                pieces += (", " * (k > 0) + field + "=", value if isinstance(value, _Syntax) else repr(value))
+            todo += reversed(pieces + [")"])
+        return "".join(out)
 
 
 class Term(_Syntax):
@@ -291,22 +295,19 @@ class _Parser:
             arg = self.term()
             self.take(value=")")
             return InSet(name, arg)
-        if tok[1] == "(":
-            # could be a parenthesised formula or a parenthesised term
-            save = self.i
-            try:
-                left = self.term()
-                self.take(value="=")
-                return Eq(left, self.term())
-            except ParseError:
-                self.i = save
-            self.take(value="(")
-            phi = self.formula()
-            self.take(value=")")
-            return phi
-        left = self.term()
-        self.take(value="=")
-        return Eq(left, self.term())
+        save = self.i
+        try:
+            left = self.term()
+            self.take(value="=")
+            return Eq(left, self.term())
+        except ParseError:
+            if tok[1] != "(":
+                raise
+            self.i = save  # not an equation: a parenthesised formula
+        self.take(value="(")
+        phi = self.formula()
+        self.take(value=")")
+        return phi
 
     def term(self) -> Term:
         left = self.factor()
@@ -890,6 +891,5 @@ def _match_block(pattern: Formula, subject: Formula) -> dict[str, str] | None:
 
 def defining_set(model: Model, phi: Formula, var: str, semantic: bool = False, budget: int = DEFAULT_BUDGET) -> frozenset[int]:
     """Indices of carrier elements satisfying phi with var bound to them."""
-    if semantic:
-        return frozenset(i for i in model.fg.all_indices if semantic_eval(model, phi, {var: i}))
-    return frozenset(i for i in model.fg.all_indices if eval_formula(model, phi, {var: i}, budget))
+    limit = math.inf if semantic else budget
+    return frozenset(i for i in model.fg.all_indices if _run(model, phi, {var: i}, limit, semantic)[0])

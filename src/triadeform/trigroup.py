@@ -18,40 +18,44 @@ diagonal_gen and central, order, elements, sample, generating_set, the
 JSON forms of elements, is_untwisted and the coordinate questions on
 (xbar, z, U); only this module reads the fields of an element.
 
+A DeformedElem holds xbar, z, the cells of U (its n(n-1)/2 strict upper
+slots, row-major, each zero slot holding the ring's own zero) and its
+support, the sorted tuple of nonzero slots.  Products walk one plan per n
+(_plan) from the support only, so a transvection costs one slot, and sort
+nothing.  Only computed sums and products are tested against zero (over
+Z/6, t_12(2) t_23(3) is zero at (1, 3)); a zero becomes the ring's own, so
+equal elements have one support and their cells compare mostly by identity.
+
 Validation happens at the API boundary: the named generators, DeformedGroup
 .element, elem_from_json and the public TriMatrix(ring, rows) constructor
 check their arguments, and upper_normalise checks entry indices and coerces
-values.  The internal products (op, inverse and the upper_* helpers) trust
-their normalised operands and only drop zeros; in the matrix picture
-products, inverses, the named generators, enumeration, sampling and the
-bridge build through the trusted TriMatrix._trusted.
+values.  The internal products (op, inverse and their slot helpers) trust
+their operands; in the matrix picture products, inverses, the named
+generators, enumeration, sampling and the bridge build through the trusted
+TriMatrix._trusted.
 DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
 the constructor checks this on every unit when R^x is finite.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Iterator
 
 from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, is_coboundary, verify_cocycle
 from .config import DEFAULT_SEED
-from .errors import (
-    DomainMismatch,
-    InvalidParameter,
-    NotAUnit,
-    ParseError,
-    TooLarge,
-)
+from .errors import DomainMismatch, InvalidParameter, NotAUnit, ParseError, TooLarge
 from .rings import Ring
 
 ENUMERATION_LIMIT = 10_000
 
 
 # ---------------------------------------------------------------------------
-# strict upper triangular arithmetic on sparse entry maps
+# strict upper triangular entries: the boundary validator and the slot plan
 
 
 def upper_normalise(ring: Ring, n: int, entries) -> tuple:
@@ -61,88 +65,28 @@ def upper_normalise(ring: Ring, n: int, entries) -> tuple:
         if not (1 <= i < j <= n):
             raise InvalidParameter(f"entry ({i}, {j}) is not strictly upper in size {n}")
         v = ring.ensure(v)
+        if (i, j) in table:
+            v = ring.add(table.pop((i, j)), v)
         if v != ring.zero_cmp:
-            table[(i, j)] = ring.add(table[(i, j)], v) if (i, j) in table else v
-            if table[(i, j)] == ring.zero_cmp:
-                del table[(i, j)]
+            table[(i, j)] = v
     return tuple(sorted(table.items()))
 
 
-def _entries(ring: Ring, table: dict) -> tuple:
-    """Normal form of an accumulated entry map: zeros dropped, sorted by key.
-
-    Keys come from normalised operands, so no index check is needed here.
-    """
-    zero = ring.zero_cmp
-    return tuple(sorted(item for item in table.items() if item[1] != zero))
-
-
-def _add_product(ring: Ring, out: dict, u1: tuple, u2: tuple) -> None:
-    """Add the entries of U1 U2 into the entry map out."""
-    rows: dict = {}
-    for (k, j), b in u2:
-        rows.setdefault(k, []).append((j, b))
-    add, mul = ring.add, ring.mul
-    for (i, k), a in u1:
-        for j, b in rows.get(k, ()):
-            prod = mul(a, b)
-            key = (i, j)
-            out[key] = add(out[key], prod) if key in out else prod
+@functools.lru_cache(maxsize=None)
+def _plan(n: int) -> tuple[tuple, dict, tuple]:
+    """The strict upper slots of size n, row-major: keys[s] = (i, j), index
+    its inverse, and feeds[s], for s = (i, k), the (t, d) with t = (k, j),
+    d = (i, j), through which u_s v_t adds to (UV)_d."""
+    keys = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    index = {key: s for s, key in enumerate(keys)}
+    return keys, index, tuple(tuple((index[k, j], index[i, j]) for j in range(k + 1, n + 1)) for i, k in keys)
 
 
-def upper_product(ring: Ring, n: int, u1: tuple, u2: tuple) -> tuple:
-    """Pure matrix product U1 U2 of two normalised strict parts."""
-    out: dict = {}
-    _add_product(ring, out, u1, u2)
-    return _entries(ring, out)
-
-
-def upper_mul(ring: Ring, n: int, u1: tuple, u2: tuple) -> tuple:
-    """Strict part of (I + U1)(I + U2) = I + U1 + U2 + U1 U2, for normalised U1, U2."""
-    if not u1:
-        return u2
-    if not u2:
-        return u1
-    add = ring.add
-    out = dict(u1)
-    for key, v in u2:
-        out[key] = add(out[key], v) if key in out else v
-    _add_product(ring, out, u1, u2)
-    return _entries(ring, out)
-
-
-def upper_inv(ring: Ring, n: int, u: tuple) -> tuple:
-    """Strict part of (I + U)^-1 via the finite Neumann series."""
-    acc: dict = {}
-    power = u
-    sign = -1
-    while power:
-        for key, v in power:
-            term = v if sign > 0 else ring.neg(v)
-            acc[key] = ring.add(acc[key], term) if key in acc else term
-        power = upper_product(ring, n, power, u)
-        sign = -sign
-    return _entries(ring, acc)
-
-
-def upper_conjugate(ring: Ring, n: int, u: tuple, xbar: tuple) -> tuple:
-    """Entrywise scaling x_i^-1 u_ij x_j with x_n = 1, for a normalised U.
-
-    Units keep nonzero entries nonzero, so the result needs no normalising.
-    """
-    one, mul = ring.one_cmp, ring.mul
-    inverses: dict = {}
-    out = []
-    for (i, j), v in u:
-        x = xbar[i - 1]
-        if x != one:
-            if i not in inverses:
-                inverses[i] = ring.inv(x)
-            v = mul(inverses[i], v)
-        if j < n and xbar[j - 1] != one:
-            v = mul(v, xbar[j - 1])
-        out.append(((i, j), v))
-    return tuple(out)
+def _dense(ring: Ring, values) -> tuple[tuple, tuple]:
+    """Cells and support of the strict part with these slot values."""
+    zero, zero_cmp = ring.zero, ring.zero_cmp
+    cells = tuple([zero if v == zero_cmp else v for v in values])
+    return cells, tuple([s for s, v in enumerate(cells) if v is not zero])
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +311,23 @@ class TriMatrixGroup(TriangularGroup):
         return tuple(r.mul(rows[i][i], yn_inv) for i in range(self.n - 1))
 
     def _coordinates(self, m: TriMatrix) -> "DeformedElem":
-        """diag(y) (I + U) -> (y_i y_n^-1, y_n, U)."""
+        """diag(y) (I + U) -> (y_i y_n^-1, y_n, U); a unit times a nonzero
+        entry is nonzero, so U is zero where M is."""
         if m.ring != self.ring or m.n != self.n:
             raise DomainMismatch("matrix does not live over the group's ring and size")
-        return DeformedElem(self.torus_part(m), m.rows[-1][-1], self.strict_part(m))
+        r, rows, keys = self.ring, m.rows, _plan(self.n)[0]
+        y_inv = [r.inv(row[i]) for i, row in enumerate(rows[:-1])]
+        values = [r.mul(y_inv[i - 1], rows[i - 1][j - 1]) for i, j in keys]
+        return DeformedElem(self.torus_part(m), rows[-1][-1], *_dense(r, values), keys)
 
     def _from_coordinates(self, g: "DeformedElem") -> TriMatrix:
         """(xbar, z, U) -> diag(z xbar_1, .., z xbar_{n-1}, z) (I + U)."""
-        r, n, table = self.ring, self.n, dict(g.upper)
-        y = [r.mul(g.z, x) for x in g.xbar] + [g.z]
-        rows = (
-            (r.zero,) * i + (y[i],) + tuple(r.mul(y[i], table.get((i + 1, j + 1), r.zero)) for j in range(i + 1, n))
-            for i in range(n)
-        )
-        return TriMatrix._trusted(r, tuple(rows))
+        r, zero = self.ring, self.ring.zero
+        y = [r.mul(g._z, x) for x in g._xbar] + [g._z]
+        rows = [[zero] * i + [y[i]] for i in range(self.n)]
+        for (i, _), v in zip(g._keys, g._cells):  # row-major: each row's cells in turn
+            rows[i - 1].append(zero if v is zero else r.mul(y[i - 1], v))
+        return TriMatrix._trusted(r, tuple(map(tuple, rows)))
 
     def _elements(self) -> Iterator[TriMatrix]:
         r, n = self.ring, self.n
@@ -437,13 +384,34 @@ class TriMatrixGroup(TriangularGroup):
 # the deformed picture
 
 
-@dataclass(frozen=True)
 class DeformedElem:
-    """Normal form (xbar, z, U): torus part, central unit, strict upper part."""
+    """Normal form (xbar, z, U): torus part, central unit, strict upper part.
+    xbar, z and upper (the sorted ((i, j), v) pairs of nonzero entries) are
+    read-only views of the slots laid out in the module docstring."""
 
-    xbar: tuple
-    z: Any
-    upper: tuple
+    __slots__ = ("_xbar", "_z", "_cells", "_support", "_keys")
+
+    def __init__(self, xbar: tuple, z, cells: tuple, support: tuple, keys: tuple):
+        self._xbar, self._z, self._cells, self._support, self._keys = xbar, z, cells, support, keys
+
+    xbar = property(operator.attrgetter("_xbar"))
+    z = property(operator.attrgetter("_z"))
+
+    @property
+    def upper(self) -> tuple:
+        return tuple([(self._keys[s], self._cells[s]) for s in self._support])
+
+    def __eq__(self, other):
+        if other.__class__ is not DeformedElem:
+            return NotImplemented
+        a, b = self, other  # zero slots share one zero, so most cells compare by identity
+        return a._support == b._support and a._cells == b._cells and (a._z is b._z or a._z == b._z) and a._xbar == b._xbar
+
+    def __hash__(self):
+        return hash((self._xbar, self._z, self._cells))
+
+    def __repr__(self):
+        return f"DeformedElem(xbar={self._xbar!r}, z={self._z!r}, upper={self.upper!r})"
 
 
 @dataclass
@@ -478,7 +446,9 @@ class DeformedGroup(TriangularGroup):
         self.n = n
         self._ones = (ring.one,) * (n - 1)
         self._ones_cmp = (ring.one_cmp,) * (n - 1)
-        self.identity = DeformedElem(self._ones, ring.one, ())
+        self._keys, self._index, self._feeds = _plan(n)
+        self._zeros = (ring.zero,) * len(self._keys)
+        self.identity = DeformedElem(self._ones, ring.one, self._zeros, (), self._keys)
         self._factors: tuple = ()
         if cocycles is None:
             self.cocycles = None
@@ -494,17 +464,12 @@ class DeformedGroup(TriangularGroup):
                     raise DomainMismatch("cocycles must map R^x pairs into R^x")
                 report = verify_cocycle(f, trials=32, exhaustive_limit=16)
                 if not report.ok:
-                    raise InvalidParameter(
-                        f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}"
-                    )
+                    raise InvalidParameter(f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}")
                 if units.is_finite:
                     _check_normalised(f, units)
             self.cocycles = cocycles
-            self._factors = tuple(
-                (i, f)
-                for i, f in enumerate(cocycles)
-                if not (isinstance(f, CarryCocycle) and not f.targets)
-            )
+            trivial = lambda f: isinstance(f, CarryCocycle) and not f.targets
+            self._factors = tuple((i, f) for i, f in enumerate(cocycles) if not trivial(f))
 
     # -- cocycle plumbing ---------------------------------------------------
 
@@ -546,14 +511,20 @@ class DeformedGroup(TriangularGroup):
         z = self.ring.ensure(z)
         if not self.ring.is_unit(z):
             raise NotAUnit(f"central part {self.ring.format_elem(z)} is not a unit")
-        return DeformedElem(xbar, z, upper_normalise(self.ring, self.n, upper))
+        cells, index = list(self._zeros), self._index
+        entries = upper_normalise(self.ring, self.n, upper)  # sorted, so row-major, and nonzero
+        for key, v in entries:
+            cells[index[key]] = v
+        return DeformedElem(xbar, z, tuple(cells), tuple([index[key] for key, _ in entries]), self._keys)
 
     def transvection(self, i: int, j: int, beta) -> DeformedElem:
         if not (1 <= i < j <= self.n):
             raise InvalidParameter(f"transvection needs 1 <= i < j <= n, got ({i}, {j})")
         beta = self.ring.ensure(beta)
-        upper = () if beta == self.ring.zero_cmp else (((i, j), beta),)
-        return DeformedElem(self._ones, self.ring.one, upper)
+        if beta == self.ring.zero_cmp:
+            return self.identity
+        s = self._index[i, j]
+        return DeformedElem(self._ones, self.ring.one, self._zeros[:s] + (beta,) + self._zeros[s + 1 :], (s,), self._keys)
 
     def diagonal_gen(self, k: int, alpha) -> DeformedElem:
         """d_k(a).  For k = n the central part carries the cocycle correction
@@ -563,61 +534,102 @@ class DeformedGroup(TriangularGroup):
             raise InvalidParameter(f"diagonal index {k} out of range")
         r = self.ring
         if k < self.n:
-            xbar = tuple(alpha if m == k else r.one for m in range(1, self.n))
-            return DeformedElem(xbar, r.one, ())
+            return DeformedElem(tuple(alpha if m == k else r.one for m in range(1, self.n)), r.one, self._zeros, (), self._keys)
         alpha_inv = r.inv(alpha)
-        xbar = (alpha_inv,) * (self.n - 1)
         z = r.mul(alpha, r.inv(self.big_f(alpha, alpha_inv)))
-        return DeformedElem(xbar, z, ())
+        return DeformedElem((alpha_inv,) * (self.n - 1), z, self._zeros, (), self._keys)
 
     def central(self, alpha) -> DeformedElem:
-        return DeformedElem(self._ones, self._unit(alpha), ())
+        return DeformedElem(self._ones, self._unit(alpha), self._zeros, (), self._keys)
 
     def torus_is_trivial(self, g: DeformedElem) -> bool:
-        return g.xbar == self._ones_cmp
+        return g._xbar == self._ones_cmp
 
     def is_unipotent(self, g: DeformedElem) -> bool:
-        return g.xbar == self._ones_cmp and g.z == self.ring.one_cmp
+        return g._xbar == self._ones_cmp and g._z == self.ring.one_cmp
 
     def strict_part(self, g: DeformedElem) -> tuple:
         return g.upper
 
     def torus_part(self, g: DeformedElem) -> tuple:
-        return g.xbar
+        return g._xbar
 
     # -- group operations ----------------------------------------------------
 
-    def op(self, g1: DeformedElem, g2: DeformedElem) -> DeformedElem:
+    def _conjugate(self, cells: tuple, support: tuple, x: tuple, x_inv: tuple) -> tuple:
+        """Cells of D^-1 U D, D = diag(x, 1), x_inv = x^-1: (i, j) scales by the unit x_i^-1 x_j."""
+        one, mul, keys = self.ring.one_cmp, self.ring.mul, self._keys
+        x, out = (*x, self.ring.one), list(cells)
+        for s in support:
+            i, j = keys[s]
+            v = out[s] if x[i - 1] == one else mul(x_inv[i - 1], out[s])
+            out[s] = v if x[j - 1] == one else mul(v, x[j - 1])
+        return tuple(out)
+
+    def _product(self, out: list, c1: tuple, s1, c2, s2: tuple) -> tuple[tuple, tuple]:
+        """Cells and support of out + U2 + U1 U2, U1 in c1 nonzero at s1 (walked
+        in order), U2 in c2 at s2; only slots a sum or product writes are zero-tested."""
         r = self.ring
-        one = r.one_cmp
-        x1, x2 = g1.xbar, g2.xbar
-        z = g2.z if g1.z == one else g1.z if g2.z == one else r.mul(g1.z, g2.z)
-        u1 = g1.upper
-        if x2 == self._ones_cmp:
+        add, mul, zero, feeds = r.add, r.mul, r.zero, self._feeds
+        computed = []
+        for s in s2:
+            if out[s] is zero:
+                out[s] = c2[s]
+            else:
+                out[s] = add(out[s], c2[s])
+                computed.append(s)
+        for s in s1:
+            a = c1[s]
+            for t, d in feeds[s]:
+                b = c2[t]
+                if b is not zero:
+                    v = out[d]
+                    out[d] = mul(a, b) if v is zero else add(v, mul(a, b))
+                    computed.append(d)
+        for d in computed:
+            if out[d] == r.zero_cmp:
+                out[d] = zero
+        return tuple(out), tuple([s for s, v in enumerate(out) if v is not zero])
+
+    def op(self, g1: DeformedElem, g2: DeformedElem) -> DeformedElem:
+        r, one = self.ring, self.ring.one_cmp
+        x1, x2, z1, z2 = g1._xbar, g2._xbar, g1._z, g2._z
+        z = z2 if z1 is r.one or z1 == one else z1 if z2 is r.one or z2 == one else r.mul(z1, z2)
+        c1, s1, c2, s2 = g1._cells, g1._support, g2._cells, g2._support
+        if x2 is self._ones or x2 == self._ones_cmp:
             # no twist (normalised cocycles) and no conjugation
             xbar = x1
         else:
-            xbar = x2 if x1 == self._ones_cmp else tuple(r.mul(a, b) for a, b in zip(x1, x2))
+            xbar = x2 if x1 is self._ones or x1 == self._ones_cmp else tuple(map(r.mul, x1, x2))
             t = self.twist(x1, x2)
             if t != one:
                 z = r.mul(z, t)
-            u1 = upper_conjugate(r, self.n, u1, x2)
-        return DeformedElem(xbar, z, upper_mul(r, self.n, u1, g2.upper))
+            if s1:
+                c1 = self._conjugate(c1, s1, x2, tuple(v if v == one else r.inv(v) for v in x2))
+        if s1 and s2:
+            # (I + U1)(I + U2) = I + U1 + U2 + U1 U2
+            return DeformedElem(xbar, z, *self._product(list(c1), c1, s1, c2, s2), self._keys)
+        return DeformedElem(xbar, z, c1 if s1 else c2, s1 or s2, self._keys)
 
     def inverse(self, g: DeformedElem) -> DeformedElem:
-        r = self.ring
-        one = r.one_cmp
-        z, xbar_inv = g.z, g.xbar
-        upper = upper_inv(r, self.n, g.upper)
-        if g.xbar != self._ones_cmp:
-            xbar_inv = tuple(v if v == one else r.inv(v) for v in g.xbar)
-            t = self.twist(g.xbar, xbar_inv)
+        r, one = self.ring, self.ring.one_cmp
+        z, xbar_inv, cells, support = g._z, g._xbar, g._cells, g._support
+        if support:
+            # (I + U)^-1 = I + V with V = -U - U V; row i of V reads the rows
+            # below it only, so the support is walked backwards
+            minus = [v if v is r.zero else r.neg(v) for v in cells]
+            out = list(minus)
+            cells, support = self._product(out, minus, reversed(support), out, ())
+        if g._xbar != self._ones_cmp:
+            xbar_inv = tuple(v if v == one else r.inv(v) for v in g._xbar)
+            t = self.twist(g._xbar, xbar_inv)
             if t != one:
                 z = r.mul(z, t)
-            upper = upper_conjugate(r, self.n, upper, xbar_inv)
+            if support:
+                cells = self._conjugate(cells, support, xbar_inv, g._xbar)
         if z != one:
             z = r.inv(z)
-        return DeformedElem(xbar_inv, z, upper)
+        return DeformedElem(xbar_inv, z, cells, support, self._keys)
 
     def power(self, g: DeformedElem, k: int) -> DeformedElem:
         """g^k by square-and-multiply."""
@@ -636,22 +648,17 @@ class DeformedGroup(TriangularGroup):
 
     def _elements(self) -> Iterator[DeformedElem]:
         r = self.ring
-        units = list(r.units())
-        ring_elems = list(r.elements())
-        slots = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
+        units, ring_elems = list(r.units()), list(r.elements())
         for xbar in itertools.product(units, repeat=self.n - 1):
             for z in units:
-                for fill in itertools.product(ring_elems, repeat=len(slots)):
-                    upper = upper_normalise(r, self.n, list(zip(slots, fill)))
-                    yield DeformedElem(xbar, z, upper)
+                for fill in itertools.product(ring_elems, repeat=len(self._zeros)):
+                    yield DeformedElem(xbar, z, *_dense(r, fill), self._keys)
 
     def sample(self, rng: random.Random) -> DeformedElem:
         r = self.ring
         xbar = tuple(r.random_unit(rng) for _ in range(self.n - 1))
         z = r.random_unit(rng)
-        slots = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
-        upper = [(key, r.random_elem(rng)) for key in slots]
-        return DeformedElem(xbar, z, upper_normalise(r, self.n, upper))
+        return DeformedElem(xbar, z, *_dense(r, [r.random_elem(rng) for _ in self._zeros]), self._keys)
 
     def element_order(self, g: DeformedElem) -> int:
         if not self.is_finite:
@@ -674,8 +681,8 @@ class DeformedGroup(TriangularGroup):
 
     def elem_to_json(self, g: DeformedElem):
         return {
-            "xbar": [self.ring.elem_to_json(v) for v in g.xbar],
-            "z": self.ring.elem_to_json(g.z),
+            "xbar": [self.ring.elem_to_json(v) for v in g._xbar],
+            "z": self.ring.elem_to_json(g._z),
             "upper": {f"{i},{j}": self.ring.elem_to_json(v) for (i, j), v in g.upper},
         }
 
@@ -805,13 +812,16 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     t = {(i, j): [group.transvection(i, j, beta) for beta in scalars] for i, j in pairs}
     indexed = list(enumerate(scalars))
     head = indexed[:4]
+    # the commutator families read t_ij(scalars[p])^-1, p < 4, as t_inv[i, j][p]
+    t_inv = {key: [group.inverse(x) for x in row[:4]] for key, row in t.items()}
 
     additivity = (
         ((i, j, beta, gamma), group.op(t[i, j][b], t[i, j][c]), group.transvection(i, j, ring.add(beta, gamma)))
         for (i, j), (b, beta), (c, gamma) in product(pairs, indexed, indexed)
     )
+    commutator = lambda a, a_inv, b, b_inv: group.op(group.op(a_inv, b_inv), group.op(a, b))
     disjoint = (
-        ((i, j, k, l, beta, gamma), group.commutator(t[i, j][b], t[k, l][c]), group.identity)
+        ((i, j, k, l, beta, gamma), commutator(t[i, j][b], t_inv[i, j][b], t[k, l][c], t_inv[k, l][c]), group.identity)
         for (i, j), (k, l) in product(pairs, repeat=2)
         if j != k and l != i
         for (b, beta), (c, gamma) in product(head, repeat=2)
@@ -819,7 +829,7 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     overlap = (
         (
             (i, j, l, beta, gamma),
-            group.commutator(t[i, j][b], t[j, l][c]),
+            commutator(t[i, j][b], t_inv[i, j][b], t[j, l][c], t_inv[j, l][c]),
             group.transvection(i, l, ring.mul(beta, gamma)),
         )
         for i, j, l in itertools.combinations(range(1, n + 1), 3)
@@ -829,14 +839,7 @@ def check_presentation(group, trials: int = 40, rng: random.Random | None = None
     # d_k(a) is built once per (k, a) and shared by the diagonal families;
     # the pool's d_k(units[p]) is read by position, as d_pool[k][p], so only
     # the products a1 a2 are looked up by value
-    diag: dict = {}
-
-    def d(k, a):
-        out = diag.get((k, a))
-        if out is None:
-            out = diag[(k, a)] = group.diagonal_gen(k, a)
-        return out
-
+    d = functools.cache(group.diagonal_gen)
     d_pool = {k: [d(k, a) for a in units] for k in range(1, n + 1)}
     twisted = not group.is_untwisted
 
@@ -909,10 +912,10 @@ class SplitIso:
 
     def _scale_z(self, g: DeformedElem, invert: bool) -> DeformedElem:
         """g with z times prod_i psi_i(xbar_i), or times its inverse."""
-        r, z = self.group.ring, g.z
-        for psi, x in zip(self.witnesses, g.xbar):
+        r, z = self.group.ring, g._z
+        for psi, x in zip(self.witnesses, g._xbar):
             z = r.mul(z, r.inv(psi(x)) if invert else psi(x))
-        return DeformedElem(g.xbar, z, g.upper)
+        return DeformedElem(g._xbar, z, g._cells, g._support, g._keys)
 
     def forward(self, g: DeformedElem) -> TriMatrix:
         return self.target._from_coordinates(self._scale_z(g, True))
@@ -929,10 +932,7 @@ def split_isomorphism(group: DeformedGroup) -> SplitIso | None:
         return SplitIso(group, tuple())
     witnesses = []
     for f in group.cocycles:
-        if hasattr(f, "psi"):
-            witnesses.append(f.psi)
-            continue
-        psi = is_coboundary(f)
+        psi = f.psi if hasattr(f, "psi") else is_coboundary(f)
         if psi is None:
             return None
         witnesses.append(psi)

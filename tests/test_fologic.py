@@ -621,6 +621,13 @@ def test_deep_term_chains_print_and_evaluate(m2, shape):
         assert eval_with_stats(m2, phi, {"y": y}) == (all(holds), atoms)
 
 
+def test_repr_of_a_deep_chain_needs_no_recursion():
+    t = Var("x")
+    for _ in range(10_000):
+        t = Inv(Mul(t, Var("y")))
+    assert repr(t) == "Inv(arg=Mul(left=" * 10_000 + "Var(name='x')" + ", right=Var(name='y')))" * 10_000
+
+
 def test_equality_and_hash_need_no_recursion():
     # 5,000 negations and a 5,000-conjunct spine, each far past the
     # default recursion limit, built without the parser

@@ -36,9 +36,10 @@ def test_fraction_slots_are_touched_in_rings_only():
 
 def test_element_fields_are_read_in_trigroup_only():
     # the structure descriptions and the bridges read elements through the
-    # coordinate questions of trigroup.TriangularGroup, so the matrix rows
-    # and the normal-form fields stay behind that one module
-    fields = {"rows", "xbar", "upper"}
+    # coordinate questions of trigroup.TriangularGroup, so the matrix rows,
+    # the normal-form fields and the slots behind them stay behind that one
+    # module
+    fields = {"rows", "xbar", "upper", "_xbar", "_z", "_cells", "_support", "_keys"}
     found = {
         f"{path.name}:{node.lineno}"
         for path in SOURCES

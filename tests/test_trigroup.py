@@ -35,7 +35,7 @@ from triadeform import (
 )
 from triadeform.cocycles import DictPsi
 from triadeform.errors import ParseError, TooLarge
-from triadeform.trigroup import upper_conjugate, upper_inv, upper_mul, upper_normalise
+from triadeform.trigroup import upper_normalise
 
 
 def _twisted_f5(n=3, target=2):
@@ -54,17 +54,26 @@ def _coboundary_q(n=3):
 
 
 # ---------------------------------------------------------------------------
-# strict upper-triangular arithmetic
+# strict upper-triangular arithmetic in the normal form
+
+
+def _unipotent(grp, upper):
+    """The element (1, 1, U) of a deformed group."""
+    return grp.element(grp.identity.xbar, grp.ring.one, upper)
 
 
 def test_upper_mul_matches_matrix_product(ring_q, rng):
     n = 4
+    grp = DeformedGroup(ring_q, n)
     for _ in range(30):
         u1 = upper_normalise(ring_q, n, {(i, j): ring_q.random_elem(rng) for i in range(1, n) for j in range(i + 1, n + 1)})
         u2 = upper_normalise(ring_q, n, {(1, 2): ring_q.random_elem(rng), (2, 4): ring_q.random_elem(rng)})
         m1 = _unitri(ring_q, n, u1)
         m2 = _unitri(ring_q, n, u2)
-        assert _unitri(ring_q, n, upper_mul(ring_q, n, u1, u2)) == m1.mul(m2)
+        for a, b, want in ((u1, u2, m1.mul(m2)), (u2, u1, m2.mul(m1))):
+            g = grp.op(_unipotent(grp, a), _unipotent(grp, b))
+            assert grp.is_unipotent(g)
+            assert _unitri(ring_q, n, g.upper) == want
 
 
 def _unitri(ring, n, upper):
@@ -77,12 +86,11 @@ def _unitri(ring, n, upper):
 
 def test_upper_inv_is_exact(ring_q, rng):
     n = 5
+    grp = DeformedGroup(ring_q, n)
     for _ in range(30):
-        u = upper_normalise(
-            ring_q, n, {(i, j): ring_q.random_elem(rng) for i in range(1, n) for j in range(i + 1, n + 1)}
-        )
-        assert upper_mul(ring_q, n, u, upper_inv(ring_q, n, u)) == ()
-        assert upper_mul(ring_q, n, upper_inv(ring_q, n, u), u) == ()
+        g = _unipotent(grp, {(i, j): ring_q.random_elem(rng) for i in range(1, n) for j in range(i + 1, n + 1)})
+        assert grp.op(g, grp.inverse(g)).upper == ()
+        assert grp.op(grp.inverse(g), g).upper == ()
 
 
 def test_upper_normalise_validates_and_drops_zeros(ring_z3):
@@ -95,13 +103,50 @@ def test_upper_normalise_validates_and_drops_zeros(ring_z3):
 
 
 def test_upper_conjugate_scales_entries(ring_q):
-    u = upper_normalise(ring_q, 3, {(1, 2): ring_q.coerce(1)})
-    xbar = (ring_q.parse_elem("2"), ring_q.parse_elem("3"))
+    # (1, 1, U) (xbar, 1, 0) = (xbar, 1, D^-1 U D) for D = diag(xbar, 1)
+    grp = DeformedGroup(ring_q, 3)
+    torus = grp.element((ring_q.parse_elem("2"), ring_q.parse_elem("3")), ring_q.one, {})
     # entry (1,2) scales by x1^-1 x2
-    assert upper_conjugate(ring_q, 3, u, xbar) == (((1, 2), ring_q.parse_elem("3/2")),)
-    v = upper_normalise(ring_q, 3, {(1, 3): ring_q.coerce(1)})
+    assert grp.op(_unipotent(grp, {(1, 2): 1}), torus).upper == (((1, 2), ring_q.parse_elem("3/2")),)
     # column n uses x_n = 1
-    assert upper_conjugate(ring_q, 3, v, xbar) == (((1, 3), ring_q.parse_elem("1/2")),)
+    assert grp.op(_unipotent(grp, {(1, 3): 1}), torus).upper == (((1, 3), ring_q.parse_elem("1/2")),)
+
+
+def _assert_same_normal_form(grp, a, b):
+    assert a == b and hash(a) == hash(b)
+    assert a.upper == b.upper and repr(a) == repr(b)
+    assert json.dumps(grp.elem_to_json(a)) == json.dumps(grp.elem_to_json(b))
+
+
+def test_normal_form_is_canonical_whatever_the_route(ring_q, ring_sqrt2, rng):
+    for ring in (ring_q, ring_sqrt2):
+        grp = DeformedGroup(ring, 4)
+        for _ in range(10):
+            g = grp.sample(rng)
+            b = ring.random_elem(rng)
+            # t_ij(b) t_ij(-b) cancels to the identity; g t_13(-u_13) cancels
+            # the (1, 3) entry of g, as U e_13 = 0
+            _assert_same_normal_form(grp, grp.op(grp.transvection(2, 4, b), grp.transvection(2, 4, ring.neg(b))), grp.identity)
+            u13 = dict(g.upper).get((1, 3), ring.zero)
+            want = grp.element(g.xbar, g.z, {key: v for key, v in g.upper if key != (1, 3)})
+            _assert_same_normal_form(grp, grp.op(g, grp.transvection(1, 3, ring.neg(u13))), want)
+            _assert_same_normal_form(grp, grp.inverse(grp.inverse(g)), g)
+            _assert_same_normal_form(grp, grp.op(g, grp.inverse(g)), grp.identity)
+            m = deformed_to_matrix(grp, g)
+            _assert_same_normal_form(grp, matrix_to_deformed(grp, m), g)
+            _assert_same_normal_form(grp, grp.inverse(g), matrix_to_deformed(grp, m.inv()))
+    # over Z/6, t_12(2) t_23(3) has the product 6 = 0 at (1, 3)
+    z6 = parse_ring("Z/6")
+    grp = DeformedGroup(z6, 3)
+    prod = grp.op(grp.transvection(1, 2, 2), grp.transvection(2, 3, 3))
+    _assert_same_normal_form(grp, prod, grp.element((1, 1), 1, {(1, 2): 2, (2, 3): 3}))
+    assert prod.upper == (((1, 2), 2), ((2, 3), 3))
+    # the split isomorphism of a twisted group returns its elements unchanged
+    grp = _coboundary_q()
+    iso = split_isomorphism(grp)
+    for _ in range(10):
+        g = grp.sample(rng)
+        _assert_same_normal_form(grp, iso.backward(iso.forward(g)), g)
 
 
 # ---------------------------------------------------------------------------

@@ -377,13 +377,16 @@ def cmd_fo(args, cfg: Config) -> CheckReport:
     if args.fo_cmd == "parse":
         phi = fologic.parse_formula(args.formula)
         canonical = fologic.format_formula(phi)
-        reparsed = fologic.parse_formula(canonical)
+        try:
+            reparsed, witness = fologic.parse_formula(canonical), None
+        except ParseError as exc:  # the canonical text can nest deeper than the input
+            reparsed, witness = None, f"the canonical text does not parse back: {exc}"
         data = {
             "canonical": canonical,
             "free_variables": sorted(fologic.free_variables(phi)),
             "round_trip": reparsed == phi,
         }
-        return CheckReport("fo parse", "fo-syntax", reparsed == phi, data)
+        return CheckReport("fo parse", "fo-syntax", reparsed == phi, data, witness)
     if args.fo_cmd == "eval":
         phi = fologic.parse_formula(args.formula)
         group = _load_group(args.group)

@@ -683,10 +683,15 @@ class _Code:
                 return cls is not None and cls <= c
 
             return ncl
-        pmap = None if len(names) % 2 else _match_block(formula_phi_Gprime(len(names) // 2), phi)
+        # the body of formula_phi_Gprime(m), x = [a, b] c_2 ... c_m, has the
+        # left Mul spine a^-1, b^-1, a, b, c_2, ..., c_m: m + 3 factors
+        m = len(names) // 2
+        if len(names) % 2 or not isinstance(body, Eq) or len(_left_spine(body.right, Mul)) != m + 3:
+            return None
+        pmap = _match_block(formula_phi_Gprime(m), phi)
         if pmap is None:
             return None
-        x, m = self.var(pmap["x"], scope)[0], len(names) // 2
+        x = self.var(pmap["x"], scope)[0]
         return lambda S: x(S) in S.model.fg.width_products(m)
 
 

@@ -11,7 +11,10 @@ single cyclic torsion factor and decides membership, decomposition, square
 testing and k-th roots by exact computation (continued fractions for the
 fundamental unit, discrete logs for residue rings, prime factorisation for
 Q^x).  Divisibility in the quadratic orders is decided by solving the 2x2
-integer linear system directly rather than by norm heuristics.
+integer linear system directly rather than by norm heuristics.  Each ring
+answers for itself whether it is an integral domain, whether an element lies
+in the ideal some elements generate, and the exponents of a unit, so no
+other module branches on a ring's class.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
+from .snf import solve_integer
 
 Elem = Any  # int | Fraction | tuple[int, int], depending on the ring
 
@@ -65,6 +69,7 @@ class Ring:
 
     kind: str
     spec: str
+    is_domain: bool
     # Comparands equal to zero and one that are cheap to test against: plain
     # ints over Q, where Fraction == int skips the numbers.Rational check
     # that Fraction == Fraction pays.  Use them only as the right-hand side
@@ -124,6 +129,10 @@ class Ring:
         """Whether a | b, i.e. b = a*c for some ring element c."""
         raise NotImplementedError
 
+    def ideal_contains(self, gens, x: Elem) -> bool:
+        """Whether x lies in the ideal generated by gens ({0} when empty)."""
+        raise NotImplementedError
+
     # -- finiteness ------------------------------------------------------
     @property
     def is_finite(self) -> bool:
@@ -144,6 +153,17 @@ class Ring:
     # -- unit group ------------------------------------------------------
     def unit_group(self) -> "UnitGroupStruct":
         raise NotImplementedError
+
+    def unit_exponents(self, units: "UnitGroupStruct", x: Elem) -> tuple[tuple[int, ...], dict]:
+        """Exponents of the unit x over the generators of units, computed
+        afresh.  This default matches powers of the torsion generator, which
+        is all of R^x when R^x is finite."""
+        acc = self.one
+        for k in range(units.torsion_order):
+            if acc == x:
+                return ((k,) if units.torsion_factors else (), {})
+            acc = self.mul(acc, units.torsion_generator)
+        raise NotAUnit(f"{x!r} is not a unit in {self.spec}")
 
     # -- parsing / formatting / JSON --------------------------------------
     def parse_elem(self, text: str) -> Elem:
@@ -179,6 +199,7 @@ class Ring:
 class IntegerRing(Ring):
     kind = "Integers"
     spec = "Z"
+    is_domain = True
 
     zero = zero_cmp = 0
     one = one_cmp = 1
@@ -207,6 +228,10 @@ class IntegerRing(Ring):
         if a == 0:
             raise DivisionByZeroDivisor("zero divides nothing in Z")
         return b % a == 0
+
+    def ideal_contains(self, gens, x):
+        g = math.gcd(*gens)
+        return x % g == 0 if g else x == 0
 
     def unit_group(self):
         return UnitGroupStruct(self, 2, -1, (), COMPLETE)
@@ -246,6 +271,7 @@ def _fraction(num: int, den: int) -> Fraction:
 class RationalField(Ring):
     kind = "Rationals"
     spec = "Q"
+    is_domain = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -326,8 +352,18 @@ class RationalField(Ring):
             raise DivisionByZeroDivisor("zero divides nothing in Q")
         return True
 
+    def ideal_contains(self, gens, x):
+        return x == 0 or any(g != 0 for g in gens)
+
     def unit_group(self):
         return UnitGroupStruct(self, 2, Fraction(-1), (), LAZY_PRIME_BASIS)
+
+    def unit_exponents(self, units, x):
+        """The sign bit, and the exponent of each prime keyed by the prime."""
+        frac = Fraction(x)
+        free = _factorint(abs(frac.numerator))
+        free.update({p: -e for p, e in _factorint(frac.denominator).items()})  # coprime: no prime twice
+        return ((0 if frac > 0 else 1,), dict(sorted(free.items())))
 
     def parse_elem(self, text):
         try:
@@ -395,6 +431,20 @@ class IntegersMod(Ring):
         return b % math.gcd(a, self.m) == 0
 
     @property
+    def is_domain(self):
+        """Whether m is prime: by trial division, or by sympy when m has no
+        factor up to TRIAL_DIVISION_LIMIT (so m is above its square)."""
+        try:
+            return _trial_factor(self.m) == {self.m: 1}
+        except TooLarge:
+            from sympy import isprime
+
+            return isprime(self.m)
+
+    def ideal_contains(self, gens, x):
+        return x % math.gcd(self.m, *gens) == 0
+
+    @property
     def is_finite(self):
         return True
 
@@ -449,6 +499,10 @@ class IntegersMod(Ring):
             return self._dlog[x % self.m]
         except KeyError as exc:
             raise NotAUnit(f"{x} is not a unit in {self.spec}") from exc
+
+    def unit_exponents(self, units, x):
+        t = self.discrete_log(x)
+        return ((t,) if units.torsion_factors else (), {})
 
     def parse_elem(self, text):
         try:
@@ -513,6 +567,7 @@ class QuadraticOrder(Ring):
     """The order Z[sqrt(d)] for squarefree d not in {0, 1}; elements (a, b)."""
 
     kind = "QuadraticOrder"
+    is_domain = True
 
     def __init__(self, d: int):
         if d in (0, 1) or not _is_squarefree(d):
@@ -571,6 +626,11 @@ class QuadraticOrder(Ring):
         num = self.mul(b, self.conj(a))
         return num[0] % n == 0 and num[1] % n == 0
 
+    def ideal_contains(self, gens, x):
+        # the lattice spanned by g and sqrt(d)*g (i*g over Z[i]) for each g
+        cols = [c for g in gens for c in (g, self.mul(g, (0, 1)))]
+        return solve_integer([[c[0] for c in cols], [c[1] for c in cols]], list(x)) is not None
+
     def sign_real(self, x) -> int:
         """Sign of a + b*sqrt(d) under the real embedding (d > 0 only)."""
         a, b = x
@@ -597,6 +657,42 @@ class QuadraticOrder(Ring):
             else:
                 self._unit_struct = UnitGroupStruct(self, 2, (-1, 0), (), COMPLETE)
         return self._unit_struct
+
+    def unit_exponents(self, units, x):
+        """Over a real order, (t, e) with x = (-1)^t eps^e for eps the free
+        generator of units, by binary descent on e: O(log |e|) products and
+        exact comparisons with 1 in the ring, no floats."""
+        if self.d < 0:
+            return super().unit_exponents(units, x)
+        one = self.one
+
+        def at_least_one(q):
+            return q == one or self._greater_than_one(q)
+
+        t = 0
+        if self.sign_real(x) < 0:
+            x = self.neg(x)
+            t = 1
+        # x = eps^e with eps > 1; for e < 0 descend on x^-1 = eps^-e instead
+        sign = 1
+        if not at_least_one(x):
+            x, sign = self.inv(x), -1
+        # eps^(-2^j) for every j with x * eps^(-2^j) >= 1
+        inv_powers = []
+        p_inv = self.inv(units.free_basis[0])
+        while at_least_one(self.mul(x, p_inv)):
+            inv_powers.append(p_inv)
+            p_inv = self.mul(p_inv, p_inv)
+        # peel the binary digits of e off from the top down
+        e = 0
+        for j in range(len(inv_powers) - 1, -1, -1):
+            q = self.mul(x, inv_powers[j])
+            if at_least_one(q):
+                x, e = q, e + (1 << j)
+        if x != one:
+            raise RuntimeError(f"{self.spec}: unit not a power of the fundamental unit, residue {x!r}")
+        e *= sign
+        return ((t,), {0: e} if e else {})
 
     def parse_elem(self, text):
         return _parse_quadratic(self, text, f"sqrt({self.d})")
@@ -804,13 +900,14 @@ class UnitGroupStruct(AbelianCarrier):
         """Canonical exponents of x: (torsion exponents, free exponents).
 
         Torsion exponents are reduced to [0, order); free exponents are keyed
-        by basis index (or by prime for Q^x).  Raises NotAUnit for non-units.
+        by basis index (or by prime for Q^x).  The ring's unit_exponents
+        computes them, once per x.  Raises NotAUnit for non-units.
         """
         if x in self._decomp_cache:
             return self._decomp_cache[x]
         if not self.ring.is_unit(x):
             raise NotAUnit(f"{x!r} is not a unit in {self.ring.spec}")
-        result = self._decompose_fresh(x)
+        result = self.ring.unit_exponents(self, x)
         self._decomp_cache[x] = result
         return result
 
@@ -823,66 +920,6 @@ class UnitGroupStruct(AbelianCarrier):
             raise NotAUnit(f"{x!r} is not a unit in {self.ring.spec}")
         t = 0 if x > 0 else 1
         return (t,) if self.torsion_factors else ()
-
-    def _decompose_fresh(self, x):
-        ring = self.ring
-        if self.basis_mode == LAZY_PRIME_BASIS:
-            frac = Fraction(x)
-            t = 0 if frac > 0 else 1
-            free: dict[Any, int] = {}
-            for p, e in _factorint(abs(frac.numerator)).items():
-                free[p] = free.get(p, 0) + e
-            for p, e in _factorint(frac.denominator).items():
-                free[p] = free.get(p, 0) - e
-            return ((t,) if self.torsion_factors else (), {p: e for p, e in sorted(free.items()) if e})
-        if isinstance(ring, IntegersMod):
-            t = ring.discrete_log(x)
-            return ((t,) if self.torsion_factors else (), {})
-        if isinstance(ring, QuadraticOrder) and ring.d > 0:
-            return self._decompose_real_quadratic(x)
-        # finite torsion only: match powers of the generator
-        acc = ring.one
-        for k in range(self.torsion_order):
-            if acc == x:
-                return ((k,) if self.torsion_factors else (), {})
-            acc = ring.mul(acc, self.torsion_generator)
-        raise NotAUnit(f"{x!r} is not a unit in {ring.spec}")
-
-    def _decompose_real_quadratic(self, x):
-        """(t, e) with x = (-1)^t eps^e, by binary descent on e: O(log |e|)
-        products and exact comparisons with 1 in the ring, no floats."""
-        ring = self.ring
-        if not (isinstance(ring, QuadraticOrder) and ring.d > 0):
-            raise InvalidParameter(f"{ring.spec} is not a real quadratic order")
-        one = ring.one
-
-        def at_least_one(q):
-            return q == one or ring._greater_than_one(q)
-
-        t = 0
-        if ring.sign_real(x) < 0:
-            x = ring.neg(x)
-            t = 1
-        # x = eps^e with eps > 1; for e < 0 descend on x^-1 = eps^-e instead
-        sign = 1
-        if not at_least_one(x):
-            x, sign = ring.inv(x), -1
-        # eps^(-2^j) for every j with x * eps^(-2^j) >= 1
-        inv_powers = []
-        p_inv = ring.inv(self.free_basis[0])
-        while at_least_one(ring.mul(x, p_inv)):
-            inv_powers.append(p_inv)
-            p_inv = ring.mul(p_inv, p_inv)
-        # peel the binary digits of e off from the top down
-        e = 0
-        for j in range(len(inv_powers) - 1, -1, -1):
-            q = ring.mul(x, inv_powers[j])
-            if at_least_one(q):
-                x, e = q, e + (1 << j)
-        if x != one:
-            raise RuntimeError(f"{ring.spec}: unit not a power of the fundamental unit, residue {x!r}")
-        e *= sign
-        return ((t,), {0: e} if e else {})
 
     def compose(self, torsion_exps, free_exps) -> Elem:
         out = self.ring.one

@@ -22,7 +22,6 @@ everything, and for real quadratic orders it is the sublattice spanned by
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -30,16 +29,7 @@ from typing import Any, Callable
 from .cocycles import is_cot
 from .errors import InvalidParameter, NotDiagonal, TooLarge
 from .finitegroup import FiniteGroup
-from .rings import (
-    GaussianIntegers,
-    IntegerRing,
-    IntegersMod,
-    QuadraticOrder,
-    RationalField,
-    Ring,
-    _trial_factor,
-)
-from .snf import solve_integer
+from .rings import Ring
 from .trigroup import DeformedGroup
 
 
@@ -61,38 +51,8 @@ class UnitDiffIdeal:
         self.generators = [g for g in gens if g != ring.zero]
 
     def contains(self, x) -> bool:
-        r = self.ring
-        x = r.ensure(x)
-        if x == r.zero:
-            return True
-        if not self.generators:
-            return False
-        if isinstance(r, RationalField):
-            return True
-        if isinstance(r, IntegerRing):
-            g = 0
-            for v in self.generators:
-                g = math.gcd(g, abs(v))
-            return x % g == 0
-        if isinstance(r, IntegersMod):
-            g = r.m
-            for v in self.generators:
-                g = math.gcd(g, v)
-            return x % g == 0
-        if isinstance(r, QuadraticOrder):
-            # lattice spanned by g and omega*g for each generator g, where
-            # omega is sqrt(d) (or i); solve the integer linear system
-            omega = (0, 1)
-            cols = []
-            for g in self.generators:
-                cols.append(g)
-                cols.append(r.mul(g, omega))
-            matrix = [
-                [c[0] for c in cols],
-                [c[1] for c in cols],
-            ]
-            return solve_integer(matrix, [x[0], x[1]]) is not None
-        raise InvalidParameter(f"no ideal membership routine for {r.spec}")
+        x = self.ring.ensure(x)
+        return x == self.ring.zero_cmp or self.ring.ideal_contains(self.generators, x)
 
 
 def unit_diff_ideal(ring: Ring) -> UnitDiffIdeal:
@@ -102,16 +62,7 @@ def unit_diff_ideal(ring: Ring) -> UnitDiffIdeal:
 def _require_domain(ring: Ring) -> None:
     """The one rule for where the subgroup descriptions apply: they are
     proved for integral domains, so any other ring is refused."""
-    if isinstance(ring, IntegersMod):
-        try:
-            domain = _trial_factor(ring.m) == {ring.m: 1}
-        except TooLarge:  # m above 10^12 with no factor below 10^6
-            from sympy import isprime
-
-            domain = isprime(ring.m)
-    else:
-        domain = isinstance(ring, (IntegerRing, RationalField, QuadraticOrder, GaussianIntegers))
-    if not domain:
+    if not ring.is_domain:
         raise InvalidParameter(f"{ring.spec} is not an integral domain; the description is proved for domains")
 
 
@@ -245,7 +196,7 @@ def delta_square_decomposition(
     in for the square subgroup at desk scale (positive rationals are not all
     squares, and the docs flag this as the analogue, not the theorem).
     """
-    if not isinstance(group.ring, RationalField):
+    if group.ring.spec != "Q":
         raise InvalidParameter("the decomposition model runs over Q")
     if not group.is_untwisted:
         raise InvalidParameter("the decomposition model is untwisted")

@@ -27,12 +27,12 @@ Z/6, t_12(2) t_23(3) is zero at (1, 3)); a zero becomes the ring's own, so
 equal elements have one support and their cells compare mostly by identity.
 
 Validation happens at the API boundary: the named generators, DeformedGroup
-.element, elem_from_json and the public TriMatrix(ring, rows) constructor
-check their arguments, and upper_normalise checks entry indices and coerces
-values.  The internal products (op, inverse and their slot helpers) trust
-their operands; in the matrix picture products, inverses, the named
-generators, enumeration, sampling and the bridge build through the trusted
-TriMatrix._trusted.
+.element (which checks entry indices, coerces values and sums repeated
+entries), elem_from_json and the public TriMatrix(ring, rows) constructor
+check their arguments.  The internal products (op, inverse and their slot
+helpers) trust their operands; in the matrix picture products, inverses,
+the named generators, enumeration, sampling and the bridge build through
+the trusted TriMatrix._trusted.
 DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
 the constructor checks this on every unit when R^x is finite.
 """
@@ -55,21 +55,7 @@ ENUMERATION_LIMIT = 10_000
 
 
 # ---------------------------------------------------------------------------
-# strict upper triangular entries: the boundary validator and the slot plan
-
-
-def upper_normalise(ring: Ring, n: int, entries) -> tuple:
-    """Sorted entry tuple with zeros dropped; keys are 1-based (i, j), i < j."""
-    table = {}
-    for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
-        if not (1 <= i < j <= n):
-            raise InvalidParameter(f"entry ({i}, {j}) is not strictly upper in size {n}")
-        v = ring.ensure(v)
-        if (i, j) in table:
-            v = ring.add(table.pop((i, j)), v)
-        if v != ring.zero_cmp:
-            table[(i, j)] = v
-    return tuple(sorted(table.items()))
+# strict upper triangular entries: the slot plan
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,11 +497,13 @@ class DeformedGroup(TriangularGroup):
         z = self.ring.ensure(z)
         if not self.ring.is_unit(z):
             raise NotAUnit(f"central part {self.ring.format_elem(z)} is not a unit")
-        cells, index = list(self._zeros), self._index
-        entries = upper_normalise(self.ring, self.n, upper)  # sorted, so row-major, and nonzero
-        for key, v in entries:
-            cells[index[key]] = v
-        return DeformedElem(xbar, z, tuple(cells), tuple([index[key] for key, _ in entries]), self._keys)
+        r, cells, zero = self.ring, list(self._zeros), self.ring.zero
+        for (i, j), v in upper.items() if isinstance(upper, dict) else upper:
+            s = self._index.get((i, j))
+            if s is None:
+                raise InvalidParameter(f"entry ({i}, {j}) is not strictly upper in size {self.n}")
+            cells[s] = r.ensure(v) if cells[s] is zero else r.add(cells[s], r.ensure(v))
+        return DeformedElem(xbar, z, *_dense(r, cells), self._keys)
 
     def transvection(self, i: int, j: int, beta) -> DeformedElem:
         if not (1 <= i < j <= self.n):

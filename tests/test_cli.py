@@ -443,6 +443,18 @@ def test_fo_parse_of_long_or_deep_input_is_not_a_library_fault(capsys, text, rc)
         assert got == rc and err.startswith("error: formula nests too deeply")
 
 
+def test_fo_parse_reports_a_canonical_text_that_does_not_parse_back(capsys):
+    # one parenthesis per ^y in the canonical text: 400 conjugations parse,
+    # their canonical text nests too deeply to parse back
+    text = "x" + "^y" * 400 + " = 1"
+    got, report = run_json(capsys, ["fo", "parse", text])
+    assert len(text) == 805 and got == 1 and report["ok"] is False
+    assert report["data"]["round_trip"] is False and report["data"]["free_variables"] == ["x", "y"]
+    assert report["witness"].startswith("the canonical text does not parse back: formula nests too deeply")
+    got, report = run_json(capsys, ["fo", "parse", "x" + "^y" * 300 + " = 1"])
+    assert got == 0 and report["data"]["round_trip"] is True and "witness" not in report
+
+
 @pytest.mark.parametrize(
     "text, assign, rc",
     [
@@ -474,13 +486,14 @@ NESTED = {  # construct -> the text nesting it n deep
 def test_the_deepest_text_fo_parse_accepts_evaluates(capsys, group_file, construct):
     # the parser's "formula nests too deeply" is the only depth limit: at
     # the deepest nesting fo parse accepts (up to 4,096), fo eval and
-    # fo eval --semantic answer or refuse the input, never exit 3
+    # fo eval --semantic answer or refuse the input, never exit 3; fo parse
+    # exits 1 when it accepts the input but its canonical text nests deeper
     nest = NESTED[construct]
 
     def parse(n):
         rc, out, err = run(capsys, ["fo", "parse", nest(n)])
-        assert rc in (0, 2), err
-        return rc == 0
+        assert rc in (0, 1, 2), err
+        return rc != 2
 
     lo, hi = 1, 4096
     assert parse(lo)

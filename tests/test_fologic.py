@@ -840,6 +840,26 @@ def test_blocks_that_only_look_like_oracles_are_expanded(m3_z2, oracle_calls, te
     assert oracle_calls == {"ncl": 0, "width": 0}
 
 
+def test_a_block_builds_the_width_pattern_only_for_a_body_of_its_shape(monkeypatch):
+    # the width oracle matches 2m binders over x = [x1, y1] ... [xm, ym]; a
+    # block whose body has another shape is rejected before the pattern is
+    # built, so compiling a long block builds no pattern per suffix of it
+    from triadeform import fologic
+    from triadeform.fologic import _Code
+
+    builds = []
+    monkeypatch.setattr(fologic, "formula_phi_Gprime", lambda m: builds.append(m) or formula_phi_Gprime(m))
+    phi = Eq(Var("x0"), Var("x0"))
+    for k in reversed(range(196)):
+        phi = Exists(f"x{k}", phi)
+    _Code(phi)
+    assert builds == []
+    _Code(parse_formula("E y1. E x1. E y3. E x2. E x3. E y2. x = [x1,y1]*[x2,y2]*[x3,y3]"))
+    assert builds == [3]  # the whole block only; its suffixes have the wrong length
+    _Code(parse_formula("E x1. E y1. x = [x1,y1]*x1"))  # one factor too many
+    assert builds == [3]
+
+
 # ---------------------------------------------------------------------------
 # random formulas: both modes against the restated reference, and round trips
 

@@ -24,7 +24,15 @@ from triadeform import (
     unit_group,
 )
 from triadeform.errors import NotInSubgroupB, TooLarge
-from triadeform.rings import COMPLETE, IntegersMod, QuadraticOrder, RationalField, UnitGroupStruct
+from triadeform.rings import (
+    COMPLETE,
+    GaussianIntegers,
+    IntegerRing,
+    IntegersMod,
+    QuadraticOrder,
+    RationalField,
+    UnitGroupStruct,
+)
 
 # ---------------------------------------------------------------------------
 # parsing and the basic ring contract
@@ -514,8 +522,53 @@ def test_psi_needs_real_quadratic_order():
         eval_psi(parse_ring("Z[i]"), 1, (0, 1), (1, 0), (1, 0), (1, 0), (1, 0))
 
 
-def test_real_quadratic_decomposition_refuses_other_rings():
-    with pytest.raises(InvalidParameter, match="real quadratic"):
-        unit_group(parse_ring("Z/5"))._decompose_real_quadratic(2)
-    with pytest.raises(InvalidParameter, match="real quadratic"):
-        unit_group(parse_ring("Z[i]"))._decompose_real_quadratic((0, 1))
+def test_compose_inverts_decompose_on_sampled_units(rng):
+    # fresh rings, so every decomposition is computed by the ring's own
+    # exponent routine rather than read from a cache
+    rings = [IntegersMod(m) for m in range(2, 60)]
+    rings += [GaussianIntegers(), QuadraticOrder(-3), QuadraticOrder(2), QuadraticOrder(7), RationalField(), IntegerRing()]
+    checked = set()
+    for ring in rings:
+        try:
+            units = ring.unit_group()
+        except InvalidParameter:  # (Z/m)^x not cyclic
+            continue
+        sample = ring.units() if ring.is_finite else [ring.random_unit(rng) for _ in range(30)]
+        if ring.spec == "Q":
+            sample += [Fraction(-(2**40) * 7, 3**5 * 101), Fraction(1), Fraction(-1)]
+        for x in sample:
+            torsion, free = units.decompose(x)
+            assert units.compose(torsion, free) == x, (ring.spec, x)
+            assert all(0 <= t < units.torsion_order for t in torsion) and all(free.values())
+        checked.add(ring.spec)
+    assert {"Z/2", "Z/4", "Z/27", "Z/50", "Z[i]", "Z[sqrt(-3)]", "Z[sqrt(2)]", "Q", "Z"} <= checked
+    with pytest.raises(NotAUnit):
+        unit_group(QuadraticOrder(-3)).decompose((1, 1))
+
+
+def _ideal_by_closure(m, gens):
+    """The ideal of Z/m generated by gens, closed under sums and multiples."""
+    ideal = {0}
+    for g in gens:
+        ideal = {(a + r * g) % m for a in ideal for r in range(m)}
+    return ideal
+
+
+def test_ideal_contains_matches_the_closure_over_residue_rings(rng):
+    for m in range(2, 31):
+        ring = IntegersMod(m)
+        gen_sets = [[]] + [[g] for g in range(m)] + [rng.sample(range(m), k) for k in (2, 3) for _ in range(6) if m >= k]
+        for gens in gen_sets:
+            ideal = _ideal_by_closure(m, gens)
+            assert {x for x in range(m) if ring.ideal_contains(gens, x)} == ideal, (m, gens)
+
+
+def test_is_domain_matches_a_zero_divisor_search():
+    for m in range(2, 61):
+        zero_divisors = any(a * b % m == 0 for a in range(1, m) for b in range(1, m))
+        assert IntegersMod(m).is_domain is not zero_divisors, m
+    for spec in ("Z", "Q", "Z[i]", "Z[sqrt(2)]", "Z[sqrt(-3)]"):
+        assert parse_ring(spec).is_domain is True
+    # past trial division (no factor below 10^6, m above 10^12) sympy decides
+    assert IntegersMod(10**12 + 39).is_domain is True
+    assert IntegersMod(1_000_003**2).is_domain is False

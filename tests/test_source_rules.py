@@ -50,6 +50,28 @@ def test_element_fields_are_read_in_trigroup_only():
     assert found == set()
 
 
+def test_ring_classes_are_named_in_rings_only():
+    # each ring answers the domain rule, ideal membership and its unit
+    # exponents itself, so no other module branches on a ring's class or
+    # reads a private name of rings; __init__ may re-export the classes
+    classes = {"IntegerRing", "RationalField", "IntegersMod", "QuadraticOrder", "GaussianIntegers"}
+    found = set()
+    for path in SOURCES:
+        if path.name == "rings.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    private = node.module == "rings" and alias.name.startswith("_")
+                    if private or (alias.name in classes and path.name != "__init__.py"):
+                        found.add(f"{path.name}:{node.lineno}: imports {alias.name}")
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name in classes or name == "_trial_factor":
+                    found.add(f"{path.name}:{node.lineno}: {name}")
+    assert found == set()
+
+
 def test_fologic_recurses_only_where_the_parser_bounds_the_depth():
     # the call graph of fologic (calls to module functions, and to methods
     # through self) has cycles only in the parser's descent and in the

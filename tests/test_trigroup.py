@@ -35,7 +35,6 @@ from triadeform import (
 )
 from triadeform.cocycles import DictPsi
 from triadeform.errors import ParseError, TooLarge
-from triadeform.trigroup import upper_normalise
 
 
 def _twisted_f5(n=3, target=2):
@@ -66,12 +65,12 @@ def test_upper_mul_matches_matrix_product(ring_q, rng):
     n = 4
     grp = DeformedGroup(ring_q, n)
     for _ in range(30):
-        u1 = upper_normalise(ring_q, n, {(i, j): ring_q.random_elem(rng) for i in range(1, n) for j in range(i + 1, n + 1)})
-        u2 = upper_normalise(ring_q, n, {(1, 2): ring_q.random_elem(rng), (2, 4): ring_q.random_elem(rng)})
-        m1 = _unitri(ring_q, n, u1)
-        m2 = _unitri(ring_q, n, u2)
-        for a, b, want in ((u1, u2, m1.mul(m2)), (u2, u1, m2.mul(m1))):
-            g = grp.op(_unipotent(grp, a), _unipotent(grp, b))
+        g1 = _unipotent(grp, {(i, j): ring_q.random_elem(rng) for i in range(1, n) for j in range(i + 1, n + 1)})
+        g2 = _unipotent(grp, {(1, 2): ring_q.random_elem(rng), (2, 4): ring_q.random_elem(rng)})
+        m1 = _unitri(ring_q, n, g1.upper)
+        m2 = _unitri(ring_q, n, g2.upper)
+        for a, b, want in ((g1, g2, m1.mul(m2)), (g2, g1, m2.mul(m1))):
+            g = grp.op(a, b)
             assert grp.is_unipotent(g)
             assert _unitri(ring_q, n, g.upper) == want
 
@@ -93,13 +92,16 @@ def test_upper_inv_is_exact(ring_q, rng):
         assert grp.op(grp.inverse(g), g).upper == ()
 
 
-def test_upper_normalise_validates_and_drops_zeros(ring_z3):
-    assert upper_normalise(ring_z3, 3, {(1, 2): 3}) == ()
-    assert upper_normalise(ring_z3, 3, [((1, 2), 1), ((1, 2), 2)]) == ()
-    with pytest.raises(InvalidParameter):
-        upper_normalise(ring_z3, 3, {(2, 2): 1})
-    with pytest.raises(InvalidParameter):
-        upper_normalise(ring_z3, 3, {(0, 1): 1})
+def test_element_validates_sums_and_drops_zeros(ring_z3):
+    grp = DeformedGroup(ring_z3, 3)
+    assert _unipotent(grp, {(1, 2): 3}) == grp.identity
+    assert _unipotent(grp, {(1, 2): 3}).upper == ()
+    assert _unipotent(grp, [((1, 2), 1), ((1, 2), 2)]).upper == ()
+    assert _unipotent(grp, [((2, 3), 2), ((1, 3), 1), ((2, 3), 2), ((1, 2), 0)]).upper == (((1, 3), 1), ((2, 3), 1))
+    assert _unipotent(grp, [((1, 2), 4), ((1, 2), 0)]) == grp.transvection(1, 2, 1)
+    for key in ((2, 2), (0, 1), (3, 4), (2, 1)):
+        with pytest.raises(InvalidParameter, match=rf"^entry \({key[0]}, {key[1]}\) is not strictly upper in size 3$"):
+            _unipotent(grp, {key: 1})
 
 
 def test_upper_conjugate_scales_entries(ring_q):

@@ -151,7 +151,16 @@ class Ring:
         raise InvalidParameter(f"{self.spec} is not finite")
 
     # -- unit group ------------------------------------------------------
+    _unit_struct: "UnitGroupStruct | None" = None
+
     def unit_group(self) -> "UnitGroupStruct":
+        """R^x, built once per ring object, so its decomposition cache lasts
+        as long as the ring."""
+        if self._unit_struct is None:
+            self._unit_struct = self._build_unit_group()
+        return self._unit_struct
+
+    def _build_unit_group(self) -> "UnitGroupStruct":
         raise NotImplementedError
 
     def unit_exponents(self, units: "UnitGroupStruct", x: Elem) -> tuple[tuple[int, ...], dict]:
@@ -233,7 +242,7 @@ class IntegerRing(Ring):
         g = math.gcd(*gens)
         return x % g == 0 if g else x == 0
 
-    def unit_group(self):
+    def _build_unit_group(self):
         return UnitGroupStruct(self, 2, -1, (), COMPLETE)
 
     def parse_elem(self, text):
@@ -258,10 +267,16 @@ class IntegerRing(Ring):
         return rng.choice((1, -1))
 
 
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 def _fraction(num: int, den: int) -> Fraction:
     """The Fraction num/den for coprime ints num and den > 0, made by setting
-    its two slots.  Fraction's private slots are read and written in this
-    module only."""
+    its two slots; 0 and 1 are RationalField's own zero and one, so identity
+    tests settle them without Fraction.__eq__.  Fraction's private slots are
+    read and written in this module only."""
+    if den == 1 and 0 <= num <= 1:
+        return _Q_ONE if num else _Q_ZERO
     q = object.__new__(Fraction)
     q._numerator = num
     q._denominator = den
@@ -273,8 +288,8 @@ class RationalField(Ring):
     spec = "Q"
     is_domain = True
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = _Q_ZERO
+    one = _Q_ONE
     zero_cmp = 0
     one_cmp = 1
 
@@ -355,7 +370,7 @@ class RationalField(Ring):
     def ideal_contains(self, gens, x):
         return x == 0 or any(g != 0 for g in gens)
 
-    def unit_group(self):
+    def _build_unit_group(self):
         return UnitGroupStruct(self, 2, Fraction(-1), (), LAZY_PRIME_BASIS)
 
     def unit_exponents(self, units, x):
@@ -397,7 +412,6 @@ class IntegersMod(Ring):
             raise InvalidParameter(f"modulus must be at least 2, got {m}")
         self.m = m
         self.spec = f"Z/{m}"
-        self._unit_struct: UnitGroupStruct | None = None
         self._dlog: dict[int, int] | None = None
         self._units: list[int] | None = None
 
@@ -463,29 +477,27 @@ class IntegersMod(Ring):
         """phi(m), from the factorisation of m alone."""
         return _totient(_trial_factor(self.m))
 
-    def unit_group(self):
-        if self._unit_struct is None:
-            m = self.m
-            factors = _trial_factor(m)
-            # (Z/m)^x is cyclic exactly for m = 2, 4, p^k and 2 p^k with p odd
-            odd = [p for p in factors if p != 2]
-            if not (m in (2, 4) or (len(odd) == 1 and factors.get(2, 0) <= 1)):
-                # A single torsion generator cannot describe a non-cyclic
-                # unit group; refuse rather than return something wrong.
-                raise InvalidParameter(
-                    f"({self.spec})^x is not cyclic; no single-generator description exists"
-                )
-            order = _totient(factors)
-            # the least unit g with g^(order/q) != 1 for every prime q | order
-            # (Cohen, GTM 138, Alg. 1.4.4), i.e. the least unit of full order
-            cofactors = [order // q for q in _trial_factor(order)]
-            gen = next(
-                g
-                for g in range(1, m)
-                if math.gcd(g, m) == 1 and all(pow(g, c, m) != 1 for c in cofactors)
+    def _build_unit_group(self):
+        m = self.m
+        factors = _trial_factor(m)
+        # (Z/m)^x is cyclic exactly for m = 2, 4, p^k and 2 p^k with p odd
+        odd = [p for p in factors if p != 2]
+        if not (m in (2, 4) or (len(odd) == 1 and factors.get(2, 0) <= 1)):
+            # A single torsion generator cannot describe a non-cyclic
+            # unit group; refuse rather than return something wrong.
+            raise InvalidParameter(
+                f"({self.spec})^x is not cyclic; no single-generator description exists"
             )
-            self._unit_struct = UnitGroupStruct(self, order, gen, (), COMPLETE)
-        return self._unit_struct
+        order = _totient(factors)
+        # the least unit g with g^(order/q) != 1 for every prime q | order
+        # (Cohen, GTM 138, Alg. 1.4.4), i.e. the least unit of full order
+        cofactors = [order // q for q in _trial_factor(order)]
+        gen = next(
+            g
+            for g in range(1, m)
+            if math.gcd(g, m) == 1 and all(pow(g, c, m) != 1 for c in cofactors)
+        )
+        return UnitGroupStruct(self, order, gen, (), COMPLETE)
 
     def discrete_log(self, x: int) -> int:
         if self._dlog is None:
@@ -574,7 +586,6 @@ class QuadraticOrder(Ring):
             raise InvalidParameter(f"d must be squarefree and not 0 or 1, got {d}")
         self.d = d
         self.spec = f"Z[sqrt({d})]"
-        self._unit_struct: UnitGroupStruct | None = None
 
     zero = zero_cmp = (0, 0)
     one = one_cmp = (1, 0)
@@ -647,16 +658,12 @@ class QuadraticOrder(Ring):
     def _greater_than_one(self, x) -> bool:
         return self.sign_real((x[0] - 1, x[1])) > 0
 
-    def unit_group(self):
-        if self._unit_struct is None:
-            if self.d > 0:
-                eps = fundamental_unit(self.d)
-                self._unit_struct = UnitGroupStruct(self, 2, (-1, 0), (eps,), COMPLETE)
-            elif self.d == -1:
-                self._unit_struct = UnitGroupStruct(self, 4, (0, 1), (), COMPLETE)
-            else:
-                self._unit_struct = UnitGroupStruct(self, 2, (-1, 0), (), COMPLETE)
-        return self._unit_struct
+    def _build_unit_group(self):
+        if self.d > 0:
+            return UnitGroupStruct(self, 2, (-1, 0), (fundamental_unit(self.d),), COMPLETE)
+        if self.d == -1:
+            return UnitGroupStruct(self, 4, (0, 1), (), COMPLETE)
+        return UnitGroupStruct(self, 2, (-1, 0), (), COMPLETE)
 
     def unit_exponents(self, units, x):
         """Over a real order, (t, e) with x = (-1)^t eps^e for eps the free

@@ -35,6 +35,11 @@ the named generators, enumeration, sampling and the bridge build through
 the trusted TriMatrix._trusted.
 DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
 the constructor checks this on every unit when R^x is finite.
+DeformedGroup.op keeps one entry for the last pair of torus tuples it saw
+(their product, twist and x2^-1), because a conjugation d^-1 t d meets the
+same pair again and again; the entry is matched by identity, which compares
+no ring elements, and holds its key tuples, so no other tuple can take
+their ids while it is kept.
 """
 
 from __future__ import annotations
@@ -435,6 +440,8 @@ class DeformedGroup(TriangularGroup):
         self._keys, self._index, self._feeds = _plan(n)
         self._zeros = (ring.zero,) * len(self._keys)
         self.identity = DeformedElem(self._ones, ring.one, self._zeros, (), self._keys)
+        # op's last torus pair: (x1, x2, xbar, twist or None when 1, x2^-1 or None)
+        self._torus: tuple = (None,) * 5
         self._factors: tuple = ()
         if cocycles is None:
             self.cocycles = None
@@ -588,12 +595,22 @@ class DeformedGroup(TriangularGroup):
             # no twist (normalised cocycles) and no conjugation
             xbar = x1
         else:
-            xbar = x2 if x1 is self._ones or x1 == self._ones_cmp else tuple(map(r.mul, x1, x2))
-            t = self.twist(x1, x2)
-            if t != one:
+            entry = self._torus
+            if entry[0] is x1 and entry[1] is x2:
+                _, _, xbar, t, x2_inv = entry
+            else:
+                xbar = x2 if x1 is self._ones or x1 == self._ones_cmp else tuple(map(r.mul, x1, x2))
+                t = self.twist(x1, x2)
+                if t == one:
+                    t = None
+                x2_inv = None
+            if t is not None:
                 z = r.mul(z, t)
             if s1:
-                c1 = self._conjugate(c1, s1, x2, tuple(v if v == one else r.inv(v) for v in x2))
+                if x2_inv is None:
+                    x2_inv = tuple(v if v == one else r.inv(v) for v in x2)
+                c1 = self._conjugate(c1, s1, x2, x2_inv)
+            self._torus = (x1, x2, xbar, t, x2_inv)
         if s1 and s2:
             # (I + U1)(I + U2) = I + U1 + U2 + U1 U2
             return DeformedElem(xbar, z, *self._product(list(c1), c1, s1, c2, s2), self._keys)

@@ -145,15 +145,28 @@ def _assert_same_fraction(got, want):
 def test_rational_arithmetic_matches_the_fraction_operators(x, y):
     q = RationalField()
     fx, fy = Fraction(x), Fraction(y)
-    _assert_same_fraction(q.add(x, y), fx + fy)
-    _assert_same_fraction(q.sub(x, y), fx - fy)
-    _assert_same_fraction(q.mul(x, y), fx * fy)
-    _assert_same_fraction(q.neg(x), -fx)
+    results = [
+        (q.add(x, y), fx + fy),
+        (q.sub(x, y), fx - fy),
+        (q.mul(x, y), fx * fy),
+        (q.neg(x), -fx),
+        (q.add(x, q.neg(x)), 0),
+        (q.sub(x, x), 0),
+        (q.add(q.neg(x), q.add(x, q.one)), 1),
+    ]
     if fx:
-        _assert_same_fraction(q.inv(x), 1 / fx)
+        results += [(q.inv(x), 1 / fx), (q.mul(x, q.inv(x)), 1), (q.mul(q.inv(x), x), 1)]
+        results += [(q.inv(q.mul(x, q.inv(x))), 1), (q.mul(q.neg(x), q.inv(q.neg(x))), 1)]
     else:
         with pytest.raises(NotAUnit):
             q.inv(x)
+    for got, want in results:
+        _assert_same_fraction(got, Fraction(want))
+        # a result equal to 0 or 1 is the field's own zero or one
+        if want == 0:
+            assert got is q.zero
+        elif want == 1:
+            assert got is q.one
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2", None, (1, 2), 1j])
@@ -270,6 +283,30 @@ def test_unit_group_structures():
     assert ui.torsion_order == 4 and ui.torsion_generator == (0, 1)
     us = unit_group(parse_ring("Z[sqrt(2)]"))
     assert us.torsion_order == 2 and us.free_basis == ((1, 1),)
+
+
+@pytest.mark.parametrize("make", [IntegerRing, RationalField, lambda: IntegersMod(7), lambda: QuadraticOrder(2), GaussianIntegers])
+def test_a_ring_keeps_one_unit_group(make):
+    r = make()
+    assert r.unit_group() is r.unit_group()
+    assert unit_group(r) is r.unit_group()
+    assert make().unit_group() is not r.unit_group()  # one per ring object
+
+
+def test_rational_unit_decompositions_are_computed_once_per_ring(monkeypatch):
+    import triadeform.rings as rings_module
+
+    factorint, calls = rings_module._factorint, []
+
+    def counting(n):
+        calls.append(n)
+        return factorint(n)
+
+    monkeypatch.setattr(rings_module, "_factorint", counting)
+    q = RationalField()
+    for _ in range(3):
+        assert q.unit_group().decompose(Fraction(-12, 35)) == ((1,), {2: 2, 3: 1, 5: -1, 7: -1})
+    assert sorted(calls) == [12, 35]  # numerator and denominator, each once
 
 
 def test_non_cyclic_unit_group_refused():

@@ -758,6 +758,49 @@ def test_op_and_inverse_match_oracle(spec, n, kind, rng):
         assert _oracle_op(ar, n, g.cocycles, a_inv, a) == identity, a
 
 
+@pytest.mark.parametrize(
+    "spec, kind", [("Z/5", "carry"), ("Z/5", "coboundary"), ("Q", "carry"), ("Q", "coboundary"), ("Z[sqrt(2)]", "carry")]
+)
+def test_op_after_a_product_sharing_one_torus_tuple(spec, kind, rng):
+    """op remembers its last pair of torus tuples.  Whatever a priming
+    product shares with the next one (x1's tuple, x2's or both), every
+    product is the one a freshly built group computes, and its central part
+    carries the twist prod_i f_i(x1_i, x2_i)."""
+    g = _oracle_group(spec, 3, kind)
+    r = g.ring
+    ones = (r.one,) * (g.n - 1)
+    samples = []
+    for s in (g.sample(rng) for _ in range(60)):
+        if s.xbar != ones and s.upper and all(s.xbar != t.xbar for t in samples):
+            samples.append(s)
+    # pool[2k] and pool[2k + 1] share the k-th torus tuple; only the second has a strict part
+    pool = []
+    for s in samples[:3]:
+        bare = g.element(s.xbar, s.z, {})
+        pool += [bare, g.op(bare, g.element(ones, r.one, dict(s.upper)))]
+        assert pool[-1].xbar is bare.xbar and pool[-1].upper == s.upper
+    assert len(pool) == 6
+    want = {}
+    for (i, a), (j, b) in itertools.product(enumerate(pool), repeat=2):
+        want[i, j] = _oracle_group(spec, 3, kind).op(a, b)
+        twist = r.one
+        for f, x1, x2 in zip(g.cocycles, a.xbar, b.xbar):
+            twist = r.mul(twist, f(x1, x2))
+        assert g.twist(a.xbar, b.xbar) == twist
+        assert want[i, j].z == r.mul(r.mul(a.z, b.z), twist)
+
+    def check(i, j):
+        got = g.op(pool[i], pool[j])
+        assert got == want[i, j] and repr(got) == repr(want[i, j]), (i, j)
+
+    for i, j in itertools.product(range(6), repeat=2):
+        sib_i, sib_j, other_i, other_j = i ^ 1, j ^ 1, (i + 2) % 6, (j + 2) % 6
+        for prime in ((sib_i, sib_j), (sib_i, other_j), (other_i, sib_j)):
+            check(other_i, other_j)  # shares neither tuple with the prime
+            check(*prime)
+            check(i, j)
+
+
 # ---------------------------------------------------------------------------
 # powers
 

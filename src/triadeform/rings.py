@@ -283,6 +283,14 @@ def _fraction(num: int, den: int) -> Fraction:
     return q
 
 
+def _own(q: Fraction) -> Fraction:
+    """q, or RationalField's own zero or one when q equals 0 or 1: what the
+    field's constructors from ints, text, JSON and rng draws return."""
+    if q._denominator == 1 and 0 <= q._numerator <= 1:
+        return _Q_ONE if q._numerator else _Q_ZERO
+    return q
+
+
 class RationalField(Ring):
     kind = "Rationals"
     spec = "Q"
@@ -339,13 +347,13 @@ class RationalField(Ring):
         return _fraction(na * nb, da * db)
 
     def coerce(self, n):
-        return Fraction(n)
+        return _own(Fraction(n))
 
     def ensure(self, x):
         if type(x) is Fraction:
-            return x
+            return _own(x)
         if isinstance(x, (int, Fraction)):
-            return Fraction(x)
+            return _own(Fraction(x))
         raise InvalidParameter(f"{x!r} is not a rational element")
 
     def is_unit(self, x):
@@ -382,7 +390,7 @@ class RationalField(Ring):
 
     def parse_elem(self, text):
         try:
-            return Fraction(text.strip())
+            return _own(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {text!r}") from exc
 
@@ -393,15 +401,15 @@ class RationalField(Ring):
         return {"num": str(x.numerator), "den": str(x.denominator)}
 
     def elem_from_json(self, data):
-        return Fraction(_json_int(data["num"]), _json_int(data["den"]))
+        return _own(Fraction(_json_int(data["num"]), _json_int(data["den"])))
 
     def random_elem(self, rng):
-        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        return _own(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
 
     def random_unit(self, rng):
         num = rng.choice((1, -1)) * rng.choice((1, 2, 3, 5, 7, 9))
         den = rng.choice((1, 2, 3, 5, 7))
-        return Fraction(num, den)
+        return _own(Fraction(num, den))
 
 
 class IntegersMod(Ring):

@@ -160,7 +160,9 @@ class TriMatrix:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        # the rows alone: equal matrices have equal rows, and __eq__ tells
+        # the rare same-rows pair over two rings apart
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(

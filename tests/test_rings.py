@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triadeform import (
+    DeformedGroup,
     DivisionByZeroDivisor,
     InvalidParameter,
     NotAUnit,
     ParseError,
+    TriMatrixGroup,
     divides,
     eval_psi,
     fundamental_unit,
@@ -183,6 +186,55 @@ def test_rational_arithmetic_refuses_non_rationals(bad):
     for zero in (0, Fraction(0), q.zero):
         with pytest.raises(NotAUnit):
             q.inv(zero)
+
+
+class _FreshDrawsQ(RationalField):
+    """Q with the draws restated as fresh Fractions, the same rng calls."""
+
+    def random_elem(self, rng):
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    def random_unit(self, rng):
+        num = rng.choice((1, -1)) * rng.choice((1, 2, 3, 5, 7, 9))
+        return Fraction(num, rng.choice((1, 2, 3, 5, 7)))
+
+
+def test_rational_constructors_return_the_fields_own_zero_and_one():
+    q = RationalField()
+    for value, own in ((0, q.zero), (1, q.one)):
+        made = [
+            q.coerce(value),
+            q.ensure(value),
+            q.ensure(Fraction(value)),
+            q.parse_elem(f" {value} "),
+            q.parse_elem(f"{3 * value}/3"),
+            q.elem_from_json({"num": str(value), "den": "1"}),
+            q.elem_from_json({"num": str(2 * value), "den": "2"}),
+        ]
+        assert all(x is own for x in made)
+    # so an element built from ints holds them too, for op's identity tests
+    g = DeformedGroup(q, 4).element([1, 1, 1], 1, {(1, 2): 0})
+    assert all(x is q.one for x in g.xbar) and g.z is q.one and g == DeformedGroup(q, 4).identity
+    # the draws: the same values from the same rng calls as fresh
+    # Fractions, and the field's own zero and one where they equal 0 or 1
+    fresh = _FreshDrawsQ()
+    for draw in ("random_elem", "random_unit"):
+        rng, ref = random.Random(f"draws:{draw}"), random.Random(f"draws:{draw}")
+        got = [getattr(q, draw)(rng) for _ in range(2_000)]
+        want = [getattr(fresh, draw)(ref) for _ in range(2_000)]
+        assert got == want and rng.getstate() == ref.getstate()
+        hits = [x for x in got if x in (0, 1)]
+        assert hits and all(x is (q.one if x else q.zero) for x in hits)
+
+
+def test_seeded_rational_samples_are_unchanged():
+    q, fresh = RationalField(), _FreshDrawsQ()
+    assert repr(TriMatrixGroup(q, 3).sample(random.Random(7))) == "TriMatrix[-2/5 11 -26/9; 0 3/7 -3; 0 0 1]"
+    for make in (TriMatrixGroup, DeformedGroup):
+        rng, ref = random.Random(20261019), random.Random(20261019)
+        got = [make(q, 3).sample(rng) for _ in range(50)]
+        assert repr(got) == repr([make(fresh, 3).sample(ref) for _ in range(50)])
+        assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,70 @@ def test_center_description_proper_when_units_trivial(t3_z2, t3_z2_fg):
     assert len(true_center) == 2
 
 
+def _center_by_definition(group) -> set:
+    """The elements that commute with every element, not just with the
+    generators, on the group's own product."""
+    elems = list(group.elements())
+    return {x for x in elems if all(group.op(x, y) == group.op(y, x) for y in elems)}
+
+
+_CENTER_GROUPS = {
+    "T2(Z/3)": lambda: TriMatrixGroup(parse_ring("Z/3"), 2),
+    "T2(Z/6)": lambda: TriMatrixGroup(parse_ring("Z/6"), 2),
+    "T3(Z/2)": lambda: TriMatrixGroup(parse_ring("Z/2"), 3),
+    "T3(Z/3)": lambda: TriMatrixGroup(parse_ring("Z/3"), 3),
+    "T2(Z/11)": lambda: TriMatrixGroup(parse_ring("Z/11"), 2),
+    "T3(Z/2) deformed": lambda: DeformedGroup(parse_ring("Z/2"), 3),
+    "T3(Z/3) deformed": lambda: DeformedGroup(parse_ring("Z/3"), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_CENTER_GROUPS))
+def test_center_matches_the_definition(name):
+    group = _CENTER_GROUPS[name]()
+    want = _center_by_definition(group)
+    elems = list(group.elements())
+    gens = list(group.generating_set())
+    # the group's own generators, greedy ones, the identity first, and
+    # the list reversed: the cosets of another first generator
+    for generators in (gens, None, [group.identity, *gens], gens[::-1]):
+        fg = FiniteGroup(elems, group.op, group.identity, inverse=group.inverse, generators=generators)
+        assert {fg.elem(i) for i in fg.center()} == want
+
+
+def test_center_with_one_element_or_no_generators():
+    group = TriMatrixGroup(parse_ring("Z/2"), 1)
+    assert group.order() == 1
+    for generators in ([], None, [group.identity]):
+        fg = FiniteGroup([group.identity], group.op, group.identity, inverse=group.inverse, generators=generators)
+        assert fg.center() == frozenset({0})
+    # an empty generator list leaves nothing to commute with: every
+    # element is returned, with no product computed
+    group = _CENTER_GROUPS["T2(Z/3)"]()
+    fg = FiniteGroup(group.elements(), None, group.identity, inverse=group.inverse, generators=[])
+    assert fg.center() == frozenset(fg.all_indices)
+
+
+@pytest.mark.parametrize("name, order, central", [("T2(Z/11)", 1100, 10), ("T3(Z/6)", 1728, 4)])
+def test_center_computes_fewer_than_two_products_per_element(monkeypatch, name, order, central):
+    # each coset x<g> of the first generator g is walked once (|G| right
+    # products) and decided by one left product; testing every x against
+    # g on both sides took 2 |G| before any other generator
+    group = TriMatrixGroup(parse_ring(name[3:-1]), int(name[1]))
+    calls = [0]
+    product = group.op
+
+    def op(a, b):
+        calls[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(group, "op", op)
+    fg = from_group(group)
+    assert fg.order == order and calls[0] == 0
+    assert len(fg.center()) == central
+    assert calls[0] < 2 * order
+
+
 def test_central_involution(t3_z3, t3_z3_fg, t3_z2):
     inv = central_involution(t3_z3)
     assert inv == t3_z3.central(2)

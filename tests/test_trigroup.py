@@ -35,6 +35,7 @@ from triadeform import (
 )
 from triadeform.cocycles import DictPsi
 from triadeform.errors import ParseError, TooLarge
+from triadeform.rings import Ring
 
 
 def _twisted_f5(n=3, target=2):
@@ -291,6 +292,33 @@ def test_matrix_lane_builds_no_validated_matrices(monkeypatch):
     assert len(memo_fg.center()) == 10
     gen = memo_fg.index(TriMatrixGroup(memo_fg.elem(0).ring, 2).transvection(1, 2, 1))
     assert len(memo_fg.normal_closure([gen])) == 11
+    assert calls[0] == 0
+
+
+def test_matrix_hash_reads_the_rows_only(monkeypatch):
+    z5, z7 = parse_ring("Z/5"), parse_ring("Z/7")
+    g = TriMatrixGroup(z5, 3)
+    a, b = g.transvection(1, 2, 3), g.diagonal_gen(1, 2)
+    built = TriMatrix(parse_ring("Z/5"), [[2, 1, 0], [0, 1, 0], [0, 0, 1]])
+    assert g.op(b, a) == built and hash(g.op(b, a)) == hash(built)
+    # equal rows over two rings: unequal matrices, two keys of one dict
+    rows = [[1, 2, 3], [0, 1, 4], [0, 0, 1]]
+    over5, over7 = TriMatrix(z5, rows), TriMatrix(z7, rows)
+    assert over5 != over7 and over5.rows == over7.rows
+    keys = {over5: "Z/5", over7: "Z/7"}
+    assert len(keys) == 2 and keys[TriMatrix(z5, rows)] == "Z/5" and keys[TriMatrix(z7, rows)] == "Z/7"
+    calls = [0]
+    ring_hash = Ring.__hash__
+
+    def counting_hash(self):
+        calls[0] += 1
+        return ring_hash(self)
+
+    monkeypatch.setattr(Ring, "__hash__", counting_hash)
+    assert hash(z5) == ring_hash(z5) and calls[0] == 1
+    calls[0] = 0
+    for m in (a, b, built, over5, over7, *g.elements()):
+        hash(m)
     assert calls[0] == 0
 
 

@@ -17,7 +17,6 @@ implement it, so nothing here asks which carrier it holds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -510,20 +509,6 @@ def _elem(carrier, data, path: str):
 # verification
 
 
-def _memoised(fn: Callable) -> Callable:
-    """fn(x, y), evaluated at most once per pair, when first asked for."""
-    memo: dict = {}
-
-    def call(x, y):
-        key = (x, y)
-        if key in memo:
-            return memo[key]
-        value = memo[key] = fn(x, y)
-        return value
-
-    return call
-
-
 @dataclass
 class CocycleReport:
     ok: bool
@@ -543,42 +528,33 @@ class CocycleReport:
 def verify_cocycle(f: SymCocycle2, trials: int = 200, rng=None, exhaustive_limit: int = 64) -> CocycleReport:
     """Check normalisation, symmetry and the cocycle identity.
 
-    Exhaustive when the domain is finite with at most exhaustive_limit
-    elements, otherwise sampled with the provided rng.
+    When the domain B is finite with at most exhaustive_limit elements,
+    every element, pair and triple is checked, in that order, and the
+    report's checked count and failure witness are the definition's.  The
+    walk runs on integers: B is listed once and numbered by position, B's
+    products and the values of f are held in flat tables at i * |B| + j,
+    each slot filled when first read, A-values are numbered by equality as
+    they appear, and A's product is computed once per ordered pair of
+    numbers.  f is first asked for each pair where the definition first
+    reads it, so a table that raises, raises at the same pair.
+
+    Otherwise `trials` sampled triples are checked, drawn from rng.
     """
     b_grp, a_grp = f.domain, f.codomain
+    if b_grp.is_finite and b_grp.order() <= exhaustive_limit:
+        return _table_report(f)
     checked = 0
-    ev, b_op = f, b_grp.op
 
     def norm_ok(x):
-        return ev(b_grp.identity, x) == a_grp.identity and ev(x, b_grp.identity) == a_grp.identity
+        return f(b_grp.identity, x) == a_grp.identity and f(x, b_grp.identity) == a_grp.identity
 
     def sym_ok(x, y):
-        return ev(x, y) == ev(y, x)
+        return f(x, y) == f(y, x)
 
     def cocycle_ok(x, y, z):
-        lhs = a_grp.op(ev(b_op(x, y), z), ev(x, y))
-        rhs = a_grp.op(ev(x, b_op(y, z)), ev(y, z))
+        lhs = a_grp.op(f(b_grp.op(x, y), z), f(x, y))
+        rhs = a_grp.op(f(x, b_grp.op(y, z)), f(y, z))
         return lhs == rhs
-
-    if b_grp.is_finite and b_grp.order() <= exhaustive_limit:
-        # |B|^3 triples meet only |B|^2 pairs: evaluate f and B.op once per
-        # pair, on first use, so every check still runs in the same order
-        ev, b_op = _memoised(f), _memoised(b_grp.op)
-        elems = list(b_grp.elements())
-        for x in elems:
-            checked += 1
-            if not norm_ok(x):
-                return CocycleReport(False, checked, True, ("normalisation", x))
-        for x, y in itertools.product(elems, repeat=2):
-            checked += 1
-            if not sym_ok(x, y):
-                return CocycleReport(False, checked, True, ("symmetry", x, y))
-        for x, y, z in itertools.product(elems, repeat=3):
-            checked += 1
-            if not cocycle_ok(x, y, z):
-                return CocycleReport(False, checked, True, ("cocycle", x, y, z))
-        return CocycleReport(True, checked, True)
 
     import random
 
@@ -593,6 +569,80 @@ def verify_cocycle(f: SymCocycle2, trials: int = 200, rng=None, exhaustive_limit
         if not cocycle_ok(x, y, z):
             return CocycleReport(False, checked, False, ("cocycle", x, y, z))
     return CocycleReport(True, checked, False)
+
+
+def _table_report(f: SymCocycle2) -> CocycleReport:
+    """verify_cocycle's exhaustive branch (its docstring describes the walk).
+
+    prod[i * |B| + j] numbers elems[i] * elems[j] in elems, fv[i * |B| + j]
+    numbers f(elems[i], elems[j]) in vals, and A's identity is number 0.
+    """
+    b_grp, a_grp = f.domain, f.codomain
+    b_op, a_op = b_grp.op, a_grp.op
+    elems = list(b_grp.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    nb = len(elems)
+    prod: list = [None] * (nb * nb)
+    fv: list = [None] * (nb * nb)
+    ids = {a_grp.identity: 0}
+    vals = [a_grp.identity]
+
+    def number(a) -> int:
+        n = ids.get(a)
+        if n is None:
+            n = ids[a] = len(vals)
+            vals.append(a)
+        return n
+
+    def at(k: int) -> int:
+        n = fv[k]
+        if n is None:
+            n = fv[k] = number(f(elems[k // nb], elems[k % nb]))
+        return n
+
+    def times(k: int) -> int:
+        n = prod[k]
+        if n is None:
+            n = prod[k] = index[b_op(elems[k // nb], elems[k % nb])]
+        return n
+
+    checked = 0
+    e = index[b_grp.identity]
+    for i in range(nb):
+        checked += 1
+        if at(e * nb + i) or at(i * nb + e):
+            return CocycleReport(False, checked, True, ("normalisation", elems[i]))
+    for i in range(nb):
+        for j in range(nb):
+            checked += 1
+            if at(i * nb + j) != at(j * nb + i):
+                return CocycleReport(False, checked, True, ("symmetry", elems[i], elems[j]))
+    # the symmetry checks read every pair, so each value of f is numbered
+    # below nv now, and p * nv + q keys the pair (p, q) of values
+    nv = len(vals)
+    sums: dict = {}
+    for i in range(nb):
+        row_i = i * nb
+        for j in range(nb):
+            row_ij = times(row_i + j) * nb
+            f_ij = fv[row_i + j]
+            row_j = j * nb
+            for k in range(nb):
+                checked += 1
+                p = fv[row_ij + k]
+                lhs = sums.get(p * nv + f_ij)
+                if lhs is None:
+                    lhs = sums[p * nv + f_ij] = number(a_op(vals[p], vals[f_ij]))
+                jk = prod[row_j + k]
+                if jk is None:
+                    jk = times(row_j + k)
+                p, q = fv[row_i + jk], fv[row_j + k]
+                rhs = sums.get(p * nv + q)
+                if rhs is None:
+                    rhs = sums[p * nv + q] = number(a_op(vals[p], vals[q]))
+                if lhs != rhs:
+                    return CocycleReport(False, checked, True, ("cocycle", elems[i], elems[j], elems[k]))
+    return CocycleReport(True, checked, True)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,84 @@ def test_verify_raises_where_the_unmemoised_checks_raise():
         assert memoised.calls[-1] == plain.calls[-1] == missing
 
 
+IDENTITY_DOMAINS = (
+    (2,), (3,), (4,), (2, 2), (6,), (8,), (2, 4), (2, 2, 2), (16,), (4, 4), (2, 8), (2, 2, 4), (2, 2, 2, 2),
+)
+IDENTITY_CODOMAINS = ((2,), (3,), (4,), (2, 2))
+
+
+def _not_identity(carrier, rng):
+    while True:
+        a = carrier.sample(rng)
+        if a != carrier.identity:
+            return a
+
+
+def _law_breaks(f, rng):
+    """f's table, and seeded copies of it broken in each law in turn: f(1, q)
+    moved; f(p, q) moved alone; f(p, q) and f(q, p) moved together, which
+    keeps the table normalised and symmetric."""
+    b, a = f.domain, f.codomain
+    elems = list(b.elements())
+    good = {(x, y): f(x, y) for x in elems for y in elems}
+    rest = [x for x in elems if x != b.identity]
+    p, q = rng.sample(rest, 2) if len(rest) > 1 else rest * 2  # p = q only on Z/2, which no move can make asymmetric
+    shift = _not_identity(a, rng)
+    unnormalised = dict(good)
+    unnormalised[b.identity, q] = a.op(good[b.identity, q], shift)
+    asymmetric = dict(good)
+    asymmetric[p, q] = a.op(good[p, q], shift)
+    bent = dict(good)
+    bent[p, q] = bent[q, p] = a.op(good[p, q], shift)
+    return [good, unnormalised, asymmetric, bent]
+
+
+def _identity_cases(rng):
+    for bs in IDENTITY_DOMAINS:
+        for cs in IDENTITY_CODOMAINS:
+            yield FgAbelian(bs), FgAbelian(cs)
+    q, z = unit_group(parse_ring("Q")), FgAbelian((), 1)
+    for m in (5, 9, 13):
+        u = unit_group(parse_ring(f"Z/{m}"))
+        yield u, q
+        yield u, z
+
+
+def test_verify_reports_equal_the_unmemoised_checks_on_every_small_pair(rng):
+    # every FgAbelian domain of order at most 16 into small codomains, and
+    # (Z/m)^x domains into the infinite Q^x and Z, whose values are numbered
+    # as they appear
+    laws = {"normalisation": 0, "symmetry": 0, "cocycle": 0, None: 0}
+    for b, a in _identity_cases(rng):
+        carry = CarryCocycle(b, a, {i: _not_identity(a, rng) for i in range(len(b.torsion_factors))})
+        for table in _law_breaks(carry, rng):
+            f = FunctionTable(b, a, table)
+            report, expected = verify_cocycle(f, exhaustive_limit=16), unmemoised_report(f)
+            assert report == expected and report.to_json() == expected.to_json(), (b, a)
+            laws[(report.failure or (None,))[0]] += 1
+    # 58 pairs; on Z/2 the asymmetric and the bent table are the same
+    assert laws["normalisation"] == 58 and laws["symmetry"] == 58 - 4 and laws["cocycle"] >= 50, laws
+
+
+def test_exhaustive_walk_computes_each_product_once(monkeypatch):
+    # |B| = 16, |A| = 4: the definition multiplies 2 |B|^3 = 8,192 times in
+    # each group; the walk computes each distinct product once, on the pairs
+    # the definition multiplies, in the order it first does
+    b, a = FgAbelian((2, 2, 4)), FgAbelian((4,))
+    f = FunctionTable.from_callable(b, a, CarryCocycle(b, a, {0: (1,), 2: (3,)}))
+    b_calls, a_calls = [], []
+    for carrier, calls in ((b, b_calls), (a, a_calls)):
+        op = carrier.op
+        monkeypatch.setattr(carrier, "op", lambda x, y, calls=calls, op=op: calls.append((x, y)) or op(x, y))
+    assert verify_cocycle(f, exhaustive_limit=16) == CocycleReport(True, 16 + 256 + 4096, True)
+    assert len(b_calls) <= 16**2 and len(a_calls) <= 4**2
+    b_walk, a_walk = b_calls[:], a_calls[:]
+    del b_calls[:], a_calls[:]
+    assert unmemoised_report(f).ok
+    assert len(b_calls) == len(a_calls) == 2 * 16**3
+    assert b_walk == list(dict.fromkeys(b_calls)) and a_walk == list(dict.fromkeys(a_calls))
+
+
 # ---------------------------------------------------------------------------
 # extension powers against the linear product
 

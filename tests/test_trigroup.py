@@ -354,6 +354,23 @@ def test_constructor_checks_normalisation_on_every_finite_unit():
         DeformedGroup(r, 3, (f, trivial_cocycle(u, u)))
 
 
+
+def test_constructor_reads_an_exhaustively_checked_cocycle_once_per_pair():
+    # |(Z/5)^x| = 4: verify_cocycle's exhaustive report has checked f(1, x)
+    # and f(x, 1) on every x, so no second normalisation pass reads f again
+    r = parse_ring("Z/5")
+    u = unit_group(r)
+    calls = []
+
+    class Logged(FunctionTable):
+        def __call__(self, x, y):
+            calls.append((x, y))
+            return super().__call__(x, y)
+
+    f = Logged.from_callable(u, u, CarryCocycle(u, u, {0: 2}))
+    DeformedGroup(r, 3, (f, trivial_cocycle(u, u)))
+    assert sorted(calls) == sorted(f.table)
+
 def test_constructor_guards():
     r = parse_ring("Z/5")
     u = unit_group(r)

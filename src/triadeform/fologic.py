@@ -605,9 +605,12 @@ class _Code:
                 return check(S)
 
             return atom
-        if isinstance(phi, Not):
-            arg = self.formula(phi.arg, scope, depth)
-            return lambda S: not arg(S)
+        if isinstance(phi, Not):  # a run of negations, peeled in a loop
+            odd = False
+            while isinstance(phi, Not):
+                phi, odd = phi.arg, not odd
+            arg = self.formula(phi, scope, depth)
+            return (lambda S: not arg(S)) if odd else arg
         if isinstance(phi, Implies):
             left, right = self.formula(phi.left, scope, depth), self.formula(phi.right, scope, depth)
             return lambda S: (not left(S)) or right(S)
@@ -820,10 +823,8 @@ def formula_ncl_multi(var_names: list[str], c: int) -> Formula:
     """Joint version over several elements: all mixed conjugate commutators die."""
     ys = [f"y{k}" for k in range(1, c + 2)]
     picks = itertools.product(var_names, repeat=c + 1)
-    phi: Formula = and_fold([Eq(left_normed([conj(Var(p), Var(y)) for p, y in zip(ps, ys)]), One()) for ps in picks])
-    for y in reversed(ys):
-        phi = Forall(y, phi)
-    return phi
+    body = and_fold([Eq(left_normed([conj(Var(p), Var(y)) for p, y in zip(ps, ys)]), One()) for ps in picks])
+    return functools.reduce(lambda phi, y: Forall(y, phi), reversed(ys), body)
 
 
 def formula_fitt_ck(c: int, k: int) -> Formula:
@@ -843,10 +844,8 @@ def formula_phi_Gprime(m: int, var: str = "x") -> Formula:
     """var is a product of at most m commutators (padding with trivial ones)."""
     xs = [f"x{k}" for k in range(1, m + 1)]
     ys = [f"y{k}" for k in range(1, m + 1)]
-    phi: Formula = Eq(Var(var), functools.reduce(Mul, [comm(Var(a), Var(b)) for a, b in zip(xs, ys)]))
-    for name in reversed(xs + ys):
-        phi = Exists(name, phi)
-    return phi
+    body = Eq(Var(var), functools.reduce(Mul, [comm(Var(a), Var(b)) for a, b in zip(xs, ys)]))
+    return functools.reduce(lambda phi, name: Exists(name, phi), reversed(xs + ys), body)
 
 
 def formula_phi_Gu_pm(var: str = "x", fitt_set: str = "Fitt", derived_set: str = "Gprime") -> Formula:

@@ -150,6 +150,30 @@ class Ring:
     def unit_count(self) -> int:
         raise InvalidParameter(f"{self.spec} is not finite")
 
+    _unit_gens: "list[Elem] | None" = None
+
+    def unit_generators(self) -> list[Elem]:
+        """Generators of the finite R^x, found once per ring: scan units()
+        in order and keep each unit that the ones kept so far do not
+        generate.  R^x is abelian, so adjoining u to H gives the union of
+        the cosets H u^i for i below the least k with u^k in H."""
+        if self._unit_gens is None:
+            units = self.units()
+            kept, closed = [], {self.one}
+            for u in units:
+                if len(closed) == len(units):
+                    break
+                if u in closed:
+                    continue
+                kept.append(u)
+                powers, p = [self.one], u
+                while p not in closed:
+                    powers.append(p)
+                    p = self.mul(p, u)
+                closed = {self.mul(h, q) for h in closed for q in powers}
+            self._unit_gens = kept
+        return list(self._unit_gens)
+
     # -- unit group ------------------------------------------------------
     _unit_struct: "UnitGroupStruct | None" = None
 

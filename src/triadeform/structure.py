@@ -235,11 +235,15 @@ def delta_square_decomposition(
 
 
 def normal_closure(fg: FiniteGroup, g) -> frozenset[int]:
+    """The normal closure of one element, given as itself or its index: the
+    public, element-level entry point the benchmark and the tests call."""
     idx = g if isinstance(g, int) else fg.index(g)
     return fg.normal_closure([idx])
 
 
 def lower_central_series(fg: FiniteGroup) -> list[frozenset[int]]:
+    """The whole group's lower central series: the public entry point the
+    benchmark and the tests call, beside left_normed_gamma."""
     return fg.lower_central_series()
 
 

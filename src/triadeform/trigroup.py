@@ -207,12 +207,13 @@ class TriangularGroup:
         return self.op(self.op(self.inverse(a), self.inverse(b)), self.op(a, b))
 
     def generating_set(self) -> list:
-        """t_ij(1) for i < j, then d_k(u) for each k and each unit u != 1."""
+        """The paper's generators: t_{i,i+1}(1) for i < n, then d_k(u) for
+        each k and each u in the ring's unit_generators()."""
         if not self.ring.is_finite:
             raise TooLarge("generating sets are enumerated for finite rings only")
         r, n = self.ring, self.n
-        gens = [self.transvection(i, j, r.one) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        return gens + [self.diagonal_gen(k, u) for k in range(1, n + 1) for u in r.units() if u != r.one]
+        gens = [self.transvection(i, i + 1, r.one) for i in range(1, n)]
+        return gens + [self.diagonal_gen(k, u) for k in range(1, n + 1) for u in r.unit_generators()]
 
     def elem_from_json(self, data):
         return self._elem_from_json(data, "")
@@ -680,9 +681,8 @@ class DeformedGroup(TriangularGroup):
         return k
 
     def generating_set(self) -> list[DeformedElem]:
-        """The shared generators, then diag(u) for each unit u != 1."""
-        r = self.ring
-        return super().generating_set() + [self.central(u) for u in r.units() if u != r.one]
+        """The shared generators, then diag(u) for the same units u."""
+        return super().generating_set() + [self.central(u) for u in self.ring.unit_generators()]
 
     # -- serialisation ---------------------------------------------------------
 

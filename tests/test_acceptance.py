@@ -476,7 +476,11 @@ def test_criterion_08_split_isomorphism():
         g5 = DeformedGroup(r5, 3, (CoboundaryOf(u5, u5, psi5), trivial_cocycle(u5, u5)))
         iso5 = split_isomorphism(g5)
         assert iso5 is not None
-        gens = g5.generating_set()
+        # every t_ij(1), d_k(u) and diag(u) for u != 1: 15 elements, 225 pairs
+        others = [u for u in r5.units() if u != r5.one]
+        gens = [g5.transvection(i, j, 1) for i in range(1, 4) for j in range(i + 1, 4)]
+        gens += [g5.diagonal_gen(k, u) for k in range(1, 4) for u in others] + [g5.central(u) for u in others]
+        assert len(gens) == 15
         _hom_and_inverse(g5, iso5, [(a, b) for a in gens for b in gens])
         # a genuinely twisted group is refused
         assert split_isomorphism(_carry_group("Z/5", 3, 2)) is None

@@ -644,6 +644,31 @@ def test_equality_and_hash_need_no_recursion():
     assert Mul(Var("x"), One()) != Mul(One(), Var("x")) and Var("x") != "x"
 
 
+def test_deep_negation_chains_evaluate(m2):
+    # 10,000 and 10,001 negations built through the API, far past the
+    # default recursion limit: the run is peeled in a loop and its parity
+    # applied once, so the value follows the parity and the atoms spent and
+    # the budgets that are exceeded stay those of the formula negated
+    inner = Forall("y", Eq(Mul(Var("x"), Var("y")), Mul(Var("y"), Var("x"))))
+
+    def outcome(phi, x, budget):
+        try:
+            return eval_with_stats(m2, phi, {"x": x}, budget)
+        except BudgetExceeded:
+            return "over"
+
+    for depth in (10_000, 10_001):
+        chain = inner
+        for _ in range(depth):
+            chain = Not(chain)
+        for x in m2.fg.all_indices:
+            plain = semantic_eval(m2, inner, {"x": x})
+            assert semantic_eval(m2, chain, {"x": x}) is (plain ^ (depth % 2 == 1))
+            for budget in range(m2.fg.order + 2):
+                want = outcome(inner, x, budget)
+                assert outcome(chain, x, budget) == (want if want == "over" else (want[0] ^ (depth % 2 == 1), want[1]))
+
+
 def test_naive_eval_of_ncl_on_large_carrier_exceeds_budget(m3):
     # 216^3 quantified triples outgrow the default atom budget by design;
     # the semantic path is the supported route on carriers this size

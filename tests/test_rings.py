@@ -390,6 +390,38 @@ def test_unit_group_generator_is_the_least_unit_of_full_order():
         assert ring.units() == units
 
 
+def _generated(kept, m):
+    """The subgroup of (Z/m)^x that the units kept generate, by closing
+    {1} under multiplication by each of them."""
+    closed, frontier = {1 % m}, [1 % m]
+    while frontier:
+        x = frontier.pop()
+        for u in kept:
+            y = x * u % m
+            if y not in closed:
+                closed.add(y)
+                frontier.append(y)
+    return closed
+
+
+def test_unit_generators_are_the_greedy_scan_of_the_units():
+    pinned = {2: [], 3: [2], 5: [2], 6: [5], 8: [3, 5], 11: [2], 12: [5, 7]}
+    for m in range(2, 120):
+        units = [x for x in range(1, m) if math.gcd(x, m) == 1]
+        kept = []
+        for u in units:
+            if u not in _generated(kept, m):
+                kept.append(u)
+        ring = IntegersMod(m)
+        assert ring.unit_generators() == kept == pinned.get(m, kept), m
+        assert _generated(kept, m) == set(units)
+        ring.unit_generators().append(0)  # a copy: the ring keeps its own
+        assert ring.unit_generators() == kept
+    for spec in ("Z", "Q", "Z[i]"):
+        with pytest.raises(InvalidParameter, match="not finite"):
+            parse_ring(spec).unit_generators()
+
+
 def test_unit_count_matches_the_unit_list():
     for m in range(2, 300):
         assert IntegersMod(m).unit_count() == sum(1 for x in range(1, m) if math.gcd(x, m) == 1), m

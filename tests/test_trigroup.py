@@ -36,6 +36,7 @@ from triadeform import (
 from triadeform.cocycles import DictPsi
 from triadeform.errors import ParseError, TooLarge
 from triadeform.rings import Ring
+from triadeform.trigroup import ENUMERATION_LIMIT
 
 
 def _twisted_f5(n=3, target=2):
@@ -232,6 +233,33 @@ def test_matrix_elements_are_valid_and_distinct(spec, n):
     assert len(set(elems)) == len(elems) == grp.order()
     for m in [grp.identity] + grp.generating_set():
         _assert_valid_rows(ring, m)
+
+
+def _pictures(m):
+    """T_n(Z/m) as matrices (n = 2, 3), untwisted deformed (n = 3) and, when
+    (Z/m)^x is cyclic and not trivial, carry-twisted by its generator."""
+    r = parse_ring(f"Z/{m}")
+    out = {"matrix n=2": TriMatrixGroup(r, 2), "matrix n=3": TriMatrixGroup(r, 3), "deformed": DeformedGroup(r, 3)}
+    if m not in (2, 8, 12):
+        u = unit_group(r)
+        out["carry"] = DeformedGroup(r, 3, (CarryCocycle(u, u, {0: u.torsion_generator}), trivial_cocycle(u, u)))
+    return out
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_generating_set_is_the_papers_family_and_generates(m):
+    for name, grp in _pictures(m).items():
+        r, n = grp.ring, grp.n
+        units = r.unit_generators()
+        want = [grp.transvection(i, i + 1, 1) for i in range(1, n)]
+        want += [grp.diagonal_gen(k, u) for k in range(1, n + 1) for u in units]
+        if isinstance(grp, DeformedGroup):
+            want += [grp.central(u) for u in units]
+            assert grp.is_untwisted == (name == "deformed")
+        assert grp.generating_set() == want, (m, name)
+        if grp.order() <= ENUMERATION_LIMIT:
+            fg = from_group(grp)
+            assert fg.subgroup_closure(fg.generator_indices) == frozenset(fg.all_indices), (m, name)
 
 
 @pytest.mark.parametrize("spec", ["Z/6", "Q", "Z[sqrt(2)]"])

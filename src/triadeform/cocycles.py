@@ -219,14 +219,29 @@ class SymCocycle2:
     def backend_json(self):
         raise NotImplementedError
 
+    def factor_obstruction(self, idx: int):
+        """A-part of (g, 1)^m in E(f) for the idx-th torsion factor <g> of order m:
+        the product of f(g^i, g) for 0 < i < m."""
+        b_grp, a_grp = self.domain, self.codomain
+        g = b_grp.torsion_factor_generator(idx)
+        c = a_grp.identity
+        x = g
+        for _ in range(b_grp.torsion_factors[idx] - 1):
+            c = a_grp.op(c, self(x, g))
+            x = b_grp.op(x, g)
+        return c
+
 
 class CarryCocycle(SymCocycle2):
     """Per-factor carry cocycle.
 
     On a torsion factor of order m with pinned generator g and target c,
-    f(g^i, g^j) = c^floor((i + j) / m) with i, j canonical in [0, m).  Free
-    factors never carry.  Targets are keyed by torsion factor index; the
-    empty target map is the trivial cocycle.
+    f(g^i, g^j) = c^floor((i + j) / m) with i, j canonical in [0, m), so the
+    carry is 0 or 1.  Free factors never carry.  Targets are keyed by torsion
+    factor index and must be elements of A, stored in A's canonical form;
+    the empty target map is the trivial cocycle.  The obstruction of a
+    factor is its target: f(g^i, g) carries only at i = m - 1, and only on
+    that factor.
     """
 
     backend = "carry"
@@ -239,6 +254,9 @@ class CarryCocycle(SymCocycle2):
         for idx, c in (targets or {}).items():
             if not 0 <= idx < len(factors):
                 raise InvalidParameter(f"no torsion factor {idx} to carry into")
+            if not codomain.contains(c):
+                raise InvalidParameter(f"target {c!r} of torsion factor {idx} is not an element of {codomain!r}")
+            c = codomain.op(codomain.identity, c)
             if c != codomain.identity:
                 self.targets[idx] = c
 
@@ -247,13 +265,15 @@ class CarryCocycle(SymCocycle2):
             return self.codomain.identity
         tx = self.domain.torsion_exponents(x)
         ty = self.domain.torsion_exponents(y)
+        factors = self.domain.torsion_factors
         out = self.codomain.identity
         for idx, c in self.targets.items():
-            m = self.domain.torsion_factors[idx]
-            carry = (tx[idx] + ty[idx]) // m
-            if carry:
-                out = self.codomain.op(out, self.codomain.power(c, carry))
+            if tx[idx] + ty[idx] >= factors[idx]:
+                out = self.codomain.op(out, c)
         return out
+
+    def factor_obstruction(self, idx: int):
+        return self.targets.get(idx, self.codomain.identity)
 
     def backend_json(self):
         return {
@@ -649,19 +669,6 @@ def _table_report(f: SymCocycle2) -> CocycleReport:
 # the coboundary decision
 
 
-def factor_obstruction(f: SymCocycle2, idx: int):
-    """A-part of (g, 1)^m in E(f) for the idx-th torsion factor <g> of order m."""
-    b_grp, a_grp = f.domain, f.codomain
-    m = b_grp.torsion_factors[idx]
-    g = b_grp.torsion_factor_generator(idx)
-    c = a_grp.identity
-    x = g
-    for _ in range(m - 1):
-        c = a_grp.op(c, f(x, g))
-        x = b_grp.op(x, g)
-    return c
-
-
 def is_coboundary(f: SymCocycle2) -> SplitSectionPsi | None:
     """Splitting map psi with f(x,y) = psi(xy) psi(x)^-1 psi(y)^-1, or None.
 
@@ -674,7 +681,7 @@ def is_coboundary(f: SymCocycle2) -> SplitSectionPsi | None:
         raise UnsupportedCodomain(f"{a_grp!r} does not support root extraction")
     roots: dict[int, Any] = {}
     for idx in range(len(f.domain.torsion_factors)):
-        c = factor_obstruction(f, idx)
+        c = f.factor_obstruction(idx)
         m = f.domain.torsion_factors[idx]
         y = a_grp.nth_root(a_grp.inverse(c), m)
         if y is None:
@@ -739,8 +746,12 @@ def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
     """Transport g along isos psi: A -> A' and eta: B -> B'.
 
     The result evaluates as g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).  A
-    product is transported part by part; any other backend is materialised
-    as a table when |B'| <= 256, or wrapped.
+    product is transported part by part.  Over B' of order at most 256 any
+    other backend is materialised in one pass: eta^-1 is applied once per
+    element of B', g once per pair and psi once per distinct value of g,
+    and the table is filled x-major in the order of B'.elements(), as
+    FunctionTable.from_callable fills it.  Over a larger or infinite B', g
+    is wrapped.
     """
     if not isinstance(g.domain, FgAbelian) or not isinstance(g.codomain, FgAbelian):
         raise InvalidParameter("transport is defined for FgAbelian carriers")
@@ -748,14 +759,27 @@ def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
         raise DomainMismatch("isomorphisms do not match the cocycle's groups")
     if not psi.is_bijective() or not eta.is_bijective():
         raise NotBijective("transport requires isomorphisms on both sides")
-    eta_inv = eta.inverse()
-    new_domain, new_codomain = eta.codomain, psi.codomain
+    return _transport(g, psi, eta.inverse())
+
+
+def _transport(g: SymCocycle2, psi: AbHom, eta_inv: AbHom) -> SymCocycle2:
     if isinstance(g, ProductCocycle):
-        return ProductCocycle([transport_cocycle(p, psi, eta) for p in g.parts])
-    transported = TransportedCocycle(g, new_domain, new_codomain, psi.apply, eta_inv.apply)
-    if new_domain.is_finite and new_domain.order() <= 256:
-        return FunctionTable.from_callable(new_domain, new_codomain, transported)
-    return transported
+        return ProductCocycle([_transport(p, psi, eta_inv) for p in g.parts])
+    new_domain, new_codomain = eta_inv.domain, psi.codomain
+    if not (new_domain.is_finite and new_domain.order() <= 256):
+        return TransportedCocycle(g, new_domain, new_codomain, psi.apply, eta_inv.apply)
+    elems = list(new_domain.elements())
+    pairs = list(zip(elems, map(eta_inv.apply, elems)))
+    images: dict = {}
+    table = {}
+    for x, u in pairs:
+        for y, v in pairs:
+            a = g(u, v)
+            b = images.get(a)
+            if b is None:
+                b = images[a] = psi.apply(a)
+            table[x, y] = b
+    return FunctionTable(new_domain, new_codomain, table)
 
 
 # ---------------------------------------------------------------------------

@@ -900,7 +900,12 @@ class UnitGroupStruct(AbelianCarrier):
         return self.ring.unit_pow(x, k)
 
     def contains(self, x) -> bool:
-        return self.ring.is_unit(x)
+        """Whether x is a unit of the ring, given as any representative the
+        ring accepts (an int over Z/m stands for its residue)."""
+        try:
+            return self.ring.is_unit(self.ring.ensure(x))
+        except InvalidParameter:
+            return False
 
     @property
     def torsion_factors(self) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ import pytest
 from triadeform import (
     CarryCocycle,
     CoboundaryOf,
+    DeformedGroup,
     FgAbelian,
     FunctionTable,
     InvalidParameter,
@@ -38,6 +39,8 @@ from triadeform.cocycles import (
     CocycleReport,
     DictPsi,
     ExtensionGroup,
+    ProductCocycle,
+    SymCocycle2,
     TransportedCocycle,
     coboundary_defect,
     ext_pow,
@@ -145,6 +148,31 @@ def test_carry_and_torsion_monomial_never_factor_rationals(monkeypatch):
     plus = parse_ring("Q").parse_elem("77/5")
     assert f(minus, minus) == 3 and f(minus, plus) == 1
     assert psi(minus) == parse_ring("Q").parse_elem("1/2") and psi(plus) == 1
+
+
+def test_carry_targets_must_be_elements_of_the_codomain():
+    z4 = FgAbelian((4,))
+    u5 = unit_group(parse_ring("Z/5"))
+    for codomain, target in ((z4, (4,)), (z4, "x"), (z4, [1]), (u5, "x"), (u5, 0), (u5, 10)):
+        with pytest.raises(InvalidParameter, match="torsion factor 0 "):
+            CarryCocycle(z4, codomain, {0: target})
+    with pytest.raises(InvalidParameter, match="torsion factor 1 "):
+        CarryCocycle(FgAbelian((2, 4)), z4, {0: (1,), 1: (-1,)})
+
+
+def test_carry_targets_are_stored_canonical():
+    # 6 = 1 and 7 = 2 in (Z/5)^x: the first is no twist, the second reports,
+    # serialises and obstructs as 2, as SymCocycle2's walk finds it
+    u5 = unit_group(parse_ring("Z/5"))
+    assert CarryCocycle(u5, u5, {0: 6}).targets == {}
+    assert DeformedGroup(parse_ring("Z/5"), 3, (CarryCocycle(u5, u5, {0: 6}), trivial_cocycle(u5, u5))).is_untwisted
+    f = CarryCocycle(u5, u5, {0: 7})
+    assert f.targets == {0: 2} and f.to_json()["backend"]["targets"] == {"0": "2"}
+    assert f.factor_obstruction(0) == SymCocycle2.factor_obstruction(f, 0) == 2
+    q = unit_group(parse_ring("Q"))
+    g = CarryCocycle(q, q, {0: 4})
+    assert g.targets == {0: parse_ring("Q").parse_elem("4")} and not isinstance(g.targets[0], int)
+    assert g.to_json() == cocycle_from_json(g.to_json()).to_json()
 
 
 def test_verify_accepts_carries_and_rejects_broken_tables(rng):
@@ -412,6 +440,54 @@ def test_is_coboundary_matches_brute_force_on_all_small_carries():
     assert checked > 1000
 
 
+ORDER_16_SHAPES = [
+    (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2), (9,), (3, 3), (10,), (11,), (12,), (2, 6),
+    (13,), (14,), (15,), (16,), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2),
+]  # every FgAbelian of order 2 to 16
+CYCLIC_UNIT_MODULI = (2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 17, 18, 19, 22, 23, 25, 26, 27, 29)  # m <= 30
+
+
+def _check_closed_form(f):
+    """f's obstructions and is_coboundary's verdict and roots equal those
+    computed from SymCocycle2's walk."""
+    a, roots = f.codomain, {}
+    for idx, m in enumerate(f.domain.torsion_factors):
+        walk = SymCocycle2.factor_obstruction(f, idx)
+        assert f.factor_obstruction(idx) == walk, (f.to_json(), idx)
+        roots[idx] = a.nth_root(a.inverse(walk), m)
+    psi = is_coboundary(f)
+    if None in roots.values():
+        assert psi is None, f.to_json()
+    else:
+        assert psi is not None and psi.roots == roots, f.to_json()
+
+
+def test_carry_obstructions_equal_the_walk(rng):
+    # every carry of a pair that has at most 64, else every carry with one
+    # target and 32 seeded ones; the section search on two carries per pair
+    for b, a in itertools.product(map(FgAbelian, ORDER_16_SHAPES), repeat=2):
+        k, elems = len(b.torsion_factors), list(a.elements())
+        if len(elems) ** k <= 64:
+            maps = list(itertools.product(elems, repeat=k))
+        else:
+            maps = [tuple(c if j == i else a.identity for j in range(k)) for i in range(k) for c in elems]
+            maps += [tuple(rng.choice(elems) for _ in range(k)) for _ in range(32)]
+        carries = [CarryCocycle(b, a, dict(enumerate(ts))) for ts in maps]
+        for f in carries:
+            _check_closed_form(f)
+        for f in rng.sample(carries, 2):
+            assert (is_coboundary(f) is not None) == brute_force_splits(f), (b, a, f.targets)
+    units = [unit_group(parse_ring(f"Z/{m}")) for m in CYCLIC_UNIT_MODULI]
+    units += [unit_group(parse_ring("Z[sqrt(2)]")), unit_group(parse_ring("Q"))]
+    for b, a in itertools.product(units, repeat=2):
+        carries = [CarryCocycle(b, a, {0: c} if b.torsion_factors else {}) for c in _target_pool(a)]
+        for f in carries:
+            _check_closed_form(f)
+        if a.is_finite and b.torsion_factors:
+            f = rng.choice(carries)
+            assert (is_coboundary(f) is not None) == brute_force_splits(f), (b, a, f.targets)
+
+
 def test_is_coboundary_witness_is_exact():
     for b in _groups_up_to(6):
         for a in _groups_up_to(6):
@@ -515,16 +591,16 @@ def test_is_cot_reads_the_torsion_factors_only():
     assert not is_cot(CarryCocycle(b, a, {0: (1,)}))
 
 
-def restricted_to_torsion(f):
-    """f on the torsion subgroup of its domain, as a closure over
-    FgAbelian(torsion factors) embedded through the domain's compose."""
-    b = f.domain
+class RestrictedToTorsion(SymCocycle2):
+    """f on the torsion subgroup of its domain, evaluated lazily over
+    FgAbelian(torsion factors) embedded through the domain's compose; its
+    obstructions come from SymCocycle2's walk over these values."""
 
-    def restricted(x, y):
-        return f(b.compose(x, {}), b.compose(y, {}))
+    def __init__(self, f):
+        self.f, self.domain, self.codomain = f, FgAbelian(f.domain.torsion_factors), f.codomain
 
-    restricted.domain, restricted.codomain = FgAbelian(b.torsion_factors), f.codomain
-    return restricted
+    def __call__(self, x, y):
+        return self.f(self.f.domain.compose(x, {}), self.f.domain.compose(y, {}))
 
 
 COT_CARRIERS = [
@@ -557,7 +633,7 @@ def test_is_cot_agrees_with_a_restated_restriction_to_torsion():
         for a in COT_CARRIERS:
             for targets in itertools.product(_target_pool(a), repeat=len(b.torsion_factors)):
                 f = CarryCocycle(b, a, dict(enumerate(targets)))
-                expected = is_coboundary(restricted_to_torsion(f)) is not None
+                expected = is_coboundary(RestrictedToTorsion(f)) is not None
                 assert is_cot(f) == expected, (b, a, targets)
                 checked += 1
     assert checked > 1500
@@ -718,6 +794,72 @@ def test_transported_coboundary_reads_back_with_the_same_values(rng):
             assert isinstance(g, TransportedCocycle)
             with pytest.raises(InvalidParameter):
                 g.to_json()
+
+
+def _random_automorphism(group, rng):
+    while True:
+        matrix = [[rng.randrange(-3, 4) for _ in range(group.n)] for _ in range(group.n)]
+        try:
+            hom = AbHom(group, group, matrix)
+        except InvalidParameter:
+            continue
+        if hom.is_bijective():
+            return hom
+
+
+def test_transport_table_equals_the_pairwise_evaluation(rng):
+    # the one-pass table against TransportedCocycle read pair by pair, and
+    # its document against from_callable's over that same function
+    for b, a in itertools.product(map(FgAbelian, ORDER_16_SHAPES), repeat=2):
+        f = CarryCocycle(b, a, {i: a.sample(rng) for i in range(len(b.torsion_factors))})
+        psi, eta = _random_automorphism(a, rng), _random_automorphism(b, rng)
+        g = transport_cocycle(f, psi, eta)
+        pairwise = TransportedCocycle(f, b, a, psi.apply, eta.inverse().apply)
+        expected = FunctionTable.from_callable(b, a, pairwise)
+        assert isinstance(g, FunctionTable) and g.table == expected.table, (b, a)
+        assert json.dumps(g.to_json()) == json.dumps(expected.to_json())
+    # up to 256 elements the result is a table, past them a wrapper
+    a = FgAbelian((2,))
+    for shape, kind in (((2, 128), FunctionTable), ((2, 256), TransportedCocycle)):
+        b = FgAbelian(shape)
+        g = transport_cocycle(CarryCocycle(b, a, {1: (1,)}), AbHom.identity(a), AbHom(b, b, [[1, 0], [0, 3]]))
+        assert isinstance(g, kind) and g((0, 127), (0, 1)) == (1,) and g((1, 3), (1, 5)) == (0,)
+
+
+def test_transport_applies_eta_inverse_once_per_element(monkeypatch):
+    b, a = FgAbelian((2, 8)), FgAbelian((2, 4))
+    f = CarryCocycle(b, a, {0: (1, 1), 1: (0, 3)})
+    psi, eta = AbHom(a, a, [[1, 0], [2, 3]]), AbHom(b, b, [[1, 0], [4, 3]])
+    calls = []
+    apply = AbHom.apply
+    monkeypatch.setattr(AbHom, "apply", lambda hom, x: calls.append(hom) or apply(hom, x))
+    g = transport_cocycle(f, psi, eta)
+    values = {f(x, y) for x in b.elements() for y in b.elements()}
+    assert len([h for h in calls if h is not psi]) == b.order()
+    assert 1 < len([h for h in calls if h is psi]) <= len(values)
+    assert verify_cocycle(g).ok and (is_coboundary(g) is None) == (is_coboundary(f) is None)
+
+
+def test_transport_of_a_product_checks_the_isomorphisms_once(monkeypatch):
+    b, a = FgAbelian((4,)), FgAbelian((2,))
+    parts = [CarryCocycle(b, a, {0: (1,)}), trivial_cocycle(b, a), CoboundaryOf(b, a, MonomialPsi(b, a, {0: (1,)}))]
+    eta = AbHom(b, b, [[3]])
+    counts = {"is_bijective": 0, "inverse": 0}
+    for name in counts:
+        method = getattr(AbHom, name)
+
+        def counted(hom, method=method, name=name):
+            counts[name] += 1
+            return method(hom)
+
+        monkeypatch.setattr(AbHom, name, counted)
+    g = transport_cocycle(ProductCocycle(parts), AbHom.identity(a), eta)
+    # psi and eta checked once each, and eta once more inside its inverse
+    assert counts == {"is_bijective": 3, "inverse": 1}
+    assert [type(p) for p in g.parts] == [FunctionTable] * 3
+    for x in b.elements():
+        for y in b.elements():
+            assert g(x, y) == ProductCocycle(parts)(b.reduce((3 * x[0],)), b.reduce((3 * y[0],)))
 
 
 def test_transport_rejects_non_bijective_eta():

@@ -20,6 +20,22 @@ from .errors import InvalidParameter, NotBijective, ParseError
 from . import snf
 
 
+def power_by_squaring(op, identity, inverse, x, k: int):
+    """x^k under the associative op, by square-and-multiply: inverse(x)
+    once when k < 0, then one product per bit of |k| below its top bit and
+    one per set bit."""
+    if k < 0:
+        x, k = inverse(x), -k
+    acc = identity
+    while k:
+        if k & 1:
+            acc = op(acc, x)
+        k >>= 1
+        if k:
+            x = op(x, x)
+    return acc
+
+
 class AbelianCarrier:
     """An abelian group that a cocycle can live on: the carrier protocol.
 
@@ -259,43 +275,36 @@ class AbHom:
             raise InvalidParameter("homomorphisms do not compose")
         return AbHom(inner.domain, self.codomain, snf.mat_mul(self.matrix, inner.matrix))
 
-    def is_surjective(self) -> bool:
+    def _smith_form(self):
+        """(U, V, onto): U A V = D is the Smith form of the augmented matrix
+        A = [matrix | codomain relations], and onto says whether D starts
+        with codomain.n ones, that is whether self is surjective."""
         aug = [row[:] for row in self.matrix]
         for col in self.codomain.relation_columns():
             for i in range(self.codomain.n):
                 aug[i].append(col[i])
-        if not aug:
-            return True
-        _, d, _ = snf.smith_normal_form(aug)
+        u, d, v = snf.smith_normal_form(aug)
         diag = snf.diagonal_of(d)
-        return len(diag) >= self.codomain.n and all(x == 1 for x in diag[: self.codomain.n])
+        return u, v, len(diag) >= self.codomain.n and all(x == 1 for x in diag[: self.codomain.n])
+
+    def is_surjective(self) -> bool:
+        return self._smith_form()[2]
 
     def is_bijective(self) -> bool:
         # a surjection between groups with identical invariants is bijective
         # (finitely generated abelian groups are Hopfian)
-        return (
-            self.domain.invariant_factors == self.codomain.invariant_factors
-            and self.domain.free_rank == self.codomain.free_rank
-            and self.is_surjective()
-        )
+        return self.domain == self.codomain and self.is_surjective()
 
     def inverse(self) -> "AbHom":
-        if not self.is_bijective():
+        """The inverse, read off one Smith form: when self is bijective D
+        starts with the n x n identity (n = codomain.n), so A V[:, :n] U = I
+        and the first domain.n rows of V[:, :n] U send each codomain
+        generator to its preimage."""
+        u, v, onto = self._smith_form()
+        if not (onto and self.domain == self.codomain):
             raise NotBijective("homomorphism is not an isomorphism")
-        aug = [row[:] for row in self.matrix]
-        rel_cols = self.codomain.relation_columns()
-        for col in rel_cols:
-            for i in range(self.codomain.n):
-                aug[i].append(col[i])
-        cols = []
-        for j in range(self.codomain.n):
-            target = [1 if i == j else 0 for i in range(self.codomain.n)]
-            sol = snf.solve_integer(aug, target)
-            if sol is None:
-                raise NotBijective("no integral preimage for a codomain generator")
-            cols.append(sol[: self.domain.n])
-        matrix = [[cols[j][i] for j in range(self.codomain.n)] for i in range(self.domain.n)]
-        return AbHom(self.codomain, self.domain, matrix)
+        n = self.codomain.n
+        return AbHom(self.codomain, self.domain, snf.mat_mul([row[:n] for row in v[: self.domain.n]], u))
 
     def kernel_is_trivial(self) -> bool:
         gens = _preimage_subgroup_generators(self, 0)

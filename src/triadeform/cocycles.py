@@ -18,11 +18,16 @@ implement it, so nothing here asks which carrier it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
-from .abgroups import AbHom, FgAbelian
+from .abgroups import AbHom, FgAbelian, power_by_squaring
 from .errors import DomainMismatch, InvalidParameter, NotBijective, ParseError, TooLarge, UnsupportedCodomain
 from .rings import parse_ring
+
+# The largest |B| that a FunctionTable holds, and so that transport_cocycle
+# materialises.
+TABLE_LIMIT = 256
 
 
 # ---------------------------------------------------------------------------
@@ -52,16 +57,7 @@ def ext_pow(f: "SymCocycle2", x, k: int):
     which holds exactly when f satisfies the cocycle identity: f must be a
     cocycle (build_extension verifies this).
     """
-    if k < 0:
-        x, k = ext_inv(f, x), -k
-    acc = ext_identity(f)
-    while k:
-        if k & 1:
-            acc = ext_mul(f, acc, x)
-        k >>= 1
-        if k:
-            x = ext_mul(f, x, x)
-    return acc
+    return power_by_squaring(partial(ext_mul, f), ext_identity(f), partial(ext_inv, f), x, k)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +283,13 @@ def trivial_cocycle(domain, codomain) -> CarryCocycle:
 
 
 class FunctionTable(SymCocycle2):
-    """Explicit table over a finite domain of order at most 256."""
+    """Explicit table over a finite domain of order at most TABLE_LIMIT."""
 
     backend = "table"
 
     def __init__(self, domain, codomain, table: dict):
-        if not domain.is_finite or domain.order() > 256:
-            raise TooLarge("function tables require |B| <= 256")
+        if not domain.is_finite or domain.order() > TABLE_LIMIT:
+            raise TooLarge(f"function tables require |B| <= {TABLE_LIMIT}")
         self.domain = domain
         self.codomain = codomain
         self.table = dict(table)
@@ -746,12 +742,12 @@ def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
     """Transport g along isos psi: A -> A' and eta: B -> B'.
 
     The result evaluates as g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).  A
-    product is transported part by part.  Over B' of order at most 256 any
-    other backend is materialised in one pass: eta^-1 is applied once per
-    element of B', g once per pair and psi once per distinct value of g,
-    and the table is filled x-major in the order of B'.elements(), as
-    FunctionTable.from_callable fills it.  Over a larger or infinite B', g
-    is wrapped.
+    product is transported part by part.  Over B' of order at most
+    TABLE_LIMIT any other backend is materialised in one pass: eta^-1 is
+    applied once per element of B', g once per pair and psi once per
+    distinct value of g, and the table is filled x-major in the order of
+    B'.elements(), as FunctionTable.from_callable fills it.  Over a larger
+    or infinite B', g is wrapped.
     """
     if not isinstance(g.domain, FgAbelian) or not isinstance(g.codomain, FgAbelian):
         raise InvalidParameter("transport is defined for FgAbelian carriers")
@@ -766,7 +762,7 @@ def _transport(g: SymCocycle2, psi: AbHom, eta_inv: AbHom) -> SymCocycle2:
     if isinstance(g, ProductCocycle):
         return ProductCocycle([_transport(p, psi, eta_inv) for p in g.parts])
     new_domain, new_codomain = eta_inv.domain, psi.codomain
-    if not (new_domain.is_finite and new_domain.order() <= 256):
+    if not (new_domain.is_finite and new_domain.order() <= TABLE_LIMIT):
         return TransportedCocycle(g, new_domain, new_codomain, psi.apply, eta_inv.apply)
     elems = list(new_domain.elements())
     pairs = list(zip(elems, map(eta_inv.apply, elems)))

@@ -9,12 +9,13 @@ the quadratic rings, so everything stays hashable and exactly comparable.
 The unit-group machinery treats R^x as a torsion-by-free abelian group with a
 single cyclic torsion factor and decides membership, decomposition, square
 testing and k-th roots by exact computation (continued fractions for the
-fundamental unit, discrete logs for residue rings, prime factorisation for
-Q^x).  Divisibility in the quadratic orders is decided by solving the 2x2
-integer linear system directly rather than by norm heuristics.  Each ring
-answers for itself whether it is an integral domain, whether an element lies
-in the ideal some elements generate, and the exponents of a unit, so no
-other module branches on a ring's class.
+fundamental unit, one shared torsion-log table {g^k: k} of the torsion
+generator g, prime factorisation for Q^x).  Divisibility in the quadratic
+orders is decided by solving the 2x2 integer linear system directly rather
+than by norm heuristics.  Each ring answers for itself whether it is an
+integral domain, whether an element lies in the ideal some elements
+generate, and the exponents of a unit, so no other module branches on a
+ring's class.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .abgroups import AbelianCarrier
+from .abgroups import AbelianCarrier, power_by_squaring
 from .errors import (
     DivisionByZeroDivisor,
     InvalidParameter,
@@ -115,15 +116,7 @@ class Ring:
         raise NotImplementedError
 
     def unit_pow(self, x: Elem, k: int) -> Elem:
-        if k < 0:
-            x, k = self.inv(x), -k
-        out = self.one
-        while k:
-            if k & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            k >>= 1
-        return out
+        return power_by_squaring(self.mul, self.one, self.inv, x, k)
 
     def divides(self, a: Elem, b: Elem) -> bool:
         """Whether a | b, i.e. b = a*c for some ring element c."""
@@ -188,15 +181,14 @@ class Ring:
         raise NotImplementedError
 
     def unit_exponents(self, units: "UnitGroupStruct", x: Elem) -> tuple[tuple[int, ...], dict]:
-        """Exponents of the unit x over the generators of units, computed
-        afresh.  This default matches powers of the torsion generator, which
-        is all of R^x when R^x is finite."""
-        acc = self.one
-        for k in range(units.torsion_order):
-            if acc == x:
-                return ((k,) if units.torsion_factors else (), {})
-            acc = self.mul(acc, units.torsion_generator)
-        raise NotAUnit(f"{x!r} is not a unit in {self.spec}")
+        """Exponents of the unit x over the generators of units.  This
+        default looks x up among the powers of the torsion generator, which
+        are all of R^x when R^x is finite."""
+        try:
+            k = units.torsion_log()[self.ensure(x)]
+        except KeyError:
+            raise NotAUnit(f"{x!r} is not a unit in {self.spec}") from None
+        return ((k,) if units.torsion_factors else (), {})
 
     # -- parsing / formatting / JSON --------------------------------------
     def parse_elem(self, text: str) -> Elem:
@@ -444,7 +436,6 @@ class IntegersMod(Ring):
             raise InvalidParameter(f"modulus must be at least 2, got {m}")
         self.m = m
         self.spec = f"Z/{m}"
-        self._dlog: dict[int, int] | None = None
         self._units: list[int] | None = None
 
     zero = zero_cmp = 0
@@ -531,23 +522,6 @@ class IntegersMod(Ring):
         )
         return UnitGroupStruct(self, order, gen, (), COMPLETE)
 
-    def discrete_log(self, x: int) -> int:
-        if self._dlog is None:
-            struct = self.unit_group()
-            table, acc = {}, 1
-            for k in range(struct.torsion_order):
-                table[acc] = k
-                acc = self.mul(acc, struct.torsion_generator)
-            self._dlog = table
-        try:
-            return self._dlog[x % self.m]
-        except KeyError as exc:
-            raise NotAUnit(f"{x} is not a unit in {self.spec}") from exc
-
-    def unit_exponents(self, units, x):
-        t = self.discrete_log(x)
-        return ((t,) if units.torsion_factors else (), {})
-
     def parse_elem(self, text):
         try:
             return int(text.strip()) % self.m
@@ -600,11 +574,6 @@ def _trial_factor(n: int) -> dict[int, int]:
 def _totient(factors: dict[int, int]) -> int:
     """Euler's phi of the number whose prime factorisation is factors."""
     return math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
-
-
-_QUAD_TERM = re.compile(
-    r"^\s*(?P<a>[+-]?\d+)?\s*(?P<rest>(?P<sign>[+-])?\s*(?:(?P<b>\d+)\s*\*\s*)?(?P<sym>sqrt\(\s*(?P<d>-?\d+)\s*\)|i))?\s*$"
-)
 
 
 class QuadraticOrder(Ring):
@@ -884,6 +853,7 @@ class UnitGroupStruct(AbelianCarrier):
         self.free_basis = tuple(free_basis)
         self.basis_mode = basis_mode
         self._decomp_cache: dict[Any, tuple[tuple[int, ...], dict]] = {}
+        self._torsion_log: dict | None = None
 
     # -- group carrier interface -----------------------------------------
     @property
@@ -933,11 +903,18 @@ class UnitGroupStruct(AbelianCarrier):
     def elements(self) -> list:
         if not self.is_finite:
             raise InvalidParameter("unit group is infinite")
-        out, acc = [], self.ring.one
-        for _ in range(self.torsion_order):
-            out.append(acc)
-            acc = self.ring.mul(acc, self.torsion_generator)
-        return out
+        return list(self.torsion_log())
+
+    def torsion_log(self) -> dict:
+        """{g^k: k for 0 <= k < torsion_order} for the torsion generator g,
+        in the order of k, built once."""
+        if self._torsion_log is None:
+            table, acc = {}, self.ring.one
+            for k in range(self.torsion_order):
+                table[acc] = k
+                acc = self.ring.mul(acc, self.torsion_generator)
+            self._torsion_log = table
+        return self._torsion_log
 
     # -- decomposition -----------------------------------------------------
     def decompose(self, x) -> tuple[tuple[int, ...], dict]:
@@ -1044,7 +1021,7 @@ def eval_psi(ring: Ring, s: int, lam, alpha, beta, delta, a) -> bool:
     Membership in B is a precondition (NotInSubgroupB); the two inequations
     are conjuncts and yield False.
     """
-    if not (isinstance(ring, QuadraticOrder) and ring.d > 0):
+    if ring.is_finite or not ring.unit_group().free_basis:
         raise InvalidParameter(f"eval_psi needs a real quadratic order, got {ring.spec}")
     if s < 1:
         raise InvalidParameter(f"need s >= 1, got {s}")

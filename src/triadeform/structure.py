@@ -300,34 +300,17 @@ def commutator_width_check(fg: FiniteGroup, bound: int) -> WidthReport:
 # Fitting subgroup by brute force
 
 
-def _chain_certifies_nonnilpotent(fg: FiniteGroup, start: int, partner: int) -> bool:
-    """Follow u -> [u, partner]; a cycle avoiding 1 certifies non-nilpotency."""
-    u = start
-    seen = set()
-    while u != fg.identity_index:
-        if u in seen:
-            return True
-        seen.add(u)
-        u = fg.comm_idx(u, partner)
-    return False
-
-
-def _certificate_ncl_nonnilpotent(fg: FiniteGroup, g: int) -> bool:
-    """Sound fast path: iterated commutators inside the normal closure of g
-    that cycle without reaching 1 rule out nilpotency at any class."""
-    for h in fg.generator_indices:
-        x = fg.conj_idx(g, h)
-        u = fg.comm_idx(g, x)
-        if u != fg.identity_index and _chain_certifies_nonnilpotent(fg, u, g):
-            return True
-    return False
-
-
-def _certificate_join_nonnilpotent(fg: FiniteGroup, base_gens: list[int], g: int) -> bool:
-    for f in base_gens:
-        u = fg.comm_idx(f, g)
-        if u != fg.identity_index and _chain_certifies_nonnilpotent(fg, u, g):
-            return True
+def _certifies_nonnilpotent(fg: FiniteGroup, firsts, g: int) -> bool:
+    """Sound fast path: for each first commutator u, taken from the iterable
+    firsts in its order, follow u -> [u, g]; a cycle that avoids 1 rules out
+    nilpotency at any class of a subgroup holding u and g."""
+    for u in firsts:
+        seen = set()
+        while u != fg.identity_index:
+            if u in seen:
+                return True
+            seen.add(u)
+            u = fg.comm_idx(u, g)
     return False
 
 
@@ -374,7 +357,8 @@ def brute_force_fitting(fg: FiniteGroup, class_bound: int) -> FittingReport:
         if g in verdicts:
             continue
         cls_members = fg.conjugacy_class(g)
-        if _certificate_ncl_nonnilpotent(fg, g):
+        firsts = (fg.comm_idx(g, fg.conj_idx(g, h)) for h in fg.generator_indices)
+        if _certifies_nonnilpotent(fg, firsts, g):
             verdict = False
             fast_rejections += 1
         else:
@@ -396,7 +380,7 @@ def brute_force_fitting(fg: FiniteGroup, class_bound: int) -> FittingReport:
         if g in fitting or g in checked_classes:
             continue
         checked_classes.update(fg.conjugacy_class(g))
-        if _certificate_join_nonnilpotent(fg, base_gens, g):
+        if _certifies_nonnilpotent(fg, (fg.comm_idx(f, g) for f in base_gens), g):
             continue
         join = set(closed)
         fg._adjoin(join, list(base_gens), g)

@@ -51,6 +51,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from .abgroups import power_by_squaring
 from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, is_coboundary, verify_cocycle
 from .config import DEFAULT_SEED
 from .errors import DomainMismatch, InvalidParameter, NotAUnit, ParseError, TooLarge
@@ -357,12 +358,12 @@ class TriMatrixGroup(TriangularGroup):
         if not (n_rows and all(isinstance(row, list) and len(row) == n for row in data)):
             raise ParseError(f"field {path!r} must be {n} rows of {n} entries, got {data!r}")
         at = lambda i, j: f"{path}[{i}][{j}]"
-        rows = [[self._unit_at(v, at(i, j)) if i == j else _elem(r, v, at(i, j)) for j, v in enumerate(row)]
-                for i, row in enumerate(data)]
+        rows = tuple(tuple(self._unit_at(v, at(i, j)) if i == j else _elem(r, v, at(i, j)) for j, v in enumerate(row))
+                     for i, row in enumerate(data))
         for i, j in itertools.combinations(range(n), 2):
             if rows[j][i] != r.zero_cmp:
                 raise InvalidParameter(f"field {at(j, i)!r} is below the diagonal and must be 0, got {r.format_elem(rows[j][i])}")
-        return TriMatrix(r, rows)
+        return TriMatrix._trusted(r, rows)
 
     def __eq__(self, other):
         return isinstance(other, TriMatrixGroup) and self.ring == other.ring and self.n == other.n
@@ -641,16 +642,7 @@ class DeformedGroup(TriangularGroup):
 
     def power(self, g: DeformedElem, k: int) -> DeformedElem:
         """g^k by square-and-multiply."""
-        if k < 0:
-            g, k = self.inverse(g), -k
-        acc = self.identity
-        while k:
-            if k & 1:
-                acc = self.op(acc, g)
-            k >>= 1
-            if k:
-                g = self.op(g, g)
-        return acc
+        return power_by_squaring(self.op, self.identity, self.inverse, g, k)
 
     # -- size and enumeration -------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Finitely generated abelian groups, homomorphisms, Ext, and purity."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triadeform import AbHom, FgAbelian, InvalidParameter, ext_group, is_pure_subgroup
+from triadeform.abgroups import power_by_squaring
+from triadeform.errors import NotBijective
 
 
 def test_kernel_basis_width_is_checked(monkeypatch):
@@ -169,6 +172,100 @@ def test_hom_bijectivity_and_inverse():
         assert inv.apply(shear.apply(x)) == g.reduce(x)
     proj = AbHom(g, FgAbelian((2,)), [[1, 0, 0]])
     assert proj.is_surjective() and not proj.is_bijective()
+
+
+def test_power_by_squaring_makes_one_product_per_bit():
+    for k in range(-40, 41):
+        products, inverses = [], []
+        power = power_by_squaring(lambda a, b: products.append(1) or a + b, 0, lambda a: inverses.append(1) or -a, 3, k)
+        assert power == 3 * k and len(inverses) == (k < 0)
+        assert len(products) == (abs(k).bit_length() - 1 + bin(k).count("1") if k else 0)
+
+
+# the invariant-factor shapes of rank at most 3, free rank included
+SMALL_SHAPES = [
+    ((2,), 0), ((4,), 0), ((6,), 0), ((), 1), ((2, 2), 0), ((2, 4), 0), ((3, 6), 0),
+    ((2,), 1), ((4,), 1), ((), 2), ((2, 2, 2), 0), ((2, 4, 8), 0), ((2, 6), 1), ((3,), 2), ((), 3),
+]
+
+
+def _seeded_hom(rng, g):
+    """A random well-defined endomorphism of g: torsion rows scaled so the
+    torsion relations hold, torsion columns zero on the free rows."""
+    d = g.invariant_factors
+    matrix = []
+    for i in range(g.n):
+        row = []
+        for j in range(g.n):
+            v = rng.randint(-3, 3)
+            if j < g.k:
+                v = v * (d[i] // math.gcd(d[i], d[j])) if i < g.k else 0
+            row.append(v)
+        matrix.append(row)
+    return AbHom(g, g, matrix)
+
+
+def _inverse_by_solving(hom):
+    """The inverse matrix restated with one snf.solve_integer per codomain
+    generator on [matrix | codomain relations]."""
+    from triadeform import snf
+
+    rels = hom.codomain.relation_columns()
+    aug = [row + [col[i] for col in rels] for i, row in enumerate(hom.matrix)]
+    n = hom.codomain.n
+    cols = [snf.solve_integer(aug, [int(i == j) for i in range(n)])[: hom.domain.n] for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(hom.domain.n)]
+
+
+def test_inverse_equals_the_per_generator_solutions():
+    rng = random.Random(20261020)
+    inverted = 0
+    for factors, free in SMALL_SHAPES:
+        g = FgAbelian(factors, free)
+        for _ in range(40):
+            hom = _seeded_hom(rng, g)
+            if not hom.is_bijective():
+                with pytest.raises(NotBijective):
+                    hom.inverse()
+                continue
+            inv = hom.inverse()
+            assert inv.matrix == _inverse_by_solving(hom)
+            for x in (g.sample(rng) for _ in range(5)):
+                assert inv.apply(hom.apply(x)) == x and hom.apply(inv.apply(x)) == x
+            inverted += 1
+    assert inverted > 150
+
+
+def test_inverse_computes_one_smith_form(monkeypatch):
+    from triadeform import snf
+
+    g = FgAbelian((2, 4), 1)
+    shear = AbHom(g, g, [[1, 0, 1], [2, 1, 3], [0, 0, -1]])
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda m: calls.append(m) or smith(m))
+    inv = shear.inverse()
+    assert len(calls) == 1
+    for x in [(1, 3, 5), (0, 2, -7), (1, 1, 0)]:
+        assert inv.apply(shear.apply(x)) == x
+
+
+@pytest.mark.parametrize(
+    "hom",
+    [
+        AbHom(FgAbelian((2, 4), 1), FgAbelian((2,)), [[1, 0, 0]]),
+        AbHom(FgAbelian((), 1), FgAbelian((), 1), [[2]]),
+        AbHom(FgAbelian((2,)), FgAbelian((4,)), [[2]]),
+        AbHom(FgAbelian((4,)), FgAbelian((4,)), [[2]]),
+        AbHom(FgAbelian((2, 2)), FgAbelian((2, 2)), [[1, 1], [1, 1]]),
+        AbHom(FgAbelian((), 2), FgAbelian((), 1), [[1, 0]]),
+        AbHom(FgAbelian((4,)), FgAbelian((), 1), [[0]]),
+    ],
+)
+def test_inverse_of_a_map_that_is_not_bijective_raises(hom):
+    assert not hom.is_bijective()
+    with pytest.raises(NotBijective):
+        hom.inverse()
 
 
 # ---------------------------------------------------------------------------

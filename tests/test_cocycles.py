@@ -854,12 +854,30 @@ def test_transport_of_a_product_checks_the_isomorphisms_once(monkeypatch):
 
         monkeypatch.setattr(AbHom, name, counted)
     g = transport_cocycle(ProductCocycle(parts), AbHom.identity(a), eta)
-    # psi and eta checked once each, and eta once more inside its inverse
-    assert counts == {"is_bijective": 3, "inverse": 1}
+    # psi and eta checked once each; the inverse reads its Smith form itself
+    assert counts == {"is_bijective": 2, "inverse": 1}
     assert [type(p) for p in g.parts] == [FunctionTable] * 3
     for x in b.elements():
         for y in b.elements():
             assert g(x, y) == ProductCocycle(parts)(b.reduce((3 * x[0],)), b.reduce((3 * y[0],)))
+
+
+def test_carry_transport_computes_three_smith_forms(monkeypatch):
+    from triadeform import snf
+
+    b, a = FgAbelian((2, 4)), FgAbelian((4,))
+    f = CarryCocycle(b, a, {0: (1,), 1: (3,)})
+    psi, eta = AbHom(a, a, [[3]]), AbHom(b, b, [[1, 0], [2, 1]])
+    calls = []
+    smith = snf.smith_normal_form
+    monkeypatch.setattr(snf, "smith_normal_form", lambda m: calls.append(m) or smith(m))
+    g = transport_cocycle(f, psi, eta)
+    # psi's check, eta's check and eta's inverse
+    assert len(calls) == 3
+    for x in b.elements():
+        for y in b.elements():
+            # eta is an involution, so it is its own inverse
+            assert g(x, y) == psi.apply(f(eta.apply(x), eta.apply(y)))
 
 
 def test_transport_rejects_non_bijective_eta():

@@ -637,10 +637,72 @@ def test_psi_matches_independent_oracle_on_seeded_instances(ring_sqrt2, rng):
 
 
 def test_psi_needs_real_quadratic_order():
-    with pytest.raises(InvalidParameter):
+    refuses = "eval_psi needs a real quadratic order"
+    with pytest.raises(InvalidParameter, match=refuses):
         eval_psi(parse_ring("Z"), 1, 2, 3, 5, 7, 1)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match=refuses):
         eval_psi(parse_ring("Z[i]"), 1, (0, 1), (1, 0), (1, 0), (1, 0), (1, 0))
+    with pytest.raises(InvalidParameter, match=refuses):
+        eval_psi(parse_ring("Q"), 1, Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(1))
+    for spec in ("Z/7", "Z/8"):
+        # (Z/8)^x is not cyclic: the refusal comes before any unit group
+        with pytest.raises(InvalidParameter, match=refuses):
+            eval_psi(parse_ring(spec), 1, 3, 5, 3, 5, 1)
+    with pytest.raises(InvalidParameter, match=refuses):
+        eval_psi(parse_ring("Z[sqrt(-5)]"), 1, (-1, 0), (1, 0), (-1, 0), (1, 0), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "ring, xs",
+    [
+        (IntegersMod(7), [3, 5]),
+        (IntegersMod(12), [5, 7, 11]),
+        (IntegersMod(25), [2, 24]),
+        (RationalField(), [Fraction(-2, 3), Fraction(5)]),
+        (QuadraticOrder(2), [(1, 1), (-3, 2)]),
+        (GaussianIntegers(), [(0, 1), (-1, 0)]),
+        (IntegerRing(), [-1]),
+    ],
+)
+def test_unit_pow_equals_repeated_products(ring, xs):
+    for x in xs:
+        for k in range(-12, 13):
+            step = ring.inv(x) if k < 0 else x
+            acc = ring.one
+            for _ in range(abs(k)):
+                acc = ring.mul(acc, step)
+            assert ring.unit_pow(x, k) == acc
+
+
+def test_shifted_residues_decompose_as_a_linear_walk():
+    cyclic = 0
+    for m in range(2, 200):
+        ring = IntegersMod(m)
+        try:
+            units = ring.unit_group()
+        except InvalidParameter:
+            continue  # (Z/m)^x is not cyclic
+        cyclic += 1
+        walk, acc = [], 1
+        for _ in range(units.torsion_order):
+            walk.append(acc)
+            acc = acc * units.torsion_generator % m
+        assert units.elements() == walk
+        for x in ring.units():
+            t = walk.index(x)
+            expected = ((t,) if units.torsion_factors else (), {})
+            assert units.decompose(x + m) == units.decompose(x - 3 * m) == expected
+    # (Z/m)^x is cyclic exactly for m = 2, 4, p^k and 2 p^k with p an odd prime
+    assert cyclic == sum(1 for m in range(2, 200) if m in (2, 4) or _odd_prime_power(m) or _odd_prime_power(m // 2) and m % 4 == 2)
+
+
+def _odd_prime_power(m):
+    p = next((q for q in range(3, m + 1) if m % q == 0), None)
+    if p is None or m % 2 == 0:
+        return False
+    while m % p == 0:
+        m //= p
+    return m == 1
 
 
 def test_compose_inverts_decompose_on_sampled_units(rng):

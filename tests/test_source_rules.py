@@ -72,6 +72,18 @@ def test_ring_classes_are_named_in_rings_only():
     assert found == set()
 
 
+def test_one_square_and_multiply_loop():
+    # powers in R^x, in E(f) and in the deformed groups all call
+    # abgroups.power_by_squaring, the one loop that halves an exponent
+    found = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)
+    ]
+    assert found == ["abgroups.py"]
+
+
 def test_fologic_recurses_only_where_the_parser_bounds_the_depth():
     # the call graph of fologic (calls to module functions, and to methods
     # through self) has cycles only in the parser's descent and in the

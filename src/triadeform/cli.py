@@ -135,7 +135,6 @@ def cmd_ring(args, cfg: Config) -> CheckReport:
             "value": verdict,
         }
         return CheckReport("ring psi", "psi-pred", verdict, data)
-    raise ParseError(f"unknown ring subcommand {args.ring_cmd!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,6 @@ def cmd_cocycle(args, cfg: Config) -> CheckReport:
         except TriadeformError:
             payload = {"materialized": False, "kind": type(out).__name__}
         return CheckReport("cocycle transport", "transport", True, {"result": payload})
-    raise ParseError(f"unknown cocycle subcommand {args.cocycle_cmd!r}")
 
 
 def _hom_from_json(data, flag: str) -> abgroups.AbHom:
@@ -246,7 +244,6 @@ def cmd_group(args, cfg: Config) -> CheckReport:
         if args.list_elements:
             data["elements"] = [group.elem_to_json(g) for g in elems]
         return CheckReport("group enumerate", "enumeration", True, data)
-    raise ParseError(f"unknown group subcommand {args.group_cmd!r}")
 
 
 def _fn_identity_report(group, args, cfg: Config) -> CheckReport:
@@ -351,7 +348,6 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
     if args.structure_cmd == "theta":
         verdict = structure.torsion_split_check(group, args.index)
         return CheckReport("structure theta", "theta-split", verdict, {"i": args.index, "splits": verdict})
-    raise ParseError(f"unknown structure subcommand {args.structure_cmd!r}")
 
 
 def _description_report(group, desc, name: str, lemma: str, brute) -> CheckReport:
@@ -416,7 +412,6 @@ def cmd_fo(args, cfg: Config) -> CheckReport:
             value, atoms = fologic.eval_with_stats(model, phi, assignment, budget=cfg.quantifier_budget)
             data = {"value": value, "atoms_evaluated": atoms, "path": "naive"}
         return CheckReport("fo eval", "fo-eval", value, data)
-    raise ParseError(f"unknown fo subcommand {args.fo_cmd!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +543,7 @@ def main(argv=None) -> int:
             output=getattr(args, "output", DEFAULT_OUTPUT),
         )
         report = _DISPATCH[args.cmd](args, cfg)
+        text = report.render(cfg.output)
     except (TriadeformError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -555,7 +551,7 @@ def main(argv=None) -> int:
         import traceback  # a fault in the library, not in the input
         traceback.print_exc()
         return 3
-    print(report.render(cfg.output))
+    print(text)
     return 0 if report.ok else 1
 
 

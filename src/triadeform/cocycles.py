@@ -65,7 +65,8 @@ def ext_pow(f: "SymCocycle2", x, k: int):
 
 
 class PsiMap:
-    """Function psi: B -> A with psi(1) = 1; used as coboundary data."""
+    """Function psi: B -> A with psi(1) = 1; used as coboundary data.
+    inverse() is b -> psi(b)^-1, as a map of the same kind."""
 
     domain: Any
     codomain: Any
@@ -73,8 +74,11 @@ class PsiMap:
     def __call__(self, b):
         raise NotImplementedError
 
-    def to_json(self):
+    def inverse(self) -> "PsiMap":
         raise NotImplementedError
+
+    def to_json(self):
+        raise InvalidParameter(f"{type(self).__name__} has no document form")
 
 
 class DictPsi(PsiMap):
@@ -91,6 +95,10 @@ class DictPsi(PsiMap):
             return self.table[b]
         except KeyError:
             raise InvalidParameter(f"psi table has no entry for {self.domain.format_elem(b)}") from None
+
+    def inverse(self) -> "DictPsi":
+        inv = self.codomain.inverse
+        return DictPsi(self.domain, self.codomain, {b: inv(a) for b, a in self.table.items()})
 
     def to_json(self):
         return {
@@ -127,6 +135,11 @@ class MonomialPsi(PsiMap):
             if key in self.free_bases:
                 out = self.codomain.op(out, self.codomain.power(self.free_bases[key], e))
         return out
+
+    def inverse(self) -> "MonomialPsi":
+        inv = self.codomain.inverse
+        torsion = {idx: inv(a) for idx, a in self.torsion_bases.items()}
+        return MonomialPsi(self.domain, self.codomain, torsion, {key: inv(a) for key, a in self.free_bases.items()})
 
     def to_json(self):
         return {
@@ -171,24 +184,11 @@ class SplitSectionPsi(PsiMap):
         self._cache[b] = acc[1]
         return acc[1]
 
-    def to_json(self):
-        return {
-            "type": "section",
-            "roots": {str(idx): self.codomain.elem_to_json(a) for idx, a in self.roots.items()},
-        }
-
-
-class InvertedPsi(PsiMap):
-    def __init__(self, psi: PsiMap):
-        self.psi = psi
-        self.domain = psi.domain
-        self.codomain = psi.codomain
-
-    def __call__(self, b):
-        return self.codomain.inverse(self.psi(b))
-
-    def to_json(self):
-        return {"type": "inverted", "psi": self.psi.to_json()}
+    def inverse(self) -> "SplitSectionPsi":
+        """The section of f^-1 through the inverted roots: the walk on B is
+        the same in E(f^-1), and A is abelian, so each A-part is inverted."""
+        inv = self.codomain.inverse
+        return SplitSectionPsi(cocycle_inverse(self.cocycle), {idx: inv(y) for idx, y in self.roots.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -726,15 +726,19 @@ def cocycle_product(f: SymCocycle2, g: SymCocycle2) -> SymCocycle2:
 
 
 def cocycle_inverse(f: SymCocycle2) -> SymCocycle2:
+    """The pointwise inverse of f, in f's own backend.  A transport's psi is
+    a homomorphism, so a transport inverts through its base."""
     a_grp = f.codomain
     if isinstance(f, CarryCocycle):
         return CarryCocycle(f.domain, a_grp, {i: a_grp.inverse(c) for i, c in f.targets.items()})
     if isinstance(f, FunctionTable):
         return FunctionTable(f.domain, a_grp, {k: a_grp.inverse(v) for k, v in f.table.items()})
     if isinstance(f, CoboundaryOf):
-        return CoboundaryOf(f.domain, a_grp, InvertedPsi(f.psi))
+        return CoboundaryOf(f.domain, a_grp, f.psi.inverse())
     if isinstance(f, ProductCocycle):
         return ProductCocycle([cocycle_inverse(p) for p in f.parts])
+    if isinstance(f, TransportedCocycle):
+        return TransportedCocycle(cocycle_inverse(f.base), f.domain, a_grp, f.psi_apply, f.eta_inv_apply)
     raise InvalidParameter(f"cannot invert backend {f.backend!r} structurally")
 
 

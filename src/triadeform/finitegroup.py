@@ -301,7 +301,7 @@ def from_group(group) -> FiniteGroup:
     """Index a group with elements()/op/inverse/identity/generating_set(),
     such as a finite triangular group, as a FiniteGroup."""
     return FiniteGroup(
-        group.elements(),
+        list(group.elements()),  # listed first, so the size bound fires before generators are sought
         group.op,
         group.identity,
         inverse=group.inverse,

@@ -60,8 +60,6 @@ def _json_int(value) -> int:
 
 
 def _is_squarefree(d: int) -> bool:
-    if d in (0,):
-        return False
     return all(e == 1 for e in _factorint(abs(d)).values())
 
 
@@ -551,6 +549,9 @@ class IntegersMod(Ring):
 # square, 10^12, in at most half a million steps, and raises TooLarge for
 # larger n that it cannot finish, where the steps would grow as sqrt(n).
 TRIAL_DIVISION_LIMIT = 10**6
+# The largest torsion order that UnitGroupStruct.torsion_log tables, one
+# entry per unit, so its time and memory grow with it.
+TORSION_LOG_LIMIT = 10**6
 
 
 def _trial_factor(n: int) -> dict[int, int]:
@@ -907,8 +908,10 @@ class UnitGroupStruct(AbelianCarrier):
 
     def torsion_log(self) -> dict:
         """{g^k: k for 0 <= k < torsion_order} for the torsion generator g,
-        in the order of k, built once."""
+        in the order of k, built once; TooLarge above TORSION_LOG_LIMIT."""
         if self._torsion_log is None:
+            if self.torsion_order > TORSION_LOG_LIMIT:
+                raise TooLarge(f"a torsion log of order {self.torsion_order} exceeds {TORSION_LOG_LIMIT}")
             table, acc = {}, self.ring.one
             for k in range(self.torsion_order):
                 table[acc] = k

@@ -38,16 +38,13 @@ from .trigroup import DeformedGroup
 
 
 class UnitDiffIdeal:
-    """Ideal of R generated by {1 - u : u a unit of R}."""
+    """Ideal of R generated by {1 - u : u a unit of R}, or by 1 - g over the generators g
+    of R^x alone, as 1 - gh = (1 - g) + g(1 - h) and 1 - g^-1 = -g^-1 (1 - g)."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
-        if ring.is_finite:
-            gens = [ring.sub(ring.one, u) for u in ring.units()]
-        else:
-            units = ring.unit_group()
-            basis = [units.torsion_generator] + list(units.free_basis)
-            gens = [ring.sub(ring.one, g) for g in basis]
+        units = ring.unit_group()
+        gens = [ring.sub(ring.one, g) for g in (units.torsion_generator, *units.free_basis)]
         self.generators = [g for g in gens if g != ring.zero]
 
     def contains(self, x) -> bool:

@@ -773,9 +773,8 @@ def _scalar_pool(ring: Ring, rng: random.Random, count: int) -> list:
 
 
 def _unit_pool(ring: Ring, rng: random.Random, count: int) -> list:
-    units = ring.units() if ring.is_finite else None
-    if units is not None and len(units) <= 8:
-        return list(units)
+    if ring.is_finite and ring.unit_count() <= 8:
+        return ring.units()
     pool = [ring.one, ring.neg(ring.one)]
     while len(pool) < count:
         pool.append(ring.random_unit(rng))

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report schema conformance, seeded reproducibility."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -846,6 +847,23 @@ def test_library_fault_exits_3_not_2(capsys, monkeypatch, group_file):
     rc, out, err = run(capsys, ["structure", "center", "--group", group_file({"ring": "Z/3", "n": 3})])
     assert rc == 3
     assert out == "" and "Traceback" in err and "KeyError: 'missing entry'" in err
+
+
+def test_a_subcommand_no_command_answers_exits_3(capsys, monkeypatch):
+    # argparse passes a command only the subcommands declared for it, so one
+    # that the command does not answer is a fault in the library
+    build_parser = triadeform.cli.build_parser
+
+    def parser_with_a_stray_subcommand():
+        parser = build_parser()
+        parse_args = parser.parse_args
+        parser.parse_args = lambda argv=None: argparse.Namespace(**{**vars(parse_args(argv)), "ring_cmd": "stray"})
+        return parser
+
+    monkeypatch.setattr(triadeform.cli, "build_parser", parser_with_a_stray_subcommand)
+    rc, out, err = run(capsys, ["ring", "info", "Z/3"])
+    assert rc == 3
+    assert out == "" and "Traceback" in err
 
 
 # ---------------------------------------------------------------------------

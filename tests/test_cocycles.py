@@ -40,6 +40,7 @@ from triadeform.cocycles import (
     DictPsi,
     ExtensionGroup,
     ProductCocycle,
+    SplitSectionPsi,
     SymCocycle2,
     TransportedCocycle,
     coboundary_defect,
@@ -902,6 +903,96 @@ def test_cocycle_json_round_trip():
     h = CarryCocycle(us, us, {0: (3, 2)})
     h2 = cocycle_from_json(h.to_json())
     assert h2((-1, 0), (-1, 0)) == h((-1, 0), (-1, 0)) == (3, 2)
+
+
+# ---------------------------------------------------------------------------
+# psi maps invert in kind, and every document written reads back
+
+
+def _readable_cocycles(b, a, rng):
+    """A cocycle of each backend that documents describe, on finite (B, A):
+    a carry, a table, and the coboundaries of a monomial and a table psi."""
+    torsion = range(len(b.torsion_factors))
+    carry = CarryCocycle(b, a, {i: a.sample(rng) for i in torsion})
+    monomial = CoboundaryOf(b, a, MonomialPsi(b, a, {i: a.sample(rng) for i in torsion}))
+    table_psi = CoboundaryOf(b, a, DictPsi(b, a, {x: a.sample(rng) for x in b.elements() if x != b.identity}))
+    return [carry, FunctionTable.from_callable(b, a, table_psi), monomial, table_psi]
+
+
+def test_built_cocycles_read_back_with_equal_values(rng):
+    # products, inverses and transports of cocycles that documents describe
+    # write documents that cocycle_from_json reads, with the same values
+    checked = 0
+    for b, a in itertools.product(map(FgAbelian, [(4,), (2, 4), (6,), (3,)]), repeat=2):
+        elems = list(b.elements())
+        fs = _readable_cocycles(b, a, rng)
+        psi, eta = _random_automorphism(a, rng), _random_automorphism(b, rng)
+        inverses = [cocycle_inverse(f) for f in fs]
+        for f, g in zip(fs, inverses):
+            assert all(g(x, y) == a.inverse(f(x, y)) for x in elems for y in elems), f.backend
+        built = inverses + [cocycle_product(f, g) for f, g in itertools.product(fs, repeat=2)]
+        built += [cocycle_inverse(cocycle_product(fs[0], fs[2])), cocycle_inverse(cocycle_product(fs[2], fs[3]))]
+        built += [transport_cocycle(f, psi, eta) for f in fs + built]
+        for g in built:
+            back = cocycle_from_json(json.loads(json.dumps(g.to_json())))
+            assert all(back(x, y) == g(x, y) for x in elems for y in elems), (b, a, g.to_json())
+            checked += 1
+    assert checked == 16 * 48
+
+
+def _psi_cases(rng):
+    """(psi, points): a monomial, a table and a section psi on each pair of
+    carriers, with points listing a finite domain or sampling an infinite
+    one.  The section is is_coboundary's witness for the monomial's
+    coboundary."""
+    z3, z4, z2z4, z6 = (FgAbelian(shape) for shape in ((3,), (4,), (2, 4), (6,)))
+    q, sqrt2, u7 = (unit_group(parse_ring(spec)) for spec in ("Q", "Z[sqrt(2)]", "Z/7"))
+    pairs = [(z4, z4), (z2z4, z4), (z6, z3), (FgAbelian((2,), 1), z4), (q, q), (sqrt2, sqrt2), (u7, u7), (z3, u7)]
+    for b, a in pairs:
+        points = list(b.elements()) if b.is_finite else [b.sample(rng) for _ in range(12)]
+        free_keys = sorted({key for x in points for key in b.decompose(x)[1]})
+        torsion = {i: _not_identity(a, rng) for i in range(len(b.torsion_factors))}
+        monomial = MonomialPsi(b, a, torsion, {key: _not_identity(a, rng) for key in free_keys})
+        table = DictPsi(b, a, {x: a.sample(rng) for x in points if x != b.identity})
+        section = is_coboundary(CoboundaryOf(b, a, monomial))
+        for psi in (monomial, table, section):
+            yield psi, points
+
+
+def test_psi_inverse_is_the_pointwise_inverse_in_kind(rng):
+    checked = 0
+    for psi, points in _psi_cases(rng):
+        b, a = psi.domain, psi.codomain
+        inv = psi.inverse()
+        assert type(inv) is type(psi)
+        for x in points:
+            assert inv(x) == a.inverse(psi(x)), (psi, x)
+            checked += 1
+        g = cocycle_inverse(CoboundaryOf(b, a, psi))
+        assert type(g.psi) is type(psi)
+        if b.is_finite:
+            f = CoboundaryOf(b, a, psi)
+            assert all(g(x, y) == a.inverse(f(x, y)) for x in points for y in points)
+        if isinstance(psi, SplitSectionPsi):
+            # a section is built from its cocycle and has no document form
+            with pytest.raises(InvalidParameter, match="no document form"):
+                g.to_json()
+        else:
+            back = cocycle_from_json(json.loads(json.dumps(g.to_json()))).psi
+            assert all(back(x) == inv(x) for x in points)
+    assert checked > 150
+
+
+def test_transported_cocycle_over_a_free_domain_inverts(rng):
+    b, a = FgAbelian((2,), 1), FgAbelian((4,))
+    f = CoboundaryOf(b, a, MonomialPsi(b, a, {0: (1,)}, {0: (1,)}))
+    g = transport_cocycle(f, AbHom(a, a, [[3]]), AbHom(b, b, [[1, 0], [0, -1]]))
+    inv = cocycle_inverse(g)
+    assert isinstance(g, TransportedCocycle) and isinstance(inv, TransportedCocycle)
+    xs = [b.sample(rng) for _ in range(12)]
+    assert any(g(x, y) != a.identity for x in xs for y in xs)
+    assert all(inv(x, y) == a.inverse(g(x, y)) for x in xs for y in xs)
+    assert is_coboundary(inv) is not None
 
 
 @pytest.fixture

@@ -447,6 +447,20 @@ def test_unit_group_of_a_modulus_beyond_trial_division_fails_fast():
     assert time.perf_counter() - start < 0.5
 
 
+def test_torsion_log_above_its_bound_fails_fast():
+    # the table holds one entry per unit; for (Z/1,000,003)^x it took 0.4 s
+    from triadeform.rings import TORSION_LOG_LIMIT
+
+    units = unit_group(IntegersMod(1_000_003))
+    assert units.torsion_order > TORSION_LOG_LIMIT
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="torsion log"):
+        units.decompose(2)
+    with pytest.raises(TooLarge, match="torsion log"):
+        units.elements()
+    assert time.perf_counter() - start < 0.05
+
+
 def test_units_list_is_computed_once_and_copied(monkeypatch):
     ring = IntegersMod(9)
     first = ring.units()

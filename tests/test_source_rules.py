@@ -122,3 +122,58 @@ def test_fologic_recurses_only_where_the_parser_bounds_the_depth():
     descent = {"formula", "disjunction", "conjunction", "unary", "quantifier", "atom", "term", "factor", "primary"}
     assert {"format_formula", "_Code.term", "_alpha_match"} <= set(calls)
     assert cyclic == {f"_Parser.{name}" for name in descent} | {"_Code.formula", "_Code.quantifier"}
+
+
+def _type_values(node) -> set:
+    """The strings under a "type" key in the dict displays inside node."""
+    return {
+        value.value
+        for d in ast.walk(node)
+        if isinstance(d, ast.Dict)
+        for key, value in zip(d.keys, d.values)
+        if isinstance(key, ast.Constant) and key.value == "type" and isinstance(value, ast.Constant)
+    }
+
+
+def test_every_document_type_written_is_read():
+    # the "type" values that the carrier, backend and psi writers emit are
+    # exactly those that carrier_from_json, _backend_from_json and
+    # _psi_from_json accept, so every document written reads back
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    classes = {node.name: node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    functions = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def descends(name, root):
+        return name == root or any(
+            isinstance(base, ast.Name) and base.id in classes and descends(base.id, root)
+            for base in classes[name].bases
+        )
+
+    def written(root, method):
+        return {
+            value
+            for name, cls in classes.items()
+            if descends(name, root)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name == method
+            for value in _type_values(item)
+        }
+
+    def read(reader):
+        return {
+            node.comparators[0].value
+            for node in ast.walk(functions[reader])
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name)
+            and node.left.id == "kind"
+            and isinstance(node.comparators[0], ast.Constant)
+        }
+
+    roles = [
+        ("AbelianCarrier", "to_json", "carrier_from_json"),
+        ("SymCocycle2", "backend_json", "_backend_from_json"),
+        ("PsiMap", "to_json", "_psi_from_json"),
+    ]
+    for root, method, reader in roles:
+        assert written(root, method) == read(reader) != set(), root
+

@@ -42,6 +42,7 @@ from triadeform import (
     unit_group,
 )
 from triadeform.errors import TooLarge
+from triadeform.rings import IntegersMod
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +90,47 @@ def test_ideal_with_trivial_units_is_zero():
     assert ideal.generators == []
     assert ideal.contains(0)
     assert not ideal.contains(1)
+
+
+def test_ideal_over_small_fields_equals_the_all_units_ideal(monkeypatch):
+    # the oracle takes 1 - u over every unit u of Z/p; the ideal takes it
+    # over the generators of R^x and never lists the units
+    def listing(ring):
+        raise AssertionError(f"{ring.spec} listed its units")
+
+    monkeypatch.setattr(IntegersMod, "units", listing)
+    for p in range(2, 200):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        g = math.gcd(p, *(1 - u for u in range(1, p)))
+        ideal = unit_diff_ideal(IntegersMod(p))
+        assert [ideal.contains(x) for x in range(p)] == [x % g == 0 for x in range(p)], p
+
+
+def test_ideal_needs_a_cyclic_unit_group():
+    # the ideal is read off the unit group, which (Z/8)^x = C2 x C2 lacks
+    with pytest.raises(InvalidParameter, match="not cyclic"):
+        unit_diff_ideal(parse_ring("Z/8"))
+
+
+def test_derived_description_of_a_large_field_fails_fast():
+    # listing the 1,000,002 units of Z/1,000,003 took about a second
+    group = TriMatrixGroup(IntegersMod(1_000_003), 3)
+    start = time.perf_counter()
+    derived = derived_description(group)
+    assert derived.contains(group.transvection(1, 2, 5))
+    assert not derived.contains(group.diagonal_gen(1, 2))
+    assert time.perf_counter() - start < 0.25
+
+
+def test_from_group_of_a_large_field_fails_fast():
+    # the size bound fires before the greedy scan of every unit that
+    # finds the generators
+    group = DeformedGroup(IntegersMod(1_000_003), 3)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="exceeds"):
+        from_group(group)
+    assert time.perf_counter() - start < 0.25
 
 
 # ---------------------------------------------------------------------------

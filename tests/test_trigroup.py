@@ -35,8 +35,8 @@ from triadeform import (
 )
 from triadeform.cocycles import DictPsi
 from triadeform.errors import ParseError, TooLarge
-from triadeform.rings import Ring
-from triadeform.trigroup import ENUMERATION_LIMIT
+from triadeform.rings import IntegersMod, Ring
+from triadeform.trigroup import ENUMERATION_LIMIT, _unit_pool
 
 
 def _twisted_f5(n=3, target=2):
@@ -904,3 +904,19 @@ def test_power_large_exponent_is_fast(rng):
     assert time.perf_counter() - start < 1.0
     assert big == g.power(x, 10**6 % g.element_order(x))
     assert big_t == q.transvection(1, 3, Fraction(-3 * 10**6, 2))
+
+
+def test_unit_pool_counts_the_units_before_it_lists_them(monkeypatch):
+    # a ring with at most 8 units gives them all; a larger one gives 1, -1
+    # and seeded draws, without listing its units
+    assert _unit_pool(IntegersMod(9), random.Random(1), 5) == [1, 2, 4, 5, 7, 8]
+    listed = []
+    units = IntegersMod.units
+    monkeypatch.setattr(IntegersMod, "units", lambda ring: listed.append(ring.m) or units(ring))
+    ring = IntegersMod(1_000_003)
+    start = time.perf_counter()
+    pool = _unit_pool(ring, random.Random(7), 6)
+    assert time.perf_counter() - start < 0.05
+    rng = random.Random(7)
+    assert pool == [1, 1_000_002] + [ring.random_unit(rng) for _ in range(4)]
+    assert listed == []

@@ -55,7 +55,9 @@ def ext_pow(f: "SymCocycle2", x, k: int):
 
     Regrouping the product into squares relies on E(f) being associative,
     which holds exactly when f satisfies the cocycle identity: f must be a
-    cocycle (build_extension verifies this).
+    cocycle.  build_extension checks a cocycle that is not one by
+    construction (SymCocycle2.is_cocycle_by_construction); this helper
+    checks nothing.
     """
     return power_by_squaring(partial(ext_mul, f), ext_identity(f), partial(ext_inv, f), x, k)
 
@@ -66,13 +68,19 @@ def ext_pow(f: "SymCocycle2", x, k: int):
 
 class PsiMap:
     """Function psi: B -> A with psi(1) = 1; used as coboundary data.
-    inverse() is b -> psi(b)^-1, as a map of the same kind."""
+    inverse() is b -> psi(b)^-1, as a map of the same kind.  is_total says
+    whether psi is defined on every element of B with values in A; the
+    coboundary of such a psi is a cocycle by construction."""
 
     domain: Any
     codomain: Any
 
     def __call__(self, b):
         raise NotImplementedError
+
+    @property
+    def is_total(self) -> bool:
+        return False
 
     def inverse(self) -> "PsiMap":
         raise NotImplementedError
@@ -95,6 +103,17 @@ class DictPsi(PsiMap):
             return self.table[b]
         except KeyError:
             raise InvalidParameter(f"psi table has no entry for {self.domain.format_elem(b)}") from None
+
+    @property
+    def is_total(self) -> bool:
+        """A finite B with every element a key, and every value in A."""
+        b_grp = self.domain
+        return (
+            b_grp.is_finite
+            and len(self.table) >= b_grp.order()
+            and all(b in self.table for b in b_grp.elements())
+            and all(map(self.codomain.contains, self.table.values()))
+        )
 
     def inverse(self) -> "DictPsi":
         inv = self.codomain.inverse
@@ -135,6 +154,12 @@ class MonomialPsi(PsiMap):
             if key in self.free_bases:
                 out = self.codomain.op(out, self.codomain.power(self.free_bases[key], e))
         return out
+
+    @property
+    def is_total(self) -> bool:
+        """Every b has canonical exponents and psi(b) multiplies powers of the
+        bases, so psi is total when the bases lie in A."""
+        return all(map(self.codomain.contains, [*self.torsion_bases.values(), *self.free_bases.values()]))
 
     def inverse(self) -> "MonomialPsi":
         inv = self.codomain.inverse
@@ -184,6 +209,14 @@ class SplitSectionPsi(PsiMap):
         self._cache[b] = acc[1]
         return acc[1]
 
+    @property
+    def is_total(self) -> bool:
+        """is_coboundary gives a root in A to every torsion factor, so each
+        value is the A-part of a product in E(f) of pairs whose A-parts are
+        roots and values of f: an element of A when f is a cocycle by
+        construction."""
+        return self.cocycle.is_cocycle_by_construction
+
     def inverse(self) -> "SplitSectionPsi":
         """The section of f^-1 through the inverted roots: the walk on B is
         the same in E(f^-1), and A is abelian, so each A-part is inverted."""
@@ -196,7 +229,18 @@ class SplitSectionPsi(PsiMap):
 
 
 class SymCocycle2:
-    """Symmetric normalised 2-cocycle B x B -> A."""
+    """Symmetric normalised 2-cocycle B x B -> A.
+
+    is_cocycle_by_construction says whether the backend is a symmetric
+    normalised cocycle because of how it was built, so that build_extension
+    and DeformedGroup need not verify it; every backend in this module
+    declares it in its own class body.  A carry with canonical targets is a
+    product of the standard factor sets of cyclic extensions; the coboundary
+    of a total normalised psi is one because B and A are abelian; pointwise
+    products of cocycles, and their transports along homomorphisms, are
+    cocycles (Brown, Cohomology of Groups, GTM 87, IV.3).  A table comes from
+    data and is not trusted.
+    """
 
     domain: Any
     codomain: Any
@@ -204,6 +248,10 @@ class SymCocycle2:
 
     def __call__(self, x, y):
         raise NotImplementedError
+
+    @property
+    def is_cocycle_by_construction(self) -> bool:
+        return False
 
     def to_json(self):
         return {
@@ -256,6 +304,22 @@ class CarryCocycle(SymCocycle2):
             if c != codomain.identity:
                 self.targets[idx] = c
 
+    @classmethod
+    def _trusted(cls, domain, codomain, targets: dict) -> "CarryCocycle":
+        """A carry on targets keyed by torsion factor indices of B that are
+        already canonical elements of A, without checking any of that;
+        identity targets are dropped."""
+        f = object.__new__(cls)
+        f.domain = domain
+        f.codomain = codomain
+        one = codomain.identity
+        f.targets = {idx: c for idx, c in targets.items() if c != one}
+        return f
+
+    @property
+    def is_cocycle_by_construction(self) -> bool:
+        return True
+
     def __call__(self, x, y):
         if not self.targets:
             return self.codomain.identity
@@ -294,6 +358,10 @@ class FunctionTable(SymCocycle2):
         self.codomain = codomain
         self.table = dict(table)
 
+    @property
+    def is_cocycle_by_construction(self) -> bool:
+        return False
+
     @classmethod
     def from_callable(cls, domain, codomain, fn) -> "FunctionTable":
         elems = list(domain.elements())
@@ -324,6 +392,13 @@ class CoboundaryOf(SymCocycle2):
         if psi(domain.identity) != codomain.identity:
             raise InvalidParameter("psi must be normalised: psi(1) = 1")
 
+    @property
+    def is_cocycle_by_construction(self) -> bool:
+        """When psi is a total map B -> A: a psi that lacks an entry raises
+        where it meets it, so verification must meet it first."""
+        psi = self.psi
+        return psi.domain == self.domain and psi.codomain == self.codomain and psi.is_total
+
     def __call__(self, x, y):
         a = self.psi(self.domain.op(x, y))
         a = self.codomain.op(a, self.codomain.inverse(self.psi(x)))
@@ -347,6 +422,10 @@ class ProductCocycle(SymCocycle2):
             if p.domain != self.domain or p.codomain != self.codomain:
                 raise DomainMismatch("product factors live on different groups")
 
+    @property
+    def is_cocycle_by_construction(self) -> bool:
+        return all(p.is_cocycle_by_construction for p in self.parts)
+
     def __call__(self, x, y):
         out = self.codomain.identity
         for p in self.parts:
@@ -362,7 +441,9 @@ class TransportedCocycle(SymCocycle2):
 
     Convention (fixed here once and for all): given g on (B, A) and isos
     psi: A -> A' and eta: B -> B', the transported cocycle on (B', A') is
-    g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).
+    g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).  psi_apply and eta_inv_apply
+    are trusted to be homomorphisms, so g' is a cocycle by construction when
+    g is.
     """
 
     backend = "transported"
@@ -376,6 +457,10 @@ class TransportedCocycle(SymCocycle2):
 
     def __call__(self, x, y):
         return self.psi_apply(self.base(self.eta_inv_apply(x), self.eta_inv_apply(y)))
+
+    @property
+    def is_cocycle_by_construction(self) -> bool:
+        return self.base.is_cocycle_by_construction
 
     def backend_json(self):
         raise InvalidParameter(
@@ -721,7 +806,7 @@ def cocycle_product(f: SymCocycle2, g: SymCocycle2) -> SymCocycle2:
         targets = dict(f.targets)
         for idx, c in g.targets.items():
             targets[idx] = f.codomain.op(targets[idx], c) if idx in targets else c
-        return CarryCocycle(f.domain, f.codomain, targets)
+        return CarryCocycle._trusted(f.domain, f.codomain, targets)
     return ProductCocycle([f, g])
 
 
@@ -730,7 +815,7 @@ def cocycle_inverse(f: SymCocycle2) -> SymCocycle2:
     a homomorphism, so a transport inverts through its base."""
     a_grp = f.codomain
     if isinstance(f, CarryCocycle):
-        return CarryCocycle(f.domain, a_grp, {i: a_grp.inverse(c) for i, c in f.targets.items()})
+        return CarryCocycle._trusted(f.domain, a_grp, {i: a_grp.inverse(c) for i, c in f.targets.items()})
     if isinstance(f, FunctionTable):
         return FunctionTable(f.domain, a_grp, {k: a_grp.inverse(v) for k, v in f.table.items()})
     if isinstance(f, CoboundaryOf):
@@ -840,7 +925,12 @@ class ExtensionGroup:
 
 
 def build_extension(f: SymCocycle2) -> ExtensionGroup:
-    report = verify_cocycle(f, trials=64, exhaustive_limit=16)
-    if not report.ok:
-        raise InvalidParameter(f"not a symmetric cocycle: failed {report.failure[0]}")
+    """E(f), for f checked where it enters the library: a cocycle by
+    construction (SymCocycle2.is_cocycle_by_construction) is taken as it is,
+    and any other is verified first, InvalidParameter naming the law it
+    fails."""
+    if not f.is_cocycle_by_construction:
+        report = verify_cocycle(f, trials=64, exhaustive_limit=16)
+        if not report.ok:
+            raise InvalidParameter(f"not a symmetric cocycle: failed {report.failure[0]}")
     return ExtensionGroup(f)

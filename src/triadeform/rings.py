@@ -188,6 +188,12 @@ class Ring:
             raise NotAUnit(f"{x!r} is not a unit in {self.spec}") from None
         return ((k,) if units.torsion_factors else (), {})
 
+    def unit_torsion_exponents(self, units: "UnitGroupStruct", x: Elem) -> tuple[int, ...]:
+        """The torsion part of unit_exponents alone.  This default decomposes
+        x fully; a ring that reads the torsion part more cheaply than the
+        free exponents answers it itself."""
+        return units.decompose(x)[0]
+
     # -- parsing / formatting / JSON --------------------------------------
     def parse_elem(self, text: str) -> Elem:
         raise NotImplementedError
@@ -401,6 +407,12 @@ class RationalField(Ring):
         free = _factorint(abs(frac.numerator))
         free.update({p: -e for p, e in _factorint(frac.denominator).items()})  # coprime: no prime twice
         return ((0 if frac > 0 else 1,), dict(sorted(free.items())))
+
+    def unit_torsion_exponents(self, units, x):
+        """The sign bit, found without factoring x."""
+        if not self.is_unit(x):
+            raise NotAUnit(f"{x!r} is not a unit in {self.spec}")
+        return (0 if x > 0 else 1,)
 
     def parse_elem(self, text):
         try:
@@ -703,6 +715,15 @@ class QuadraticOrder(Ring):
         e *= sign
         return ((t,), {0: e} if e else {})
 
+    def unit_torsion_exponents(self, units, x):
+        """Over a real order the sign bit under the real embedding, found
+        without the descent on the free exponent."""
+        if self.d < 0:
+            return super().unit_torsion_exponents(units, x)
+        if not self.is_unit(x):
+            raise NotAUnit(f"{x!r} is not a unit in {self.spec}")
+        return (1 if self.sign_real(x) < 0 else 0,)
+
     def parse_elem(self, text):
         return _parse_quadratic(self, text, f"sqrt({self.d})")
 
@@ -936,14 +957,10 @@ class UnitGroupStruct(AbelianCarrier):
         return result
 
     def torsion_exponents(self, x) -> tuple[int, ...]:
-        """decompose(x)[0] alone.  Over Q^x it is the sign bit, found without
-        factoring x; raises NotAUnit for non-units like decompose."""
-        if self.basis_mode != LAZY_PRIME_BASIS:
-            return self.decompose(x)[0]
-        if not self.ring.is_unit(x):
-            raise NotAUnit(f"{x!r} is not a unit in {self.ring.spec}")
-        t = 0 if x > 0 else 1
-        return (t,) if self.torsion_factors else ()
+        """decompose(x)[0] alone, as the ring reads it: over Q^x and a real
+        quadratic order it is the sign bit, found without the free
+        exponents; raises NotAUnit for non-units like decompose."""
+        return self.ring.unit_torsion_exponents(self, x)
 
     def compose(self, torsion_exps, free_exps) -> Elem:
         out = self.ring.one

@@ -33,8 +33,11 @@ check their arguments.  The internal products (op, inverse and their slot
 helpers) trust their operands; in the matrix picture products, inverses,
 the named generators, enumeration, sampling and the bridge build through
 the trusted TriMatrix._trusted.
-DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1;
-the constructor checks this on every unit when R^x is finite.
+DeformedGroup.twist assumes normalised cocycles, f(1, x) = f(x, 1) = 1.
+The constructor takes a cocycle by construction (a carry, the trivial ones
+included, a coboundary of a total psi, or a product or transport of such)
+as it is, and checks any other: the cocycle laws, and normalisation on
+every unit when R^x is finite.
 DeformedGroup.op keeps one entry for the last pair of torus tuples it saw
 (their product, twist and x2^-1), because a conjugation d^-1 t d meets the
 same pair again and again; the entry is matched by identity, which compares
@@ -431,7 +434,11 @@ class DeformedGroup(TriangularGroup):
     """T_n(R, f) for a tuple of cocycles f = (f_1, .., f_{n-1}) on R^x.
 
     cocycles=None means the untwisted group; this avoids requiring a cyclic
-    unit group, so untwisted groups exist over every supported ring.
+    unit group, so untwisted groups exist over every supported ring.  Each
+    cocycle must be a SymCocycle2 on (R^x, R^x).  One that is a cocycle by
+    construction (SymCocycle2.is_cocycle_by_construction), as every carry
+    is, is not read while the group is built; any other is verified, and
+    InvalidParameter names the law it fails and where.
     """
 
     def __init__(self, ring: Ring, n: int, cocycles=None):
@@ -459,6 +466,8 @@ class DeformedGroup(TriangularGroup):
                     raise InvalidParameter("cocycle entries must be SymCocycle2 instances")
                 if f.domain != units or f.codomain != units:
                     raise DomainMismatch("cocycles must map R^x pairs into R^x")
+                if f.is_cocycle_by_construction:
+                    continue
                 report = verify_cocycle(f, trials=32, exhaustive_limit=16)
                 if not report.ok:
                     raise InvalidParameter(f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}")

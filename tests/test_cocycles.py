@@ -120,6 +120,7 @@ def all_carry_cocycles(b, a):
         unit_group(parse_ring("Q")),
         unit_group(parse_ring("Z/9")),
         unit_group(parse_ring("Z[sqrt(2)]")),
+        unit_group(parse_ring("Z[sqrt(3)]")),
         unit_group(parse_ring("Z[i]")),
         FgAbelian((2, 6), 2),
         FgAbelian((4,)),
@@ -998,3 +999,200 @@ def test_transported_cocycle_over_a_free_domain_inverts(rng):
 @pytest.fixture
 def rng():
     return random.Random(4242)
+
+
+# ---------------------------------------------------------------------------
+# cocycles by construction: the theorem build_extension and DeformedGroup
+# skip their check on, and the refusals that stay
+
+
+def _library_cocycles(b, a, rng, points):
+    """Every kind of cocycle the library builds on (B, A) and calls a cocycle
+    by construction: a carry, the coboundaries of a monomial, a table (over
+    a finite B) and a splitting-witness psi, products of two carries (a
+    carry again) and of mixed parts, the inverse of each, and transports of
+    a carry and of a product along homomorphisms.  points are the elements
+    whose free exponents the monomial psi gives bases to."""
+    torsion = range(len(b.torsion_factors))
+    free_keys = sorted({key for x in points for key in b.decompose(x)[1]})
+    carry = CarryCocycle(b, a, {i: a.sample(rng) for i in torsion})
+    other = CarryCocycle(b, a, {i: a.sample(rng) for i in torsion})
+    psi = MonomialPsi(b, a, {i: a.sample(rng) for i in torsion}, {key: a.sample(rng) for key in free_keys})
+    monomial = CoboundaryOf(b, a, psi)
+    section = CoboundaryOf(b, a, is_coboundary(monomial))
+    built = [carry, monomial, section, cocycle_product(carry, other), cocycle_product(monomial, section)]
+    if b.is_finite:
+        table = CoboundaryOf(b, a, DictPsi(b, a, {x: a.sample(rng) for x in b.elements() if x != b.identity}))
+        built += [table, cocycle_product(carry, table)]
+    built += [cocycle_inverse(f) for f in built]
+    if isinstance(a, FgAbelian):
+        psi_apply = _random_automorphism(a, rng).apply
+        eta_inv_apply = _random_automorphism(b, rng).inverse().apply
+    else:
+        k = rng.choice([-1, 3])
+        psi_apply, eta_inv_apply = a.inverse, lambda x: b.power(x, k)
+    built += [TransportedCocycle(f, b, a, psi_apply, eta_inv_apply) for f in (carry, built[4])]
+    return built
+
+
+def _check_by_construction(f, **sampling) -> CocycleReport:
+    """verify_cocycle's report on f, which must say it is a cocycle by
+    construction; the caller asserts the report."""
+    assert f.is_cocycle_by_construction, f.backend
+    return verify_cocycle(f, **sampling)
+
+
+def test_library_cocycles_are_cocycles_exhaustively_on_every_pair_up_to_order_16(rng):
+    # the theorem build_extension and DeformedGroup rest on, checked by
+    # verify_cocycle's exhaustive branch on every pair of FgAbelian groups
+    # of order 2 to 16.  Every kind is checked on each pair with |B| <= 4;
+    # past that one kind per pair, in turn, so that each B meets every kind
+    # (the exhaustive walk grows as |B|^3)
+    checked = 0
+    for n, (b, a) in enumerate(itertools.product(map(FgAbelian, ORDER_16_SHAPES), repeat=2)):
+        built = _library_cocycles(b, a, rng, list(b.elements()))
+        assert all(f.is_cocycle_by_construction for f in built), (b, a)
+        for f in built if b.order() <= 4 else [built[n % len(built)]]:
+            report = _check_by_construction(f, exhaustive_limit=16)
+            assert report.ok and report.exhaustive, (b, a, f.backend, report.failure)
+            checked += 1
+    assert checked == 4 * 24 * 16 + 20 * 24
+
+
+UNIT_PAIRS = [("Z/9", "Z/9"), ("Z/29", "Z/29"), ("Z/25", "Q"), ("Q", "Q"), ("Z[sqrt(2)]",) * 2, ("Z/19", "Z[sqrt(2)]")]
+
+
+@pytest.mark.parametrize("spec_b, spec_a", UNIT_PAIRS)
+def test_library_cocycles_pass_seeded_samples_over_unit_groups(spec_b, spec_a):
+    # (Z/9)^x has 6 elements and is checked exhaustively, the rest by 200
+    # seeded samples each
+    b, a = unit_group(parse_ring(spec_b)), unit_group(parse_ring(spec_a))
+    rng = random.Random(f"{spec_b}->{spec_a}")
+    points = [b.sample(rng) for _ in range(12)]
+    for f in _library_cocycles(b, a, rng, points):
+        report = _check_by_construction(f, trials=200, rng=random.Random(7), exhaustive_limit=16)
+        assert report.ok, (f.backend, report.failure)
+        assert report.exhaustive if spec_b == "Z/9" else report.checked == 200
+
+
+def test_the_theorem_check_fails_a_backend_broken_on_purpose():
+    # two backends that claim to be cocycles by construction but are not
+    # fail the same check the theorem tests make
+    class Lopsided(CoboundaryOf):
+        def __call__(self, x, y):  # psi(xy) psi(x)^-1, without psi(y)^-1
+            return self.codomain.op(self.psi(self.domain.op(x, y)), self.codomain.inverse(self.psi(x)))
+
+    class LateCarry(CarryCocycle):
+        def __call__(self, x, y):  # carries past m, not from m on
+            tx, ty = self.domain.torsion_exponents(x), self.domain.torsion_exponents(y)
+            out = self.codomain.identity
+            for idx, c in self.targets.items():
+                if tx[idx] + ty[idx] > self.domain.torsion_factors[idx]:
+                    out = self.codomain.op(out, c)
+            return out
+
+    b, a = FgAbelian((4,)), FgAbelian((4,))
+    for f in (Lopsided(b, a, MonomialPsi(b, a, {0: (1,)})), LateCarry(b, a, {0: (1,)})):
+        assert not _check_by_construction(f, exhaustive_limit=16).ok, f.backend
+
+
+def test_trusted_carry_products_and_inverses_keep_canonical_targets(rng):
+    # cocycle_product and cocycle_inverse of carries build through the
+    # trusted constructor; their targets are what the public one would store
+    for b, a in [(FgAbelian((2, 4)), FgAbelian((2, 6))), (unit_group(parse_ring("Z/9")), unit_group(parse_ring("Q")))]:
+        torsion = range(len(b.torsion_factors))
+        for _ in range(20):
+            f = CarryCocycle(b, a, {i: a.sample(rng) for i in torsion})
+            g = CarryCocycle(b, a, {i: a.sample(rng) for i in torsion})
+            for h in (cocycle_product(f, g), cocycle_inverse(f), cocycle_product(f, cocycle_inverse(f))):
+                assert type(h) is CarryCocycle and h.targets == CarryCocycle(b, a, h.targets).targets
+            assert cocycle_product(f, cocycle_inverse(f)).targets == {}
+
+
+def test_public_carry_constructor_still_checks_its_targets():
+    u = unit_group(parse_ring("Z/9"))
+    assert CarryCocycle(u, u, {0: 11}).targets == {0: 2}  # a representative is canonicalised
+    with pytest.raises(InvalidParameter, match="not an element"):
+        CarryCocycle(u, u, {0: 3})
+    with pytest.raises(InvalidParameter, match="no torsion factor"):
+        CarryCocycle(u, u, {1: 2})
+
+
+def _asymmetric_table(b, a, value):
+    """The table with identity values but f(g, g^2) = value, g = (1,)."""
+    table = {(x, y): a.identity for x in b.elements() for y in b.elements()}
+    table[(1,), (2,)] = value
+    return FunctionTable(b, a, table)
+
+
+def test_refusals_of_tables_are_unchanged():
+    # a table is never a cocycle by construction, alone, inside a product
+    # or under a transport's base, and is refused with the message and
+    # witness it had when every cocycle was checked
+    z3 = FgAbelian((3,))
+    table = _asymmetric_table(z3, z3, (1,))
+    moved = TransportedCocycle(table, FgAbelian((), 1), z3, lambda v: v, lambda x: (x[0] % 3,))
+    product = ProductCocycle([CarryCocycle(z3, z3, {0: (1,)}), table])
+    for f, law in [(table, "symmetry"), (product, "symmetry"), (moved, "cocycle")]:
+        assert not f.is_cocycle_by_construction
+        with pytest.raises(InvalidParameter) as exc:
+            build_extension(f)
+        assert str(exc.value) == f"not a symmetric cocycle: failed {law}"
+    r7 = parse_ring("Z/7")
+    u7 = unit_group(r7)
+    t7 = FunctionTable(u7, u7, {(x, y): 2 if (x, y) == (3, 5) else 1 for x in u7.elements() for y in u7.elements()})
+    rs = parse_ring("Z[sqrt(2)]")
+    us = unit_group(rs)
+    base = _asymmetric_table(z3, us, (-1, 0))
+    moved = TransportedCocycle(base, us, us, lambda v: v, lambda x: (us.decompose(x)[1].get(0, 0) % 3,))
+    cases = [
+        (r7, (t7, trivial_cocycle(u7, u7)), "symmetry law at (3, 5)"),
+        (r7, (trivial_cocycle(u7, u7), ProductCocycle([CarryCocycle(u7, u7, {0: 3}), t7])), "symmetry law at (3, 5)"),
+        (rs, (moved, trivial_cocycle(us, us)), "symmetry law at ((-1, -1), (-1, 1))"),
+    ]
+    for ring, fs, where in cases:
+        with pytest.raises(InvalidParameter) as exc:
+            DeformedGroup(ring, 3, fs)
+        assert str(exc.value) == f"cocycle fails the {where}"
+
+
+def test_coboundaries_of_partial_psi_tables_raise_when_built():
+    # a psi table that lacks an element is not total: build_extension and
+    # DeformedGroup verify its coboundary, which meets the gap then, not at
+    # first use
+    z4 = FgAbelian((4,))
+    f = CoboundaryOf(z4, z4, DictPsi(z4, z4, {(1,): (1,)}))
+    assert not f.is_cocycle_by_construction
+    with pytest.raises(InvalidParameter, match=r"^psi table has no entry for \[2\]$"):
+        build_extension(f)
+    r7, rq = parse_ring("Z/7"), parse_ring("Q")
+    u7, uq = unit_group(r7), unit_group(rq)
+    cases = [
+        (r7, CoboundaryOf(u7, u7, DictPsi(u7, u7, {3: 2})), "2"),
+        (rq, CoboundaryOf(uq, uq, DictPsi(uq, uq, {rq.parse_elem("2"): rq.parse_elem("3")})), "-5"),
+    ]
+    for ring, f, missing in cases:
+        assert not f.is_cocycle_by_construction
+        with pytest.raises(InvalidParameter) as exc:
+            DeformedGroup(ring, 3, (f, trivial_cocycle(f.domain, f.codomain)))
+        assert str(exc.value) == f"psi table has no entry for {missing}"
+    # a complete table over a finite domain is total, with values in A only
+    full = {x: (1,) for x in z4.elements() if x != z4.identity}
+    assert CoboundaryOf(z4, z4, DictPsi(z4, z4, full)).is_cocycle_by_construction
+    assert not CoboundaryOf(z4, z4, DictPsi(z4, z4, {**full, (2,): (5,)})).is_cocycle_by_construction
+    # a psi on other groups than the cocycle's is not trusted either
+    z2 = FgAbelian((2,))
+    assert not CoboundaryOf(z4, z4, MonomialPsi(z2, z4, {0: (1,)})).is_cocycle_by_construction
+
+
+def test_build_extension_reads_no_value_of_a_carry(monkeypatch):
+    calls = []
+    original = CarryCocycle.__call__
+    monkeypatch.setattr(CarryCocycle, "__call__", lambda f, x, y: calls.append((x, y)) or original(f, x, y))
+    b, a = FgAbelian((2, 4)), FgAbelian((8,))
+    f = CarryCocycle(b, a, {0: (3,), 1: (5,)})
+    e = build_extension(f)
+    assert calls == []
+    # the group still reads f: x^4 carries twice on Z/2 and once on Z/4
+    assert e.power(((1, 1), (0,)), 4) == ((0, 0), (2 * 3 + 5 - 8,))
+    assert calls != []

@@ -177,3 +177,30 @@ def test_every_document_type_written_is_read():
     for root, method, reader in roles:
         assert written(root, method) == read(reader) != set(), root
 
+
+
+def test_every_cocycle_backend_says_whether_it_is_a_cocycle_by_construction():
+    # build_extension and DeformedGroup skip their check on a cocycle by
+    # construction, so each backend in cocycles declares the property in
+    # its own class body, and none inherits "trusted" by accident
+    path = next(path for path in SOURCES if path.name == "cocycles.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def descends(name):
+        return name == "SymCocycle2" or any(
+            isinstance(base, ast.Name) and base.id in classes and descends(base.id) for base in classes[name].bases
+        )
+
+    def declares(cls):
+        return any(
+            isinstance(item, ast.FunctionDef)
+            and item.name == "is_cocycle_by_construction"
+            and any(isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list)
+            for item in cls.body
+        )
+
+    backends = {name for name in classes if descends(name)}
+    library = {"SymCocycle2", "CarryCocycle", "FunctionTable", "CoboundaryOf", "ProductCocycle", "TransportedCocycle"}
+    assert library <= backends
+    assert {name for name in backends if not declares(classes[name])} == set()

@@ -383,6 +383,20 @@ def test_constructor_checks_normalisation_on_every_finite_unit():
 
 
 
+def test_constructor_reads_no_value_of_a_carry(monkeypatch):
+    # carries are cocycles by construction, so building the group, trivial
+    # carries included, reads none of their values; its products do
+    r = parse_ring("Z/5")
+    u = unit_group(r)
+    calls = []
+    original = CarryCocycle.__call__
+    monkeypatch.setattr(CarryCocycle, "__call__", lambda f, x, y: calls.append((x, y)) or original(f, x, y))
+    g = DeformedGroup(r, 4, (CarryCocycle(u, u, {0: 2}), trivial_cocycle(u, u), CarryCocycle(u, u, {0: 4})))
+    assert calls == [] and not g.is_untwisted
+    d = g.diagonal_gen(1, 2)
+    assert g.op(d, d) != g.identity and calls != []
+
+
 def test_constructor_reads_an_exhaustively_checked_cocycle_once_per_pair():
     # |(Z/5)^x| = 4: verify_cocycle's exhaustive report has checked f(1, x)
     # and f(x, 1) on every x, so no second normalisation pass reads f again

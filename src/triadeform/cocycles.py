@@ -2,10 +2,11 @@
 
 A cocycle f: B x B -> A is represented by one of several backends (carry
 tables on cyclic factors, explicit function tables, coboundaries of a map
-psi, pointwise products).  The central decision procedure, is_coboundary,
-works per cyclic factor of B: the A-part of (g, 1)^m in the extension E(f)
-is the obstruction attached to a torsion factor of order m, and f splits iff
-every obstruction is an m-th power in A.  Free factors never obstruct.  The
+psi, pointwise products, transports); check_cocycle alone decides whether
+an input is one.  The central decision procedure, is_coboundary, works per
+cyclic factor of B: the A-part of (g, 1)^m in the extension E(f) is the
+obstruction attached to a torsion factor of order m, and f splits iff every
+obstruction is an m-th power in A.  Free factors never obstruct.  The
 witness returned is a genuine section-based splitting map, so the coboundary
 identity holds exactly, not just up to cohomology.
 
@@ -19,14 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any
 
 from .abgroups import AbHom, FgAbelian, power_by_squaring
 from .errors import DomainMismatch, InvalidParameter, NotBijective, ParseError, TooLarge, UnsupportedCodomain
 from .rings import parse_ring
 
-# The largest |B| that a FunctionTable holds, and so that transport_cocycle
-# materialises.
+# The largest |B| that a FunctionTable holds, that a transported cocycle
+# writes as a table document, and up to which check_cocycle reads every
+# element and pair of B (at most 65,536 reads, the size of such a table).
 TABLE_LIMIT = 256
 
 
@@ -55,9 +57,7 @@ def ext_pow(f: "SymCocycle2", x, k: int):
 
     Regrouping the product into squares relies on E(f) being associative,
     which holds exactly when f satisfies the cocycle identity: f must be a
-    cocycle.  build_extension checks a cocycle that is not one by
-    construction (SymCocycle2.is_cocycle_by_construction); this helper
-    checks nothing.
+    cocycle, which build_extension checks and this helper does not.
     """
     return power_by_squaring(partial(ext_mul, f), ext_identity(f), partial(ext_inv, f), x, k)
 
@@ -139,6 +139,9 @@ class MonomialPsi(PsiMap):
         self.codomain = codomain
         self.torsion_bases = dict(torsion_bases or {})
         self.free_bases = dict(free_bases or {})
+        for idx in self.torsion_bases:
+            if not 0 <= idx < len(domain.torsion_factors):
+                raise InvalidParameter(f"no torsion factor {idx} to take a base on")
 
     def __call__(self, b):
         if self.free_bases:
@@ -147,7 +150,7 @@ class MonomialPsi(PsiMap):
             torsion, free = self.domain.torsion_exponents(b), {}
         out = self.codomain.identity
         for idx, base in self.torsion_bases.items():
-            e = torsion[idx] if idx < len(torsion) else 0
+            e = torsion[idx]
             if e:
                 out = self.codomain.op(out, self.codomain.power(base, e))
         for key, e in free.items():
@@ -232,14 +235,13 @@ class SymCocycle2:
     """Symmetric normalised 2-cocycle B x B -> A.
 
     is_cocycle_by_construction says whether the backend is a symmetric
-    normalised cocycle because of how it was built, so that build_extension
-    and DeformedGroup need not verify it; every backend in this module
-    declares it in its own class body.  A carry with canonical targets is a
-    product of the standard factor sets of cyclic extensions; the coboundary
-    of a total normalised psi is one because B and A are abelian; pointwise
-    products of cocycles, and their transports along homomorphisms, are
-    cocycles (Brown, Cohomology of Groups, GTM 87, IV.3).  A table comes from
-    data and is not trusted.
+    normalised cocycle because of how it was built, so that check_cocycle
+    need not verify it; every backend in this module declares it in its own
+    class body.  A carry with canonical targets is a product of the standard
+    factor sets of cyclic extensions; the coboundary of a total normalised
+    psi is one because B and A are abelian; pointwise products of cocycles,
+    and their transports along homomorphisms, are cocycles (Brown, Cohomology
+    of Groups, GTM 87, IV.3).  A table comes from data and is not trusted.
     """
 
     domain: Any
@@ -437,36 +439,53 @@ class ProductCocycle(SymCocycle2):
 
 
 class TransportedCocycle(SymCocycle2):
-    """Image of a cocycle under isomorphisms of its groups.
+    """Image of a cocycle under homomorphisms of its groups.
 
-    Convention (fixed here once and for all): given g on (B, A) and isos
-    psi: A -> A' and eta: B -> B', the transported cocycle on (B', A') is
-    g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).  psi_apply and eta_inv_apply
-    are trusted to be homomorphisms, so g' is a cocycle by construction when
-    g is.
+    Convention (fixed here once and for all): given g on (B, A), psi: A -> A'
+    and eta_inv: B' -> B, the transported cocycle on (B', A') is
+    g'(x, y) = psi(g(eta_inv(x), eta_inv(y))).  psi and eta_inv are AbHoms,
+    so homomorphisms, and g' is a cocycle by construction when g is.  eta_inv
+    is applied once per element met and psi once per value of g met.
     """
 
     backend = "transported"
 
-    def __init__(self, base: SymCocycle2, domain, codomain, psi_apply: Callable, eta_inv_apply: Callable):
+    def __init__(self, base: SymCocycle2, psi: AbHom, eta_inv: AbHom):
+        if not (isinstance(psi, AbHom) and isinstance(eta_inv, AbHom)):
+            raise InvalidParameter("a transport takes AbHom maps psi and eta_inv")
+        if eta_inv.codomain != base.domain or psi.domain != base.codomain:
+            raise DomainMismatch("isomorphisms do not match the cocycle's groups")
         self.base = base
-        self.domain = domain
-        self.codomain = codomain
-        self.psi_apply = psi_apply
-        self.eta_inv_apply = eta_inv_apply
+        self.psi = psi
+        self.eta_inv = eta_inv
+        self.domain = eta_inv.domain
+        self.codomain = psi.codomain
+        self._preimage: dict = {}
+        self._image: dict = {}
 
     def __call__(self, x, y):
-        return self.psi_apply(self.base(self.eta_inv_apply(x), self.eta_inv_apply(y)))
+        pre, image = self._preimage, self._image
+        if x not in pre:
+            pre[x] = self.eta_inv.apply(x)
+        if y not in pre:
+            pre[y] = self.eta_inv.apply(y)
+        a = self.base(pre[x], pre[y])
+        if a not in image:
+            image[a] = self.psi.apply(a)
+        return image[a]
 
     @property
     def is_cocycle_by_construction(self) -> bool:
         return self.base.is_cocycle_by_construction
 
     def backend_json(self):
-        raise InvalidParameter(
-            "transported cocycles over infinite groups have no table form; "
-            "materialise over a finite domain first"
-        )
+        """The table document FunctionTable.from_callable writes of g'."""
+        b_grp = self.domain
+        if not (b_grp.is_finite and b_grp.order() <= TABLE_LIMIT):
+            raise InvalidParameter(
+                f"a transported cocycle has a table form only over a finite domain of at most {TABLE_LIMIT} elements"
+            )
+        return FunctionTable.from_callable(b_grp, self.codomain, self).backend_json()
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +521,7 @@ def _backend_from_json(domain, codomain, backend, path: str) -> SymCocycle2:
         targets = _field(backend, "targets", path, dict, {})
         at = _at(path, "targets")
         return CarryCocycle(
-            domain, codomain, {_index(i, at): _elem(codomain, c, _at(at, i)) for i, c in targets.items()}
+            domain, codomain, {_factor_index(domain, i, at): _elem(codomain, c, _at(at, i)) for i, c in targets.items()}
         )
     if kind == "table":
         table = {}
@@ -524,9 +543,9 @@ def _backend_from_json(domain, codomain, backend, path: str) -> SymCocycle2:
         psi = _psi_from_json(domain, codomain, _field(backend, "psi", path, dict), _at(path, "psi"))
         return CoboundaryOf(domain, codomain, psi)
     if kind == "product":
-        parts = _field(backend, "parts", path, list)
+        parts = enumerate(_field(backend, "parts", path, list))
         at = _at(path, "parts")
-        return ProductCocycle([_backend_from_json(domain, codomain, b, f"{at}[{k}]") for k, b in enumerate(parts)])
+        return _built(at, ProductCocycle, [_backend_from_json(domain, codomain, b, f"{at}[{k}]") for k, b in parts])
     raise ParseError(f"field {_at(path, 'type')!r}: unsupported backend type {kind!r}")
 
 
@@ -534,10 +553,10 @@ def _psi_from_json(domain, codomain, data, path: str) -> PsiMap:
     kind = _field(data, "type", path, str)
     if kind == "monomial":
         bases = []
-        for name in ("torsion_bases", "free_bases"):
+        for name, key in (("torsion_bases", partial(_factor_index, domain)), ("free_bases", _index)):
             at = _at(path, name)
             raw = _field(data, name, path, dict, {})
-            bases.append({_index(i, at): _elem(codomain, a, _at(at, i)) for i, a in raw.items()})
+            bases.append({key(i, at): _elem(codomain, a, _at(at, i)) for i, a in raw.items()})
         return MonomialPsi(domain, codomain, *bases)
     if kind == "table":
         table = {}
@@ -547,7 +566,7 @@ def _psi_from_json(domain, codomain, data, path: str) -> PsiMap:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ParseError(f"field {where!r} must be a list [x, value], got {entry!r}")
             table[_elem(domain, entry[0], where)] = _elem(codomain, entry[1], where)
-        psi = DictPsi(domain, codomain, table)
+        psi = _built(at, DictPsi, domain, codomain, table)
         # over an infinite domain a missing entry shows only when psi meets it
         if domain.is_finite:
             missing = next((b for b in domain.elements() if b not in psi.table), None)
@@ -597,6 +616,21 @@ def _index(key: str, path: str) -> int:
         raise ParseError(f"field {_at(path, key)!r}: key must be an integer") from exc
 
 
+def _factor_index(domain, key: str, path: str) -> int:
+    """_index(key, path), checked to number a torsion factor of domain."""
+    idx = _index(key, path)
+    _built(_at(path, key), domain.torsion_factor_generator, idx)
+    return idx
+
+
+def _built(path: str, build, *args):
+    """build(*args), refusing the data at path with a ParseError naming it."""
+    try:
+        return build(*args)
+    except InvalidParameter as exc:
+        raise ParseError(f"field {path!r}: {exc}") from exc
+
+
 def _elem(carrier, data, path: str):
     """An element of carrier (a carrier group, or a ring) decoded from data,
     with decoding failures named by path."""
@@ -644,36 +678,24 @@ def verify_cocycle(f: SymCocycle2, trials: int = 200, rng=None, exhaustive_limit
     b_grp, a_grp = f.domain, f.codomain
     if b_grp.is_finite and b_grp.order() <= exhaustive_limit:
         return _table_report(f)
-    checked = 0
-
-    def norm_ok(x):
-        return f(b_grp.identity, x) == a_grp.identity and f(x, b_grp.identity) == a_grp.identity
-
-    def sym_ok(x, y):
-        return f(x, y) == f(y, x)
-
-    def cocycle_ok(x, y, z):
-        lhs = a_grp.op(f(b_grp.op(x, y), z), f(x, y))
-        rhs = a_grp.op(f(x, b_grp.op(y, z)), f(y, z))
-        return lhs == rhs
-
     import random
 
+    b_op, a_op, e, one = b_grp.op, a_grp.op, b_grp.identity, a_grp.identity
     rng = rng or random.Random(0)
-    for _ in range(trials):
+    for checked in range(1, trials + 1):
         x, y, z = b_grp.sample(rng), b_grp.sample(rng), b_grp.sample(rng)
-        checked += 1
-        if not norm_ok(x):
+        if f(e, x) != one or f(x, e) != one:
             return CocycleReport(False, checked, False, ("normalisation", x))
-        if not sym_ok(x, y):
+        if f(x, y) != f(y, x):
             return CocycleReport(False, checked, False, ("symmetry", x, y))
-        if not cocycle_ok(x, y, z):
+        if a_op(f(b_op(x, y), z), f(x, y)) != a_op(f(x, b_op(y, z)), f(y, z)):
             return CocycleReport(False, checked, False, ("cocycle", x, y, z))
-    return CocycleReport(True, checked, False)
+    return CocycleReport(True, max(trials, 0), False)
 
 
-def _table_report(f: SymCocycle2) -> CocycleReport:
-    """verify_cocycle's exhaustive branch (its docstring describes the walk).
+def _table_report(f: SymCocycle2, triples: bool = True) -> CocycleReport:
+    """verify_cocycle's exhaustive branch (its docstring describes the walk);
+    without triples, the walk stops after the elements and pairs.
 
     prod[i * |B| + j] numbers elems[i] * elems[j] in elems, fv[i * |B| + j]
     numbers f(elems[i], elems[j]) in vals, and A's identity is number 0.
@@ -718,6 +740,8 @@ def _table_report(f: SymCocycle2) -> CocycleReport:
             checked += 1
             if at(i * nb + j) != at(j * nb + i):
                 return CocycleReport(False, checked, True, ("symmetry", elems[i], elems[j]))
+    if not triples:
+        return CocycleReport(True, checked, False)
     # the symmetry checks read every pair, so each value of f is numbered
     # below nv now, and p * nv + q keys the pair (p, q) of values
     nv = len(vals)
@@ -744,6 +768,19 @@ def _table_report(f: SymCocycle2) -> CocycleReport:
                 if lhs != rhs:
                     return CocycleReport(False, checked, True, ("cocycle", elems[i], elems[j], elems[k]))
     return CocycleReport(True, checked, True)
+
+
+def check_cocycle(f: SymCocycle2) -> None:
+    """InvalidParameter "cocycle fails the {law} law at {witness}" unless f is
+    a cocycle by construction or passes verify_cocycle's 64 seeded trials and,
+    over a finite B of at most TABLE_LIMIT elements, every element and pair."""
+    if f.is_cocycle_by_construction:
+        return
+    report = verify_cocycle(f, trials=64, exhaustive_limit=16)
+    if report.ok and not report.exhaustive and f.domain.is_finite and f.domain.order() <= TABLE_LIMIT:
+        report = _table_report(f, triples=False)
+    if not report.ok:
+        raise InvalidParameter(f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}")
 
 
 # ---------------------------------------------------------------------------
@@ -823,25 +860,16 @@ def cocycle_inverse(f: SymCocycle2) -> SymCocycle2:
     if isinstance(f, ProductCocycle):
         return ProductCocycle([cocycle_inverse(p) for p in f.parts])
     if isinstance(f, TransportedCocycle):
-        return TransportedCocycle(cocycle_inverse(f.base), f.domain, a_grp, f.psi_apply, f.eta_inv_apply)
+        return TransportedCocycle(cocycle_inverse(f.base), f.psi, f.eta_inv)
     raise InvalidParameter(f"cannot invert backend {f.backend!r} structurally")
 
 
 def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
-    """Transport g along isos psi: A -> A' and eta: B -> B'.
-
-    The result evaluates as g'(x, y) = psi(g(eta^-1(x), eta^-1(y))).  A
-    product is transported part by part.  Over B' of order at most
-    TABLE_LIMIT any other backend is materialised in one pass: eta^-1 is
-    applied once per element of B', g once per pair and psi once per
-    distinct value of g, and the table is filled x-major in the order of
-    B'.elements(), as FunctionTable.from_callable fills it.  Over a larger
-    or infinite B', g is wrapped.
-    """
+    """Transport g along isos psi: A -> A' and eta: B -> B', as the
+    TransportedCocycle g'(x, y) = psi(g(eta^-1(x), eta^-1(y))), a product
+    part by part; g' is a cocycle by construction when g is one."""
     if not isinstance(g.domain, FgAbelian) or not isinstance(g.codomain, FgAbelian):
         raise InvalidParameter("transport is defined for FgAbelian carriers")
-    if eta.domain != g.domain or psi.domain != g.codomain:
-        raise DomainMismatch("isomorphisms do not match the cocycle's groups")
     if not psi.is_bijective() or not eta.is_bijective():
         raise NotBijective("transport requires isomorphisms on both sides")
     return _transport(g, psi, eta.inverse())
@@ -850,21 +878,7 @@ def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
 def _transport(g: SymCocycle2, psi: AbHom, eta_inv: AbHom) -> SymCocycle2:
     if isinstance(g, ProductCocycle):
         return ProductCocycle([_transport(p, psi, eta_inv) for p in g.parts])
-    new_domain, new_codomain = eta_inv.domain, psi.codomain
-    if not (new_domain.is_finite and new_domain.order() <= TABLE_LIMIT):
-        return TransportedCocycle(g, new_domain, new_codomain, psi.apply, eta_inv.apply)
-    elems = list(new_domain.elements())
-    pairs = list(zip(elems, map(eta_inv.apply, elems)))
-    images: dict = {}
-    table = {}
-    for x, u in pairs:
-        for y, v in pairs:
-            a = g(u, v)
-            b = images.get(a)
-            if b is None:
-                b = images[a] = psi.apply(a)
-            table[x, y] = b
-    return FunctionTable(new_domain, new_codomain, table)
+    return TransportedCocycle(g, psi, eta_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -925,12 +939,6 @@ class ExtensionGroup:
 
 
 def build_extension(f: SymCocycle2) -> ExtensionGroup:
-    """E(f), for f checked where it enters the library: a cocycle by
-    construction (SymCocycle2.is_cocycle_by_construction) is taken as it is,
-    and any other is verified first, InvalidParameter naming the law it
-    fails."""
-    if not f.is_cocycle_by_construction:
-        report = verify_cocycle(f, trials=64, exhaustive_limit=16)
-        if not report.ok:
-            raise InvalidParameter(f"not a symmetric cocycle: failed {report.failure[0]}")
+    """E(f), for f that check_cocycle accepts."""
+    check_cocycle(f)
     return ExtensionGroup(f)

@@ -909,9 +909,15 @@ class UnitGroupStruct(AbelianCarrier):
         return self.torsion_generator
 
     def free_generator(self, key):
+        """The basis element decompose keys by key: an index, or over Q^x a
+        prime, taken on trust past key > 1 as the library's keys come from
+        decompose."""
         if self.basis_mode == LAZY_PRIME_BASIS:
-            return Fraction(key)
-        return self.free_basis[key]
+            if key > 1:
+                return Fraction(key)
+        elif 0 <= key < len(self.free_basis):
+            return self.free_basis[key]
+        raise InvalidParameter(f"no free factor {key}")
 
     @property
     def is_finite(self) -> bool:

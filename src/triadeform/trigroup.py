@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .abgroups import power_by_squaring
-from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, is_coboundary, verify_cocycle
+from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, check_cocycle, is_coboundary
 from .config import DEFAULT_SEED
 from .errors import DomainMismatch, InvalidParameter, NotAUnit, ParseError, TooLarge
 from .rings import Ring
@@ -435,10 +435,8 @@ class DeformedGroup(TriangularGroup):
 
     cocycles=None means the untwisted group; this avoids requiring a cyclic
     unit group, so untwisted groups exist over every supported ring.  Each
-    cocycle must be a SymCocycle2 on (R^x, R^x).  One that is a cocycle by
-    construction (SymCocycle2.is_cocycle_by_construction), as every carry
-    is, is not read while the group is built; any other is verified, and
-    InvalidParameter names the law it fails and where.
+    cocycle must be a SymCocycle2 on (R^x, R^x) that cocycles.check_cocycle
+    accepts, so a carry is not read while the group is built.
     """
 
     def __init__(self, ring: Ring, n: int, cocycles=None):
@@ -466,13 +464,7 @@ class DeformedGroup(TriangularGroup):
                     raise InvalidParameter("cocycle entries must be SymCocycle2 instances")
                 if f.domain != units or f.codomain != units:
                     raise DomainMismatch("cocycles must map R^x pairs into R^x")
-                if f.is_cocycle_by_construction:
-                    continue
-                report = verify_cocycle(f, trials=32, exhaustive_limit=16)
-                if not report.ok:
-                    raise InvalidParameter(f"cocycle fails the {report.failure[0]} law at {report.failure[1:]}")
-                if units.is_finite and not report.exhaustive:
-                    _check_normalised(f, units)
+                check_cocycle(f)
             self.cocycles = cocycles
             trivial = lambda f: isinstance(f, CarryCocycle) and not f.targets
             self._factors = tuple((i, f) for i, f in enumerate(cocycles) if not trivial(f))
@@ -720,14 +712,6 @@ class DeformedGroup(TriangularGroup):
     def __repr__(self):
         kind = "untwisted" if self.is_untwisted else "twisted"
         return f"DeformedGroup({self.ring.spec!r}, n={self.n}, {kind})"
-
-
-def _check_normalised(f: SymCocycle2, units) -> None:
-    """f(1, x) = f(x, 1) = 1 on every x of the finite unit group."""
-    one = units.identity
-    for x in units.elements():
-        if f(one, x) != one or f(x, one) != one:
-            raise InvalidParameter(f"cocycle is not normalised at {x!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -685,6 +685,19 @@ _Q_2 = {"num": "2", "den": "1"}
          "field 'backend.targets.0'"),
         ({"domain": _FG_2, "codomain": _FG_2, "backend": {"type": "table", "entries": [[[0], [True], [0]]]}},
          "field 'backend.entries[0]'"),
+        # what a backend constructor refuses is named by the field it read
+        ({"domain": _FG_2, "codomain": _FG_2, "backend": {"type": "product", "parts": []}}, "field 'backend.parts'"),
+        ({"domain": _FG_2, "codomain": _FG_2, "backend": {"type": "carry", "targets": {"1": [1]}}},
+         "field 'backend.targets.1'"),
+        ({"domain": _FG_2, "codomain": _FG_2,
+          "backend": {"type": "coboundary", "psi": {"type": "table", "entries": [[[0], [1]], [[1], [0]]]}}},
+         "field 'backend.psi.entries'"),
+        ({"domain": {"type": "fg", "invariant_factors": [2, 4]}, "codomain": _FG_4,
+          "backend": {"type": "coboundary", "psi": {"type": "monomial", "torsion_bases": {"-1": [1]}}}},
+         "field 'backend.psi.torsion_bases.-1'"),
+        ({"domain": {"type": "fg", "invariant_factors": [2, 4]}, "codomain": _FG_4,
+          "backend": {"type": "coboundary", "psi": {"type": "monomial", "torsion_bases": {"7": [1]}}}},
+         "field 'backend.psi.torsion_bases.7'"),
     ],
 )
 @pytest.mark.parametrize("cmd", ["verify", "is-coboundary", "is-cot"])

@@ -8,6 +8,7 @@ code path.
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from triadeform import (
     CarryCocycle,
     CoboundaryOf,
     DeformedGroup,
+    DomainMismatch,
     FgAbelian,
     FunctionTable,
     InvalidParameter,
@@ -770,9 +772,9 @@ def test_transport_preserves_class_and_values():
 
 
 def test_transported_coboundary_reads_back_with_the_same_values(rng):
-    # a coboundary takes the path of every other backend: a table over a
-    # finite domain, whose document reads back, or a wrapper over an
-    # infinite one, which has no document
+    # a coboundary takes the path of every other backend: a transport, whose
+    # table document reads back over a finite domain, and which has no
+    # document over an infinite one
     a = FgAbelian((4,))
     psi = AbHom(a, a, [[3]])
     cases = [
@@ -788,12 +790,12 @@ def test_transported_coboundary_reads_back_with_the_same_values(rng):
         want = {(x, y): psi.apply(f(inv.apply(x), inv.apply(y))) for x in xs for y in xs}
         assert any(v != a.identity for v in want.values())
         assert {(x, y): g(x, y) for x in xs for y in xs} == want
+        assert isinstance(g, TransportedCocycle) and g.is_cocycle_by_construction
         if b.is_finite:
             back = cocycle_from_json(json.loads(json.dumps(g.to_json())))
             assert {(x, y): back(x, y) for x in xs for y in xs} == want
             assert is_coboundary(back) is not None
         else:
-            assert isinstance(g, TransportedCocycle)
             with pytest.raises(InvalidParameter):
                 g.to_json()
 
@@ -810,35 +812,48 @@ def _random_automorphism(group, rng):
 
 
 def test_transport_table_equals_the_pairwise_evaluation(rng):
-    # the one-pass table against TransportedCocycle read pair by pair, and
-    # its document against from_callable's over that same function
+    # the transport's table document against from_callable's over the
+    # definition psi(f(eta^-1(x), eta^-1(y))) read pair by pair
     for b, a in itertools.product(map(FgAbelian, ORDER_16_SHAPES), repeat=2):
         f = CarryCocycle(b, a, {i: a.sample(rng) for i in range(len(b.torsion_factors))})
         psi, eta = _random_automorphism(a, rng), _random_automorphism(b, rng)
         g = transport_cocycle(f, psi, eta)
-        pairwise = TransportedCocycle(f, b, a, psi.apply, eta.inverse().apply)
-        expected = FunctionTable.from_callable(b, a, pairwise)
-        assert isinstance(g, FunctionTable) and g.table == expected.table, (b, a)
-        assert json.dumps(g.to_json()) == json.dumps(expected.to_json())
-    # up to 256 elements the result is a table, past them a wrapper
+        inv = eta.inverse()
+        expected = FunctionTable.from_callable(b, a, lambda x, y: psi.apply(f(inv.apply(x), inv.apply(y))))
+        assert isinstance(g, TransportedCocycle), (b, a)
+        assert json.dumps(g.to_json()) == json.dumps(expected.to_json()), (b, a)
+    # up to 256 elements the document is a table, past them there is none
     a = FgAbelian((2,))
-    for shape, kind in (((2, 128), FunctionTable), ((2, 256), TransportedCocycle)):
+    for shape, written in (((2, 128), True), ((2, 256), False)):
         b = FgAbelian(shape)
         g = transport_cocycle(CarryCocycle(b, a, {1: (1,)}), AbHom.identity(a), AbHom(b, b, [[1, 0], [0, 3]]))
-        assert isinstance(g, kind) and g((0, 127), (0, 1)) == (1,) and g((1, 3), (1, 5)) == (0,)
+        assert isinstance(g, TransportedCocycle) and g((0, 127), (0, 1)) == (1,) and g((1, 3), (1, 5)) == (0,)
+        if written:
+            assert g.to_json()["backend"]["type"] == "table"
+        else:
+            with pytest.raises(InvalidParameter, match="table form"):
+                g.to_json()
 
 
 def test_transport_applies_eta_inverse_once_per_element(monkeypatch):
+    # nothing is applied until the transport is read; then eta^-1 once per
+    # element and psi once per value of f, however often pairs are read
     b, a = FgAbelian((2, 8)), FgAbelian((2, 4))
     f = CarryCocycle(b, a, {0: (1, 1), 1: (0, 3)})
     psi, eta = AbHom(a, a, [[1, 0], [2, 3]]), AbHom(b, b, [[1, 0], [4, 3]])
+    elems = list(b.elements())
     calls = []
     apply = AbHom.apply
     monkeypatch.setattr(AbHom, "apply", lambda hom, x: calls.append(hom) or apply(hom, x))
     g = transport_cocycle(f, psi, eta)
-    values = {f(x, y) for x in b.elements() for y in b.elements()}
+    assert calls == []
+    read = [g(x, y) for _ in range(2) for x in elems for y in elems]
+    values = {f(x, y) for x in elems for y in elems}
     assert len([h for h in calls if h is not psi]) == b.order()
     assert 1 < len([h for h in calls if h is psi]) <= len(values)
+    monkeypatch.setattr(AbHom, "apply", apply)
+    inv = eta.inverse()
+    assert read[: len(elems) ** 2] == [psi.apply(f(inv.apply(x), inv.apply(y))) for x in elems for y in elems]
     assert verify_cocycle(g).ok and (is_coboundary(g) is None) == (is_coboundary(f) is None)
 
 
@@ -858,7 +873,7 @@ def test_transport_of_a_product_checks_the_isomorphisms_once(monkeypatch):
     g = transport_cocycle(ProductCocycle(parts), AbHom.identity(a), eta)
     # psi and eta checked once each; the inverse reads its Smith form itself
     assert counts == {"is_bijective": 2, "inverse": 1}
-    assert [type(p) for p in g.parts] == [FunctionTable] * 3
+    assert [type(p) for p in g.parts] == [TransportedCocycle] * 3
     for x in b.elements():
         for y in b.elements():
             assert g(x, y) == ProductCocycle(parts)(b.reduce((3 * x[0],)), b.reduce((3 * y[0],)))
@@ -1010,9 +1025,10 @@ def _library_cocycles(b, a, rng, points):
     """Every kind of cocycle the library builds on (B, A) and calls a cocycle
     by construction: a carry, the coboundaries of a monomial, a table (over
     a finite B) and a splitting-witness psi, products of two carries (a
-    carry again) and of mixed parts, the inverse of each, and transports of
-    a carry and of a product along homomorphisms.  points are the elements
-    whose free exponents the monomial psi gives bases to."""
+    carry again) and of mixed parts, the inverse of each, and, between
+    FgAbelian groups, transport_cocycle's transports of a carry and of a
+    product along automorphisms.  points are the elements whose free
+    exponents the monomial psi gives bases to."""
     torsion = range(len(b.torsion_factors))
     free_keys = sorted({key for x in points for key in b.decompose(x)[1]})
     carry = CarryCocycle(b, a, {i: a.sample(rng) for i in torsion})
@@ -1025,13 +1041,9 @@ def _library_cocycles(b, a, rng, points):
         table = CoboundaryOf(b, a, DictPsi(b, a, {x: a.sample(rng) for x in b.elements() if x != b.identity}))
         built += [table, cocycle_product(carry, table)]
     built += [cocycle_inverse(f) for f in built]
-    if isinstance(a, FgAbelian):
-        psi_apply = _random_automorphism(a, rng).apply
-        eta_inv_apply = _random_automorphism(b, rng).inverse().apply
-    else:
-        k = rng.choice([-1, 3])
-        psi_apply, eta_inv_apply = a.inverse, lambda x: b.power(x, k)
-    built += [TransportedCocycle(f, b, a, psi_apply, eta_inv_apply) for f in (carry, built[4])]
+    if isinstance(b, FgAbelian) and isinstance(a, FgAbelian):
+        psi, eta = _random_automorphism(a, rng), _random_automorphism(b, rng)
+        built += [transport_cocycle(f, psi, eta) for f in (carry, built[4])]
     return built
 
 
@@ -1127,33 +1139,63 @@ def _asymmetric_table(b, a, value):
 
 def test_refusals_of_tables_are_unchanged():
     # a table is never a cocycle by construction, alone, inside a product
-    # or under a transport's base, and is refused with the message and
-    # witness it had when every cocycle was checked
+    # or under a transport's base, and is refused with the law and witness
+    # it had when every cocycle was checked, in the one message of
+    # check_cocycle
     z3 = FgAbelian((3,))
     table = _asymmetric_table(z3, z3, (1,))
-    moved = TransportedCocycle(table, FgAbelian((), 1), z3, lambda v: v, lambda x: (x[0] % 3,))
+    moved = transport_cocycle(table, AbHom(z3, z3, [[2]]), AbHom(z3, z3, [[2]]))
     product = ProductCocycle([CarryCocycle(z3, z3, {0: (1,)}), table])
-    for f, law in [(table, "symmetry"), (product, "symmetry"), (moved, "cocycle")]:
+    for f in (table, product, moved):
         assert not f.is_cocycle_by_construction
         with pytest.raises(InvalidParameter) as exc:
             build_extension(f)
-        assert str(exc.value) == f"not a symmetric cocycle: failed {law}"
+        assert str(exc.value) == "cocycle fails the symmetry law at ((1,), (2,))"
     r7 = parse_ring("Z/7")
     u7 = unit_group(r7)
     t7 = FunctionTable(u7, u7, {(x, y): 2 if (x, y) == (3, 5) else 1 for x in u7.elements() for y in u7.elements()})
-    rs = parse_ring("Z[sqrt(2)]")
-    us = unit_group(rs)
-    base = _asymmetric_table(z3, us, (-1, 0))
-    moved = TransportedCocycle(base, us, us, lambda v: v, lambda x: (us.decompose(x)[1].get(0, 0) % 3,))
     cases = [
-        (r7, (t7, trivial_cocycle(u7, u7)), "symmetry law at (3, 5)"),
-        (r7, (trivial_cocycle(u7, u7), ProductCocycle([CarryCocycle(u7, u7, {0: 3}), t7])), "symmetry law at (3, 5)"),
-        (rs, (moved, trivial_cocycle(us, us)), "symmetry law at ((-1, -1), (-1, 1))"),
+        (t7, trivial_cocycle(u7, u7)),
+        (trivial_cocycle(u7, u7), ProductCocycle([CarryCocycle(u7, u7, {0: 3}), t7])),
     ]
-    for ring, fs, where in cases:
+    for fs in cases:
         with pytest.raises(InvalidParameter) as exc:
-            DeformedGroup(ring, 3, fs)
-        assert str(exc.value) == f"cocycle fails the {where}"
+            DeformedGroup(r7, 3, fs)
+        assert str(exc.value) == "cocycle fails the symmetry law at (3, 5)"
+
+
+def test_every_single_pair_asymmetry_over_a_unit_group_of_40_is_refused_by_both_callers():
+    # |(Z/41)^x| = 40 lies past the exhaustive limit, so sampling alone let
+    # most tables that are asymmetric at one pair through; the entry check
+    # then reads every element and pair, and build_extension and
+    # DeformedGroup refuse each such table with one message
+    r = parse_ring("Z/41")
+    u = unit_group(r)
+    units = u.elements()
+    ones = {(x, y): 1 for x in units for y in units}
+
+    def deformed(f):
+        return DeformedGroup(r, 3, (f, trivial_cocycle(u, u)))
+
+    refused, at_the_pair = 0, 0
+    for p, q in itertools.permutations(units, 2):
+        f = FunctionTable(u, u, ones)
+        f.table[p, q] = 2
+        messages = set()
+        for build in (build_extension, deformed):
+            with pytest.raises(InvalidParameter) as exc:
+                build(f)
+            messages.add(str(exc.value))
+        (message,) = messages
+        assert re.fullmatch(r"cocycle fails the (normalisation|symmetry|cocycle) law at \(.+\)", message)
+        refused += 1
+        # a sampled triple may meet the bad pair first, in the cocycle law
+        at_the_pair += message in {
+            f"cocycle fails the normalisation law at ({p * q},)",
+            f"cocycle fails the symmetry law at ({p}, {q})",
+            f"cocycle fails the symmetry law at ({q}, {p})",
+        }
+    assert refused == 40 * 39 and at_the_pair > refused // 2
 
 
 def test_coboundaries_of_partial_psi_tables_raise_when_built():
@@ -1196,3 +1238,38 @@ def test_build_extension_reads_no_value_of_a_carry(monkeypatch):
     # the group still reads f: x^4 carries twice on Z/2 and once on Z/4
     assert e.power(((1, 1), (0,)), 4) == ((0, 0), (2 * 3 + 5 - 8,))
     assert calls != []
+    # a transported carry, alone or in a product, is a cocycle by
+    # construction too: neither f nor the maps are read
+    calls.clear()
+    apply = AbHom.apply
+    monkeypatch.setattr(AbHom, "apply", lambda hom, x: calls.append(hom) or apply(hom, x))
+    b, a = FgAbelian((4, 4)), FgAbelian((8,))
+    f = CarryCocycle(b, a, {0: (3,), 1: (5,)})
+    psi, eta = AbHom(a, a, [[3]]), AbHom(b, b, [[1, 1], [0, 1]])
+    for g in (transport_cocycle(f, psi, eta), transport_cocycle(ProductCocycle([f, f]), psi, eta)):
+        assert build_extension(g).cocycle is g
+    assert calls == []
+
+
+def test_a_transport_takes_homomorphisms_only():
+    # two callables are not a transport: a map that is not a homomorphism
+    # would make E(f) from a non-cocycle that claims to be one
+    z4 = FgAbelian((4,))
+    carry = CarryCocycle(z4, z4, {0: (1,)})
+    with pytest.raises(TypeError):
+        TransportedCocycle(carry, z4, z4, lambda a: (1,), lambda x: x)
+    with pytest.raises(InvalidParameter, match="AbHom"):
+        TransportedCocycle(carry, lambda a: (1,), lambda x: x)
+    with pytest.raises(DomainMismatch):
+        TransportedCocycle(carry, AbHom.identity(z4), AbHom.identity(FgAbelian((2,))))
+    g = TransportedCocycle(carry, AbHom(z4, z4, [[3]]), AbHom.identity(z4))
+    assert g.is_cocycle_by_construction and verify_cocycle(g).ok
+
+
+def test_monomial_psi_refuses_a_torsion_index_outside_its_domain():
+    b, a = FgAbelian((2, 4)), FgAbelian((4,))
+    for idx in (-1, 2, 7):
+        with pytest.raises(InvalidParameter, match=f"no torsion factor {idx}"):
+            MonomialPsi(b, a, {idx: (1,)})
+    psi = MonomialPsi(b, a, {1: (1,)})
+    assert psi((1, 3)) == (3,) and psi((1, 0)) == (0,)

@@ -337,6 +337,18 @@ def test_unit_group_structures():
     assert us.torsion_order == 2 and us.free_basis == ((1, 1),)
 
 
+def test_free_generator_refuses_keys_that_name_no_basis_element():
+    # a key is a basis index, or over Q^x a prime: a negative index must not
+    # wrap round to the last element, nor a key past the end raise IndexError
+    us = unit_group(parse_ring("Z[sqrt(2)]"))
+    assert us.free_generator(0) == (1, 1)
+    uq = unit_group(parse_ring("Q"))
+    assert uq.free_generator(7) == 7 and uq.compose((1,), {2: -1, 3: 1}) == Fraction(-3, 2)
+    for units, key in [(us, -1), (us, 1), (unit_group(parse_ring("Z/7")), 0), (uq, 1), (uq, -3)]:
+        with pytest.raises(InvalidParameter, match=f"no free factor {key}"):
+            units.free_generator(key)
+
+
 @pytest.mark.parametrize("make", [IntegerRing, RationalField, lambda: IntegersMod(7), lambda: QuadraticOrder(2), GaussianIntegers])
 def test_a_ring_keeps_one_unit_group(make):
     r = make()

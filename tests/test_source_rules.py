@@ -204,3 +204,21 @@ def test_every_cocycle_backend_says_whether_it_is_a_cocycle_by_construction():
     library = {"SymCocycle2", "CarryCocycle", "FunctionTable", "CoboundaryOf", "ProductCocycle", "TransportedCocycle"}
     assert library <= backends
     assert {name for name in backends if not declares(classes[name])} == set()
+
+
+def test_cocycles_enter_through_one_check():
+    # a transport is built in cocycles only, from the AbHoms that
+    # transport_cocycle checked, and DeformedGroup decides whether an input
+    # is a cocycle through cocycles.check_cocycle, not by a check of its own
+    calls, imports = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TransportedCocycle":
+                    calls.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and path.name == "trigroup.py":
+                imports |= {alias.name for alias in node.names}
+    assert calls == {"cocycles.py"}
+    assert "check_cocycle" in imports and "verify_cocycle" not in imports

@@ -365,8 +365,9 @@ def test_op_table_associativity_vectorized(t3_z3_fg):
 
 
 def test_constructor_checks_normalisation_on_every_finite_unit():
-    # |(Z/41)^x| = 40 lies above verify_cocycle's exhaustive limit, so its
-    # sampled trials can miss a single bad entry; the constructor must not
+    # |(Z/41)^x| = 40 lies above the exhaustive limit of the entry check, so
+    # its 64 sampled trials can miss a single bad entry; the constructor
+    # must not
     r = parse_ring("Z/41")
     u = unit_group(r)
     units = u.elements()
@@ -374,11 +375,11 @@ def test_constructor_checks_normalisation_on_every_finite_unit():
         table = {(x, y): 1 for x in units for y in units}
         table[(1, bad)] = table[(bad, 1)] = 2
         f = FunctionTable(u, u, table)
-        if verify_cocycle(f, trials=32, exhaustive_limit=16).ok:
+        if verify_cocycle(f, trials=64, exhaustive_limit=16).ok:
             break
     else:
         pytest.fail("every placement of the bad entry was caught by sampling")
-    with pytest.raises(InvalidParameter, match="normalised"):
+    with pytest.raises(InvalidParameter, match=rf"^cocycle fails the normalisation law at \({bad},\)$"):
         DeformedGroup(r, 3, (f, trivial_cocycle(u, u)))
 
 

@@ -16,10 +16,10 @@ import json
 import math
 import sys
 
-from . import abgroups, cocycles, fologic, rings, structure, trigroup
+# Each handler and loader imports the submodules it calls, so a command
+# compiles only those (a source-rule test holds this list).
 from .config import DEFAULT_BUDGET, DEFAULT_OUTPUT, DEFAULT_TRIALS, Config, resolve_seed
 from .errors import ParseError, TriadeformError
-from .finitegroup import from_group
 from .report import CheckReport
 
 
@@ -39,6 +39,8 @@ def _group_from_json(data):
     a bare backend; bare backends default both carriers to the unit group of
     the ambient ring.
     """
+    from . import cocycles, rings, trigroup
+
     spec = cocycles._field(data, "ring", "", str)
     n = cocycles._field(data, "n", "", int)
     ring = rings.parse_ring(spec)
@@ -71,6 +73,8 @@ def _load_group(path: str):
 
 def _parse_fg_abelian(text: str, arg: str) -> abgroups.FgAbelian:
     """Comma-separated cyclic orders; 0 denotes a Z factor, e.g. "4,0"."""
+    from . import abgroups
+
     try:
         orders = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
@@ -95,6 +99,8 @@ def _witness_text(psi: cocycles.SplitSectionPsi) -> str:
 
 
 def cmd_ring(args, cfg: Config) -> CheckReport:
+    from . import rings
+
     ring = rings.parse_ring(args.ring)
     if args.ring_cmd == "info":
         data = {"spec": ring.spec, "kind": ring.kind, "finite": ring.is_finite}
@@ -142,6 +148,8 @@ def cmd_ring(args, cfg: Config) -> CheckReport:
 
 
 def cmd_ext(args, cfg: Config) -> CheckReport:
+    from . import abgroups
+
     b = _parse_fg_abelian(args.b, "b")
     a = _parse_fg_abelian(args.a, "a")
     ext = abgroups.ext_group(b, a)
@@ -160,6 +168,8 @@ def cmd_ext(args, cfg: Config) -> CheckReport:
 
 
 def cmd_cocycle(args, cfg: Config) -> CheckReport:
+    from . import cocycles
+
     f = cocycles.cocycle_from_json(_load_json(args.file))
     if args.cocycle_cmd == "verify":
         rep = cocycles.verify_cocycle(f, trials=cfg.trials, rng=cfg.rng())
@@ -190,6 +200,8 @@ def cmd_cocycle(args, cfg: Config) -> CheckReport:
 def _hom_from_json(data, flag: str) -> abgroups.AbHom:
     """Hom document {"domain", "codomain", "matrix"}, the groups as
     {"invariants"?, "free_rank"?}; ParseError naming the flag and field."""
+    from . import abgroups, cocycles
+
     try:
         groups = []
         for side in ("domain", "codomain"):
@@ -209,6 +221,8 @@ def _hom_from_json(data, flag: str) -> abgroups.AbHom:
 
 
 def cmd_group(args, cfg: Config) -> CheckReport:
+    from . import trigroup
+
     group = _load_group(args.group)
     if args.group_cmd == "build":
         data = {
@@ -247,6 +261,8 @@ def cmd_group(args, cfg: Config) -> CheckReport:
 
 
 def _fn_identity_report(group, args, cfg: Config) -> CheckReport:
+    from . import rings, trigroup
+
     if not isinstance(group, trigroup.DeformedGroup):
         raise ParseError("fn-identity needs a deformed group description")
     ring = group.ring
@@ -274,6 +290,8 @@ def _fn_identity_report(group, args, cfg: Config) -> CheckReport:
 
 
 def _split_iso_report(group, cfg: Config) -> CheckReport:
+    from . import trigroup
+
     if not isinstance(group, trigroup.DeformedGroup):
         raise ParseError("split-iso needs a deformed group description")
     iso = trigroup.split_isomorphism(group)
@@ -311,6 +329,9 @@ def _split_iso_report(group, cfg: Config) -> CheckReport:
 
 
 def cmd_structure(args, cfg: Config) -> CheckReport:
+    from . import structure
+    from .finitegroup import from_group
+
     group = _load_group(args.group)
     if args.structure_cmd == "center":
         return _description_report(group, structure.center_description(group), "center", "center-desc", lambda fg: fg.center())
@@ -351,6 +372,8 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
 
 
 def _description_report(group, desc, name: str, lemma: str, brute) -> CheckReport:
+    from .finitegroup import from_group
+
     fg = from_group(group)
     described = desc.elements_in(fg)
     computed = brute(fg)
@@ -370,6 +393,8 @@ def _description_report(group, desc, name: str, lemma: str, brute) -> CheckRepor
 
 
 def cmd_fo(args, cfg: Config) -> CheckReport:
+    from . import fologic
+
     if args.fo_cmd == "parse":
         phi = fologic.parse_formula(args.formula)
         canonical = fologic.format_formula(phi)
@@ -387,9 +412,12 @@ def cmd_fo(args, cfg: Config) -> CheckReport:
         phi = fologic.parse_formula(args.formula)
         group = _load_group(args.group)
         model = fologic.model_from_group(group)
-        for name in args.center_set or []:
-            desc = structure.center_description(group)
-            model.register_set(name, desc.elements_in(model.fg))
+        if args.center_set:
+            from . import structure
+
+            center = structure.center_description(group).elements_in(model.fg)
+            for name in args.center_set:
+                model.register_set(name, center)
         assignment = {}
         for binding in args.assign or []:
             name, _, payload = binding.partition("=")

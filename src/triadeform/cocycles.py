@@ -142,6 +142,8 @@ class MonomialPsi(PsiMap):
         for idx in self.torsion_bases:
             if not 0 <= idx < len(domain.torsion_factors):
                 raise InvalidParameter(f"no torsion factor {idx} to take a base on")
+        for key in self.free_bases:
+            domain.free_generator(key)  # InvalidParameter unless key names a free factor
 
     def __call__(self, b):
         if self.free_bases:
@@ -520,8 +522,9 @@ def _backend_from_json(domain, codomain, backend, path: str) -> SymCocycle2:
     if kind == "carry":
         targets = _field(backend, "targets", path, dict, {})
         at = _at(path, "targets")
+        factor = domain.torsion_factor_generator
         return CarryCocycle(
-            domain, codomain, {_factor_index(domain, i, at): _elem(codomain, c, _at(at, i)) for i, c in targets.items()}
+            domain, codomain, {_factor_key(factor, i, at): _elem(codomain, c, _at(at, i)) for i, c in targets.items()}
         )
     if kind == "table":
         table = {}
@@ -553,10 +556,11 @@ def _psi_from_json(domain, codomain, data, path: str) -> PsiMap:
     kind = _field(data, "type", path, str)
     if kind == "monomial":
         bases = []
-        for name, key in (("torsion_bases", partial(_factor_index, domain)), ("free_bases", _index)):
+        factors = (("torsion_bases", domain.torsion_factor_generator), ("free_bases", domain.free_generator))
+        for name, generator in factors:
             at = _at(path, name)
             raw = _field(data, name, path, dict, {})
-            bases.append({key(i, at): _elem(codomain, a, _at(at, i)) for i, a in raw.items()})
+            bases.append({_factor_key(generator, i, at): _elem(codomain, a, _at(at, i)) for i, a in raw.items()})
         return MonomialPsi(domain, codomain, *bases)
     if kind == "table":
         table = {}
@@ -608,18 +612,15 @@ def _int_list(value, path: str) -> list:
     return value
 
 
-def _index(key: str, path: str) -> int:
-    """A JSON object key naming a factor index or prime, as an int."""
+def _factor_key(generator, key: str, path: str) -> int:
+    """A JSON object key naming a factor index or prime, as an int that
+    generator (a carrier's torsion_factor_generator or free_generator)
+    accepts; ParseError naming the key otherwise."""
     try:
-        return int(key)
+        idx = int(key)
     except ValueError as exc:
         raise ParseError(f"field {_at(path, key)!r}: key must be an integer") from exc
-
-
-def _factor_index(domain, key: str, path: str) -> int:
-    """_index(key, path), checked to number a torsion factor of domain."""
-    idx = _index(key, path)
-    _built(_at(path, key), domain.torsion_factor_generator, idx)
+    _built(_at(path, key), generator, idx)
     return idx
 
 

@@ -20,6 +20,7 @@ ring's class.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -46,6 +47,17 @@ def _factorint(n: int) -> dict[int, int]:
     from sympy import factorint
 
     return {int(p): int(e) for p, e in factorint(n).items()}
+
+
+@functools.lru_cache(maxsize=1024)
+def _is_prime(n: int) -> bool:
+    """Whether n is one of the primes _factorint returns: sympy's factorint
+    keeps a factor when isprime accepts it, and isprime answers at once on
+    a large composite n that factorint would take long to split.  Cached,
+    as the free generators of Q^x ask again for each prime key."""
+    from sympy import isprime
+
+    return isprime(n)
 
 
 def _json_int(value) -> int:
@@ -910,10 +922,9 @@ class UnitGroupStruct(AbelianCarrier):
 
     def free_generator(self, key):
         """The basis element decompose keys by key: an index, or over Q^x a
-        prime, taken on trust past key > 1 as the library's keys come from
-        decompose."""
+        prime, so exactly the keys that decompose can give."""
         if self.basis_mode == LAZY_PRIME_BASIS:
-            if key > 1:
+            if isinstance(key, int) and key > 1 and _is_prime(key):
                 return Fraction(key)
         elif 0 <= key < len(self.free_basis):
             return self.free_basis[key]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -614,6 +615,15 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("kind", ["deformed", "matrix"])
+@pytest.mark.parametrize("n", [1000, 10**30])
+def test_group_build_refuses_a_size_above_the_dimension_limit_at_once(capsys, group_file, kind, n):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["group", "build", "--group", group_file({"ring": "Z/5", "n": n, "kind": kind})])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and err == f"error: n = {n} exceeds DIMENSION_LIMIT = 100\n"
+
+
 def test_invalid_group_json_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -698,6 +708,11 @@ _Q_2 = {"num": "2", "den": "1"}
         ({"domain": {"type": "fg", "invariant_factors": [2, 4]}, "codomain": _FG_4,
           "backend": {"type": "coboundary", "psi": {"type": "monomial", "torsion_bases": {"7": [1]}}}},
          "field 'backend.psi.torsion_bases.7'"),
+        ({"domain": {"type": "fg", "invariant_factors": [2], "free_rank": 1}, "codomain": _FG_4,
+          "backend": {"type": "coboundary", "psi": {"type": "monomial", "free_bases": {"5": [1]}}}},
+         "field 'backend.psi.free_bases.5'"),
+        ({**_UNITS_Q_TO_Q, "backend": {"type": "coboundary", "psi": {"type": "monomial", "free_bases": {"4": _Q_2}}}},
+         "field 'backend.psi.free_bases.4'"),
     ],
 )
 @pytest.mark.parametrize("cmd", ["verify", "is-coboundary", "is-cot"])

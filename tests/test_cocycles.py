@@ -10,6 +10,7 @@ import json
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -1264,6 +1265,16 @@ def test_a_transport_takes_homomorphisms_only():
         TransportedCocycle(carry, AbHom.identity(z4), AbHom.identity(FgAbelian((2,))))
     g = TransportedCocycle(carry, AbHom(z4, z4, [[3]]), AbHom.identity(z4))
     assert g.is_cocycle_by_construction and verify_cocycle(g).ok
+
+
+def test_monomial_psi_refuses_a_free_key_that_names_no_free_factor():
+    # a base on a key decompose never gives would be trusted and ignored
+    b, a, q = FgAbelian((2,), 1), FgAbelian((4,)), unit_group(parse_ring("Q"))
+    for domain, codomain, key, base in [(b, a, 5, (1,)), (b, a, -1, (1,)), (a, a, 0, (1,)), (q, q, 4, Fraction(2))]:
+        with pytest.raises(InvalidParameter, match=f"no free factor {key}"):
+            MonomialPsi(domain, codomain, {}, {key: base})
+    assert MonomialPsi(b, a, {}, {0: (1,)})((1, 3)) == (3,)
+    assert MonomialPsi(q, q, {}, {3: Fraction(2)})(Fraction(-9, 5)) == 4
 
 
 def test_monomial_psi_refuses_a_torsion_index_outside_its_domain():

@@ -344,7 +344,8 @@ def test_free_generator_refuses_keys_that_name_no_basis_element():
     assert us.free_generator(0) == (1, 1)
     uq = unit_group(parse_ring("Q"))
     assert uq.free_generator(7) == 7 and uq.compose((1,), {2: -1, 3: 1}) == Fraction(-3, 2)
-    for units, key in [(us, -1), (us, 1), (unit_group(parse_ring("Z/7")), 0), (uq, 1), (uq, -3)]:
+    # over Q^x a key is a prime, as decompose gives; 4 and 6 name no basis element
+    for units, key in [(us, -1), (us, 1), (unit_group(parse_ring("Z/7")), 0), (uq, 1), (uq, -3), (uq, 4), (uq, 6)]:
         with pytest.raises(InvalidParameter, match=f"no free factor {key}"):
             units.free_generator(key)
 

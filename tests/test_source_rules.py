@@ -222,3 +222,23 @@ def test_cocycles_enter_through_one_check():
                 imports |= {alias.name for alias in node.names}
     assert calls == {"cocycles.py"}
     assert "check_cocycle" in imports and "verify_cocycle" not in imports
+
+
+def test_cli_imports_only_config_errors_and_report_at_module_level():
+    # a command compiles only the submodules its handler imports, so an
+    # import at the top of cli.py would bring back the compile cost of
+    # the package for every command
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    todo, found = list(ast.parse(path.read_text(), filename=str(path)).body), set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.split(".")[0]} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("triadeform"):
+            found |= {node.module}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.startswith("triadeform")}
+    assert found == {"config", "errors", "report"}

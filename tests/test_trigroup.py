@@ -36,7 +36,7 @@ from triadeform import (
 from triadeform.cocycles import DictPsi
 from triadeform.errors import ParseError, TooLarge
 from triadeform.rings import IntegersMod, Ring
-from triadeform.trigroup import ENUMERATION_LIMIT, _unit_pool
+from triadeform.trigroup import DIMENSION_LIMIT, ENUMERATION_LIMIT, _unit_pool
 
 
 def _twisted_f5(n=3, target=2):
@@ -673,6 +673,21 @@ def test_elements_sizes_and_cap(t3_z3):
     for group in (DeformedGroup(parse_ring("Z/7"), 4), TriMatrixGroup(parse_ring("Z/7"), 4), DeformedGroup(parse_ring("Q"), 3)):
         with pytest.raises(TooLarge):
             list(group.elements())
+
+
+def test_groups_refuse_n_above_the_dimension_limit_before_any_work():
+    # the slot plan grows as n^3, so a larger n is refused by name, and the
+    # largest n allowed still builds at once
+    r = parse_ring("Z/5")
+    for make in (DeformedGroup, TriMatrixGroup):
+        for n in (DIMENSION_LIMIT + 1, 10**30):
+            start = time.perf_counter()
+            with pytest.raises(TooLarge, match=f"n = {n} exceeds DIMENSION_LIMIT = {DIMENSION_LIMIT}"):
+                make(r, n)
+            assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        assert make(r, DIMENSION_LIMIT).n == DIMENSION_LIMIT
+        assert time.perf_counter() - start < 1.0
 
 
 def test_twisted_group_order_and_enumeration():

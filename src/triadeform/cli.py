@@ -111,8 +111,8 @@ def cmd_ring(args, cfg: Config) -> CheckReport:
     if args.ring_cmd == "units":
         u = rings.unit_group(ring)
         data = {
-            "torsion_order": u.torsion_order,
-            "torsion_generator": ring.format_elem(u.torsion_generator),
+            "torsion_factors": list(u.torsion_factors),
+            "torsion_generators": [ring.format_elem(g) for g in u.generators()[: len(u.torsion_factors)]],
             "fundamental_units": [ring.format_elem(b) for b in u.free_basis],
             "basis_mode": u.basis_mode,
         }

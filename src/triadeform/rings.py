@@ -6,13 +6,13 @@ maximal one), and the Gaussian integers.  Elements are plain Python values:
 ``int`` for Z and Z/m, ``Fraction`` for Q, and ``(a, b)`` integer pairs for
 the quadratic rings, so everything stays hashable and exactly comparable.
 
-The unit-group machinery treats R^x as a torsion-by-free abelian group with a
-single cyclic torsion factor and decides membership, decomposition, square
-testing and k-th roots by exact computation (continued fractions for the
-fundamental unit, one shared torsion-log table {g^k: k} of the torsion
-generator g, prime factorisation for Q^x).  Divisibility in the quadratic
-orders is decided by solving the 2x2 integer linear system directly rather
-than by norm heuristics.  Each ring answers for itself whether it is an
+The unit-group machinery treats R^x as a product of cyclic torsion factors
+and a free part, (Z/m)^x as the product of its prime-power parts (CRT), and
+decides membership, decomposition, square testing and k-th roots by exact
+computation (continued fractions for the fundamental unit, one shared
+torsion-log table of the torsion generators, prime factorisation for Q^x).
+Divisibility in the quadratic orders is decided by solving the 2x2 integer
+linear system directly rather than by norm heuristics.  Each ring answers for itself whether it is an
 integral domain, whether an element lies in the ideal some elements
 generate, and the exponents of a unit, so no other module branches on a
 ring's class.
@@ -153,30 +153,6 @@ class Ring:
     def unit_count(self) -> int:
         raise InvalidParameter(f"{self.spec} is not finite")
 
-    _unit_gens: "list[Elem] | None" = None
-
-    def unit_generators(self) -> list[Elem]:
-        """Generators of the finite R^x, found once per ring: scan units()
-        in order and keep each unit that the ones kept so far do not
-        generate.  R^x is abelian, so adjoining u to H gives the union of
-        the cosets H u^i for i below the least k with u^k in H."""
-        if self._unit_gens is None:
-            units = self.units()
-            kept, closed = [], {self.one}
-            for u in units:
-                if len(closed) == len(units):
-                    break
-                if u in closed:
-                    continue
-                kept.append(u)
-                powers, p = [self.one], u
-                while p not in closed:
-                    powers.append(p)
-                    p = self.mul(p, u)
-                closed = {self.mul(h, q) for h in closed for q in powers}
-            self._unit_gens = kept
-        return list(self._unit_gens)
-
     # -- unit group ------------------------------------------------------
     _unit_struct: "UnitGroupStruct | None" = None
 
@@ -192,13 +168,12 @@ class Ring:
 
     def unit_exponents(self, units: "UnitGroupStruct", x: Elem) -> tuple[tuple[int, ...], dict]:
         """Exponents of the unit x over the generators of units.  This
-        default looks x up among the powers of the torsion generator, which
-        are all of R^x when R^x is finite."""
+        default looks x up among the products of powers of the torsion
+        generators, which are all of R^x when R^x is finite."""
         try:
-            k = units.torsion_log()[self.ensure(x)]
+            return (units.torsion_log()[self.ensure(x)], {})
         except KeyError:
             raise NotAUnit(f"{x!r} is not a unit in {self.spec}") from None
-        return ((k,) if units.torsion_factors else (), {})
 
     def unit_torsion_exponents(self, units: "UnitGroupStruct", x: Elem) -> tuple[int, ...]:
         """The torsion part of unit_exponents alone.  This default decomposes
@@ -275,7 +250,7 @@ class IntegerRing(Ring):
         return x % g == 0 if g else x == 0
 
     def _build_unit_group(self):
-        return UnitGroupStruct(self, 2, -1, (), COMPLETE)
+        return UnitGroupStruct(self, ((2, -1),), (), COMPLETE)
 
     def parse_elem(self, text):
         try:
@@ -411,7 +386,7 @@ class RationalField(Ring):
         return x == 0 or any(g != 0 for g in gens)
 
     def _build_unit_group(self):
-        return UnitGroupStruct(self, 2, Fraction(-1), (), LAZY_PRIME_BASIS)
+        return UnitGroupStruct(self, ((2, Fraction(-1)),), (), LAZY_PRIME_BASIS)
 
     def unit_exponents(self, units, x):
         """The sign bit, and the exponent of each prime keyed by the prime."""
@@ -523,26 +498,25 @@ class IntegersMod(Ring):
         return _totient(_trial_factor(self.m))
 
     def _build_unit_group(self):
-        m = self.m
-        factors = _trial_factor(m)
-        # (Z/m)^x is cyclic exactly for m = 2, 4, p^k and 2 p^k with p odd
-        odd = [p for p in factors if p != 2]
-        if not (m in (2, 4) or (len(odd) == 1 and factors.get(2, 0) <= 1)):
-            # A single torsion generator cannot describe a non-cyclic
-            # unit group; refuse rather than return something wrong.
-            raise InvalidParameter(
-                f"({self.spec})^x is not cyclic; no single-generator description exists"
-            )
-        order = _totient(factors)
-        # the least unit g with g^(order/q) != 1 for every prime q | order
-        # (Cohen, GTM 138, Alg. 1.4.4), i.e. the least unit of full order
-        cofactors = [order // q for q in _trial_factor(order)]
-        gen = next(
-            g
-            for g in range(1, m)
-            if math.gcd(g, m) == 1 and all(pow(g, c, m) != 1 for c in cofactors)
-        )
-        return UnitGroupStruct(self, order, gen, (), COMPLETE)
+        """(Z/m)^x as the product of its prime-power parts (CRT; Cohen, GTM
+        138, 1.4), each generator 1 mod m / q^e for its q^e || m.  An odd q^e,
+        or 4, gives one factor, generated by the least such g of full order
+        mod q^e (Alg. 1.4.4); 2^e, e >= 3, gives -1 and 5 lifted the same way;
+        2 gives none.  So a cyclic (Z/m)^x has its least unit of full order."""
+        m, torsion = self.m, []
+        for q, e in _trial_factor(m).items():
+            qe = q**e
+            rest = m // qe
+            if q == 2 and e >= 3:
+                # the g = r mod 2^e with g = 1 mod rest, for r = -1 and 5
+                inv = pow(rest, -1, qe)
+                torsion += [(2, 1 + rest * (-2 * inv % qe)), (qe // 4, 1 + rest * (4 * inv % qe))]
+            elif qe > 2:
+                order = _totient({q: e})
+                cofactors = [order // p for p in _trial_factor(order)]
+                gen = next(g for g in range(1, m, rest) if g % q and all(pow(g, c, qe) != 1 for c in cofactors))
+                torsion.append((order, gen))
+        return UnitGroupStruct(self, torsion, (), COMPLETE)
 
     def parse_elem(self, text):
         try:
@@ -686,10 +660,10 @@ class QuadraticOrder(Ring):
 
     def _build_unit_group(self):
         if self.d > 0:
-            return UnitGroupStruct(self, 2, (-1, 0), (fundamental_unit(self.d),), COMPLETE)
+            return UnitGroupStruct(self, ((2, (-1, 0)),), (fundamental_unit(self.d),), COMPLETE)
         if self.d == -1:
-            return UnitGroupStruct(self, 4, (0, 1), (), COMPLETE)
-        return UnitGroupStruct(self, 2, (-1, 0), (), COMPLETE)
+            return UnitGroupStruct(self, ((4, (0, 1)),), (), COMPLETE)
+        return UnitGroupStruct(self, ((2, (-1, 0)),), (), COMPLETE)
 
     def unit_exponents(self, units, x):
         """Over a real order, (t, e) with x = (-1)^t eps^e for eps the free
@@ -759,8 +733,9 @@ class QuadraticOrder(Ring):
         if struct.free_basis:
             u = self.unit_pow(struct.free_basis[0], rng.randint(-5, 5))
         else:
-            u = self.unit_pow(struct.torsion_generator, rng.randrange(struct.torsion_order))
-            return u if sign == 1 or struct.torsion_order != 4 else self.neg(u)
+            order = struct.order()
+            u = self.unit_pow(struct.torsion_factor_generator(0), rng.randrange(order))
+            return u if sign == 1 or order != 4 else self.neg(u)
         return u if sign == 1 else self.neg(u)
 
 
@@ -871,7 +846,9 @@ def fundamental_unit(d: int) -> tuple[int, int]:
 
 
 class UnitGroupStruct(AbelianCarrier):
-    """R^x presented as <g> x Z^r with a single cyclic torsion factor <g>.
+    """R^x presented as C_d1 x ... x C_dk x Z^r, as FgAbelian holds an
+    abelian group: cyclic torsion factors, each with its generator, then a
+    free basis.  The di need not divide one another.
 
     Doubles as a cocycle carrier: it exposes op/inverse/power, canonical
     decomposition into exponents, and the ring's element formats; roots and
@@ -880,10 +857,11 @@ class UnitGroupStruct(AbelianCarrier):
     themselves.  Two unit groups are equal when their rings are.
     """
 
-    def __init__(self, ring: Ring, torsion_order: int, torsion_generator, free_basis, basis_mode: str):
+    def __init__(self, ring: Ring, torsion, free_basis, basis_mode: str):
+        """torsion lists the (order, generator) pair of each torsion factor."""
         self.ring = ring
-        self.torsion_order = torsion_order
-        self.torsion_generator = torsion_generator
+        self.torsion_factors = tuple(d for d, _ in torsion)
+        self._torsion_gens = tuple(g for _, g in torsion)
         self.free_basis = tuple(free_basis)
         self.basis_mode = basis_mode
         self._decomp_cache: dict[Any, tuple[tuple[int, ...], dict]] = {}
@@ -911,14 +889,10 @@ class UnitGroupStruct(AbelianCarrier):
         except InvalidParameter:
             return False
 
-    @property
-    def torsion_factors(self) -> tuple[int, ...]:
-        return (self.torsion_order,) if self.torsion_order > 1 else ()
-
     def torsion_factor_generator(self, idx: int):
-        if idx != 0 or self.torsion_order <= 1:
+        if not 0 <= idx < len(self.torsion_factors):
             raise InvalidParameter(f"no torsion factor {idx}")
-        return self.torsion_generator
+        return self._torsion_gens[idx]
 
     def free_generator(self, key):
         """The basis element decompose keys by key: an index, or over Q^x a
@@ -937,23 +911,34 @@ class UnitGroupStruct(AbelianCarrier):
     def order(self) -> int:
         if not self.is_finite:
             raise InvalidParameter("unit group is infinite")
-        return self.torsion_order
+        return math.prod(self.torsion_factors)
 
     def elements(self) -> list:
         if not self.is_finite:
             raise InvalidParameter("unit group is infinite")
         return list(self.torsion_log())
 
+    def generators(self) -> list:
+        """The torsion generators, then the free basis (over Q^x the lazy
+        prime basis lists none)."""
+        return [*self._torsion_gens, *self.free_basis]
+
     def torsion_log(self) -> dict:
-        """{g^k: k for 0 <= k < torsion_order} for the torsion generator g,
-        in the order of k, built once; TooLarge above TORSION_LOG_LIMIT."""
+        """{g1^k1 ... gr^kr: (k1, .., kr)} over 0 <= ki < di for the torsion
+        generators gi, in the lexicographic order of the exponents, built
+        once; TooLarge when the torsion order is above TORSION_LOG_LIMIT."""
         if self._torsion_log is None:
-            if self.torsion_order > TORSION_LOG_LIMIT:
-                raise TooLarge(f"a torsion log of order {self.torsion_order} exceeds {TORSION_LOG_LIMIT}")
-            table, acc = {}, self.ring.one
-            for k in range(self.torsion_order):
-                table[acc] = k
-                acc = self.ring.mul(acc, self.torsion_generator)
+            order = math.prod(self.torsion_factors)
+            if order > TORSION_LOG_LIMIT:
+                raise TooLarge(f"a torsion log of order {order} exceeds {TORSION_LOG_LIMIT}")
+            table = {self.ring.one: ()}
+            for d, g in zip(self.torsion_factors, self._torsion_gens):
+                walked = {}
+                for x, exps in table.items():
+                    for k in range(d):
+                        walked[x] = (*exps, k)
+                        x = self.ring.mul(x, g)
+                table = walked
             self._torsion_log = table
         return self._torsion_log
 
@@ -981,8 +966,8 @@ class UnitGroupStruct(AbelianCarrier):
 
     def compose(self, torsion_exps, free_exps) -> Elem:
         out = self.ring.one
-        if self.torsion_factors and torsion_exps:
-            out = self.ring.mul(out, self.power(self.torsion_generator, torsion_exps[0]))
+        for g, e in zip(self._torsion_gens, torsion_exps):
+            out = self.ring.mul(out, self.power(g, e))
         for key, e in free_exps.items():
             out = self.ring.mul(out, self.power(self.free_generator(key), e))
         return out
@@ -1009,7 +994,7 @@ class UnitGroupStruct(AbelianCarrier):
         return hash(self.ring)
 
     def __repr__(self):
-        return f"UnitGroupStruct({self.ring.spec}, torsion={self.torsion_order}, rank={len(self.free_basis)})"
+        return f"UnitGroupStruct({self.ring.spec}, torsion={math.prod(self.torsion_factors)}, rank={len(self.free_basis)})"
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1014,13 @@ def unit_group(ring: Ring) -> UnitGroupStruct:
 
 
 def unit_decompose(units: UnitGroupStruct, x) -> tuple[int, dict]:
-    """Exponents of x over (torsion_generator, free basis): (t, {key: e})."""
+    """Exponents of x over (the torsion generator, the free basis): (t, {key:
+    e}).  One exponent t names the torsion part only when there is at most
+    one torsion factor, so more raise InvalidParameter."""
+    if len(units.torsion_factors) > 1:
+        raise InvalidParameter(
+            f"({units.ring.spec})^x has {len(units.torsion_factors)} torsion factors; unit_decompose gives one exponent"
+        )
     torsion, free = units.decompose(x)
     return (torsion[0] if torsion else 0, free)
 
@@ -1066,13 +1057,13 @@ def eval_psi(ring: Ring, s: int, lam, alpha, beta, delta, a) -> bool:
     lam_t, lam_free = units.decompose(lam)
     if not any(lam_free.values()):
         raise InvalidParameter(f"{ring.format_elem(lam)} is a torsion unit")
-    k = units.torsion_order
+    k = math.lcm(*units.torsion_factors)  # the exponent of the torsion
     for name, x in (("alpha", alpha), ("beta", beta), ("delta", delta)):
         try:
             t, free = units.decompose(x)
         except NotAUnit as exc:
             raise NotInSubgroupB(f"{name} = {ring.format_elem(x)} is not a unit") from exc
-        if (t and t[0] % k) or any(e % k for e in free.values()):
+        if any(t) or any(e % k for e in free.values()):
             raise NotInSubgroupB(
                 f"{name} = {ring.format_elem(x)} is not in the torsion-free power subgroup"
             )

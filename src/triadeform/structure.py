@@ -39,12 +39,12 @@ from .trigroup import DeformedGroup
 
 class UnitDiffIdeal:
     """Ideal of R generated by {1 - u : u a unit of R}, or by 1 - g over the generators g
-    of R^x alone, as 1 - gh = (1 - g) + g(1 - h) and 1 - g^-1 = -g^-1 (1 - g)."""
+    of R^x alone, as 1 - gh = (1 - g) + g(1 - h) and 1 - g^-1 = -g^-1 (1 - g).
+    Over Q the generator -1 alone gives 2, a unit, so the lazy prime basis adds nothing."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
-        units = ring.unit_group()
-        gens = [ring.sub(ring.one, g) for g in (units.torsion_generator, *units.free_basis)]
+        gens = [ring.sub(ring.one, g) for g in ring.unit_group().generators()]
         self.generators = [g for g in gens if g != ring.zero]
 
     def contains(self, x) -> bool:

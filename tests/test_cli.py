@@ -73,9 +73,21 @@ def test_ring_info(capsys):
 def test_ring_units_pins_fundamental_unit(capsys):
     rc, report = run_json(capsys, ["ring", "units", "Z[sqrt(2)]"])
     assert rc == 0
-    assert report["data"]["torsion_order"] == 2
-    assert report["data"]["torsion_generator"] == "-1"
+    assert report["data"]["torsion_factors"] == [2]
+    assert report["data"]["torsion_generators"] == ["-1"]
     assert report["data"]["fundamental_units"] == ["1+1*sqrt(2)"]
+
+
+def test_ring_units_lists_every_torsion_factor(capsys):
+    # (Z/15)^x = C2 x C4 has no single torsion generator
+    rc, report = run_json(capsys, ["ring", "units", "Z/15"])
+    assert rc == 0
+    assert report["data"] == {
+        "torsion_factors": [2, 4],
+        "torsion_generators": ["11", "7"],
+        "fundamental_units": [],
+        "basis_mode": "complete",
+    }
 
 
 def test_ring_divides_exit_codes(capsys):

@@ -139,7 +139,7 @@ def test_torsion_exponents_match_decompose(carrier, rng):
         with pytest.raises(NotAUnit):
             carrier.torsion_exponents(zero)
         with pytest.raises(NotAUnit):
-            CarryCocycle(carrier, carrier, {0: carrier.torsion_generator})(zero, carrier.identity)
+            CarryCocycle(carrier, carrier, {0: carrier.torsion_factor_generator(0)})(zero, carrier.identity)
 
 
 def test_carry_and_torsion_monomial_never_factor_rationals(monkeypatch):

@@ -1,6 +1,7 @@
 """Ring arithmetic, unit groups, divisibility, and the psi predicate."""
 
 import inspect
+import itertools
 import math
 import random
 import time
@@ -326,15 +327,22 @@ def test_divides_closed_under_products_hypothesis(a0, a1, c0, c1):
 
 
 def test_unit_group_structures():
-    assert unit_group(parse_ring("Z")).torsion_order == 2
+    assert unit_group(parse_ring("Z")).generators() == [-1]
     u5 = unit_group(parse_ring("Z/5"))
-    assert u5.torsion_order == 4 and u5.is_finite
+    assert u5.torsion_factors == (4,) and u5.order() == 4 and u5.is_finite
     uq = unit_group(parse_ring("Q"))
-    assert uq.torsion_order == 2 and not uq.is_finite
+    assert uq.torsion_factors == (2,) and not uq.is_finite
     ui = unit_group(parse_ring("Z[i]"))
-    assert ui.torsion_order == 4 and ui.torsion_generator == (0, 1)
+    assert ui.torsion_factors == (4,) and ui.generators() == [(0, 1)]
     us = unit_group(parse_ring("Z[sqrt(2)]"))
-    assert us.torsion_order == 2 and us.free_basis == ((1, 1),)
+    assert us.torsion_factors == (2,) and us.free_basis == ((1, 1),)
+    assert us.generators() == [(-1, 0), (1, 1)]
+    # (Z/15)^x = C2 x C4, each factor generated by a unit that is 1 mod the other prime power
+    u15 = unit_group(parse_ring("Z/15"))
+    assert (u15.torsion_factors, u15.generators(), u15.order()) == ((2, 4), [11, 7], 8)
+    assert repr(u15) == "UnitGroupStruct(Z/15, torsion=8, rank=0)"
+    with pytest.raises(InvalidParameter, match="no torsion factor 2"):
+        u15.torsion_factor_generator(2)
 
 
 def test_free_generator_refuses_keys_that_name_no_basis_element():
@@ -374,14 +382,6 @@ def test_rational_unit_decompositions_are_computed_once_per_ring(monkeypatch):
     assert sorted(calls) == [12, 35]  # numerator and denominator, each once
 
 
-def test_non_cyclic_unit_group_refused():
-    with pytest.raises(InvalidParameter):
-        unit_group(parse_ring("Z/8"))
-    for m in (8, 12, 15):
-        with pytest.raises(InvalidParameter, match=rf"\(Z/{m}\)\^x is not cyclic"):
-            unit_group(IntegersMod(m))
-
-
 def _linear_order(x, m):
     k, acc = 1, x % m
     while acc != 1:
@@ -390,49 +390,38 @@ def _linear_order(x, m):
 
 
 def test_unit_group_generator_is_the_least_unit_of_full_order():
+    cyclic = 0
     for m in range(2, 200):
         units = [x for x in range(1, m) if math.gcd(x, m) == 1]
         full = [x for x in units if _linear_order(x, m) == len(units)]
         ring = IntegersMod(m)  # fresh, so nothing is cached
-        if not full:
-            with pytest.raises(InvalidParameter, match="not cyclic"):
-                unit_group(ring)
-            continue
         struct = unit_group(ring)
-        assert (struct.torsion_generator, struct.torsion_order) == (full[0], len(units))
+        if not full:
+            assert len(struct.torsion_factors) >= 2, m
+            continue
+        cyclic += 1
+        assert struct.torsion_factors == ((len(units),) if len(units) > 1 else ()), m
+        assert struct.generators() == full[: len(struct.torsion_factors)], m
         assert ring.units() == units
+    # (Z/m)^x is cyclic exactly for m = 2, 4, p^k and 2 p^k with p an odd prime
+    assert cyclic == sum(1 for m in range(2, 200) if m in (2, 4) or _odd_prime_power(m) or _odd_prime_power(m // 2) and m % 4 == 2)
 
 
-def _generated(kept, m):
-    """The subgroup of (Z/m)^x that the units kept generate, by closing
-    {1} under multiplication by each of them."""
-    closed, frontier = {1 % m}, [1 % m]
-    while frontier:
-        x = frontier.pop()
-        for u in kept:
-            y = x * u % m
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-    return closed
-
-
-def test_unit_generators_are_the_greedy_scan_of_the_units():
-    pinned = {2: [], 3: [2], 5: [2], 6: [5], 8: [3, 5], 11: [2], 12: [5, 7]}
-    for m in range(2, 120):
+def test_unit_group_of_every_small_modulus_matches_the_unit_list():
+    # the oracle lists the units by gcd and finds each order by a linear
+    # walk; the unit group is built from the prime-power parts of m
+    pinned = {2: [], 8: [7, 5], 12: [7, 5], 15: [11, 7], 16: [15, 5], 24: [7, 13, 17]}
+    for m in range(2, 200):
         units = [x for x in range(1, m) if math.gcd(x, m) == 1]
-        kept = []
-        for u in units:
-            if u not in _generated(kept, m):
-                kept.append(u)
-        ring = IntegersMod(m)
-        assert ring.unit_generators() == kept == pinned.get(m, kept), m
-        assert _generated(kept, m) == set(units)
-        ring.unit_generators().append(0)  # a copy: the ring keeps its own
-        assert ring.unit_generators() == kept
-    for spec in ("Z", "Q", "Z[i]"):
-        with pytest.raises(InvalidParameter, match="not finite"):
-            parse_ring(spec).unit_generators()
+        struct = IntegersMod(m).unit_group()
+        gens = struct.generators()
+        assert math.prod(struct.torsion_factors) == len(units) == struct.order(), m
+        assert [_linear_order(g, m) for g in gens] == list(struct.torsion_factors), m
+        assert gens == pinned.get(m, gens), m
+        elements = struct.elements()
+        assert len(elements) == len(units) and sorted(elements) == units, m
+        for x in units:
+            assert struct.compose(*struct.decompose(x)) == x, (m, x)
 
 
 def test_unit_count_matches_the_unit_list():
@@ -445,7 +434,7 @@ def test_unit_group_of_a_large_prime_modulus_is_fast():
     start = time.perf_counter()
     struct = unit_group(ring)
     elapsed = time.perf_counter() - start
-    assert (struct.torsion_generator, struct.torsion_order) == (2, 1_000_002)
+    assert (struct.generators(), struct.torsion_factors) == ([2], (1_000_002,))
     # 1_000_002 = 2 * 3 * 166_667 with 166_667 prime
     assert all(pow(2, 1_000_002 // q, 1_000_003) != 1 for q in (2, 3, 166_667))
     assert elapsed < 0.05
@@ -465,7 +454,7 @@ def test_torsion_log_above_its_bound_fails_fast():
     from triadeform.rings import TORSION_LOG_LIMIT
 
     units = unit_group(IntegersMod(1_000_003))
-    assert units.torsion_order > TORSION_LOG_LIMIT
+    assert units.order() > TORSION_LOG_LIMIT
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="torsion log"):
         units.decompose(2)
@@ -491,6 +480,16 @@ def test_unit_decompose_round_trip(ring_sqrt2, rng):
         assert rebuilt == x
     with pytest.raises(NotAUnit):
         u.decompose((2, 0))
+
+
+def test_unit_decompose_refuses_more_than_one_torsion_factor():
+    # one exponent cannot say which unit of C2 x C4 it names: 7 and 11 * 7 share it
+    units = unit_group(IntegersMod(15))
+    for x in (7, 11, 2):
+        with pytest.raises(InvalidParameter, match="2 torsion factors"):
+            unit_decompose(units, x)
+    assert unit_decompose(unit_group(IntegersMod(7)), 3) == (1, {})
+    assert unit_decompose(unit_group(IntegersMod(2)), 1) == (0, {})
 
 
 def _real_sign(x, d):
@@ -557,7 +556,7 @@ def test_real_quadratic_decomposition_checks_its_residue():
     # with eps^2 passed off as the fundamental unit, eps itself has no exponent
     ring = QuadraticOrder(2)
     eps = fundamental_unit(2)
-    squared = UnitGroupStruct(ring, 2, (-1, 0), (ring.mul(eps, eps),), COMPLETE)
+    squared = UnitGroupStruct(ring, ((2, (-1, 0)),), (ring.mul(eps, eps),), COMPLETE)
     assert squared.decompose(ring.unit_pow(eps, 6)) == ((0,), {0: 3})
     with pytest.raises(RuntimeError, match="residue"):
         squared.decompose(ring.unit_pow(eps, 7))
@@ -672,7 +671,7 @@ def test_psi_needs_real_quadratic_order():
     with pytest.raises(InvalidParameter, match=refuses):
         eval_psi(parse_ring("Q"), 1, Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(1))
     for spec in ("Z/7", "Z/8"):
-        # (Z/8)^x is not cyclic: the refusal comes before any unit group
+        # a finite ring is refused whether or not its unit group is cyclic
         with pytest.raises(InvalidParameter, match=refuses):
             eval_psi(parse_ring(spec), 1, 3, 5, 3, 5, 1)
     with pytest.raises(InvalidParameter, match=refuses):
@@ -702,25 +701,21 @@ def test_unit_pow_equals_repeated_products(ring, xs):
 
 
 def test_shifted_residues_decompose_as_a_linear_walk():
-    cyclic = 0
     for m in range(2, 200):
         ring = IntegersMod(m)
-        try:
-            units = ring.unit_group()
-        except InvalidParameter:
-            continue  # (Z/m)^x is not cyclic
-        cyclic += 1
-        walk, acc = [], 1
-        for _ in range(units.torsion_order):
-            walk.append(acc)
-            acc = acc * units.torsion_generator % m
-        assert units.elements() == walk
+        units = ring.unit_group()
+        # each product of generator powers, one multiplication at a time, in
+        # the lexicographic order of the exponents
+        walk = {}
+        for exps in itertools.product(*(range(d) for d in units.torsion_factors)):
+            acc = 1
+            for g, k in zip(units.generators(), exps):
+                for _ in range(k):
+                    acc = acc * g % m
+            walk[acc] = exps
+        assert units.elements() == list(walk)
         for x in ring.units():
-            t = walk.index(x)
-            expected = ((t,) if units.torsion_factors else (), {})
-            assert units.decompose(x + m) == units.decompose(x - 3 * m) == expected
-    # (Z/m)^x is cyclic exactly for m = 2, 4, p^k and 2 p^k with p an odd prime
-    assert cyclic == sum(1 for m in range(2, 200) if m in (2, 4) or _odd_prime_power(m) or _odd_prime_power(m // 2) and m % 4 == 2)
+            assert units.decompose(x + m) == units.decompose(x - 3 * m) == (walk[x], {})
 
 
 def _odd_prime_power(m):
@@ -739,19 +734,17 @@ def test_compose_inverts_decompose_on_sampled_units(rng):
     rings += [GaussianIntegers(), QuadraticOrder(-3), QuadraticOrder(2), QuadraticOrder(7), RationalField(), IntegerRing()]
     checked = set()
     for ring in rings:
-        try:
-            units = ring.unit_group()
-        except InvalidParameter:  # (Z/m)^x not cyclic
-            continue
+        units = ring.unit_group()
         sample = ring.units() if ring.is_finite else [ring.random_unit(rng) for _ in range(30)]
         if ring.spec == "Q":
             sample += [Fraction(-(2**40) * 7, 3**5 * 101), Fraction(1), Fraction(-1)]
         for x in sample:
             torsion, free = units.decompose(x)
             assert units.compose(torsion, free) == x, (ring.spec, x)
-            assert all(0 <= t < units.torsion_order for t in torsion) and all(free.values())
+            assert len(torsion) == len(units.torsion_factors) and all(free.values())
+            assert all(0 <= t < d for t, d in zip(torsion, units.torsion_factors))
         checked.add(ring.spec)
-    assert {"Z/2", "Z/4", "Z/27", "Z/50", "Z[i]", "Z[sqrt(-3)]", "Z[sqrt(2)]", "Q", "Z"} <= checked
+    assert {"Z/2", "Z/4", "Z/8", "Z/15", "Z/27", "Z/50", "Z[i]", "Z[sqrt(-3)]", "Z[sqrt(2)]", "Q", "Z"} <= checked
     with pytest.raises(NotAUnit):
         unit_group(QuadraticOrder(-3)).decompose((1, 1))
 

@@ -72,6 +72,20 @@ def test_ring_classes_are_named_in_rings_only():
     assert found == set()
 
 
+def test_unit_groups_have_one_form():
+    # R^x is a tuple of torsion factors with their generators, read through
+    # unit_group(); the greedy scan and the single-factor fields are gone
+    gone = {"unit_generators", "_unit_gens", "torsion_generator", "torsion_order"}
+    found = {
+        f"{path.name}:{node.lineno}: {name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (getattr(node, field, None) for field in ("id", "attr", "name", "arg", "value"))
+        if isinstance(name, str) and name in gone
+    }
+    assert found == set()
+
+
 def test_one_square_and_multiply_loop():
     # powers in R^x, in E(f) and in the deformed groups all call
     # abgroups.power_by_squaring, the one loop that halves an exponent

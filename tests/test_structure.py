@@ -107,10 +107,18 @@ def test_ideal_over_small_fields_equals_the_all_units_ideal(monkeypatch):
         assert [ideal.contains(x) for x in range(p)] == [x % g == 0 for x in range(p)], p
 
 
-def test_ideal_needs_a_cyclic_unit_group():
-    # the ideal is read off the unit group, which (Z/8)^x = C2 x C2 lacks
-    with pytest.raises(InvalidParameter, match="not cyclic"):
-        unit_diff_ideal(parse_ring("Z/8"))
+def test_ideal_over_every_small_residue_ring_equals_the_all_units_ideal(monkeypatch):
+    # the oracle takes 1 - u over every unit u of Z/m, listed by gcd; the
+    # ideal reads the generators of (Z/m)^x, cyclic or not, and never lists
+    # the units
+    def listing(ring):
+        raise AssertionError(f"{ring.spec} listed its units")
+
+    monkeypatch.setattr(IntegersMod, "units", listing)
+    for m in range(2, 200):
+        g = math.gcd(m, *(1 - u for u in range(1, m) if math.gcd(u, m) == 1))
+        ideal = unit_diff_ideal(IntegersMod(m))
+        assert [ideal.contains(x) for x in range(m)] == [x % g == 0 for x in range(m)], m
 
 
 def test_derived_description_of_a_large_field_fails_fast():
@@ -124,8 +132,7 @@ def test_derived_description_of_a_large_field_fails_fast():
 
 
 def test_from_group_of_a_large_field_fails_fast():
-    # the size bound fires before the greedy scan of every unit that
-    # finds the generators
+    # the size bound fires before any element is listed
     group = DeformedGroup(IntegersMod(1_000_003), 3)
     start = time.perf_counter()
     with pytest.raises(TooLarge, match="exceeds"):

@@ -33,10 +33,10 @@ from triadeform import (
     unit_group,
     verify_cocycle,
 )
-from triadeform.cocycles import DictPsi
+from triadeform.cocycles import DictPsi, is_coboundary
 from triadeform.errors import ParseError, TooLarge
 from triadeform.rings import IntegersMod, Ring
-from triadeform.trigroup import DIMENSION_LIMIT, ENUMERATION_LIMIT, _unit_pool
+from triadeform.trigroup import DIMENSION_LIMIT, ENUMERATION_LIMIT, _plan, _unit_pool
 
 
 def _twisted_f5(n=3, target=2):
@@ -237,12 +237,13 @@ def test_matrix_elements_are_valid_and_distinct(spec, n):
 
 def _pictures(m):
     """T_n(Z/m) as matrices (n = 2, 3), untwisted deformed (n = 3) and, when
-    (Z/m)^x is cyclic and not trivial, carry-twisted by its generator."""
+    (Z/m)^x is not trivial, carry-twisted on its first torsion factor by
+    that factor's generator."""
     r = parse_ring(f"Z/{m}")
     out = {"matrix n=2": TriMatrixGroup(r, 2), "matrix n=3": TriMatrixGroup(r, 3), "deformed": DeformedGroup(r, 3)}
-    if m not in (2, 8, 12):
-        u = unit_group(r)
-        out["carry"] = DeformedGroup(r, 3, (CarryCocycle(u, u, {0: u.torsion_generator}), trivial_cocycle(u, u)))
+    u = unit_group(r)
+    if u.torsion_factors:
+        out["carry"] = DeformedGroup(r, 3, (CarryCocycle(u, u, {0: u.torsion_factor_generator(0)}), trivial_cocycle(u, u)))
     return out
 
 
@@ -250,7 +251,7 @@ def _pictures(m):
 def test_generating_set_is_the_papers_family_and_generates(m):
     for name, grp in _pictures(m).items():
         r, n = grp.ring, grp.n
-        units = r.unit_generators()
+        units = unit_group(r).generators()
         want = [grp.transvection(i, i + 1, 1) for i in range(1, n)]
         want += [grp.diagonal_gen(k, u) for k in range(1, n + 1) for u in units]
         if isinstance(grp, DeformedGroup):
@@ -260,6 +261,36 @@ def test_generating_set_is_the_papers_family_and_generates(m):
         if grp.order() <= ENUMERATION_LIMIT:
             fg = from_group(grp)
             assert fg.subgroup_closure(fg.generator_indices) == frozenset(fg.all_indices), (m, name)
+
+
+def test_generating_set_of_a_large_field_lists_no_units(monkeypatch):
+    # the unit generators come from the unit group, which finds the least
+    # unit of full order in a few steps; listing the 1,000,002 units and
+    # closing them took 0.7 s and 169 MB
+    def listing(ring):
+        raise AssertionError(f"{ring.spec} listed its units")
+
+    monkeypatch.setattr(IntegersMod, "units", listing)
+    for make in (TriMatrixGroup, DeformedGroup):
+        grp = make(IntegersMod(1_000_003), 3)  # a fresh ring, so no unit group is cached
+        start = time.perf_counter()
+        gens = grp.generating_set()
+        assert time.perf_counter() - start < 0.01
+        assert gens[2:5] == [grp.diagonal_gen(k, 2) for k in (1, 2, 3)]
+        assert len(gens) == (6 if make is DeformedGroup else 5)
+
+
+def test_twisted_group_over_a_non_cyclic_unit_group_satisfies_the_presentation(rng):
+    # (Z/15)^x = C2 x C4; the carry on the order-4 factor into -1 mod 3 is no coboundary
+    r = parse_ring("Z/15")
+    u = unit_group(r)
+    assert u.torsion_factors == (2, 4)
+    carry = CarryCocycle(u, u, {1: u.torsion_factor_generator(0)})
+    assert is_coboundary(carry) is None
+    g = DeformedGroup(r, 3, (carry, trivial_cocycle(u, u)))
+    assert not g.is_untwisted
+    for report in check_presentation(g, trials=12, rng=rng):
+        assert report.ok, (report.family, report.witness)
 
 
 @pytest.mark.parametrize("spec", ["Z/6", "Q", "Z[sqrt(2)]"])
@@ -676,8 +707,8 @@ def test_elements_sizes_and_cap(t3_z3):
 
 
 def test_groups_refuse_n_above_the_dimension_limit_before_any_work():
-    # the slot plan grows as n^3, so a larger n is refused by name, and the
-    # largest n allowed still builds at once
+    # a product of dense elements costs about n^3 / 6 ring operations, so a
+    # larger n is refused by name, and the largest n allowed still builds at once
     r = parse_ring("Z/5")
     for make in (DeformedGroup, TriMatrixGroup):
         for n in (DIMENSION_LIMIT + 1, 10**30):
@@ -688,6 +719,17 @@ def test_groups_refuse_n_above_the_dimension_limit_before_any_work():
         start = time.perf_counter()
         assert make(r, DIMENSION_LIMIT).n == DIMENSION_LIMIT
         assert time.perf_counter() - start < 1.0
+
+
+def test_slot_plan_feeds_every_entry_of_a_product():
+    # (UV)_(i,j) = sum over k of u_(i,k) v_(k,j): slot (i, k) feeds each
+    # (k, j) into (i, j), and nothing else
+    for n in range(1, 13):
+        keys, index, feeds = _plan(n)
+        assert keys == tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        for s, (i, k) in enumerate(keys):
+            ts, shift = feeds[s]
+            assert [(keys[t], keys[t + shift]) for t in ts] == [((k, j), (i, j)) for j in range(k + 1, n + 1)]
 
 
 def test_twisted_group_order_and_enumeration():

@@ -482,12 +482,17 @@ def test_unit_decompose_round_trip(ring_sqrt2, rng):
         u.decompose((2, 0))
 
 
-def test_unit_decompose_refuses_more_than_one_torsion_factor():
-    # one exponent cannot say which unit of C2 x C4 it names: 7 and 11 * 7 share it
+def test_non_cyclic_unit_group_refused():
+    # unit_group() builds every (Z/m)^x; unit_decompose refuses the non-cyclic
+    # ones, as one exponent cannot say which unit of C2 x C4 it names: 7 and
+    # 11 * 7 share it
     units = unit_group(IntegersMod(15))
     for x in (7, 11, 2):
         with pytest.raises(InvalidParameter, match="2 torsion factors"):
             unit_decompose(units, x)
+    for m, factors in ((8, 2), (12, 2), (24, 3)):
+        with pytest.raises(InvalidParameter, match=rf"\(Z/{m}\)\^x has {factors} torsion factors"):
+            unit_decompose(unit_group(IntegersMod(m)), 5)
     assert unit_decompose(unit_group(IntegersMod(7)), 3) == (1, {})
     assert unit_decompose(unit_group(IntegersMod(2)), 1) == (0, {})
 

@@ -16,6 +16,11 @@ linear system directly rather than by norm heuristics.  Each ring answers for it
 integral domain, whether an element lies in the ideal some elements
 generate, and the exponents of a unit, so no other module branches on a
 ring's class.
+
+Every factorisation (of m for Z/m, of Q^x's numerators and denominators,
+of d for Z[sqrt(d)]) is trial division by _trial_factor, TooLarge at once
+past TRIAL_DIVISION_LIMIT.  _is_prime, the one primality test, is the only
+place sympy is imported, for what trial division cannot settle.
 """
 
 from __future__ import annotations
@@ -43,23 +48,6 @@ COMPLETE = "complete"
 LAZY_PRIME_BASIS = "lazy-prime-basis"
 
 
-def _factorint(n: int) -> dict[int, int]:
-    from sympy import factorint
-
-    return {int(p): int(e) for p, e in factorint(n).items()}
-
-
-@functools.lru_cache(maxsize=1024)
-def _is_prime(n: int) -> bool:
-    """Whether n is one of the primes _factorint returns: sympy's factorint
-    keeps a factor when isprime accepts it, and isprime answers at once on
-    a large composite n that factorint would take long to split.  Cached,
-    as the free generators of Q^x ask again for each prime key."""
-    from sympy import isprime
-
-    return isprime(n)
-
-
 def _json_int(value) -> int:
     """An integer field of an element document: a JSON integer, or the
     decimal string elem_to_json writes.  Floats, booleans and other strings
@@ -71,8 +59,12 @@ def _json_int(value) -> int:
     raise ParseError(f"expected an integer or a decimal string, got {value!r}")
 
 
-def _is_squarefree(d: int) -> bool:
-    return all(e == 1 for e in _factorint(abs(d)).values())
+def _json_fields(data, keys: tuple[str, ...], form: str) -> list:
+    """The values at keys of the element document data, which must be a JSON
+    object holding them all; ParseError naming form otherwise."""
+    if not (isinstance(data, dict) and all(key in data for key in keys)):
+        raise ParseError(f"expected an element object {form}, got {data!r}")
+    return [data[key] for key in keys]
 
 
 class Ring:
@@ -391,8 +383,8 @@ class RationalField(Ring):
     def unit_exponents(self, units, x):
         """The sign bit, and the exponent of each prime keyed by the prime."""
         frac = Fraction(x)
-        free = _factorint(abs(frac.numerator))
-        free.update({p: -e for p, e in _factorint(frac.denominator).items()})  # coprime: no prime twice
+        free = _trial_factor(abs(frac.numerator))
+        free.update({p: -e for p, e in _trial_factor(frac.denominator).items()})  # coprime: no prime twice
         return ((0 if frac > 0 else 1,), dict(sorted(free.items())))
 
     def unit_torsion_exponents(self, units, x):
@@ -414,7 +406,10 @@ class RationalField(Ring):
         return {"num": str(x.numerator), "den": str(x.denominator)}
 
     def elem_from_json(self, data):
-        return _own(Fraction(_json_int(data["num"]), _json_int(data["den"])))
+        num, den = (_json_int(v) for v in _json_fields(data, ("num", "den"), "{num, den}"))
+        if den == 0:
+            raise ParseError(f"the den of {data!r} is 0")
+        return _own(Fraction(num, den))
 
     def random_elem(self, rng):
         return _own(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
@@ -466,14 +461,8 @@ class IntegersMod(Ring):
 
     @property
     def is_domain(self):
-        """Whether m is prime: by trial division, or by sympy when m has no
-        factor up to TRIAL_DIVISION_LIMIT (so m is above its square)."""
-        try:
-            return _trial_factor(self.m) == {self.m: 1}
-        except TooLarge:
-            from sympy import isprime
-
-            return isprime(self.m)
+        """Whether m is prime, by _is_prime."""
+        return _is_prime(self.m)
 
     def ideal_contains(self, gens, x):
         return x % math.gcd(self.m, *gens) == 0
@@ -543,7 +532,8 @@ class IntegersMod(Ring):
                 return x
 
 
-# The largest divisor _trial_factor tries: it factors every n below its
+# The largest divisor _trial_factor tries, so it bounds every factorisation
+# here ((Z/m)^x, Q^x exponents, squarefree d): it factors every n below its
 # square, 10^12, in at most half a million steps, and raises TooLarge for
 # larger n that it cannot finish, where the steps would grow as sqrt(n).
 TRIAL_DIVISION_LIMIT = 10**6
@@ -554,7 +544,8 @@ TORSION_LOG_LIMIT = 10**6
 
 def _trial_factor(n: int) -> dict[int, int]:
     """Prime factorisation of n >= 1 by trial division, in about sqrt(n)
-    steps; unlike _factorint it does not import sympy."""
+    steps: the library's one factoring routine.  TooLarge, at once, for an
+    n whose factors it cannot finish below TRIAL_DIVISION_LIMIT."""
     out: dict[int, int] = {}
     given = n
     p = 2
@@ -568,6 +559,23 @@ def _trial_factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = 1
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _is_prime(n: int) -> bool:
+    """Whether n is prime: by trial division, or by sympy's isprime for an n
+    with no factor up to TRIAL_DIVISION_LIMIT (so above its square).  Cached,
+    as the free generators of Q^x ask again for each prime key."""
+    try:
+        return _trial_factor(n) == {n: 1}
+    except TooLarge:
+        from sympy import isprime
+
+        return isprime(n)
+
+
+def _is_squarefree(d: int) -> bool:
+    return all(e == 1 for e in _trial_factor(abs(d)).values())
 
 
 def _totient(factors: dict[int, int]) -> int:
@@ -586,6 +594,7 @@ class QuadraticOrder(Ring):
             raise InvalidParameter(f"d must be squarefree and not 0 or 1, got {d}")
         self.d = d
         self.spec = f"Z[sqrt({d})]"
+        self.symbol = f"sqrt({d})"
 
     zero = zero_cmp = (0, 0)
     one = one_cmp = (1, 0)
@@ -711,18 +720,20 @@ class QuadraticOrder(Ring):
         return (1 if self.sign_real(x) < 0 else 0,)
 
     def parse_elem(self, text):
-        return _parse_quadratic(self, text, f"sqrt({self.d})")
+        return _parse_quadratic(self, text)
 
     def format_elem(self, x):
-        return _format_quadratic(x, f"sqrt({self.d})")
+        a, b = x
+        return str(a) if b == 0 else f"{a}{b:+d}*{self.symbol}"
 
     def elem_to_json(self, x):
         return {"a": str(x[0]), "b": str(x[1]), "d": self.d}
 
     def elem_from_json(self, data):
+        a, b = _json_fields(data, ("a", "b"), "{a, b, d?}")
         if "d" in data and _json_int(data["d"]) != self.d:
             raise InvalidParameter(f"element with d={data['d']} used in {self.spec}")
-        return (_json_int(data["a"]), _json_int(data["b"]))
+        return (_json_int(a), _json_int(b))
 
     def random_elem(self, rng):
         return (rng.randint(-15, 15), rng.randint(-15, 15))
@@ -745,26 +756,11 @@ class GaussianIntegers(QuadraticOrder):
     def __init__(self):
         super().__init__(-1)
         self.spec = "Z[i]"
-
-    def parse_elem(self, text):
-        return _parse_quadratic(self, text, "i")
-
-    def format_elem(self, x):
-        return _format_quadratic(x, "i")
-
-    def elem_to_json(self, x):
-        return {"a": str(x[0]), "b": str(x[1]), "d": -1}
+        self.symbol = "i"
 
 
-def _format_quadratic(x: tuple[int, int], symbol: str) -> str:
-    a, b = x
-    if b == 0:
-        return str(a)
-    return f"{a}{b:+d}*{symbol}"
-
-
-def _parse_quadratic(ring: QuadraticOrder, text: str, symbol: str) -> tuple[int, int]:
-    s = text.replace(" ", "")
+def _parse_quadratic(ring: QuadraticOrder, text: str) -> tuple[int, int]:
+    symbol, s = ring.symbol, text.replace(" ", "")
     if not s:
         raise ParseError("empty element literal")
     # split into rational and irrational parts; accept "3", "2*sym", "3+2*sym",

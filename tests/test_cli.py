@@ -636,6 +636,16 @@ def test_group_build_refuses_a_size_above_the_dimension_limit_at_once(capsys, gr
     assert rc == 2 and err == f"error: n = {n} exceeds DIMENSION_LIMIT = 100\n"
 
 
+def test_group_build_over_a_quadratic_order_beyond_trial_division_exits_2(capsys, group_file):
+    # d = p * q for the next primes after 10^22 and 3 * 10^22: the squarefree
+    # test would need trial divisors above 10^6, so the ring is refused
+    d = (10**22 + 9) * (3 * 10**22 + 29)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["group", "build", "--group", group_file({"ring": f"Z[sqrt({d})]", "n": 3})])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and err.startswith(f"error: factoring {d} needs trial divisors above 1000000")
+
+
 def test_invalid_group_json_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -931,13 +941,31 @@ def test_console_script_runs():
     assert report["data"]["order"] == 3
 
 
-def test_cli_import_leaves_sympy_unloaded():
-    # sympy costs most of a cold start; only factoring and primality need it
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, triadeform.cli; print('sympy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
+def test_cli_import_leaves_sympy_unloaded(tmp_path):
+    # sympy costs most of a cold start; only a primality question that trial
+    # division cannot settle needs it, so neither the import nor a command on
+    # a quadratic order, Q or a residue ring below 10^12 loads it
+    carry = tmp_path / "carry.json"
+    carry.write_text(json.dumps({
+        "domain": {"type": "units", "ring": "Q"},
+        "codomain": {"type": "units", "ring": "Q"},
+        "backend": {"type": "carry", "targets": {"0": {"num": "-1", "den": "1"}}},
+    }))
+    # each command with its exit code: the carry of -1 is no coboundary
+    commands = [
+        ([], 0),
+        (["ring", "info", "Z[sqrt(2)]"], 0),
+        (["ring", "units", "Z[sqrt(3)]"], 0),
+        (["ring", "units", "Q"], 0),
+        (["ring", "info", "Z/1000003"], 0),
+        (["cocycle", "is-coboundary", "--file", str(carry)], 1),
+    ]
+    code = (
+        "import sys, triadeform.cli\n"
+        "rc = triadeform.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print('sympy' in sys.modules, rc)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for argv, rc in commands:
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"False {rc}", (argv, proc.stdout)

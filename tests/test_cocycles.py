@@ -148,7 +148,7 @@ def test_carry_and_torsion_monomial_never_factor_rationals(monkeypatch):
     q = unit_group(parse_ring("Q"))
     f = CarryCocycle(q, q, {0: parse_ring("Q").parse_elem("3")})
     psi = MonomialPsi(q, q, {0: parse_ring("Q").parse_elem("1/2")})
-    monkeypatch.setattr(rings_module, "_factorint", None)  # factoring would fail
+    monkeypatch.setattr(rings_module, "_trial_factor", None)  # factoring would fail
     minus = parse_ring("Q").parse_elem("-35/12")
     plus = parse_ring("Q").parse_elem("77/5")
     assert f(minus, minus) == 3 and f(minus, plus) == 1

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -107,6 +108,26 @@ def test_elem_from_json_reads_integers_only(spec, good, bad):
     for data in bad:
         with pytest.raises(ParseError):
             r.elem_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "spec, form, bad",
+    [
+        ("Q", "{num, den}", ["-1/4", [1, 4], {"num": 1}, {"den": 4}, None, 7]),
+        ("Z[sqrt(2)]", "{a, b, d?}", ["d", "a", [1, 2], {"a": 1}, {"b": 1, "d": 2}, None]),
+        ("Z[i]", "{a, b, d?}", ["d", "1+i", [1, 1], {"b": 1}, None]),
+    ],
+)
+def test_elem_from_json_names_the_object_form(spec, form, bad):
+    # a string, a list or an object missing a key is a ParseError naming the
+    # expected object, not a TypeError or KeyError from indexing it ("d" in
+    # a string used to pass as a substring test)
+    r = parse_ring(spec)
+    for data in bad:
+        with pytest.raises(ParseError, match=re.escape(form)):
+            r.elem_from_json(data)
+    with pytest.raises(ParseError):
+        parse_ring("Q").elem_from_json({"num": "1", "den": "0"})
 
 
 def test_rationals_stay_exact():
@@ -369,13 +390,13 @@ def test_a_ring_keeps_one_unit_group(make):
 def test_rational_unit_decompositions_are_computed_once_per_ring(monkeypatch):
     import triadeform.rings as rings_module
 
-    factorint, calls = rings_module._factorint, []
+    trial_factor, calls = rings_module._trial_factor, []
 
     def counting(n):
         calls.append(n)
-        return factorint(n)
+        return trial_factor(n)
 
-    monkeypatch.setattr(rings_module, "_factorint", counting)
+    monkeypatch.setattr(rings_module, "_trial_factor", counting)
     q = RationalField()
     for _ in range(3):
         assert q.unit_group().decompose(Fraction(-12, 35)) == ((1,), {2: 2, 3: 1, 5: -1, 7: -1})
@@ -447,6 +468,51 @@ def test_unit_group_of_a_modulus_beyond_trial_division_fails_fast():
     with pytest.raises(TooLarge, match="trial divisors"):
         unit_group(ring)
     assert time.perf_counter() - start < 0.5
+
+
+# the next primes after 10^22 and 3 * 10^22: their product has no factor
+# below TRIAL_DIVISION_LIMIT and is far above its square
+P22, Q22 = 10**22 + 9, 3 * 10**22 + 29
+
+
+def test_rational_decomposition_beyond_trial_division_fails_fast():
+    # factoring P22 * Q22 without a size bound took over 10 s
+    units = unit_group(RationalField())
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="trial divisors"):
+        unit_decompose(units, Fraction(P22 * Q22))
+    with pytest.raises(TooLarge, match="trial divisors"):
+        unit_decompose(units, Fraction(1, P22 * Q22))
+    assert time.perf_counter() - start < 0.5
+    # a cofactor below 10^12 is still split: 1_000_003 is prime
+    assert unit_decompose(units, Fraction(12 * 1_000_003, 35)) == (0, {2: 2, 3: 1, 5: -1, 7: -1, 1_000_003: 1})
+
+
+def test_quadratic_order_beyond_trial_division_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="trial divisors"):
+        QuadraticOrder(P22 * Q22)
+    with pytest.raises(TooLarge, match="trial divisors"):
+        fundamental_unit(P22 * Q22)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_primality_by_trial_division_then_sympy():
+    from sympy import isprime
+
+    from triadeform.rings import _is_prime
+
+    for n in range(200):
+        assert _is_prime(n) is isprime(n), n
+    for n in (1_000_003, 1_000_003**2, 10**12 + 39, P22, Q22, P22 * Q22, 2 * P22):
+        assert _is_prime(n) is isprime(n), n
+    # past trial division the free generators of Q^x still take a prime key
+    units = unit_group(RationalField())
+    assert units.free_generator(P22) == P22
+    with pytest.raises(TooLarge, match="trial divisors"):
+        units.decompose(Fraction(P22))
+    with pytest.raises(InvalidParameter):
+        units.free_generator(P22 * Q22)
 
 
 def test_torsion_log_above_its_bound_fails_fast():

@@ -256,3 +256,30 @@ def test_cli_imports_only_config_errors_and_report_at_module_level():
         elif isinstance(node, ast.Import):
             found |= {alias.name for alias in node.names if alias.name.startswith("triadeform")}
     assert found == {"config", "errors", "report"}
+
+
+def test_sympy_is_named_in_rings_is_prime_only():
+    # factoring is trial division everywhere; sympy's isprime answers only
+    # the primality question trial division cannot settle
+    def names_sympy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "sympy" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[0] == "sympy"
+        return isinstance(node, ast.Name) and node.id == "sympy" or isinstance(node, ast.Constant) and node.value == "sympy"
+
+    found, imports = set(), 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(node)
+            for fn in tree.body
+            if path.name == "rings.py" and isinstance(fn, ast.FunctionDef) and fn.name == "_is_prime"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if names_sympy(node):
+                imports += id(node) in allowed
+                if id(node) not in allowed:
+                    found.add(f"{path.name}:{node.lineno}")
+    assert imports == 1 and found == set()

@@ -3,12 +3,15 @@
 A cocycle f: B x B -> A is represented by one of several backends (carry
 tables on cyclic factors, explicit function tables, coboundaries of a map
 psi, pointwise products, transports); check_cocycle alone decides whether
-an input is one.  The central decision procedure, is_coboundary, works per
+an input is one.  Each backend declares is_cocycle_by_construction and
+inverse in its own class body, and is_trivial, product and transported
+where SymCocycle2's default is not its answer, so nothing here asks which
+backend it holds.  The central decision procedure, is_coboundary, works per
 cyclic factor of B: the A-part of (g, 1)^m in the extension E(f) is the
-obstruction attached to a torsion factor of order m, and f splits iff every
-obstruction is an m-th power in A.  Free factors never obstruct.  The
-witness returned is a genuine section-based splitting map, so the coboundary
-identity holds exactly, not just up to cohomology.
+obstruction attached to a torsion factor of order m, and f splits iff
+every obstruction is an m-th power in A.  Free factors never obstruct.  The
+witness returned is a genuine section-based splitting map, so the
+coboundary identity holds exactly, not just up to cohomology.
 
 Carriers for B and A follow the protocol of abgroups.AbelianCarrier: group
 operations, the cyclic decomposition, element formats and value equality.
@@ -226,7 +229,7 @@ class SplitSectionPsi(PsiMap):
         """The section of f^-1 through the inverted roots: the walk on B is
         the same in E(f^-1), and A is abelian, so each A-part is inverted."""
         inv = self.codomain.inverse
-        return SplitSectionPsi(cocycle_inverse(self.cocycle), {idx: inv(y) for idx, y in self.roots.items()})
+        return SplitSectionPsi(self.cocycle.inverse(), {idx: inv(y) for idx, y in self.roots.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +247,14 @@ class SymCocycle2:
     psi is one because B and A are abelian; pointwise products of cocycles,
     and their transports along homomorphisms, are cocycles (Brown, Cohomology
     of Groups, GTM 87, IV.3).  A table comes from data and is not trusted.
+
+    Each backend declares inverse(), f^-1 in its own backend, in its own class
+    body too; here it refuses.  is_trivial, product and transported default
+    to False, a ProductCocycle and a TransportedCocycle.
     """
 
     domain: Any
     codomain: Any
-    backend: str
 
     def __call__(self, x, y):
         raise NotImplementedError
@@ -256,6 +262,19 @@ class SymCocycle2:
     @property
     def is_cocycle_by_construction(self) -> bool:
         return False
+
+    @property
+    def is_trivial(self) -> bool:
+        return False
+
+    def inverse(self) -> "SymCocycle2":
+        raise InvalidParameter(f"cannot invert {type(self).__name__} structurally")
+
+    def product(self, other: "SymCocycle2") -> "SymCocycle2":
+        return ProductCocycle([self, other])
+
+    def transported(self, psi: AbHom, eta_inv: AbHom) -> "SymCocycle2":
+        return TransportedCocycle(self, psi, eta_inv)
 
     def to_json(self):
         return {
@@ -292,8 +311,6 @@ class CarryCocycle(SymCocycle2):
     that factor.
     """
 
-    backend = "carry"
-
     def __init__(self, domain, codomain, targets: dict[int, Any] | None = None):
         self.domain = domain
         self.codomain = codomain
@@ -324,6 +341,23 @@ class CarryCocycle(SymCocycle2):
     def is_cocycle_by_construction(self) -> bool:
         return True
 
+    @property
+    def is_trivial(self) -> bool:
+        return not self.targets
+
+    def inverse(self) -> "CarryCocycle":
+        inv = self.codomain.inverse
+        return CarryCocycle._trusted(self.domain, self.codomain, {i: inv(c) for i, c in self.targets.items()})
+
+    def product(self, other: SymCocycle2) -> SymCocycle2:
+        """A carry when other is a carry on the same groups: targets multiply."""
+        if not (isinstance(other, CarryCocycle) and other.domain == self.domain and other.codomain == self.codomain):
+            return super().product(other)
+        targets = dict(self.targets)
+        for idx, c in other.targets.items():
+            targets[idx] = self.codomain.op(targets[idx], c) if idx in targets else c
+        return CarryCocycle._trusted(self.domain, self.codomain, targets)
+
     def __call__(self, x, y):
         if not self.targets:
             return self.codomain.identity
@@ -351,9 +385,7 @@ def trivial_cocycle(domain, codomain) -> CarryCocycle:
 
 
 class FunctionTable(SymCocycle2):
-    """Explicit table over a finite domain of order at most TABLE_LIMIT."""
-
-    backend = "table"
+    """Explicit table of every pair of a finite domain of order at most TABLE_LIMIT."""
 
     def __init__(self, domain, codomain, table: dict):
         if not domain.is_finite or domain.order() > TABLE_LIMIT:
@@ -361,10 +393,19 @@ class FunctionTable(SymCocycle2):
         self.domain = domain
         self.codomain = codomain
         self.table = dict(table)
+        elems = list(domain.elements())
+        missing = next(((x, y) for x in elems for y in elems if (x, y) not in self.table), None)
+        if missing is not None:
+            x, y = map(domain.format_elem, missing)
+            raise InvalidParameter(f"table has no entry for x = {x}, y = {y}; a table lists every pair")
 
     @property
     def is_cocycle_by_construction(self) -> bool:
         return False
+
+    def inverse(self) -> "FunctionTable":
+        inv = self.codomain.inverse
+        return FunctionTable(self.domain, self.codomain, {k: inv(v) for k, v in self.table.items()})
 
     @classmethod
     def from_callable(cls, domain, codomain, fn) -> "FunctionTable":
@@ -387,8 +428,6 @@ class FunctionTable(SymCocycle2):
 class CoboundaryOf(SymCocycle2):
     """f(x, y) = psi(xy) * psi(x)^-1 * psi(y)^-1 for a normalised psi."""
 
-    backend = "coboundary"
-
     def __init__(self, domain, codomain, psi: PsiMap):
         self.domain = domain
         self.codomain = codomain
@@ -403,6 +442,9 @@ class CoboundaryOf(SymCocycle2):
         psi = self.psi
         return psi.domain == self.domain and psi.codomain == self.codomain and psi.is_total
 
+    def inverse(self) -> "CoboundaryOf":
+        return CoboundaryOf(self.domain, self.codomain, self.psi.inverse())
+
     def __call__(self, x, y):
         a = self.psi(self.domain.op(x, y))
         a = self.codomain.op(a, self.codomain.inverse(self.psi(x)))
@@ -413,8 +455,6 @@ class CoboundaryOf(SymCocycle2):
 
 
 class ProductCocycle(SymCocycle2):
-    backend = "product"
-
     def __init__(self, parts):
         parts = tuple(parts)
         if not parts:
@@ -429,6 +469,12 @@ class ProductCocycle(SymCocycle2):
     @property
     def is_cocycle_by_construction(self) -> bool:
         return all(p.is_cocycle_by_construction for p in self.parts)
+
+    def inverse(self) -> "ProductCocycle":
+        return ProductCocycle([p.inverse() for p in self.parts])
+
+    def transported(self, psi: AbHom, eta_inv: AbHom) -> "ProductCocycle":
+        return ProductCocycle([p.transported(psi, eta_inv) for p in self.parts])
 
     def __call__(self, x, y):
         out = self.codomain.identity
@@ -449,8 +495,6 @@ class TransportedCocycle(SymCocycle2):
     so homomorphisms, and g' is a cocycle by construction when g is.  eta_inv
     is applied once per element met and psi once per value of g met.
     """
-
-    backend = "transported"
 
     def __init__(self, base: SymCocycle2, psi: AbHom, eta_inv: AbHom):
         if not (isinstance(psi, AbHom) and isinstance(eta_inv, AbHom)):
@@ -479,6 +523,10 @@ class TransportedCocycle(SymCocycle2):
     @property
     def is_cocycle_by_construction(self) -> bool:
         return self.base.is_cocycle_by_construction
+
+    def inverse(self) -> "TransportedCocycle":
+        """Through the base: psi is a homomorphism."""
+        return TransportedCocycle(self.base.inverse(), self.psi, self.eta_inv)
 
     def backend_json(self):
         """The table document FunctionTable.from_callable writes of g'."""
@@ -535,13 +583,10 @@ def _backend_from_json(domain, codomain, backend, path: str) -> SymCocycle2:
                 raise ParseError(f"field {where!r} must be a list [x, y, value], got {entry!r}")
             x, y, a = entry
             table[_elem(domain, x, where), _elem(domain, y, where)] = _elem(codomain, a, where)
-        f = FunctionTable(domain, codomain, table)  # refuses a large or infinite domain before it is listed
-        elems = list(domain.elements())
-        missing = next(((x, y) for x in elems for y in elems if (x, y) not in table), None)
-        if missing is not None:
-            x, y = map(domain.format_elem, missing)
-            raise ParseError(f"field {at!r} has no entry for x = {x}, y = {y}; a table lists every pair")
-        return f
+        try:
+            return FunctionTable(domain, codomain, table)
+        except InvalidParameter as exc:  # the first pair with no entry, named by the field that lists them
+            raise ParseError(f"field {at!r} {str(exc).removeprefix('table ')}") from exc
     if kind == "coboundary":
         psi = _psi_from_json(domain, codomain, _field(backend, "psi", path, dict), _at(path, "psi"))
         return CoboundaryOf(domain, codomain, psi)
@@ -838,48 +883,24 @@ def is_cot(f: SymCocycle2) -> bool:
 
 
 def cocycle_product(f: SymCocycle2, g: SymCocycle2) -> SymCocycle2:
-    if f.domain != g.domain or f.codomain != g.codomain:
-        raise DomainMismatch("cocycles live on different groups")
-    if isinstance(f, CarryCocycle) and isinstance(g, CarryCocycle):
-        targets = dict(f.targets)
-        for idx, c in g.targets.items():
-            targets[idx] = f.codomain.op(targets[idx], c) if idx in targets else c
-        return CarryCocycle._trusted(f.domain, f.codomain, targets)
-    return ProductCocycle([f, g])
+    return f.product(g)
 
 
 def cocycle_inverse(f: SymCocycle2) -> SymCocycle2:
-    """The pointwise inverse of f, in f's own backend.  A transport's psi is
-    a homomorphism, so a transport inverts through its base."""
-    a_grp = f.codomain
-    if isinstance(f, CarryCocycle):
-        return CarryCocycle._trusted(f.domain, a_grp, {i: a_grp.inverse(c) for i, c in f.targets.items()})
-    if isinstance(f, FunctionTable):
-        return FunctionTable(f.domain, a_grp, {k: a_grp.inverse(v) for k, v in f.table.items()})
-    if isinstance(f, CoboundaryOf):
-        return CoboundaryOf(f.domain, a_grp, f.psi.inverse())
-    if isinstance(f, ProductCocycle):
-        return ProductCocycle([cocycle_inverse(p) for p in f.parts])
-    if isinstance(f, TransportedCocycle):
-        return TransportedCocycle(cocycle_inverse(f.base), f.psi, f.eta_inv)
-    raise InvalidParameter(f"cannot invert backend {f.backend!r} structurally")
+    """The pointwise inverse of f, in f's own backend."""
+    return f.inverse()
 
 
 def transport_cocycle(g: SymCocycle2, psi: AbHom, eta: AbHom) -> SymCocycle2:
     """Transport g along isos psi: A -> A' and eta: B -> B', as the
     TransportedCocycle g'(x, y) = psi(g(eta^-1(x), eta^-1(y))), a product
-    part by part; g' is a cocycle by construction when g is one."""
-    if not isinstance(g.domain, FgAbelian) or not isinstance(g.codomain, FgAbelian):
-        raise InvalidParameter("transport is defined for FgAbelian carriers")
+    part by part; g' is a cocycle by construction when g is one.  The groups
+    are matched before any Smith form (an AbHom acts on FgAbelian ones)."""
+    if eta.domain != g.domain or psi.domain != g.codomain:
+        raise DomainMismatch("isomorphisms do not match the cocycle's groups")
     if not psi.is_bijective() or not eta.is_bijective():
         raise NotBijective("transport requires isomorphisms on both sides")
-    return _transport(g, psi, eta.inverse())
-
-
-def _transport(g: SymCocycle2, psi: AbHom, eta_inv: AbHom) -> SymCocycle2:
-    if isinstance(g, ProductCocycle):
-        return ProductCocycle([_transport(p, psi, eta_inv) for p in g.parts])
-    return TransportedCocycle(g, psi, eta_inv)
+    return g.transported(psi, eta.inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -188,26 +188,3 @@ def kernel_basis(matrix: Matrix) -> list[list[int]]:
             basis.append([v[i][j] for i in range(cols)])
     return basis
 
-
-def det_sign_unimodular(matrix: Matrix) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise InvalidParameter("matrix is not square")
-    m = mat_copy(matrix)
-    # Bareiss algorithm keeps everything integral
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            _swap_rows(m, k, swap)
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .abgroups import power_by_squaring
-from .cocycles import CarryCocycle, SymCocycle2, _at, _elem, _field, check_cocycle, is_coboundary
+from .cocycles import SymCocycle2, _at, _elem, _field, check_cocycle, is_coboundary
 from .config import DEFAULT_SEED
 from .errors import DomainMismatch, InvalidParameter, NotAUnit, ParseError, TooLarge
 from .rings import Ring
@@ -482,8 +482,7 @@ class DeformedGroup(TriangularGroup):
                     raise DomainMismatch("cocycles must map R^x pairs into R^x")
                 check_cocycle(f)
             self.cocycles = cocycles
-            trivial = lambda f: isinstance(f, CarryCocycle) and not f.targets
-            self._factors = tuple((i, f) for i, f in enumerate(cocycles) if not trivial(f))
+            self._factors = tuple((i, f) for i, f in enumerate(cocycles) if not f.is_trivial)
 
     # -- cocycle plumbing ---------------------------------------------------
 

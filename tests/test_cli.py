@@ -239,6 +239,19 @@ def test_cocycle_transport_rejects_non_iso(capsys, tmp_path, cocycle_file):
     assert "error:" in err
 
 
+def test_cocycle_transport_of_a_unit_group_cocycle_exits_2(capsys, tmp_path, cocycle_file):
+    # the maps act on FgAbelian coordinates, which (Z/7)^x does not have
+    units = {"type": "units", "ring": "Z/7"}
+    doc = {"domain": units, "codomain": units, "backend": {"type": "carry", "targets": {"0": 3}}}
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"domain": {"invariants": [6]}, "codomain": {"invariants": [6]}, "matrix": [[1]]}))
+    rc, out, err = run(capsys, [
+        "cocycle", "transport", "--file", cocycle_file(doc), "--psi", str(hom), "--eta", str(hom),
+    ])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "do not match the cocycle's groups" in err
+
+
 # ---------------------------------------------------------------------------
 # group commands
 

@@ -193,10 +193,8 @@ def test_every_document_type_written_is_read():
 
 
 
-def test_every_cocycle_backend_says_whether_it_is_a_cocycle_by_construction():
-    # build_extension and DeformedGroup skip their check on a cocycle by
-    # construction, so each backend in cocycles declares the property in
-    # its own class body, and none inherits "trusted" by accident
+def _cocycle_backends() -> dict:
+    """The classes of cocycles.py that descend from SymCocycle2, by name."""
     path = next(path for path in SOURCES if path.name == "cocycles.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
@@ -206,18 +204,89 @@ def test_every_cocycle_backend_says_whether_it_is_a_cocycle_by_construction():
             isinstance(base, ast.Name) and base.id in classes and descends(base.id) for base in classes[name].bases
         )
 
-    def declares(cls):
-        return any(
+    backends = {name: cls for name, cls in classes.items() if descends(name)}
+    library = {"SymCocycle2", "CarryCocycle", "FunctionTable", "CoboundaryOf", "ProductCocycle", "TransportedCocycle"}
+    assert library <= set(backends)
+    return backends
+
+
+def _undeclared(backends: dict, method: str, decorator: str | None = None) -> set:
+    """The backends whose own class body does not define method (with the
+    decorator, when one is named)."""
+    return {
+        name
+        for name, cls in backends.items()
+        if not any(
             isinstance(item, ast.FunctionDef)
-            and item.name == "is_cocycle_by_construction"
-            and any(isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list)
+            and item.name == method
+            and (decorator is None or any(isinstance(d, ast.Name) and d.id == decorator for d in item.decorator_list))
             for item in cls.body
         )
+    }
 
-    backends = {name for name in classes if descends(name)}
-    library = {"SymCocycle2", "CarryCocycle", "FunctionTable", "CoboundaryOf", "ProductCocycle", "TransportedCocycle"}
-    assert library <= backends
-    assert {name for name in backends if not declares(classes[name])} == set()
+
+def test_every_cocycle_backend_says_whether_it_is_a_cocycle_by_construction():
+    # build_extension and DeformedGroup skip their check on a cocycle by
+    # construction, so each backend in cocycles declares the property in
+    # its own class body, and none inherits "trusted" by accident
+    assert _undeclared(_cocycle_backends(), "is_cocycle_by_construction", "property") == set()
+
+
+def test_every_cocycle_backend_declares_its_inverse():
+    # cocycle_inverse asks the backend, so each one says in its own class
+    # body how it inverts, and none inherits the base class's refusal by
+    # accident
+    assert _undeclared(_cocycle_backends(), "inverse") == set()
+
+
+def _backend_names() -> set:
+    """The names of the concrete backends: SymCocycle2 itself is the type
+    that inputs are checked against, not a backend."""
+    return set(_cocycle_backends()) - {"SymCocycle2"}
+
+
+def test_no_isinstance_on_a_backend_outside_its_own_class():
+    # a backend answers its own questions (inverse, product, transport,
+    # triviality), so no code asks which backend it holds, except a
+    # backend's method about an argument of its own class
+    backends, found = _backend_names(), set()
+
+    def visit(node, owner, path):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            for sub in ast.walk(node.args[1]):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in backends and name != owner:
+                    found.add(f"{path.name}:{node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, path)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), filename=str(path)), None, path)
+    assert found == set()
+
+
+def test_backends_are_named_in_cocycles_only():
+    # no other module builds, imports or tests for a backend class;
+    # __init__ lists their names as strings in its export table
+    backends, found = _backend_names(), set()
+    for path in SOURCES:
+        if path.name == "cocycles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Constant) and path.name != "__init__.py":
+                names = {node.value}
+            else:
+                continue
+            found |= {f"{path.name}:{node.lineno}: {name}" for name in names & backends}
+    assert found == set()
 
 
 def test_cocycles_enter_through_one_check():

@@ -73,22 +73,12 @@ class Ring:
     kind: str
     spec: str
     is_domain: bool
-    # Comparands equal to zero and one that are cheap to test against: plain
-    # ints over Q, where Fraction == int skips the numbers.Rational check
-    # that Fraction == Fraction pays.  Use them only as the right-hand side
-    # of == or !=, never as a stored value: they need not be ring elements.
-    zero_cmp: Any
-    one_cmp: Any
+    # Every constructor and operation gives 0 and 1 as these very objects
+    # (small ints are cached; Q has _own, the quadratic orders _pair).
+    zero: Elem
+    one: Elem
 
     # -- ring operations -------------------------------------------------
-    @property
-    def zero(self) -> Elem:
-        raise NotImplementedError
-
-    @property
-    def one(self) -> Elem:
-        raise NotImplementedError
-
     def add(self, x: Elem, y: Elem) -> Elem:
         raise NotImplementedError
 
@@ -209,8 +199,8 @@ class IntegerRing(Ring):
     spec = "Z"
     is_domain = True
 
-    zero = zero_cmp = 0
-    one = one_cmp = 1
+    zero = 0
+    one = 1
 
     def add(self, x, y):
         return x + y
@@ -297,8 +287,6 @@ class RationalField(Ring):
 
     zero = _Q_ZERO
     one = _Q_ONE
-    zero_cmp = 0
-    one_cmp = 1
 
     # The operations read the two slots of their Fraction operands and build
     # the reduced result with _fraction, skipping the operator dispatch and
@@ -356,7 +344,10 @@ class RationalField(Ring):
         raise InvalidParameter(f"{x!r} is not a rational element")
 
     def is_unit(self, x):
-        return x != 0
+        try:
+            return x._numerator != 0
+        except AttributeError:
+            return self.is_unit(self.ensure(x))
 
     def inv(self, x):
         try:
@@ -389,9 +380,13 @@ class RationalField(Ring):
 
     def unit_torsion_exponents(self, units, x):
         """The sign bit, found without factoring x."""
-        if not self.is_unit(x):
+        try:
+            num = x._numerator
+        except AttributeError:
+            num = self.ensure(x)._numerator
+        if not num:
             raise NotAUnit(f"{x!r} is not a unit in {self.spec}")
-        return (0 if x > 0 else 1,)
+        return (0 if num > 0 else 1,)
 
     def parse_elem(self, text):
         try:
@@ -430,8 +425,8 @@ class IntegersMod(Ring):
         self.spec = f"Z/{m}"
         self._units: list[int] | None = None
 
-    zero = zero_cmp = 0
-    one = one_cmp = 1
+    zero = 0
+    one = 1
 
     def add(self, x, y):
         return (x + y) % self.m
@@ -540,6 +535,10 @@ TRIAL_DIVISION_LIMIT = 10**6
 # The largest torsion order that UnitGroupStruct.torsion_log tables, one
 # entry per unit, so its time and memory grow with it.
 TORSION_LOG_LIMIT = 10**6
+# The most digits of a fundamental unit (growing about as sqrt(d)): below
+# Python's 4,300-digit int-to-str limit, so every unit admitted prints.
+FUNDAMENTAL_UNIT_DIGITS = 4000
+_UNIT_CAP = 10**FUNDAMENTAL_UNIT_DIGITS  # built once: a power this size costs about 30 us
 
 
 def _trial_factor(n: int) -> dict[int, int]:
@@ -583,6 +582,14 @@ def _totient(factors: dict[int, int]) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in factors.items())
 
 
+_QO_ZERO, _QO_ONE = (0, 0), (1, 0)
+
+
+def _pair(a: int, b: int) -> tuple[int, int]:
+    """(a, b), or the own 0 or 1: b or a >> 1 is false iff b = 0 and a is 0 or 1."""
+    return (a, b) if b or a >> 1 else _QO_ONE if a else _QO_ZERO
+
+
 class QuadraticOrder(Ring):
     """The order Z[sqrt(d)] for squarefree d not in {0, 1}; elements (a, b)."""
 
@@ -596,32 +603,40 @@ class QuadraticOrder(Ring):
         self.spec = f"Z[sqrt({d})]"
         self.symbol = f"sqrt({d})"
 
-    zero = zero_cmp = (0, 0)
-    one = one_cmp = (1, 0)
+    zero = _QO_ZERO
+    one = _QO_ONE
 
     def add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
+        a, b = x[0] + y[0], x[1] + y[1]
+        return (a, b) if b or a >> 1 else _QO_ONE if a else _QO_ZERO
 
     def neg(self, x):
-        return (-x[0], -x[1])
+        a, b = -x[0], -x[1]
+        return (a, b) if b or a >> 1 else _QO_ONE if a else _QO_ZERO
 
     def mul(self, x, y):
         a, b = x
         c, e = y
-        return (a * c + self.d * b * e, a * e + b * c)
+        a, b = a * c + self.d * b * e, a * e + b * c
+        return (a, b) if b or a >> 1 else _QO_ONE if a else _QO_ZERO
 
     def coerce(self, n):
-        return (int(n), 0)
+        return _pair(int(n), 0)
 
     def ensure(self, x):
+        if type(x) is tuple and len(x) == 2:
+            a, b = x
+            if type(a) is int and type(b) is int:
+                return x if b or a >> 1 else _QO_ONE if a else _QO_ZERO
         if isinstance(x, int):
-            return (x, 0)
+            x = (x, 0)
         if isinstance(x, tuple) and len(x) == 2 and all(isinstance(v, int) for v in x):
-            return x
+            return _pair(*map(int, x))  # bools and other int subclasses become ints
         raise InvalidParameter(f"{x!r} is not an element of {self.spec}")
 
     def conj(self, x):
-        return (x[0], -x[1])
+        a, b = x
+        return (a, -b) if b or a >> 1 else _QO_ONE if a else _QO_ZERO
 
     def norm(self, x) -> int:
         return x[0] * x[0] - self.d * x[1] * x[1]
@@ -733,10 +748,10 @@ class QuadraticOrder(Ring):
         a, b = _json_fields(data, ("a", "b"), "{a, b, d?}")
         if "d" in data and _json_int(data["d"]) != self.d:
             raise InvalidParameter(f"element with d={data['d']} used in {self.spec}")
-        return (_json_int(a), _json_int(b))
+        return _pair(_json_int(a), _json_int(b))
 
     def random_elem(self, rng):
-        return (rng.randint(-15, 15), rng.randint(-15, 15))
+        return _pair(rng.randint(-15, 15), rng.randint(-15, 15))
 
     def random_unit(self, rng):
         struct = self.unit_group()
@@ -779,7 +794,7 @@ def _parse_quadratic(ring: QuadraticOrder, text: str) -> tuple[int, int]:
             b = -b
     else:
         b = 0
-    return (a, b)
+    return _pair(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +832,10 @@ def parse_ring(spec: str) -> Ring:
 def fundamental_unit(d: int) -> tuple[int, int]:
     """Least unit greater than 1 of the order Z[sqrt(d)], for squarefree d > 1.
 
-    Walks the continued-fraction convergents of sqrt(d); the first convergent
-    (h, k) with h^2 - d*k^2 = +-1 is the fundamental solution, which for the
-    non-maximal order Z[sqrt(d)] is exactly the fundamental unit.
+    Walks the continued-fraction convergents h/k of sqrt(d); h^2 - d*k^2 =
+    +-den for den the next complete quotient's denominator, so where den
+    returns to 1 is the fundamental solution, which for the non-maximal order
+    Z[sqrt(d)] is exactly the fundamental unit.  TooLarge past FUNDAMENTAL_UNIT_DIGITS digits.
     """
     if d <= 1 or not _is_squarefree(d):
         raise InvalidParameter(f"need squarefree d > 1, got {d}")
@@ -828,13 +844,15 @@ def fundamental_unit(d: int) -> tuple[int, int]:
     h_prev, h = 1, a0
     k_prev, k = 0, 1
     while True:
-        if h * h - d * k * k in (1, -1):
-            return (h, k)
         m_ = den * a - m_
         den = (d - m_ * m_) // den
+        if den == 1:
+            return (h, k)
         a = (a0 + m_) // den
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
+        if h >= _UNIT_CAP:
+            raise TooLarge(f"the fundamental unit of Z[sqrt({d})] has more than FUNDAMENTAL_UNIT_DIGITS = {FUNDAMENTAL_UNIT_DIGITS} digits")
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class UnitDiffIdeal:
 
     def contains(self, x) -> bool:
         x = self.ring.ensure(x)
-        return x == self.ring.zero_cmp or self.ring.ideal_contains(self.generators, x)
+        return x == self.ring.zero or self.ring.ideal_contains(self.generators, x)
 
 
 def unit_diff_ideal(ring: Ring) -> UnitDiffIdeal:

@@ -22,9 +22,9 @@ A DeformedElem holds xbar, z, the cells of U (its n(n-1)/2 strict upper
 slots, row-major, each zero slot holding the ring's own zero) and its
 support, the sorted tuple of nonzero slots.  Products walk one plan per n
 (_plan) from the support only, so a transvection costs one slot, and sort
-nothing.  Only computed sums and products are tested against zero (over
-Z/6, t_12(2) t_23(3) is zero at (1, 3)); a zero becomes the ring's own, so
-equal elements have one support and their cells compare mostly by identity.
+nothing.  Every ring gives 0 and 1 as its own zero and one, so a slot is
+zero exactly when it holds ring.zero (over Z/6, t_12(2) t_23(3) leaves it at
+(1, 3)), equal elements have one support, and 0 and 1 are tested by identity.
 
 Validation happens at the API boundary: the named generators, DeformedGroup
 .element (which checks entry indices, coerces values and sums repeated
@@ -92,8 +92,7 @@ def _check_dimension(n: int) -> None:
 
 def _dense(ring: Ring, values) -> tuple[tuple, tuple]:
     """Cells and support of the strict part with these slot values."""
-    zero, zero_cmp = ring.zero, ring.zero_cmp
-    cells = tuple([zero if v == zero_cmp else v for v in values])
+    zero, cells = ring.zero, tuple(values)
     return cells, tuple([s for s, v in enumerate(cells) if v is not zero])
 
 
@@ -302,7 +301,7 @@ class TriMatrixGroup(TriangularGroup):
         return True
 
     def is_unipotent(self, m: TriMatrix) -> bool:
-        one = self.ring.one_cmp
+        one = self.ring.one
         for i, row in enumerate(m.rows):
             if row[i] != one:
                 return False
@@ -311,7 +310,7 @@ class TriMatrixGroup(TriangularGroup):
     def strict_part(self, m: TriMatrix) -> tuple:
         """Strict entries of D^-1 M, i.e. the U with M = D (I + U); a unit
         times a nonzero entry is nonzero, so U is zero where M is."""
-        r, zero, out = self.ring, self.ring.zero_cmp, []
+        r, zero, out = self.ring, self.ring.zero, []
         for i, row in enumerate(m.rows[:-1]):
             y_inv = r.inv(row[i])
             out += [((i + 1, j + 1), r.mul(y_inv, row[j])) for j in range(i + 1, self.n) if row[j] != zero]
@@ -379,7 +378,7 @@ class TriMatrixGroup(TriangularGroup):
         rows = tuple(tuple(self._unit_at(v, at(i, j)) if i == j else _elem(r, v, at(i, j)) for j, v in enumerate(row))
                      for i, row in enumerate(data))
         for i, j in itertools.combinations(range(n), 2):
-            if rows[j][i] != r.zero_cmp:
+            if rows[j][i] != r.zero:
                 raise InvalidParameter(f"field {at(j, i)!r} is below the diagonal and must be 0, got {r.format_elem(rows[j][i])}")
         return TriMatrix._trusted(r, rows)
 
@@ -461,11 +460,10 @@ class DeformedGroup(TriangularGroup):
         self.ring = ring
         self.n = n
         self._ones = (ring.one,) * (n - 1)
-        self._ones_cmp = (ring.one_cmp,) * (n - 1)
         self._keys, self._index, self._feeds = _plan(n)
         self._zeros = (ring.zero,) * len(self._keys)
         self.identity = DeformedElem(self._ones, ring.one, self._zeros, (), self._keys)
-        # op's last torus pair: (x1, x2, xbar, twist or None when 1, x2^-1 or None)
+        # op's last torus pair: (x1, x2, xbar, twist, x2^-1 or None)
         self._torus: tuple = (None,) * 5
         self._factors: tuple = ()
         if cocycles is None:
@@ -498,13 +496,12 @@ class DeformedGroup(TriangularGroup):
         f(1, x) = f(x, 1) = 1.
         """
         r = self.ring
-        one = r.one_cmp
-        out = r.one
+        one = out = r.one
         for i, f in self._factors:
             a, b = x1[i], x2[i]
-            if a != one and b != one:
+            if a is not one and b is not one:
                 c = f(a, b)
-                out = c if out == one else r.mul(out, c)
+                out = c if out is one else r.mul(out, c)
         return out
 
     def big_f(self, alpha, beta):
@@ -518,6 +515,8 @@ class DeformedGroup(TriangularGroup):
         xbar = tuple(self.ring.ensure(v) for v in xbar)
         if len(xbar) != self.n - 1:
             raise InvalidParameter(f"xbar must have {self.n - 1} coordinates")
+        if all(map(operator.is_, xbar, self._ones)):
+            xbar = self._ones  # so op's identity test finds a trivial torus
         for v in xbar:
             if not self.ring.is_unit(v):
                 raise NotAUnit(f"torus coordinate {self.ring.format_elem(v)} is not a unit")
@@ -536,7 +535,7 @@ class DeformedGroup(TriangularGroup):
         if not (1 <= i < j <= self.n):
             raise InvalidParameter(f"transvection needs 1 <= i < j <= n, got ({i}, {j})")
         beta = self.ring.ensure(beta)
-        if beta == self.ring.zero_cmp:
+        if beta is self.ring.zero:
             return self.identity
         s = self._index[i, j]
         return DeformedElem(self._ones, self.ring.one, self._zeros[:s] + (beta,) + self._zeros[s + 1 :], (s,), self._keys)
@@ -548,6 +547,8 @@ class DeformedGroup(TriangularGroup):
         if not 1 <= k <= self.n:
             raise InvalidParameter(f"diagonal index {k} out of range")
         r = self.ring
+        if alpha is r.one:
+            return self.identity
         if k < self.n:
             return DeformedElem(tuple(alpha if m == k else r.one for m in range(1, self.n)), r.one, self._zeros, (), self._keys)
         alpha_inv = r.inv(alpha)
@@ -558,10 +559,10 @@ class DeformedGroup(TriangularGroup):
         return DeformedElem(self._ones, self._unit(alpha), self._zeros, (), self._keys)
 
     def torus_is_trivial(self, g: DeformedElem) -> bool:
-        return g._xbar == self._ones_cmp
+        return g._xbar == self._ones
 
     def is_unipotent(self, g: DeformedElem) -> bool:
-        return g._xbar == self._ones_cmp and g._z == self.ring.one_cmp
+        return g._xbar == self._ones and g._z == self.ring.one
 
     def strict_part(self, g: DeformedElem) -> tuple:
         return g.upper
@@ -573,26 +574,21 @@ class DeformedGroup(TriangularGroup):
 
     def _conjugate(self, cells: tuple, support: tuple, x: tuple, x_inv: tuple) -> tuple:
         """Cells of D^-1 U D, D = diag(x, 1), x_inv = x^-1: (i, j) scales by the unit x_i^-1 x_j."""
-        one, mul, keys = self.ring.one_cmp, self.ring.mul, self._keys
-        x, out = (*x, self.ring.one), list(cells)
+        one, mul, keys = self.ring.one, self.ring.mul, self._keys
+        x, out = (*x, one), list(cells)
         for s in support:
             i, j = keys[s]
-            v = out[s] if x[i - 1] == one else mul(x_inv[i - 1], out[s])
-            out[s] = v if x[j - 1] == one else mul(v, x[j - 1])
+            v = out[s] if x[i - 1] is one else mul(x_inv[i - 1], out[s])
+            out[s] = v if x[j - 1] is one else mul(v, x[j - 1])
         return tuple(out)
 
     def _product(self, out: list, c1: tuple, s1, c2, s2: tuple) -> tuple[tuple, tuple]:
         """Cells and support of out + U2 + U1 U2, U1 in c1 nonzero at s1 (walked
-        in order), U2 in c2 at s2; only slots a sum or product writes are zero-tested."""
+        in order), U2 in c2 at s2; a zero sum or product is the ring's own zero."""
         r = self.ring
         add, mul, zero, feeds = r.add, r.mul, r.zero, self._feeds
-        computed = []
         for s in s2:
-            if out[s] is zero:
-                out[s] = c2[s]
-            else:
-                out[s] = add(out[s], c2[s])
-                computed.append(s)
+            out[s] = c2[s] if out[s] is zero else add(out[s], c2[s])
         for s in s1:
             a = c1[s]
             ts, shift = feeds[s]
@@ -602,18 +598,14 @@ class DeformedGroup(TriangularGroup):
                     d = t + shift
                     v = out[d]
                     out[d] = mul(a, b) if v is zero else add(v, mul(a, b))
-                    computed.append(d)
-        for d in computed:
-            if out[d] == r.zero_cmp:
-                out[d] = zero
         return tuple(out), tuple([s for s, v in enumerate(out) if v is not zero])
 
     def op(self, g1: DeformedElem, g2: DeformedElem) -> DeformedElem:
-        r, one = self.ring, self.ring.one_cmp
+        r, one, ones = self.ring, self.ring.one, self._ones
         x1, x2, z1, z2 = g1._xbar, g2._xbar, g1._z, g2._z
-        z = z2 if z1 is r.one or z1 == one else z1 if z2 is r.one or z2 == one else r.mul(z1, z2)
+        z = z2 if z1 is one else z1 if z2 is one else r.mul(z1, z2)
         c1, s1, c2, s2 = g1._cells, g1._support, g2._cells, g2._support
-        if x2 is self._ones or x2 == self._ones_cmp:
+        if x2 is ones:
             # no twist (normalised cocycles) and no conjugation
             xbar = x1
         else:
@@ -621,16 +613,14 @@ class DeformedGroup(TriangularGroup):
             if entry[0] is x1 and entry[1] is x2:
                 _, _, xbar, t, x2_inv = entry
             else:
-                xbar = x2 if x1 is self._ones or x1 == self._ones_cmp else tuple(map(r.mul, x1, x2))
+                xbar = x2 if x1 is ones else tuple(map(r.mul, x1, x2))
                 t = self.twist(x1, x2)
-                if t == one:
-                    t = None
                 x2_inv = None
-            if t is not None:
+            if t is not one:
                 z = r.mul(z, t)
             if s1:
                 if x2_inv is None:
-                    x2_inv = tuple(v if v == one else r.inv(v) for v in x2)
+                    x2_inv = tuple(v if v is one else r.inv(v) for v in x2)
                 c1 = self._conjugate(c1, s1, x2, x2_inv)
             self._torus = (x1, x2, xbar, t, x2_inv)
         if s1 and s2:
@@ -639,7 +629,7 @@ class DeformedGroup(TriangularGroup):
         return DeformedElem(xbar, z, c1 if s1 else c2, s1 or s2, self._keys)
 
     def inverse(self, g: DeformedElem) -> DeformedElem:
-        r, one = self.ring, self.ring.one_cmp
+        r, one = self.ring, self.ring.one
         z, xbar_inv, cells, support = g._z, g._xbar, g._cells, g._support
         if support:
             # (I + U)^-1 = I + V with V = -U - U V; row i of V reads the rows
@@ -647,14 +637,14 @@ class DeformedGroup(TriangularGroup):
             minus = [v if v is r.zero else r.neg(v) for v in cells]
             out = list(minus)
             cells, support = self._product(out, minus, reversed(support), out, ())
-        if g._xbar != self._ones_cmp:
-            xbar_inv = tuple(v if v == one else r.inv(v) for v in g._xbar)
+        if xbar_inv is not self._ones:
+            xbar_inv = tuple(v if v is one else r.inv(v) for v in g._xbar)
             t = self.twist(g._xbar, xbar_inv)
-            if t != one:
+            if t is not one:
                 z = r.mul(z, t)
             if support:
                 cells = self._conjugate(cells, support, xbar_inv, g._xbar)
-        if z != one:
+        if z is not one:
             z = r.inv(z)
         return DeformedElem(xbar_inv, z, cells, support, self._keys)
 

@@ -78,6 +78,17 @@ def test_ring_units_pins_fundamental_unit(capsys):
     assert report["data"]["fundamental_units"] == ["1+1*sqrt(2)"]
 
 
+@pytest.mark.parametrize("d", [1000000007, 10000000019])
+def test_ring_units_refuses_a_fundamental_unit_too_long_to_print(capsys, d):
+    # the continued-fraction period grows about as sqrt(d): 1000000007's unit
+    # passed Python's int-to-str digit limit (exit 3 after 2.3 s), and
+    # 10000000019's walk ran past 20 s
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["ring", "units", f"Z[sqrt({d})]"])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == "" and "FUNDAMENTAL_UNIT_DIGITS = 4000" in err
+
+
 def test_ring_units_lists_every_torsion_factor(capsys):
     # (Z/15)^x = C2 x C4 has no single torsion generator
     rc, report = run_json(capsys, ["ring", "units", "Z/15"])

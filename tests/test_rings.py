@@ -1,10 +1,11 @@
 """Ring arithmetic, unit groups, divisibility, and the psi predicate."""
 
-import inspect
 import itertools
+import json
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from triadeform import (
 from triadeform.errors import NotInSubgroupB, TooLarge
 from triadeform.rings import (
     COMPLETE,
+    FUNDAMENTAL_UNIT_DIGITS,
     GaussianIntegers,
     IntegerRing,
     IntegersMod,
@@ -140,14 +142,92 @@ def test_rationals_stay_exact():
     assert isinstance(x, Fraction)
 
 
-@pytest.mark.parametrize("spec", ["Z", "Q", "Z/6", "Z[sqrt(2)]", "Z[i]"])
-def test_zero_and_one_comparands(spec):
+# per ring: fresh values equal to 0 and to 1 that ensure accepts, and text
+# literals of them; a fresh tuple is built at run time, so it is never one of
+# the ring's own constants
+_ZERO_ONE_FORMS = {
+    "Z": ([0, False, 2**70 - 2**70], [1, True, 2**70 + 1 - 2**70], [" 0 ", "-0"], ["1", "+1"]),
+    "Z/6": ([0, False, 6, -12], [1, True, 7, -5], ["0", "6", "-6"], ["1", "7", "-5"]),
+    "Q": ([0, False, Fraction(0), Fraction(0, 7)], [1, True, Fraction(1), Fraction(3, 3)], ["0", "0/5"], ["1", "3/3"]),
+    "Z[sqrt(2)]": ([0, False, tuple([0, 0]), (False, False)], [1, True, tuple([1, 0]), (True, 0)], ["0", "0+0*sqrt(2)"], ["1", "1+0*sqrt(2)"]),
+    "Z[sqrt(-3)]": ([0, False, tuple([0, 0]), (0, False)], [1, True, tuple([1, 0]), (True, False)], ["0", "0*sqrt(-3)"], ["1", "1-0*sqrt(-3)"]),
+    "Z[i]": ([0, False, tuple([0, 0]), (False, 0)], [1, True, tuple([1, 0]), (1, False)], ["0", "0*i"], ["1", "1+0*i"]),
+}
+
+
+def _pool(r, rng):
+    """Ring elements whose sums, differences, products, negatives, inverses,
+    conjugates and powers hit 0 and 1: 0, +-1, units and their inverses,
+    seeded draws, and large coordinates that cancel."""
+    units = [r.one, r.neg(r.one)] + [r.random_unit(rng) for _ in range(6)]
+    units += [r.inv(u) for u in units]
+    big = r.ensure(2**70) if not isinstance(r, QuadraticOrder) else (2**70, 3)
+    pool = [r.zero, r.coerce(2), big, r.neg(big), r.add(big, r.one)] + [r.random_elem(rng) for _ in range(10)]
+    return units, pool + units + [r.neg(x) for x in pool]
+
+
+@pytest.mark.parametrize("spec", list(_ZERO_ONE_FORMS))
+def test_every_ring_returns_its_own_zero_and_one(spec):
+    # the normal form tests 0 and 1 by identity alone, so every way an
+    # element enters a ring and every operation must give ring.zero and
+    # ring.one for 0 and 1
     r = parse_ring(spec)
-    assert r.zero == r.zero_cmp and r.one == r.one_cmp
-    assert r.zero != r.one_cmp and r.one != r.zero_cmp
-    for name in ("zero_cmp", "one_cmp"):
-        # a property would cost every comparison in the normal form a call
-        assert not isinstance(inspect.getattr_static(r, name), property)
+    zeros, ones, zero_texts, one_texts = _ZERO_ONE_FORMS[spec]
+
+    def own(x):
+        if x == r.zero:
+            return x is r.zero
+        return x is r.one if x == r.one else True
+
+    for value, forms, texts in ((r.zero, zeros, zero_texts), (r.one, ones, one_texts)):
+        made = [r.coerce(forms[0]), r.ensure(value)] + [r.ensure(v) for v in forms]
+        made += [r.parse_elem(t) for t in texts]
+        made += [r.elem_from_json(r.elem_to_json(value)), r.elem_from_json(json.loads(json.dumps(r.elem_to_json(value))))]
+        assert all(x is value for x in made), (spec, value, made)
+    rng = random.Random(f"own-zero-one:{spec}")
+    for draw, count in (("random_elem", 4_000), ("random_unit", 500)):
+        got = [getattr(r, draw)(rng) for _ in range(count)]
+        hits = [x for x in got if x == r.zero or x == r.one]
+        assert hits and all(map(own, hits)), (spec, draw)
+    units, pool = _pool(r, rng)
+    results = []
+    for x, y in itertools.product(pool, repeat=2):
+        results += [r.add(x, y), r.sub(x, y), r.mul(x, y)]
+    for x in pool:
+        results += [r.neg(x), r.add(x, r.neg(x)), r.sub(x, x)] + ([r.conj(x)] if isinstance(r, QuadraticOrder) else [])
+    for u in units:
+        results += [r.inv(u), r.mul(u, r.inv(u))] + [r.unit_pow(u, k) for k in range(-4, 5)]
+        results += [r.unit_pow(u, r.unit_group().element_order(u))] if r.unit_group().is_finite else []
+    hits = [x for x in results if x == r.zero or x == r.one]
+    assert len(hits) > 50 and all(map(own, hits)), spec
+
+
+@pytest.mark.parametrize("spec", ["Z[sqrt(2)]", "Z[sqrt(-3)]", "Z[i]"])
+def test_quadratic_order_turns_bools_into_ints(spec):
+    # ensure(True) used to keep the bool, which printed "True" and wrote
+    # {"a": "True"}, a document elem_from_json refused
+    r = parse_ring(spec)
+    for value, want in ((True, r.one), (False, r.zero), ((True, True), (1, 1)), ((False, True), (0, 1))):
+        x = r.ensure(value)
+        assert x == want and all(type(v) is int for v in x)
+        assert r.format_elem(x) == r.format_elem(want)
+        doc = json.loads(json.dumps(r.elem_to_json(x)))
+        assert "True" not in json.dumps(doc) and r.elem_from_json(doc) == want
+    assert r.ensure(True) is r.one and r.ensure(False) is r.zero and r.coerce(True) is r.one
+
+
+def test_rational_unit_tests_read_plain_ints_and_fresh_fractions():
+    # is_unit and the sign bit read Fraction slots, with ensure for the rest
+    q = RationalField()
+    for zero in (0, False, Fraction(0), Fraction(0, 3), q.zero):
+        assert not q.is_unit(zero)
+        with pytest.raises(NotAUnit):
+            q.unit_group().torsion_exponents(zero)
+    for x, sign in ((-1, 1), (1, 0), (True, 0), (Fraction(-2, 3), 1), (Fraction(5), 0), (-(2**80), 1)):
+        assert q.is_unit(x)
+        assert q.unit_group().torsion_exponents(x) == (sign,) == q.unit_group().decompose(q.ensure(x))[0]
+    with pytest.raises(InvalidParameter):
+        q.is_unit("1")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +335,12 @@ def test_seeded_rational_samples_are_unchanged():
     for make in (TriMatrixGroup, DeformedGroup):
         rng, ref = random.Random(20261019), random.Random(20261019)
         got = [make(q, 3).sample(rng) for _ in range(50)]
-        assert repr(got) == repr([make(fresh, 3).sample(ref) for _ in range(50)])
+        want = [make(fresh, 3).sample(ref) for _ in range(50)]
+        if make is DeformedGroup:
+            # the normal form keeps the zeros a ring gives it and finds them
+            # by identity, so the fresh draws are read in through element
+            want = [make(q, 3).element(g.xbar, g.z, g.upper) for g in want]
+        assert repr(got) == repr(want)
         assert rng.getstate() == ref.getstate()
 
 
@@ -288,6 +373,18 @@ def test_fundamental_unit_matches_pell_brute_force(d):
 
 def test_fundamental_unit_sqrt2_pinned():
     assert fundamental_unit(2) == (1, 1)
+
+
+def test_fundamental_unit_is_bounded_below_the_printing_limit():
+    # the walk stops at the end of the first period, where the norm is +-1
+    h, k = fundamental_unit(100000007)
+    assert h * h - 100000007 * k * k in (1, -1)
+    assert len(str(h)) == 3333 < FUNDAMENTAL_UNIT_DIGITS < sys.int_info.default_max_str_digits
+    start = time.perf_counter()
+    for d in (1000000007, 10000000019):
+        with pytest.raises(TooLarge, match="FUNDAMENTAL_UNIT_DIGITS"):
+            fundamental_unit(d)
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

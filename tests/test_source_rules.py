@@ -352,3 +352,17 @@ def test_sympy_is_named_in_rings_is_prime_only():
                 if id(node) not in allowed:
                     found.add(f"{path.name}:{node.lineno}")
     assert imports == 1 and found == set()
+
+
+def test_no_comparands_for_zero_and_one():
+    # every ring returns its own zero and one for 0 and 1, so the normal form
+    # tests them by identity and no module keeps a second value to compare
+    # against
+    names = {"zero_cmp", "one_cmp", "_ones_cmp"}
+    found = {
+        f"{path.name}:{node.lineno}: {name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in names & {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)}
+    }
+    assert found == set()

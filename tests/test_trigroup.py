@@ -876,6 +876,62 @@ def _shortcut_pool(g, rng):
     return pool + generic[3:]
 
 
+# the seven groups of the normal-form benchmark: ring, n and first twist
+_NORMAL_FORM_GROUPS = {
+    "z5-n3-plain": ("Z/5", 3, None),
+    "z5-n4-carry": ("Z/5", 4, ("carry", 2)),
+    "z5-n3-cob": ("Z/5", 3, ("table", {1: 1, 2: 2, 3: 4, 4: 3})),
+    "q-n3-carry": ("Q", 3, ("carry", Fraction(4))),
+    "q-n4-plain": ("Q", 4, None),
+    "q-n4-cob": ("Q", 4, ("monomial", Fraction(1, 2))),
+    "s2-n3-carry": ("Z[sqrt(2)]", 3, ("carry", (3, 2))),
+}
+
+
+@pytest.mark.parametrize("spec, n, twist", list(_NORMAL_FORM_GROUPS.values()), ids=list(_NORMAL_FORM_GROUPS))
+def test_products_keep_the_rings_own_zero_and_one(spec, n, twist):
+    # op, inverse and power test 0 and 1 by identity alone, so every zero
+    # cell they leave must be ring.zero and every other cell in the support,
+    # cancellations included (t_ij(b) t_ij(-b), u u^-1, products over Z/5)
+    r = parse_ring(spec)
+    if twist is None:
+        g = DeformedGroup(r, n)
+    else:
+        u = unit_group(r)
+        kind, data = twist
+        first = {
+            "carry": lambda: CarryCocycle(u, u, {0: data}),
+            "table": lambda: CoboundaryOf(u, u, DictPsi(u, u, data)),
+            "monomial": lambda: CoboundaryOf(u, u, MonomialPsi(u, u, {0: data}, {})),
+        }[kind]()
+        g = DeformedGroup(r, n, (first,) + tuple(trivial_cocycle(u, u) for _ in range(n - 2)))
+    rng = random.Random(f"own-zero-one:{spec}:{n}:{twist}")
+    scalars = [r.one, r.neg(r.one), r.coerce(2), r.neg(r.coerce(2))] + [r.random_elem(rng) for _ in range(3)]
+    units = [r.one, r.neg(r.one)] + [r.random_unit(rng) for _ in range(3)]
+    pool = [g.transvection(i, j, b) for i, j in itertools.combinations(range(1, n + 1), 2) for b in scalars[:4]]
+    pool += [g.diagonal_gen(k, a) for k in range(1, n + 1) for a in units] + [g.central(a) for a in units]
+    pool += [g.sample(rng) for _ in range(6)]
+    pool += [g.element([rng.choice(units) for _ in range(n - 1)], rng.choice(units),
+                       {key: rng.choice(scalars) for key in rng.sample(list(itertools.combinations(range(1, n + 1), 2)), 2)})
+             for _ in range(12)]
+
+    def check(x):
+        assert all(v is r.zero for v in x._cells if v == r.zero), x
+        assert x._support == tuple(s for s, v in enumerate(x._cells) if v is not r.zero), x
+        assert all(v is r.one for v in (*x.xbar, x.z) if v == r.one), x
+
+    cancelled = 0
+    for a, b in itertools.chain(itertools.product(pool[:40], repeat=2), (rng.sample(pool, 2) for _ in range(400))):
+        for x in (g.op(a, b), g.op(a, g.inverse(b)), g.op(g.inverse(a), a)):
+            check(x)
+            cancelled += any(x._cells[s] is r.zero for s in a._support + b._support)
+    for a in pool:
+        check(g.inverse(a))
+        for k in (-3, -2, 2, 3, 5):
+            check(g.power(a, k))
+    assert cancelled > 100
+
+
 @pytest.mark.parametrize("kind", ["untwisted", "carry", "coboundary"])
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("spec", ["Z/5", "Q", "Z[sqrt(2)]"])

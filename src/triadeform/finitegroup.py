@@ -86,6 +86,12 @@ class FiniteGroup:
             out = self._inv_memo[i] = self._index[self._inv(self._elems[i])]
         return out
 
+    def memo_getters(self) -> tuple:
+        """(product, inverse): the get of the product memo, keyed
+        i * order + j, and of the inverse memo, keyed i.  None is a miss,
+        for op_idx or inv_idx to compute and keep."""
+        return self._memo.get, self._inv_memo.get
+
     def conj_idx(self, i: int, by: int) -> int:
         return self.op_idx(self.op_idx(self.inv_idx(by), i), by)
 

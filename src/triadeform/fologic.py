@@ -16,7 +16,9 @@ quantifiers compile by recursion, as deep as the parser nests them.
 
 A formula's first use compiles it, for every model, to closures over a DAG
 of term nodes (_Code, kept on the formula), so each distinct subterm costs
-one product per binding of the innermost binder it reads.
+one lookup in the group's product memo per binding of the innermost binder
+it reads.  Only a node that can be read twice per such binding keeps a memo
+of its own; any other is computed by its one reader.
 eval_formula()/eval_with_stats() expand every quantifier over the carrier
 and count each atom against a budget.  semantic_eval() answers the blocks
 of like quantifiers recognised at compile time (normal-closure nilpotency,
@@ -461,94 +463,114 @@ class _Env(dict):
         raise UnboundVariable(f"variable {name!r} is not assigned and names no constant")
 
 
-def _memoised(level: int, compute):
-    """compute(S), run at most once per binding of the binder at depth
-    level: the memo (stamp, value) holds while that binding's stamp does."""
-    memo = (0, 0)
-
-    def value(S) -> int:
-        nonlocal memo
-        m, s = memo, S.stamps[level]
-        if m[0] != s:
-            m = memo = (s, compute(S))
-        return m[1]
-
-    return value
-
-
 class _State:
-    """One evaluation: the model, its free names, the value and binding
-    stamp of the binder at each depth, and the atoms spent."""
+    """One evaluation: the model, its free names, its group's arithmetic and
+    memo getters, each binder's value and binding stamp, the atoms spent."""
 
-    __slots__ = ("model", "env", "op", "inv", "one", "vals", "stamps", "atoms", "limit", "semantic")
+    __slots__ = ("model", "env", "op", "inv", "get", "iget", "n", "one", "vals", "stamps", "atoms", "limit", "semantic")
 
     def __init__(self, model: Model, env: dict[str, int], code: _Code, limit: float, semantic: bool):
         fg = model.fg
-        self.model, self.env, self.limit, self.semantic = model, _Env({**model.constants, **env}), limit, semantic
-        self.op, self.inv, self.one = fg.op_idx, fg.inv_idx, fg.identity_index
+        self.model, self.env, self.limit, self.semantic, self.atoms = model, _Env({**model.constants, **env}), limit, semantic, 0
+        self.op, self.inv, self.n, self.one = fg.op_idx, fg.inv_idx, fg.order, fg.identity_index
+        self.get, self.iget = fg.memo_getters()
         self.vals = [0] * len(code.atoms_at)
         self.stamps = [code.tick()] * len(code.atoms_at)  # depth 0 (free names) holds for the call
-        self.atoms = 0
 
 
 _STEP = 100  # term levels that evaluation recurses through, at most
 
 
+def _closure(node: list):
+    """A product or inverse node's one closure: its stamp test if it keeps
+    a memo, its children, the group's memo, and op_idx or inv_idx on a miss."""
+    _, level, _, _, reads, (a, *b) = node
+    f, g = a[0], b[0][0] if b else None
+    if reads < 2 and b:
+        def value(S) -> int:
+            i, j = f(S), g(S)
+            return S.op(i, j) if (k := S.get(i * S.n + j)) is None else k
+    elif reads < 2:
+        def value(S) -> int:
+            return S.inv(i) if (k := S.iget(i := f(S))) is None else k
+    elif b:
+        def value(S) -> int:
+            nonlocal stamp, val
+            if stamp != (s := S.stamps[level]):
+                i, j = f(S), g(S)
+                stamp, val = s, S.op(i, j) if (k := S.get(i * S.n + j)) is None else k
+            return val
+    else:
+        def value(S) -> int:
+            nonlocal stamp, val
+            if stamp != (s := S.stamps[level]):
+                stamp, val = s, S.inv(i) if (k := S.iget(i := f(S))) is None else k
+            return val
+    stamp = val = None
+    return value
+
+
 class _Code:
     """A formula compiled for every model: closures over a term DAG.
 
-    A term compiles to a node (closure, level, height, run): level is the
-    depth of the innermost binder it reads (0: free names only), height the
-    number of nodes on its longest path down, and run that number counted
-    from the nearest checkpoint below.  Nodes are hash-consed on (operation,
-    child closures), a bound variable keyed by its binder's depth and a free
-    one by its name, so each distinct subterm is one node, computed when
-    first needed and at most once per binding of that binder.  A scope
-    (bound name -> depth, id -> node) compiles each distinct term object of
-    the scope once.  atoms_at[d] counts the atoms under d quantifiers (the
-    upfront bound is sum(atoms_at[d] * N**d)).  A node evaluates its
-    children by recursion, down to the values already computed for the
-    current bindings; a term evaluates the checkpoints below it first (in a
-    chain: the heights that are multiples of STEP), so evaluation recurses
-    through at most STEP levels of a term of any shape and depth.
+    A term compiles to a node [closure, level, height, run, reads, children]:
+    level is the depth of the innermost binder it reads (0: free names
+    only), height the number of nodes on its longest path down, and run that
+    number counted from the nearest checkpoint below.  Nodes are hash-consed
+    on (operation, child nodes), a bound variable keyed by its binder's depth
+    and a free one by its name, so each distinct subterm is one node,
+    computed when first needed and at most once per binding of that binder.
+    A scope (bound name -> depth, id -> node) compiles each distinct term
+    object of the scope once.  atoms_at[d] counts the atoms under d
+    quantifiers (the upfront bound is sum(atoms_at[d] * N**d)).  reads
+    bounds a node's visits per binding of its level: 1 per parent or atom at
+    that level, 2 from deeper (one binding spans many of the reader's), 1
+    for a checkpoint.  Once the walk ends, closures are made children first:
+    a node with reads > 1 keeps a memo (stamp, value), any other is computed
+    by its one reader, once per binding.  A node evaluates its children by
+    recursion, down to the memos that hold for the current bindings; a term
+    evaluates the checkpoints below it first (in a chain: the heights that
+    are multiples of STEP), so evaluation recurses through at most STEP
+    levels of a term of any shape and depth.
     """
 
     def __init__(self, phi: Formula):
         self.tick = itertools.count(1).__next__  # binding stamps, never reused
-        self.nodes: dict[tuple, tuple] = {}
+        self.nodes: dict[tuple, list] = {}
         self.atoms_at = [0]
         self.root = self.formula(phi, ({}, {}), 0)
+        for node in self.nodes.values():  # children were built first
+            if node[0] is None:
+                node[0] = _closure(node)
 
-    def node(self, key: tuple, a: tuple = None, b: tuple = None) -> tuple:
-        """The node keyed (operation, *child closures), over child nodes a, b;
+    def node(self, key: tuple, *children: list) -> list:
+        """The node keyed (operation, *child node ids), over the child nodes;
         runs count modulo STEP, so a run of 0 marks a checkpoint."""
         found = self.nodes.get(key)
         if found is None:
-            if key[0] is Mul:
-                (f, la, ha, ra), (g, lb, hb, rb) = a, b
-                level, height, run = la if la > lb else lb, ha if ha > hb else hb, ra if ra > rb else rb
-                found = _memoised(level, lambda S: S.op(f(S), g(S))), level, height + 1, (run + 1) % _STEP
-            elif key[0] is Inv:
-                f, level, height, run = a
-                found = _memoised(level, lambda S: S.inv(f(S))), level, height + 1, (run + 1) % _STEP
+            if children:
+                level, height, run = (max(c[k] for c in children) for k in (1, 2, 3))
+                found = [None, level, height + 1, (run := (run + 1) % _STEP), run == 0, children]
+                for c in children:
+                    c[4] += 1 if c[1] == level else 2
             elif key[0] == "one":
-                found = (lambda S: S.one), 0, 1, 1
+                found = [lambda S: S.one, 0, 1, 1, 0, ()]
             elif key[0] == "var":
-                found = (lambda S, d=key[1]: S.vals[d]), key[1], 1, 1
+                found = [lambda S, d=key[1]: S.vals[d], key[1], 1, 1, 0, ()]
             else:
-                found = (lambda S, name=key[1]: S.env[name]), 0, 1, 1
+                found = [lambda S, name=key[1]: S.env[name], 0, 1, 1, 0, ()]
             self.nodes[key] = found
         return found
 
-    def var(self, name: str, scope) -> tuple:
+    def var(self, name: str, scope) -> list:
         depth = scope[0].get(name)
         return self.node(("free", name) if depth is None else ("var", depth))
 
-    def term(self, t: Term, scope):
-        """The closure evaluating t.  Children compile before their parent,
-        in one post-order walk over an explicit stack: a node stays on it
-        until the scope holds its children's nodes.  A term taller than STEP
-        first evaluates the checkpoints below it, lowest first."""
+    def term(self, t: Term, scope, depth: int) -> list:
+        """The node of t, read by an atom at depth; children compile before
+        their parent, in one post-order walk over an explicit stack, where a
+        node stays until the scope holds its children's nodes.  A term taller
+        than STEP is [closure], evaluating the checkpoints below it first."""
         done = scope[1]
         todo = [] if id(t) in done else [t]
         while todo:
@@ -561,13 +583,13 @@ class _Code:
                     if a is None:
                         todo.append(u.left)  # compiled first, as evaluation goes
                     continue
-                found = self.node((Mul, a[0], b[0]), a, b)
+                found = self.node((Mul, id(a), id(b)), a, b)
             elif u.__class__ is Inv:
                 a = done.get(id(u.arg))
                 if a is None:
                     todo.append(u.arg)
                     continue
-                found = self.node((Inv, a[0]), a)
+                found = self.node((Inv, id(a)), a)
             elif u.__class__ is Var:
                 found = self.var(u.name, scope)
             elif u.__class__ is One:
@@ -576,33 +598,31 @@ class _Code:
                 raise TypeError(f"not a term: {u!r}")
             done[id(u)] = found
             todo.pop()
-        value, _, height, _ = done[id(t)]
-        if height <= _STEP:
-            return value
+        root = done[id(t)]
+        root[4] += 1 if root[1] == depth else 2
+        if root[2] <= _STEP:
+            return root
         tall, todo = {}, [t]  # the subterms of height STEP or more
         while todo:
             u = todo.pop()
             if id(u) not in tall and done[id(u)][2] >= _STEP:
                 tall[id(u)] = done[id(u)]
                 todo += (u.left, u.right) if u.__class__ is Mul else (u.arg,)
-        steps = [f for f, _, _, run in sorted(tall.values(), key=lambda node: node[2]) if run == 0] + [value]
-        return lambda S: [step(S) for step in steps][-1]
+        steps = [node for node in sorted(tall.values(), key=lambda node: node[2]) if node[3] == 0] + [root]
+        return [lambda S: [step[0](S) for step in steps][-1]]
 
     def formula(self, phi: Formula, scope, depth: int):
         if isinstance(phi, (Eq, InSet)):
             self.atoms_at[depth] += 1
-            if isinstance(phi, Eq):
-                left, right = self.term(phi.left, scope), self.term(phi.right, scope)
-                check = lambda S: left(S) == right(S)
-            else:
-                name, arg = phi.set_name, self.term(phi.arg, scope)
-                check = lambda S: _definable_set(S.model, name).__contains__(arg(S))  # the set, then the term
+            eq = isinstance(phi, Eq)
+            left = self.term(phi.left if eq else phi.arg, scope, depth)
+            right = self.term(phi.right, scope, depth) if eq else phi.set_name  # a set atom: the set, then the term
 
             def atom(S) -> bool:
                 S.atoms += 1
                 if S.atoms > S.limit:
                     raise BudgetExceeded(S.limit)
-                return check(S)
+                return left[0](S) == right[0](S) if eq else _definable_set(S.model, right).__contains__(left[0](S))
 
             return atom
         if isinstance(phi, Not):  # a run of negations, peeled in a loop

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Iterator
 
@@ -57,6 +58,12 @@ def _json_int(value) -> int:
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
     raise ParseError(f"expected an integer or a decimal string, got {value!r}")
+
+
+def _too_many_digits() -> TooLarge:
+    """What a writer raises for an integer past Python's int-to-str limit,
+    which the library leaves as it is."""
+    return TooLarge(f"an integer has more than {sys.get_int_max_str_digits()} digits, Python's int-to-str limit")
 
 
 def _json_fields(data, keys: tuple[str, ...], form: str) -> list:
@@ -241,10 +248,16 @@ class IntegerRing(Ring):
             raise ParseError(f"bad integer literal {text!r}") from exc
 
     def format_elem(self, x):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the digit limit
+            raise _too_many_digits() from None
 
     def elem_to_json(self, x):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the digit limit
+            raise _too_many_digits() from None
 
     def elem_from_json(self, data):
         return _json_int(data)
@@ -395,10 +408,16 @@ class RationalField(Ring):
             raise ParseError(f"bad rational literal {text!r}") from exc
 
     def format_elem(self, x):
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past the digit limit
+            raise _too_many_digits() from None
 
     def elem_to_json(self, x):
-        return {"num": str(x.numerator), "den": str(x.denominator)}
+        try:
+            return {"num": str(x.numerator), "den": str(x.denominator)}
+        except ValueError:  # past the digit limit
+            raise _too_many_digits() from None
 
     def elem_from_json(self, data):
         num, den = (_json_int(v) for v in _json_fields(data, ("num", "den"), "{num, den}"))
@@ -739,10 +758,16 @@ class QuadraticOrder(Ring):
 
     def format_elem(self, x):
         a, b = x
-        return str(a) if b == 0 else f"{a}{b:+d}*{self.symbol}"
+        try:
+            return str(a) if b == 0 else f"{a}{b:+d}*{self.symbol}"
+        except ValueError:  # past the digit limit
+            raise _too_many_digits() from None
 
     def elem_to_json(self, x):
-        return {"a": str(x[0]), "b": str(x[1]), "d": self.d}
+        try:
+            return {"a": str(x[0]), "b": str(x[1]), "d": self.d}
+        except ValueError:  # past the digit limit
+            raise _too_many_digits() from None
 
     def elem_from_json(self, data):
         a, b = _json_fields(data, ("a", "b"), "{a, b, d?}")

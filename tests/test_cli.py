@@ -303,6 +303,19 @@ def test_group_mul_cancels_transvections(capsys, group_file):
     assert report["data"]["product"] == group.elem_to_json(group.identity)
 
 
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_group_mul_refuses_a_product_past_the_digit_limit(capsys, group_file, output):
+    # two 3,000-digit entries make a 6,000-digit product, past the 4,300
+    # digits Python writes: a usage error that names the limit, not a fault
+    group = DeformedGroup(parse_ring("Z"), 3)
+    big = 10**3000 - 1
+    x = json.dumps(group.elem_to_json(group.transvection(1, 2, big)))
+    y = json.dumps(group.elem_to_json(group.transvection(2, 3, big)))
+    argv = ["group", "mul", "--group", group_file({"ring": "Z", "n": 3}), "--x", x, "--y", y, "--output", output]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == "" and "4300 digits" in err and "Traceback" not in err
+
+
 def test_group_check_presentation(capsys, group_file):
     path = group_file({"ring": "Z/3", "n": 3})
     rc, report = run_json(capsys, ["group", "check-presentation", "--group", path, "--trials", "20"])

@@ -24,6 +24,7 @@ from triadeform.fologic import (
     Eq,
     Exists,
     Forall,
+    Formula,
     Implies,
     InSet,
     Inv,
@@ -32,6 +33,7 @@ from triadeform.fologic import (
     Not,
     One,
     Or,
+    Term,
     Var,
     alpha_equivalent,
     and_fold,
@@ -502,25 +504,84 @@ def test_short_circuits_skip_an_unbound_name(m2):
         semantic_eval(m2, phi)
 
 
-def test_naive_ncl_computes_each_subterm_once_per_binding(m3_z2, monkeypatch):
+@pytest.fixture
+def lookups(monkeypatch):
+    """The products and inverses that evaluation computes, one memo lookup
+    each, counted through the getters FiniteGroup.memo_getters hands out."""
+    count, real = [0], FiniteGroup.memo_getters
+
+    def counted(get):
+        def lookup(key):
+            count[0] += 1
+            return get(key)
+
+        return lookup
+
+    monkeypatch.setattr(FiniteGroup, "memo_getters", lambda fg: tuple(map(counted, real(fg))))
+    return count
+
+
+def test_naive_ncl_computes_each_subterm_once_per_binding(m3_z2, lookups):
     # the body of formula_ncl(3) expands to about 100 group operations but
     # has only O(c) distinct subterms: about 8 operations per atom when each
     # is computed once per binding, 100 when the expanded tree is walked
-    calls = [0]
-
-    def counted(method):
-        def wrapper(self, *args):
-            calls[0] += 1
-            return method(self, *args)
-
-        return wrapper
-
-    monkeypatch.setattr(FiniteGroup, "op_idx", counted(FiniteGroup.op_idx))
-    monkeypatch.setattr(FiniteGroup, "inv_idx", counted(FiniteGroup.inv_idx))
     phi = formula_ncl(3)
     runs = [eval_with_stats(m3_z2, phi, {"x": x}) for x in m3_z2.fg.all_indices]
     assert runs == [(True, 8**4)] * 8  # T_3(Z/2) is nilpotent of class 2
-    assert calls[0] <= 400_000
+    assert lookups[0] == 266_496  # each distinct subterm once per binding of its innermost binder
+    assert lookups[0] <= 400_000
+
+
+def _chain(t: Term, factor: Term, length: int) -> Term:
+    for _ in range(length):
+        t = Mul(t, factor)
+    return t
+
+
+def _atom_bound(phi: Formula, n: int, depth: int = 0) -> int:
+    """The upfront atom bound restated: n**d for each atom under d binders."""
+    if isinstance(phi, (Eq, InSet)):
+        return n**depth
+    if isinstance(phi, Not):
+        return _atom_bound(phi.arg, n, depth)
+    if isinstance(phi, (Forall, Exists)):
+        return _atom_bound(phi.body, n, depth + 1)
+    return _atom_bound(phi.left, n, depth) + _atom_bound(phi.right, n, depth)
+
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+TWICE = Eq(Mul(comm(X, Y), Y), Y)
+# each case of the rule that gives a term node a memo, as (formula, the
+# products and inverses it computes over every x of T_2(Z/3)); the counts
+# are those of a DAG that memoises every node
+MEMO_CASES = {
+    # [x, y] is read by an atom at depth 1 and, from deeper, at depth 2
+    "shared-by-two-depths": (Forall("y", Or(Eq(comm(X, Y), X), Exists("z", Eq(comm(X, Y), Mul(Z, Mul(Z, Z)))))), 548),
+    # [x, y] is read once, by an atom at depth 2, so once per z
+    "read-from-deeper": (Forall("y", Exists("z", Eq(comm(X, Y), Mul(Z, Mul(Z, Z))))), 544),
+    # one atom twice in a conjunction reads its terms twice per binding
+    "one-atom-twice": (Exists("y", and_fold([TWICE, TWICE, Not(Eq(Y, One()))])), 222),
+    # single-use products, 60 over x alone, then y, then 90 over x^-1: the
+    # checkpoint at height 100 falls inside y's level
+    "chain-across-a-checkpoint": (Forall("y", Eq(_chain(Mul(_chain(X, X, 60), Y), Inv(X), 90), Mul(Y, X))), 5516),
+}
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_memo_rule_keeps_values_atoms_budgets_and_products(fo_models, lookups, case):
+    phi, computed = MEMO_CASES[case]
+    runs = [eval_with_stats(fo_models[0], phi, {"x": x}) for x in fo_models[0].fg.all_indices]
+    assert lookups[0] == computed
+    for model in fo_models:
+        bound = _atom_bound(phi, model.fg.order)
+        for x in model.fg.all_indices:
+            value, atoms = counting_eval(model, phi, {"x": x})
+            assert eval_with_stats(model, phi, {"x": x}, bound) == (value, atoms)
+            assert model is not fo_models[0] or runs[x] == (value, atoms)
+            assert semantic_eval(model, phi, {"x": x}) == value
+            for budget in (0, bound - 1):
+                with pytest.raises(BudgetExceeded):
+                    eval_with_stats(model, phi, {"x": x}, budget)
 
 
 def test_long_and_spines_need_no_recursion():

@@ -387,6 +387,27 @@ def test_fundamental_unit_is_bounded_below_the_printing_limit():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "spec, big",
+    [
+        ("Z", lambda r: 10**5000),
+        ("Q", lambda r: r.unit_pow(Fraction(2, 3), 20000)),  # 6,021 digits over 9,543
+        ("Q", lambda r: Fraction(1, 10**5000)),
+        ("Z[sqrt(2)]", lambda r: r.unit_pow((1, 1), 20000)),  # 7,656 digits in a
+        ("Z[sqrt(2)]", lambda r: (1, 10**5000)),
+        ("Z[i]", lambda r: (10**5000, 1)),
+    ],
+)
+def test_writers_refuse_an_integer_past_the_digit_limit(spec, big):
+    # Python writes at most 4,300 digits of an int, and the library leaves
+    # that limit as it is: every writer says TooLarge and names the limit
+    r = parse_ring(spec)
+    x = big(r)
+    for write in (r.format_elem, r.elem_to_json):
+        with pytest.raises(TooLarge, match=f"{sys.get_int_max_str_digits()} digits"):
+            write(x)
+
+
 # ---------------------------------------------------------------------------
 # divisibility against an independent exact solver
 

@@ -34,6 +34,22 @@ def test_fraction_slots_are_touched_in_rings_only():
     assert found == {"rings.py"}
 
 
+def test_product_memos_are_named_in_finitegroup_only():
+    # the naive evaluator reads the product and inverse memos through the
+    # getters of FiniteGroup.memo_getters, so the memos' key scheme and
+    # their fill rule stay in one module
+    memos = {"_memo", "_inv_memo"}
+    found = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in memos)
+        or (isinstance(node, ast.Name) and node.id in memos)
+        or (isinstance(node, ast.Constant) and node.value in memos)
+    }
+    assert found == {"finitegroup.py"}
+
+
 def test_element_fields_are_read_in_trigroup_only():
     # the structure descriptions and the bridges read elements through the
     # coordinate questions of trigroup.TriangularGroup, so the matrix rows,

@@ -29,7 +29,17 @@ from .report import CheckReport
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past Python's digit limit
+            raise ParseError(f"{path}: {exc}") from None
+
+
+def _json_arg(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise ParseError(f"{flag}: {exc}") from None
 
 
 def _group_from_json(data):
@@ -237,8 +247,8 @@ def cmd_group(args, cfg: Config) -> CheckReport:
             data["order"] = group.order()
         return CheckReport("group build", "deformation-def", True, data)
     if args.group_cmd == "mul":
-        x = group._elem_from_json(json.loads(args.x), "--x")
-        y = group._elem_from_json(json.loads(args.y), "--y")
+        x = group._elem_from_json(_json_arg(args.x, "--x"), "--x")
+        y = group._elem_from_json(_json_arg(args.y, "--y"), "--y")
         product = group.op(x, y)
         return CheckReport("group mul", "normal-form-mul", True, {"product": group.elem_to_json(product)})
     if args.group_cmd == "check-presentation":
@@ -359,7 +369,7 @@ def cmd_structure(args, cfg: Config) -> CheckReport:
         witness = None if rep.within_bound else f"width {rep.width_needed} exceeds bound {rep.bound}"
         return CheckReport("structure width", "verbal-width", rep.within_bound, rep.to_json(), witness)
     if args.structure_cmd == "torus":
-        x = group._elem_from_json(json.loads(args.elem), "--elem")
+        x = group._elem_from_json(_json_arg(args.elem, "--elem"), "--elem")
         alpha = structure.torus_membership(group, args.index, x)
         member = alpha is not None
         data = {"i": args.index, "member": member}
@@ -423,7 +433,7 @@ def cmd_fo(args, cfg: Config) -> CheckReport:
             name, _, payload = binding.partition("=")
             if not payload:
                 raise ParseError(f"assignment {binding!r} needs var=json")
-            assignment[name] = group._elem_from_json(json.loads(payload), f"--assign {name}")
+            assignment[name] = group._elem_from_json(_json_arg(payload, f"--assign {name}"), f"--assign {name}")
         if args.defining_set:
             if args.var is None:
                 raise ParseError("--defining-set needs --var")
@@ -572,7 +582,7 @@ def main(argv=None) -> int:
         )
         report = _DISPATCH[args.cmd](args, cfg)
         text = report.render(cfg.output)
-    except (TriadeformError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (TriadeformError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -8,23 +8,25 @@ hash-consed when built, so a formula is one DAG of distinct subterms: equal
 formulas are one object, and equality, alpha-matching and free names visit
 each distinct node once.
 
-The parser's "formula nests too deeply" is the only depth limit.  The
-printer and the term compiler are loops over an explicit stack, and term
-evaluation recurses through at most _STEP levels, so terms built through
-the API evaluate whatever their shape and depth; connectives and
-quantifiers compile by recursion, as deep as the parser nests them.
+The parser descends over one flat list of token strings, the connectives
+in one precedence loop; its "formula nests too deeply" is the only depth
+limit.  The printer and the term compiler are loops over an explicit
+stack, and term evaluation recurses through at most _STEP levels, so terms
+built through the API evaluate whatever their shape and depth; connectives
+and quantifiers compile by recursion, as deep as the parser nests them.
 
 A formula's first use compiles it, for every model, to closures over a DAG
 of term nodes (_Code, kept on the formula), so each distinct subterm costs
 one lookup in the group's product memo per binding of the innermost binder
 it reads.  Only a node that can be read twice per such binding keeps a memo
 of its own; any other is computed by its one reader.
-eval_formula()/eval_with_stats() expand every quantifier over the carrier
-and count each atom against a budget.  semantic_eval() answers the blocks
-of like quantifiers recognised at compile time (normal-closure nilpotency,
-commutator width; binders in any order) with subgroup computations, and
-ranges relativised quantifiers over their registered sets only.  The two
-modes agree on small models, checked against evaluators restated in tests.
+eval_formula()/eval_with_stats() expand every quantifier over the carrier,
+refusing up front a formula whose atoms could exceed the budget.
+semantic_eval() answers the blocks of like quantifiers recognised at
+compile time (normal-closure nilpotency, commutator width; binders in any
+order) with subgroup computations, and ranges relativised quantifiers over
+their registered sets only.  The two modes agree on small models, checked
+against evaluators restated in tests.
 """
 
 from __future__ import annotations
@@ -191,172 +193,148 @@ def free_variables(phi: Formula) -> set[str]:
 # parser
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<invop>\^-1)|(?P<sym>[()\[\],.=*!&|@^])|"
-    r"(?P<one>1)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) per token, then eof; the matches tile the text."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup  # the one alternative that matched
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start())
-        tokens.append((kind, m[kind], m.start(kind)))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\^-1|->|\S")  # a name, ^-1, -> or any one character
+_SYMBOLS = frozenset(("", "->", "^-1", *"()[],.=*!&|@^1"))  # the tokens that are no name; "" ends the list
+_CONNECTIVES = {"->": Implies, "|": Or, "&": And}  # binding as tightly as the printer's _LAYOUT says
 
 
 class _Parser:
-    """Recursive descent over the documented grammar.
+    """Recursive descent over a flat list of token strings, each token's
+    kind read off its text.
 
-    Precedence, loosest first: -> (right), |, &, !; quantifiers extend as
-    far right as possible.  Rebinding a variable that is already bound is a
-    parse error.
+    Precedence, loosest first: -> (right), |, &, !; the connectives are one
+    precedence loop, and quantifiers extend as far right as possible.
+    Rebinding a variable that is already bound is a parse error.  An error
+    leaves i at the token it blames, which parse_formula turns into a
+    position in the text.
     """
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.bound: list[str] = []
+        self.text, self.i, self.bound = text, 0, []
+        self.toks = toks = _TOKEN_RE.findall(text) + [""]
+        names = set(toks) - _SYMBOLS
+        bad = [tok for tok in names if not (tok.isascii() and tok.isidentifier())]
+        if bad:  # refused where scanning stops: after the last token before it
+            self.i = min(map(toks.index, bad))
+            raise ParseError(f"unexpected character {toks[self.i]!r}", len(text[: self.position()].rstrip()))
+        # the nodes built so far: a variable's by its name, an inverse's by its
+        # argument, a product's by its two factors; so each is built once
+        self.built = {name: Var(name) for name in names - {"A", "E"}}
 
-    def peek(self):
-        return self.tokens[self.i]
+    def fail(self, message: str, at: int):
+        self.i = at
+        raise ParseError(message)
 
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {value or kind}, found {tok[1] or 'end of input'}", tok[2])
-        if value is not None and tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1] or 'end of input'}", tok[2])
+    def expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            self.fail(f"expected {tok!r}, found {self.toks[self.i] or 'end of input'}", self.i)
         self.i += 1
-        return tok
+
+    def position(self) -> int:
+        """Where token i starts in the text, found by scanning it again."""
+        match = next(itertools.islice(_TOKEN_RE.finditer(self.text), self.i, None), None)
+        return len(self.text) if match is None else match.start()
 
     def parse(self) -> Formula:
         phi = self.formula()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input starting at {tok[1]!r}", tok[2])
+        if self.toks[self.i]:
+            self.fail(f"trailing input starting at {self.toks[self.i]!r}", self.i)
         return phi
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek()[1] == "|":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
+    def formula(self, floor: int = 1) -> Formula:
+        """The longest formula whose connectives bind at least floor tightly."""
         left = self.unary()
-        while self.peek()[1] == "&":
-            self.take()
-            left = And(left, self.unary())
+        while (klass := _CONNECTIVES.get(self.toks[self.i])) and (strength := _LAYOUT[klass][0]) >= floor:
+            self.i += 1
+            left = klass(left, self.formula(strength if klass is Implies else strength + 1))
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok[1] == "!":
-            self.take()
+        tok = self.toks[self.i]
+        if tok == "!":
+            self.i += 1
             return Not(self.unary())
-        if tok[0] == "ident" and tok[1] in ("A", "E"):
+        if tok == "A" or tok == "E":
             return self.quantifier()
         return self.atom()
 
     def quantifier(self) -> Formula:
-        kind_tok = self.take("ident")
-        var_tok = self.take()
-        if var_tok[0] != "ident" or var_tok[1] in ("A", "E"):
-            raise ParseError("expected a variable after the quantifier", var_tok[2])
-        name = var_tok[1]
+        toks, i = self.toks, self.i
+        name = toks[i + 1]
+        if name not in self.built:
+            self.fail("expected a variable after the quantifier", i + 1)
         if name in self.bound:
-            raise ParseError(f"variable {name!r} shadows an enclosing binding", var_tok[2])
-        dot = self.peek()
-        if dot[1] != ".":
-            raise ParseError("expected '.' after quantified variable", dot[2])
-        self.take()
+            self.fail(f"variable {name!r} shadows an enclosing binding", i + 1)
+        if toks[i + 2] != ".":
+            self.fail("expected '.' after quantified variable", i + 2)
+        self.i = i + 3
         self.bound.append(name)
         body = self.formula()
         self.bound.pop()
-        return Forall(name, body) if kind_tok[1] == "A" else Exists(name, body)
+        return Forall(name, body) if toks[i] == "A" else Exists(name, body)
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok[1] == "@":
-            self.take()
-            name = self.take("ident")[1]
-            self.take(value="(")
+        toks, start = self.toks, self.i
+        if toks[start] == "@":
+            name = toks[start + 1]
+            if name in _SYMBOLS:
+                self.fail(f"expected ident, found {name or 'end of input'}", start + 1)
+            self.i = start + 2
+            self.expect("(")
             arg = self.term()
-            self.take(value=")")
+            self.expect(")")
             return InSet(name, arg)
-        save = self.i
         try:
             left = self.term()
-            self.take(value="=")
+            self.expect("=")
             return Eq(left, self.term())
         except ParseError:
-            if tok[1] != "(":
+            if toks[start] != "(":
                 raise
-            self.i = save  # not an equation: a parenthesised formula
-        self.take(value="(")
+        self.i = start + 1  # not an equation: a parenthesised formula
         phi = self.formula()
-        self.take(value=")")
+        self.expect(")")
         return phi
 
     def term(self) -> Term:
-        left = self.factor()
-        while self.peek()[1] == "*":
-            self.take()
-            left = Mul(left, self.factor())
-        return left
-
-    def factor(self) -> Term:
-        t = self.primary()
+        """A product of factors, each a primary under postfix ^-1 and ^u."""
+        toks, built, product = self.toks, self.built, None
         while True:
-            tok = self.peek()
-            if tok[0] == "invop":
-                self.take()
-                t = Inv(t)
-            elif tok[1] == "^":
-                self.take()
-                t = conj(t, self.primary())
-            else:
+            t = self.primary()
+            while (tok := toks[self.i]) == "^-1" or tok == "^":
+                self.i += 1
+                t = (built.get(t) or built.setdefault(t, Inv(t))) if tok == "^-1" else conj(t, self.primary())
+            if product is not None:
+                t = built.get((product, t)) or built.setdefault((product, t), Mul(product, t))
+            if tok != "*":
                 return t
+            self.i += 1
+            product = t
 
     def primary(self) -> Term:
-        tok = self.peek()
-        if tok[0] == "one":
-            self.take()
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        self.i = i + 1
+        if tok in self.built:
+            return self.built[tok]
+        if tok == "1":
             return One()
-        if tok[0] == "ident":
-            if tok[1] in ("A", "E"):
-                raise ParseError(f"{tok[1]!r} is reserved for quantifiers", tok[2])
-            self.take()
-            return Var(tok[1])
-        if tok[1] == "(":
-            self.take()
+        if tok == "(":
             t = self.term()
-            self.take(value=")")
+            self.expect(")")
             return t
-        if tok[1] == "[":
-            self.take()
+        if tok == "[":
             parts = [self.term()]
-            while self.peek()[1] == ",":
-                self.take()
+            while toks[self.i] == ",":
+                self.i += 1
                 parts.append(self.term())
-            self.take(value="]")
+            self.expect("]")
             if len(parts) < 2:
-                raise ParseError("left-normed commutator needs at least two entries", tok[2])
+                self.fail("left-normed commutator needs at least two entries", i)
             return left_normed(parts)
-        raise ParseError(f"expected a term, found {tok[1] or 'end of input'}", tok[2])
+        if tok == "A" or tok == "E":
+            self.fail(f"{tok!r} is reserved for quantifiers", i)
+        self.fail(f"expected a term, found {tok or 'end of input'}", i)
 
 
 def parse_formula(text: str) -> Formula:
@@ -365,8 +343,11 @@ def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
     try:
         return parser.parse()
+    except ParseError as exc:
+        message = str(exc)
     except RecursionError:
-        raise ParseError("formula nests too deeply", parser.peek()[2]) from None
+        message = "formula nests too deeply"
+    raise ParseError(message, parser.position()) from None
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +448,11 @@ class _State:
     """One evaluation: the model, its free names, its group's arithmetic and
     memo getters, each binder's value and binding stamp, the atoms spent."""
 
-    __slots__ = ("model", "env", "op", "inv", "get", "iget", "n", "one", "vals", "stamps", "atoms", "limit", "semantic")
+    __slots__ = ("model", "env", "op", "inv", "get", "iget", "n", "one", "vals", "stamps", "atoms", "semantic")
 
-    def __init__(self, model: Model, env: dict[str, int], code: _Code, limit: float, semantic: bool):
+    def __init__(self, model: Model, env: dict[str, int], code: _Code, semantic: bool):
         fg = model.fg
-        self.model, self.env, self.limit, self.semantic, self.atoms = model, _Env({**model.constants, **env}), limit, semantic, 0
+        self.model, self.env, self.semantic, self.atoms = model, _Env({**model.constants, **env}), semantic, 0
         self.op, self.inv, self.n, self.one = fg.op_idx, fg.inv_idx, fg.order, fg.identity_index
         self.get, self.iget = fg.memo_getters()
         self.vals = [0] * len(code.atoms_at)
@@ -620,8 +601,6 @@ class _Code:
 
             def atom(S) -> bool:
                 S.atoms += 1
-                if S.atoms > S.limit:
-                    raise BudgetExceeded(S.limit)
                 return left[0](S) == right[0](S) if eq else _definable_set(S.model, right).__contains__(left[0](S))
 
             return atom
@@ -733,9 +712,10 @@ def _run(model: Model, phi: Formula, assignment: dict | None, limit: float, sema
     env = {name: el if isinstance(el, int) else model.fg.index(el) for name, el in (assignment or {}).items()}
     code = _compiled(phi)
     carrier = max(model.fg.order, 1)
+    # every run's bound: an atom under d binders runs at most carrier**d times
     if sum(k * carrier**d for d, k in enumerate(code.atoms_at)) > limit:
         raise BudgetExceeded(limit)
-    state = _State(model, env, code, limit, semantic)
+    state = _State(model, env, code, semantic)
     return code.root(state), state.atoms
 
 

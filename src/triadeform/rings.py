@@ -840,10 +840,12 @@ def parse_ring(spec: str) -> Ring:
         ring = RationalField()
     elif s == "Z[i]":
         ring = GaussianIntegers()
-    elif m := re.fullmatch(r"Z/(\d+)", s):
-        ring = IntegersMod(int(m.group(1)))
-    elif m := re.fullmatch(r"Z\[sqrt\((-?\d+)\)\]", s):
-        ring = QuadraticOrder(int(m.group(1)))
+    elif m := re.fullmatch(r"Z/(\d+)|Z\[sqrt\((-?\d+)\)\]", s):
+        try:
+            k = int(m[1] or m[2])
+        except ValueError as exc:  # past Python's digit limit
+            raise ParseError(f"ring spec {spec!r}: {exc}") from None
+        ring = IntegersMod(k) if m[1] else QuadraticOrder(k)
     else:
         raise ParseError(f"unrecognised ring spec {spec!r}")
     _RING_CACHE[s] = ring

@@ -668,18 +668,6 @@ class DeformedGroup(TriangularGroup):
         z = r.random_unit(rng)
         return DeformedElem(xbar, z, *_dense(r, [r.random_elem(rng) for _ in self._zeros]), self._keys)
 
-    def element_order(self, g: DeformedElem) -> int:
-        if not self.is_finite:
-            raise TooLarge("element orders are computed in finite groups only")
-        acc, k = g, 1
-        bound = self.order() + 1
-        while acc != self.identity:
-            acc = self.op(acc, g)
-            k += 1
-            if k > bound:
-                raise InvalidParameter("element order exceeded the group order")
-        return k
-
     def generating_set(self) -> list[DeformedElem]:
         """The shared generators, then diag(u) for the same units u."""
         return super().generating_set() + [self.central(u) for u in self.ring.unit_group().generators()]

@@ -316,6 +316,36 @@ def test_group_mul_refuses_a_product_past_the_digit_limit(capsys, group_file, ou
     assert rc == 2 and out == "" and "4300 digits" in err and "Traceback" not in err
 
 
+BIG = "7" * 5000  # an integer literal past the 4,300 digits Python reads
+BIG_ELEM = '{"xbar": [1, 1], "z": 1, "upper": {"1,2": %s}}' % BIG
+DIGIT_LIMIT_CASES = {  # case -> (argv, with FILE for the written file, its text, the source the error names)
+    "ring-modulus": (["ring", "info", f"Z/{BIG}"], None, "ring spec 'Z/77"),
+    "ring-radicand": (["ring", "info", f"Z[sqrt({BIG})]"], None, "ring spec 'Z[sqrt(77"),
+    "group-n": (["group", "build", "--group", "FILE"], '{"ring": "Z", "n": %s}' % BIG, "FILE: "),
+    "mul-x": (["group", "mul", "--group", "Z3", "--x", BIG_ELEM, "--y", BIG_ELEM], None, "--x: "),
+    "torus-elem": (["structure", "torus", "--group", "Z3", "--index", "1", "--elem", BIG_ELEM], None, "--elem: "),
+    "cocycle-factor": (
+        ["cocycle", "verify", "--file", "FILE"],
+        '{"domain": {"type": "fg", "invariant_factors": [%s], "free_rank": 0}, '
+        '"codomain": {"type": "fg", "invariant_factors": [2], "free_rank": 0}, '
+        '"backend": {"type": "carry", "targets": {"0": [1]}}}' % BIG,
+        "FILE: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DIGIT_LIMIT_CASES)
+def test_an_integer_past_the_digit_limit_is_a_usage_error_naming_its_source(capsys, tmp_path, group_file, case):
+    argv, text, source = DIGIT_LIMIT_CASES[case]
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    names = {"FILE": str(path), "Z3": group_file({"ring": "Z", "n": 3})}
+    rc, out, err = run(capsys, [names.get(arg, arg) for arg in argv])
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: " + source.replace("FILE", str(path)))
+
+
 def test_group_check_presentation(capsys, group_file):
     path = group_file({"ring": "Z/3", "n": 3})
     rc, report = run_json(capsys, ["group", "check-presentation", "--group", path, "--trials", "20"])
@@ -495,11 +525,11 @@ def test_fo_parse_of_long_or_deep_input_is_not_a_library_fault(capsys, text, rc)
 
 
 def test_fo_parse_reports_a_canonical_text_that_does_not_parse_back(capsys):
-    # one parenthesis per ^y in the canonical text: 400 conjugations parse,
+    # one parenthesis per ^y in the canonical text: 600 conjugations parse,
     # their canonical text nests too deeply to parse back
-    text = "x" + "^y" * 400 + " = 1"
+    text = "x" + "^y" * 600 + " = 1"
     got, report = run_json(capsys, ["fo", "parse", text])
-    assert len(text) == 805 and got == 1 and report["ok"] is False
+    assert len(text) == 1205 and got == 1 and report["ok"] is False
     assert report["data"]["round_trip"] is False and report["data"]["free_variables"] == ["x", "y"]
     assert report["witness"].startswith("the canonical text does not parse back: formula nests too deeply")
     got, report = run_json(capsys, ["fo", "parse", "x" + "^y" * 300 + " = 1"])

@@ -372,6 +372,56 @@ def test_parse_errors(text):
         parse_formula(text)
 
 
+# each bad input's message and position, pinned; None leaves out a position
+# that depends on the caller's stack depth
+PARSE_ERRORS = [
+    ("A y x = 1", "expected '.' after quantified variable", 4),
+    ("A x. A x. x = 1", "variable 'x' shadows an enclosing binding", 7),
+    ("A x. (E x. x = 1)", "variable 'x' shadows an enclosing binding", 8),
+    ("E A. x = 1", "expected a variable after the quantifier", 2),
+    ("x = 1)", "trailing input starting at ')'", 5),
+    ("x = = 1", "expected a term, found =", 4),
+    ("x &", "expected '=', found &", 2),
+    ("[x] = 1", "left-normed commutator needs at least two entries", 0),
+    ("@(x)", "expected ident, found (", 1),
+    ("@S x", "expected '(', found x", 3),
+    ("x = 1 # y", "unexpected character '#'", 5),
+    ("", "expected a term, found end of input", 0),
+    ("A . x = 1", "expected a variable after the quantifier", 2),
+    ("x ^ = 1", "expected a term, found =", 4),
+    # a parenthesis at formula position opens a term, else a formula
+    ("(x = y", "expected ')', found end of input", 6),
+    ("(x", "expected '=', found end of input", 2),
+    ("(x & y)", "expected '=', found &", 3),
+    ("(!x)", "expected '=', found )", 3),
+    ("x = y -> (z)", "expected '=', found )", 11),
+    ("(" * 2000 + "x = 1" + ")" * 2000, "formula nests too deeply", None),
+    ("!" * 3000 + "x = 1", "formula nests too deeply", None),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS, ids=range(len(PARSE_ERRORS)))
+def test_parse_errors_name_their_cause_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert str(info.value).startswith(f"{message} (at position ")
+    assert position is None or (info.value.position == position and str(info.value).endswith(f" {position})"))
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("(x) = y", "x = y"),
+        ("((x = y))", "x = y"),
+        ("((x)) = (y)", "x = y"),
+        ("(x*y)^-1 = 1", "(x*y)^-1 = 1"),
+        ("(A x. x = 1) & y = 1", "(A x. x = 1) & y = 1"),
+    ],
+)
+def test_a_parenthesis_at_formula_position_reads_as_a_term_or_a_formula(text, canonical):
+    assert parse_formula(text) is parse_formula(canonical) and format_formula(parse_formula(text)) == canonical
+
+
 def test_parse_error_carries_position():
     # position marks where scanning stopped, at the start of the bad tail
     with pytest.raises(ParseError) as info:

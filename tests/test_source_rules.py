@@ -149,7 +149,7 @@ def test_fologic_recurses_only_where_the_parser_bounds_the_depth():
         return False
 
     cyclic = {name for name in calls if reaches_itself(name)}
-    descent = {"formula", "disjunction", "conjunction", "unary", "quantifier", "atom", "term", "factor", "primary"}
+    descent = {"formula", "unary", "quantifier", "atom", "term", "primary"}
     assert {"format_formula", "_Code.term", "_alpha_match"} <= set(calls)
     assert cyclic == {f"_Parser.{name}" for name in descent} | {"_Code.formula", "_Code.quantifier"}
 
